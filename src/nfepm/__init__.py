@@ -4,7 +4,7 @@ a MAP Monte-Carlo harness."""
 
 __version__ = "0.1.0"
 
-from .channel import (AxialPose, GeneralPose, degenerate_channel,
+from .channel import (AxialPose, GeneralPose, axis_channel, degenerate_channel,
                       general_channel, nf_channel, nf_channel_axis, rerr,
                       scalar_green, scaling_factor, simp_channel, vector_field)
 from .ecrb import (FisherInfo, ecrb, ecrb_ao, ecrb_asymptotic, fim_closed,

@@ -111,18 +111,30 @@ def nf_channel(pose: AxialPose, x_r, y_r, wave: Wave):
     return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * amp)
 
 
+def axis_channel(z, t, y, wave: Wave, scale=1.0):
+    """On-axis channel kernel: scale * e^{jkr} / r^2.5 * sqrt(z) * (y t + z t_y)
+    with r = sqrt(y^2 + z^2), broadcasting over z, t and y.
+
+    Every on-axis voltage is this kernel with scale = amplitude * pitch.
+    The factors are applied in the order written; the phase k r is formed
+    in full, so its float64 rounding grows with the range. No pose
+    validation: callers pass distances > 0 and tilts in [0, 1).
+    """
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ty = np.sqrt(1.0 - t * t)
+    rr = np.sqrt(y * y + z * z)
+    return (scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5
+            * np.sqrt(z) * (y * t + z * ty))
+
+
 def nf_channel_axis(pose: AxialPose, y_r, wave: Wave):
     """nf_channel restricted to the array center line x_r = 0.
 
     The amplitude factor is kept signed, not wrapped in an absolute value.
     """
-    z = np.asarray(pose.distance, dtype=float)
-    t = np.asarray(pose.tilt, dtype=float)
-    ty = np.sqrt(1.0 - t * t)
-    y = np.asarray(y_r, dtype=float)
-    rr = np.sqrt(y * y + z * z)
-    return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5
-                * np.sqrt(z) * (y * t + z * ty))
+    return _ret(axis_channel(pose.distance, pose.tilt, y_r, wave))
 
 
 def general_channel(pose: GeneralPose, x_r, y_r, wave: Wave):

@@ -1,7 +1,10 @@
 """Exception types raised across the package.
 
 All inherit from NfepmError so callers can catch the package's failures
-with a single except clause while the CLI maps them to exit codes.
+with a single except clause. Each sits under exactly one of two
+categories, which the CLI maps to its exit codes: ConfigError (1) for
+inputs outside what the model accepts, NumericalError (2) for failures
+of a computation on accepted inputs.
 """
 
 
@@ -9,61 +12,69 @@ class NfepmError(Exception):
     pass
 
 
-class ValidityViolation(NfepmError):
+class ConfigError(NfepmError):
+    """The configuration or the arguments are unusable."""
+
+
+class NumericalError(NfepmError):
+    """A computation on accepted inputs failed."""
+
+
+class ValidityViolation(ConfigError):
     """Geometry or wavelength outside the range where a formula holds."""
 
 
-class IndexOutOfRange(NfepmError):
+class IndexOutOfRange(ConfigError):
     """Element index outside 1..N."""
 
 
-class NonPositiveDistance(NfepmError):
+class NonPositiveDistance(ConfigError):
     """A distance that must be strictly positive is not."""
 
 
-class CoincidentPoints(NfepmError):
+class CoincidentPoints(NumericalError):
     """Two probe points coincide where distinct points are required."""
 
 
-class DivisionByZero(NfepmError):
+class DivisionByZero(NumericalError):
     pass
 
 
-class NegativeRadicand(NfepmError):
+class NegativeRadicand(NumericalError):
     """Square root of a negative quantity in a real-valued path."""
 
 
-class DegenerateElements(NfepmError):
+class DegenerateElements(ConfigError):
     """Probe element pair unusable (coincident or out of band)."""
 
 
-class NonFinite(NfepmError):
+class NonFinite(NumericalError):
     """A computed quantity is NaN or infinite."""
 
 
-class UnsupportedRegion(NfepmError):
+class UnsupportedRegion(ConfigError):
     """Prior box not covered by any closed-form solver regime."""
 
 
-class QuadratureFailure(NfepmError):
+class QuadratureFailure(NumericalError):
     """Numerical integration did not converge to tolerance."""
 
 
-class AttitudeSingularity(NfepmError):
+class AttitudeSingularity(NumericalError):
     """Attitude too close to t_z = 1 where 1/t_y diverges."""
 
 
-class SingularFIM(NfepmError):
+class SingularFIM(NumericalError):
     """Fisher information matrix numerically singular."""
 
 
-class ZeroNoise(NfepmError):
+class ZeroNoise(ConfigError):
     """Operation requires sigma^2 > 0."""
 
 
-class ParseError(NfepmError):
+class ParseError(ConfigError):
     """Malformed config file or override string."""
 
 
-class InvariantViolation(NfepmError):
+class InvariantViolation(ConfigError):
     """Internal consistency check failed."""

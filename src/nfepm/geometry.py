@@ -20,6 +20,12 @@ from .errors import (IndexOutOfRange, InvariantViolation, NonPositiveDistance,
                      ValidityViolation)
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidityViolation(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     aperture: float
@@ -30,6 +36,9 @@ class ArrayGeometry:
             raise NonPositiveDistance(f"pitch must be > 0, got {self.pitch}")
         if self.aperture <= 0:
             raise NonPositiveDistance(f"aperture must be > 0, got {self.aperture}")
+        _require_finite(pitch=self.pitch)
+        if math.isnan(self.aperture):  # +inf is the asymptotic case
+            raise ValidityViolation("aperture must not be NaN")
         if not math.isinf(self.aperture) and self.pitch > self.aperture:
             raise InvariantViolation(
                 f"pitch {self.pitch} exceeds aperture {self.aperture}")
@@ -62,6 +71,7 @@ class Wave:
             raise NonPositiveDistance(f"wavelength must be > 0, got {self.wavelength}")
         if self.amplitude <= 0:
             raise InvariantViolation(f"amplitude must be > 0, got {self.amplitude}")
+        _require_finite(wavelength=self.wavelength, amplitude=self.amplitude)
 
     @property
     def wavenumber(self) -> float:
@@ -80,6 +90,7 @@ class UniformPrior:
         if self.z_max <= self.z_min:
             raise InvariantViolation(
                 f"prior requires z_min < z_max, got [{self.z_min}, {self.z_max}]")
+        _require_finite(z_min=self.z_min, z_max=self.z_max)
 
     @property
     def span(self) -> float:

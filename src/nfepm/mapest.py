@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AxialPose, nf_channel_axis
+from .channel import AxialPose, axis_channel
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import TZ_EPS, stream
@@ -58,9 +58,8 @@ class MseReport:
 
 def _forward(z, t, geom: ArrayGeometry, wave: Wave):
     """Noiseless voltage model, broadcasting over pose arrays."""
-    y = geom.element_centers
-    pose = AxialPose(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
-    return wave.amplitude * geom.pitch * nf_channel_axis(pose, y, wave)
+    return axis_channel(z, t, geom.element_centers, wave,
+                        scale=wave.amplitude * geom.pitch)
 
 
 def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AxialPose, nf_channel_axis
+from .channel import AxialPose, axis_channel
 from .errors import InvariantViolation, NonFinite, ZeroNoise
 from .geometry import ArrayGeometry, Wave
 from .numerics import stream
@@ -43,8 +43,8 @@ class Voltages:
 def noiseless_voltages(pose: AxialPose, geom: ArrayGeometry, wave: Wave) -> Voltages:
     """Per-element voltages under the constant-field-over-element rule:
     v_n = amplitude * pitch * channel(center_n)."""
-    vals = wave.amplitude * geom.pitch * nf_channel_axis(
-        pose, geom.element_centers, wave)
+    vals = axis_channel(pose.distance, pose.tilt, geom.element_centers, wave,
+                        scale=wave.amplitude * geom.pitch)
     return Voltages(values=np.asarray(vals, dtype=complex), geom=geom)
 
 

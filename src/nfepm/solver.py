@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import axis_channel
 from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite, UnsupportedRegion)
 from .geometry import (ArrayGeometry, Region, RegionClass, UniformPrior, Wave,
@@ -132,13 +133,6 @@ def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
     return solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
 
 
-def _axis_voltage(z, t, y, geom, wave):
-    ty = np.sqrt(1.0 - t * t)
-    rr = np.sqrt(y * y + z * z)
-    return (wave.amplitude * geom.pitch * np.exp(1j * wave.wavenumber * rr)
-            / rr ** 2.5 * np.sqrt(z) * (y * t + z * ty))
-
-
 def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
               geom: ArrayGeometry, wave: Wave, u: int = 200, v: int = 200,
               mismatch: Region | None = None,
@@ -168,8 +162,8 @@ def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
     else:
         ya = geom.element_center(alpha_idx)
         yb = geom.element_center(beta_idx)
-    va = _axis_voltage(z, t, ya, geom, wave)
-    vb = _axis_voltage(z, t, yb, geom, wave)
+    va = axis_channel(z, t, ya, wave, scale=wave.amplitude * geom.pitch)
+    vb = axis_channel(z, t, yb, wave, scale=wave.amplitude * geom.pitch)
 
     if solver_kind is Region.CASE1:
         res = solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
@@ -187,3 +181,25 @@ def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
     if not diagnostic:
         return float(rmse_z), float(rmse_t)
     return complex(rmse_z), complex(rmse_t)
+
+
+# Table 2 of the paper, one solver column each:
+# (region, wavelength, aperture, pitch, z_min, z_max)
+TABLE2_COLUMNS = (
+    (Region.CASE1, 1.0, 0.5, 0.05, 0.5, 0.9),
+    (Region.CASE1, 0.5, 1.0, 0.05, 0.1, 0.45),
+    (Region.CASE2_PA, 0.1, 1.0, 0.05, 5.0, 20.0),
+    (Region.CASE2_PA, 0.1, 2.0, 0.05, 20.0, 80.0),
+    (Region.CASE2_PA, 0.01, 2.0, 0.05, 200.0, 400.0),
+    (Region.CASE2_SC, 0.1, 1.0, 0.05, 0.18, 4.98),
+    (Region.CASE2_SC, 0.1, 1.0, 0.1, 0.36, 4.98),
+    (Region.CASE2_SC, 0.01, 2.0, 0.05, 0.25, 199.0),
+    (Region.CASE2_SC, 0.01, 2.0, 0.005, 0.018, 199.0),
+)
+
+# Diagnostic pairings: wrong solver deliberately applied to each Case II
+# column (ambiguity-limited data under the Case I solver, spacing-limited
+# data under the phase-ambiguity solver).
+TABLE2_MISMATCH = tuple(
+    (col, Region.CASE1 if col[0] is Region.CASE2_PA else Region.CASE2_PA)
+    for col in TABLE2_COLUMNS if col[0] is not Region.CASE1)

@@ -1,24 +1,29 @@
 """Shared benchmark scenarios for the test suite.
 
-The solver benchmark lists the nine reference parameter columns with their
+The solver benchmark pairs the nine Table 2 parameter columns with their
 published-grid RMSE targets; the named configs below are the recurring
 bound/estimator setups.
 """
 
-from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
+from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
+from nfepm.solver import TABLE2_COLUMNS
+
+# Published (rmse_z, rmse_t) of each Table 2 column, in column order.
+_REFERENCE_RMSE = (
+    (0.0, 0.0),
+    (0.0, 0.0),
+    (5.70e-3, 7.72e-4),
+    (5.90e-3, 2.15e-4),
+    (8.41e-4, 3.66e-6),
+    (1.60e-3, 3.80e-3),
+    (4.60e-3, 5.50e-3),
+    (2.22e-4, 3.99e-4),
+    (2.19e-5, 7.29e-4),
+)
 
 # (region, wavelength, aperture, pitch, z_min, z_max, ref_rmse_z, ref_rmse_t)
-SOLVER_BENCHMARK = (
-    (Region.CASE1, 1.0, 0.5, 0.05, 0.5, 0.9, 0.0, 0.0),
-    (Region.CASE1, 0.5, 1.0, 0.05, 0.1, 0.45, 0.0, 0.0),
-    (Region.CASE2_PA, 0.1, 1.0, 0.05, 5.0, 20.0, 5.70e-3, 7.72e-4),
-    (Region.CASE2_PA, 0.1, 2.0, 0.05, 20.0, 80.0, 5.90e-3, 2.15e-4),
-    (Region.CASE2_PA, 0.01, 2.0, 0.05, 200.0, 400.0, 8.41e-4, 3.66e-6),
-    (Region.CASE2_SC, 0.1, 1.0, 0.05, 0.18, 4.98, 1.60e-3, 3.80e-3),
-    (Region.CASE2_SC, 0.1, 1.0, 0.1, 0.36, 4.98, 4.60e-3, 5.50e-3),
-    (Region.CASE2_SC, 0.01, 2.0, 0.05, 0.25, 199.0, 2.22e-4, 3.99e-4),
-    (Region.CASE2_SC, 0.01, 2.0, 0.005, 0.018, 199.0, 2.19e-5, 7.29e-4),
-)
+SOLVER_BENCHMARK = tuple(column + ref for column, ref
+                         in zip(TABLE2_COLUMNS, _REFERENCE_RMSE, strict=True))
 
 
 def benchmark_setup(column):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from nfepm.channel import (DEGENERATE_KINDS, AxialPose, GeneralPose,
-                           degenerate_channel, general_channel, nf_channel,
-                           nf_channel_axis, rerr, scalar_green, scaling_factor,
-                           simp_channel, vector_field)
+                           axis_channel, degenerate_channel, general_channel,
+                           nf_channel, nf_channel_axis, rerr, scalar_green,
+                           scaling_factor, simp_channel, vector_field)
 from nfepm.errors import InvariantViolation, NonPositiveDistance
-from nfepm.geometry import Wave
+from nfepm.geometry import ArrayGeometry, Wave
+from nfepm.observation import noiseless_voltages
 from scenarios import ACCURACY_WAVE, ACCURACY_Y
 
 # sqrt(1 + 3/(2 pi)^2 + 9/(2 pi)^4) at range = wavelength
@@ -179,3 +180,21 @@ def test_channels_broadcast():
     single = nf_channel_axis(pose, float(y[3]), wave)
     assert np.isscalar(single) or single.shape == ()
     assert h[3] == pytest.approx(complex(single))
+
+
+def test_axis_channel_is_the_on_axis_voltage_kernel():
+    # the channel at scale 1, the element voltages at amplitude * pitch,
+    # and the same values when broadcast over a pose grid
+    wave, geom = Wave(0.1, amplitude=1.5), ArrayGeometry(1.0, 0.05)
+    y = geom.element_centers
+    z = np.linspace(0.5, 20.0, 5)[:, None]
+    t = np.linspace(0.0, 0.9, 4)[None, :]
+    grid = axis_channel(z, t, y[:, None, None], wave,
+                        scale=wave.amplitude * geom.pitch)
+    assert grid.shape == (geom.n_elements, 5, 4)
+    for i, j in ((0, 0), (2, 1), (4, 3)):
+        pose = AxialPose(float(z[i, 0]), float(t[0, j]))
+        assert np.array_equal(axis_channel(pose.distance, pose.tilt, y, wave),
+                              nf_channel_axis(pose, y, wave))
+        volts = noiseless_voltages(pose, geom, wave).values
+        np.testing.assert_allclose(grid[:, i, j], volts, rtol=1e-14, atol=0)

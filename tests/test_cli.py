@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nfepm import errors
 from nfepm.channel import AxialPose
 from nfepm.cli import main
 from nfepm.geometry import ArrayGeometry, Wave
@@ -90,6 +91,48 @@ def test_bad_overrides(tmp_path, capsys):
     assert main(["channel", "--config", cfg, "--out", out,
                  "--override", "grid.trials=abc"]) == 1
     assert "bad value" in capsys.readouterr().err
+
+
+# Non-finite inputs: (subcommand argv, extra INI text, override).
+NON_FINITE_PROBES = {
+    "wavelength-nan": (("preset", "fig4"), None, "wave.wavelength=nan"),
+    "z_max-inf": (("preset", "fig4"), None, "prior.z_max=inf"),
+    "pitch-nan": (("preset", "fig4"), None, "array.pitch=nan"),
+    "aperture-nan": (("preset", "fig4"), None, "array.aperture=nan"),
+    "sweep-nan": (("zzb",), "\n[sweep]\nsnr_db = nan,30\n", None),
+}
+
+
+@pytest.mark.parametrize("argv, extra_ini, override",
+                         NON_FINITE_PROBES.values(), ids=NON_FINITE_PROBES)
+def test_non_finite_input_is_config_error(tmp_path, capsys, argv, extra_ini,
+                                          override):
+    args = list(argv) + ["--out", str(tmp_path / "out")]
+    if extra_ini is not None:
+        args += ["--config", write_ini(tmp_path, BASE_INI + extra_ini)]
+    if override is not None:
+        args += ["--override", override]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_fig9_rejects_several_snrs(tmp_path, capsys):
+    assert main(["preset", "fig9", "--out", str(tmp_path / "out"),
+                 "--override", "sweep.snr_db=30,40"]) == 1
+    assert "single sweep.snr_db" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_error_has_exactly_one_exit_category():
+    bases = (errors.NfepmError, errors.ConfigError, errors.NumericalError)
+    leaves = [cls for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, errors.NfepmError)
+              and cls not in bases]
+    assert len(leaves) == 15
+    for cls in leaves:
+        assert (issubclass(cls, errors.ConfigError)
+                != issubclass(cls, errors.NumericalError)), cls
 
 
 def test_noise_driven_numerical_failure(tmp_path, capsys):

@@ -14,7 +14,7 @@ Re-capture the fixtures from the current code with
 
 import math
 import shutil
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,89 +34,39 @@ REDUCED_GRID = (("n_delta", 8), ("n_theta_z", 4), ("n_theta_t", 8),
 OVERRIDES = tuple(arg for key, val in REDUCED_GRID
                   for arg in ("--override", f"grid.{key}={val}"))
 
-POSE_INI = """\
-[wave]
-wavelength = 1.0
+# Config sections of the subcommand cases.
+POSE = {"wave": {"wavelength": 1.0}, "array": {"aperture": 0.5, "pitch": 0.05},
+        "prior": {"z_min": 0.5, "z_max": 0.9}, "pose": {"z": 0.7, "t_z": 0.3}}
+NOISY_SOLVE = {"wave": {"wavelength": 0.1, "amplitude": 2.0},
+               "array": {"aperture": 1.0, "pitch": 0.05},
+               "prior": {"z_min": 5.0, "z_max": 20.0},
+               "pose": {"z": 12.0, "t_z": 0.6}, "noise": {"snr_db": 90.0},
+               "elements": {"alpha": 2, "beta": 9}}
+BOUNDS = {"wave": {"wavelength": 0.1}, "array": {"aperture": 5.0, "pitch": 0.1},
+          "prior": {"z_min": 3.0, "z_max": 5.0}, "sweep": {"snr_db": "0,30,60"}}
 
-[array]
-aperture = 0.5
-pitch = 0.05
-
-[prior]
-z_min = 0.5
-z_max = 0.9
-
-[pose]
-z = 0.7
-t_z = 0.3
-"""
-
-NOISY_SOLVE_INI = """\
-[wave]
-wavelength = 0.1
-amplitude = 2.0
-
-[array]
-aperture = 1.0
-pitch = 0.05
-
-[prior]
-z_min = 5.0
-z_max = 20.0
-
-[pose]
-z = 12.0
-t_z = 0.6
-
-[noise]
-snr_db = 90.0
-
-[elements]
-alpha = 2
-beta = 9
-"""
-
-BOUND_INI = """\
-[wave]
-wavelength = 0.1
-
-[array]
-aperture = 5.0
-pitch = 0.1
-
-[prior]
-z_min = 3.0
-z_max = 5.0
-
-[sweep]
-snr_db = 0,30,60
-"""
-
-# case name -> (INI text or None for a preset, argv before --out/overrides)
+# case name -> (config sections or None for a preset, argv before --out)
 CASES = {
-    "table2": (None, ("preset", "table2")),
-    "fig3": (None, ("preset", "fig3")),
-    "fig4": (None, ("preset", "fig4")),
-    "fig5": (None, ("preset", "fig5")),
-    "fig6": (None, ("preset", "fig6")),
-    "fig7": (None, ("preset", "fig7")),
-    "fig8": (None, ("preset", "fig8")),
-    "fig9": (None, ("preset", "fig9")),
-    "channel": (POSE_INI, ("channel",)),
-    "solve": (POSE_INI, ("solve",)),
-    "solve_noisy": (NOISY_SOLVE_INI, ("solve", "--seed", "3")),
-    "zzb": (BOUND_INI, ("zzb",)),
-    "ecrb": (BOUND_INI, ("ecrb",)),
-    "map-mc": (BOUND_INI, ("map-mc", "--seed", "5")),
+    **{name: (None, ("preset", name))
+       for name in ("table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+                    "fig9")},
+    "channel": (POSE, ("channel",)),
+    "solve": (POSE, ("solve",)),
+    "solve_noisy": (NOISY_SOLVE, ("solve", "--seed", "3")),
+    "zzb": (BOUNDS, ("zzb",)),
+    "ecrb": (BOUNDS, ("ecrb",)),
+    "map-mc": (BOUNDS, ("map-mc", "--seed", "5")),
 }
 
 
 def run_case(name: str, workdir: Path) -> Path:
     """Run one case in `workdir` and return the directory of its CSVs."""
-    ini, argv = CASES[name]
-    if ini is not None:
+    sections, argv = CASES[name]
+    if sections is not None:
         config = workdir / "config.ini"
-        config.write_text(ini, encoding="utf-8")
+        config.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for section, keys in sections.items()), encoding="utf-8")
         argv = argv[:1] + ("--config", str(config)) + argv[1:]
     out = workdir / "out"
     assert main(list(argv) + ["--out", str(out)] + list(OVERRIDES)) == 0
@@ -188,7 +138,6 @@ def test_cli_matches_golden(name, tmp_path):
 
 def capture() -> None:
     """Rewrite every fixture from the current code."""
-    import tempfile
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             out = run_case(name, Path(tmp))
@@ -200,4 +149,3 @@ def capture() -> None:
 
 if __name__ == "__main__":
     capture()
-    sys.exit(0)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from nfepm.channel import AxialPose
+from nfepm.channel import AxialPose, axis_channel
 from nfepm.errors import (DegenerateElements, InvariantViolation,
                           NegativeRadicand, NonFinite, UnsupportedRegion)
 from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
 from nfepm.observation import noiseless_voltages
-from nfepm.solver import (_axis_voltage, _tilt_from_amplitudes, decouple,
-                          rmse_grid, solve, solve_case1, solve_case2_pa,
-                          solve_case2_sc)
+from nfepm.solver import (_tilt_from_amplitudes, decouple, rmse_grid, solve,
+                          solve_case1, solve_case2_pa, solve_case2_sc)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
@@ -43,14 +42,15 @@ def test_decouple_scalar_and_nonfinite():
 def test_tilt_from_true_range_is_exact():
     geom = ArrayGeometry(2.0, 0.05)
     wave = Wave(0.25, amplitude=1.5)
+    scale = wave.amplitude * geom.pitch
     rng = np.random.default_rng(4)
     for _ in range(200):
         z = 10.0 ** rng.uniform(-1, 2)
         t = rng.uniform(0.0, 1.0)
         n = rng.integers(1, geom.n_elements)
         y_a, y_b = geom.element_center(n), geom.element_center(n + 1)
-        psi_a = np.abs(_axis_voltage(z, t, y_a, geom, wave))
-        psi_b = np.abs(_axis_voltage(z, t, y_b, geom, wave))
+        psi_a = np.abs(axis_channel(z, t, y_a, wave, scale))
+        psi_b = np.abs(axis_channel(z, t, y_b, wave, scale))
         t_hat = _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom, wave)
         assert abs(t_hat - t) < 1e-10
 
@@ -88,12 +88,13 @@ def test_distant_pair_bias_envelope():
         lam = 10.0 ** rng.uniform(-2, 0)
         geom = ArrayGeometry(lam * 10.0 ** rng.uniform(0.7, 1.5), lam / 2)
         wave = Wave(lam)
+        scale = wave.amplitude * geom.pitch
         y_a = geom.element_center(1)
         y_b = geom.element_center(max(2, geom.n_elements // 2))
         z = rng.uniform(1.0, 3.0) * geom.aperture ** 2 / (2.0 * lam)
         t = rng.uniform(0.0, 0.95)
-        va = _axis_voltage(z, t, y_a, geom, wave)
-        vb = _axis_voltage(z, t, y_b, geom, wave)
+        va = axis_channel(z, t, y_a, wave, scale)
+        vb = axis_channel(z, t, y_b, wave, scale)
         res = solve_case2_pa(va, vb, y_a, y_b, geom, wave)
         eps = _relative_bias(geom, y_a, y_b, z)
         assert abs(res.z_hat - z) / z <= 1.05 * eps + 1e-12
@@ -107,12 +108,13 @@ def test_adjacent_pair_bias_envelope():
         pitch = lam * 10.0 ** rng.uniform(-0.6, 0.7)
         geom = ArrayGeometry(pitch * int(rng.integers(4, 40)), pitch)
         wave = Wave(lam)
+        scale = wave.amplitude * geom.pitch
         y_1, y_2 = 0.5 * pitch, 1.5 * pitch
         d_sc = max(pitch * pitch / lam, 3.6 * pitch)
         z = rng.uniform(1.0, 10.0) * d_sc
         t = rng.uniform(0.0, 0.95)
-        v1 = _axis_voltage(z, t, y_1, geom, wave)
-        v2 = _axis_voltage(z, t, y_2, geom, wave)
+        v1 = axis_channel(z, t, y_1, wave, scale)
+        v2 = axis_channel(z, t, y_2, wave, scale)
         res = solve_case2_sc(v1, v2, geom, wave)
         eps = _relative_bias(geom, y_1, y_2, z)
         assert abs(res.z_hat - z) / z <= 1.05 * eps + 1e-12
@@ -128,8 +130,9 @@ def test_distant_pair_benchmark_bias_small(column):
     y_b = geom.element_center(max(2, geom.n_elements // 2))
     eps = _relative_bias(geom, y_a, y_b, prior.z_min)
     assert eps <= 3.5e-3
-    va = _axis_voltage(prior.z_min, 0.3, y_a, geom, wave)
-    vb = _axis_voltage(prior.z_min, 0.3, y_b, geom, wave)
+    scale = wave.amplitude * geom.pitch
+    va = axis_channel(prior.z_min, 0.3, y_a, wave, scale)
+    vb = axis_channel(prior.z_min, 0.3, y_b, wave, scale)
     res = solve_case2_pa(va, vb, y_a, y_b, geom, wave)
     assert abs(res.z_hat - prior.z_min) / prior.z_min <= 3.5e-3
 
@@ -139,13 +142,14 @@ def test_integer_period_law_distant_pair():
     # principal phases are not in increasing order
     geom = ArrayGeometry(1.0, 0.05)
     wave = Wave(0.1)
+    scale = wave.amplitude * geom.pitch
     y_a = geom.element_center(1)
     y_b = geom.element_center(geom.n_elements // 2)
     rng = np.random.default_rng(21)
     z = rng.uniform(5.0, 50.0, size=1000)
     t = rng.uniform(0.0, 1.0, size=1000)
-    va = _axis_voltage(z, t, y_a, geom, wave)
-    vb = _axis_voltage(z, t, y_b, geom, wave)
+    va = axis_channel(z, t, y_a, wave, scale)
+    vb = axis_channel(z, t, y_b, wave, scale)
     da, db = decouple(va), decouple(vb)
     r_a = np.hypot(y_a, z)
     r_b = np.hypot(y_b, z)
@@ -157,12 +161,13 @@ def test_integer_period_law_distant_pair():
 def test_integer_period_law_adjacent_pair():
     geom = ArrayGeometry(1.0, 0.05)
     wave = Wave(0.1)
+    scale = wave.amplitude * geom.pitch
     y_1, y_2 = 0.5 * geom.pitch, 1.5 * geom.pitch
     rng = np.random.default_rng(22)
     z = rng.uniform(0.18, 2.0, size=1000)
     t = rng.uniform(0.0, 1.0, size=1000)
-    d1 = decouple(_axis_voltage(z, t, y_1, geom, wave))
-    d2 = decouple(_axis_voltage(z, t, y_2, geom, wave))
+    d1 = decouple(axis_channel(z, t, y_1, wave, scale))
+    d2 = decouple(axis_channel(z, t, y_2, wave, scale))
     n_1 = np.floor(wave.wavenumber * np.hypot(y_1, z) / TWO_PI
                    - d1.theta / TWO_PI + 0.5)
     n_2 = np.floor(wave.wavenumber * np.hypot(y_2, z) / TWO_PI
