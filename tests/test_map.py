@@ -10,8 +10,9 @@ from nfepm.errors import InvariantViolation
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import (MapGrid, MseReport, log_likelihood, map_estimate,
                           monte_carlo_mse)
-from nfepm.numerics import TZ_EPS
-from nfepm.observation import NoiseSpec, noiseless_voltages
+from nfepm.numerics import TZ_EPS, stream
+from nfepm.observation import (NoiseSpec, noiseless_voltages, observe,
+                               sigma2_for_snr_db)
 
 GEOM = ArrayGeometry(0.5, 0.05)
 WAVE = Wave(1.0)
@@ -95,3 +96,26 @@ def test_monte_carlo_single_trial_and_validation():
     assert report.mse_z >= 0.0 and report.mse_t >= 0.0
     with pytest.raises(InvariantViolation):
         monte_carlo_mse(PRIOR, GEOM, WAVE, 20.0, trials=0, seed=0, grid=grid)
+
+
+@pytest.mark.parametrize("geom, wave, prior", [
+    (GEOM, WAVE, PRIOR),
+    (ArrayGeometry(5.0, 0.1), Wave(0.1), UniformPrior(3.0, 5.0)),
+])
+def test_monte_carlo_equals_per_trial_estimates(geom, wave, prior):
+    # 70 trials span two scoring blocks of the harness
+    grid, trials, seed = MapGrid(32, 16, 2), 70, 11
+    for db in (0.0, 20.0, 40.0, 60.0):
+        report = monte_carlo_mse(prior, geom, wave, db, trials, seed, grid)
+        noise = NoiseSpec(sigma2_for_snr_db(wave, db), seed)
+        rng = stream(seed)
+        z_true = rng.uniform(prior.z_min, prior.z_max, trials)
+        t_true = rng.uniform(0.0, 1.0, trials)
+        sq_z, sq_t = np.empty(trials), np.empty(trials)
+        for i in range(trials):
+            v = observe(noiseless_voltages(AxialPose(z_true[i], t_true[i]),
+                                           geom, wave), noise, trial=i)
+            est = map_estimate(v, prior, geom, wave, noise, grid)
+            sq_z[i] = (est.distance - z_true[i]) ** 2
+            sq_t[i] = (est.tilt - t_true[i]) ** 2
+        assert (report.mse_z, report.mse_t) == (sq_z.mean(), sq_t.mean())

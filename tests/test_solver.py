@@ -6,7 +6,8 @@ import pytest
 from nfepm.channel import AxialPose, axis_channel
 from nfepm.errors import (DegenerateElements, InvariantViolation,
                           NegativeRadicand, NonFinite, UnsupportedRegion)
-from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
+from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
+                            classify_region)
 from nfepm.observation import noiseless_voltages
 from nfepm.solver import (_tilt_from_amplitudes, decouple, rmse_grid, solve,
                           solve_case1, solve_case2_pa, solve_case2_sc)
@@ -265,3 +266,27 @@ def test_adjacent_pair_grid_converges_to_reference():
     rmse_z, rmse_t = rmse_grid(region, prior, geom, wave, u=2000, v=2000)
     assert rmse_z == pytest.approx(ref_z, rel=0.05)
     assert rmse_t == pytest.approx(ref_t, rel=0.05)
+
+
+def test_rmse_grid_matches_pointwise_solve():
+    unsupported = []
+    for column, row in enumerate(SOLVER_BENCHMARK):
+        region, wave, geom, prior = benchmark_setup(row)
+        if classify_region(prior, geom, wave).kind is not region:
+            unsupported.append(column)
+            continue
+        rmse_z, rmse_t = rmse_grid(region, prior, geom, wave, u=5, v=4)
+        err_z, err_t = [], []
+        for z in np.linspace(prior.z_min, prior.z_max, 5):
+            for t in np.linspace(0.0, 1.0, 4, endpoint=False):
+                pose = AxialPose(float(z), float(t))
+                res = solve(noiseless_voltages(pose, geom, wave), prior, geom,
+                            wave)
+                err_z.append(res.z_hat - z)
+                err_t.append(res.t_hat - t)
+        assert rmse_z == pytest.approx(np.sqrt(np.mean(np.square(err_z))),
+                                       rel=1e-8, abs=1e-12), column
+        assert rmse_t == pytest.approx(np.sqrt(np.mean(np.square(err_t))),
+                                       rel=1e-8, abs=1e-12), column
+    # the second column's far default probe outreaches the wavelength
+    assert unsupported == [1]

@@ -9,9 +9,9 @@ from nfepm.channel import AxialPose, nf_channel_axis
 from nfepm.errors import InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import integrate, q_function
-from nfepm.zzb import (HypothesisPair, ZZBGrid, _families, ambiguity_function,
-                       mu_L, mu_L_ao, p_min, p_min_general, zzb_ao_t,
-                       zzb_asymptotic, zzb_t, zzb_z)
+from nfepm.zzb import (HypothesisPair, ZZBGrid, _families, _mu_over_tilts,
+                       ambiguity_function, mu_L, mu_L_ao, p_min,
+                       p_min_general, zzb_ao_t, zzb_asymptotic, zzb_t, zzb_z)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 COARSE = ZZBGrid(16, 8, 8, 4)
@@ -192,3 +192,31 @@ def test_family_integrals_refinement_cap():
     theta_z = np.array([3.0, 4.0])
     with pytest.raises(QuadratureFailure):
         _families(theta_z, 0.5, THRESHOLD_GEOM, THRESHOLD_WAVE, 1e-18)
+
+
+def test_engine_statistic_matches_mu_L():
+    # The bound engine assembles mu from ten tilt-free family integrals;
+    # mu_L integrates the ambiguity function directly. Cancellation at tiny
+    # offsets makes a mu-relative tolerance meaningless, so the gap is
+    # measured against the energy of the two hypotheses' channels.
+    geom, wave, prior = THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR
+    rng = np.random.default_rng(34)
+    for i in range(120):
+        theta_z = rng.uniform(prior.z_min, prior.z_max)
+        theta_t = rng.uniform(0.0, 0.9)
+        delta_z = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(
+            -6.0, math.log10(prior.z_max - theta_z))
+        delta_t = 0.0 if i % 4 == 1 else 10.0 ** rng.uniform(
+            -6.0, math.log10(0.999 - theta_t))
+        pair = HypothesisPair(theta_z, theta_t, delta_z, delta_t)
+        snr = 10.0 ** rng.uniform(0.0, 6.0)
+        fams = _families(np.array([theta_z]), delta_z, geom, wave, 1e-6)
+        engine = snr * geom.pitch * _mu_over_tilts(
+            fams, np.array([theta_t]), delta_t)[0, 0]
+        h0, h1 = (AxialPose(theta_z, theta_t),
+                  AxialPose(theta_z + delta_z, theta_t + delta_t))
+        energy = snr * geom.pitch * integrate(
+            lambda y: (abs(nf_channel_axis(h0, y, wave)) ** 2
+                       + abs(nf_channel_axis(h1, y, wave)) ** 2),
+            0.0, geom.aperture)
+        assert abs(engine - mu_L(pair, snr, geom, wave)) <= 1e-10 * energy
