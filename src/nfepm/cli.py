@@ -28,7 +28,8 @@ from .errors import ConfigError, NumericalError, ParseError, ValidityViolation
 from .geometry import (ArrayGeometry, UniformPrior, Wave,
                        phase_ambiguity_distance, spacing_constraint_distance)
 from .mapest import MapGrid, MseReport, monte_carlo_mse
-from .observation import NoiseSpec, noiseless_voltages, observe, sigma2_for_snr_db
+from .observation import (NoiseSpec, noiseless_voltages, observe,
+                          sigma2_for_snr_db, snr_from_db)
 from .solver import TABLE2_COLUMNS, TABLE2_MISMATCH, rmse_grid, solve
 from .zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
 
@@ -188,10 +189,6 @@ def _fmt(x):
     return str(x)
 
 
-def _snr_from_db(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -217,14 +214,14 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
 
 
 def _zzb_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, _snr_from_db(db)
+    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
     return (db, zzb_z(prior, snr, geom, wave, cfg.zzb_grid),
             zzb_t(prior, snr, geom, wave, cfg.zzb_grid),
             zzb_ao_t(prior, snr, geom, cfg.zzb_grid))
 
 
 def _ecrb_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, _snr_from_db(db)
+    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
     ez, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
     return (db, ez, et, ecrb_ao(prior, snr, geom, wave, cfg.ecrb_grid))
 
@@ -235,7 +232,7 @@ def _map_row(cfg: ExperimentConfig, db):
 
 
 def _ao_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, _snr_from_db(db)
+    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
     inf_geom = ArrayGeometry(float("inf"), geom.pitch)
     _, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
     return (db, zzb_t(prior, snr, geom, wave, cfg.zzb_grid),
@@ -338,7 +335,7 @@ def _axis_sweep(field: str, values):
             else:
                 geom, wave = replace(cfg.array, **{field: x}), cfg.wave
             for db in cfg.snr_db:
-                snr = _snr_from_db(db)
+                snr = snr_from_db(db)
                 ez, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
                 rows.append((x, db, zzb_z(prior, snr, geom, wave, cfg.zzb_grid),
                              zzb_t(prior, snr, geom, wave, cfg.zzb_grid), ez, et))
@@ -355,7 +352,7 @@ def _preset_fig9(cfg: ExperimentConfig, out_dir: str):
     if len(cfg.snr_db) != 1:
         raise ParseError("fig9 takes a single sweep.snr_db value, got "
                          + _fmt(cfg.snr_db))
-    snr = _snr_from_db(cfg.snr_db[0])
+    snr = snr_from_db(cfg.snr_db[0])
     rows = []
     for z_min, z_max in ((4.0, 5.0), (4.0, 7.0), (4.0, 10.0), (6.0, 7.0),
                          (9.0, 10.0)):

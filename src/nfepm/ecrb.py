@@ -12,7 +12,6 @@ derivative products as an oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,55 +215,32 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
 
 
-def _grid_sizes(grid):
-    if isinstance(grid, int):
-        return grid, grid
-    n_z, n_t = grid
-    return int(n_z), int(n_t)
-
-
 def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
-         grid=(64, 64), on_singular: str = "raise"):
-    """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior.
+         grid=(64, 64)):
+    """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior,
+    averaged on an (n_z, n_t) midpoint grid.
 
-    on_singular: "raise" aborts at the first prior sample with a singular
-    information matrix; "skip" drops such samples from the average and
-    warns with the count.
+    Raises SingularFIM at the first prior sample whose information matrix
+    is singular.
     """
     if snr <= 0:
         raise InvariantViolation("snr must be > 0")
-    if on_singular not in ("raise", "skip"):
-        raise InvariantViolation(f"unknown on_singular mode: {on_singular!r}")
-    n_z, n_t = _grid_sizes(grid)
     k = wave.wavenumber
 
     def ratios(z, t):
         i_zz1, i_zz2, i_tt, i_zt = _factors(z, t, geom)
         i_zz = i_zz1 + k * k * i_zz2
         det = i_zz * i_tt - i_zt * i_zt
-        bad = det <= 0
-        if np.any(bad) and on_singular == "raise":
-            iz, it = np.argwhere(bad)[0]
+        if np.any(det <= 0):
+            iz, it = np.argwhere(det <= 0)[0]
             raise SingularFIM(
                 f"information matrix singular at z_t={z[iz, it]!r}, "
                 f"t_z={t[iz, it]!r}")
-        safe = np.where(bad, 1.0, det)
-        return bad, np.where(bad, 0.0, i_tt / safe), np.where(bad, 0.0, i_zz / safe)
+        return np.stack((i_tt / det, i_zz / det))
 
-    def mean_of(idx):
-        return expect_uniform(lambda z, t: ratios(z, t)[idx], prior, n_z, n_t)
-
+    mean_z, mean_t = expect_uniform(ratios, prior, *grid)
     pref = 1.0 / (2.0 * snr * geom.pitch)
-    if on_singular == "raise":
-        return pref * mean_of(1), pref * mean_of(2)
-    ok_frac = 1.0 - expect_uniform(lambda z, t: ratios(z, t)[0] * 1.0,
-                                   prior, n_z, n_t)
-    if ok_frac <= 0:
-        raise SingularFIM("information matrix singular on the whole prior grid")
-    if ok_frac < 1.0:
-        n_bad = round((1.0 - ok_frac) * n_z * n_t)
-        warnings.warn(f"skipped {n_bad} singular prior samples", stacklevel=2)
-    return (pref * mean_of(1) / ok_frac, pref * mean_of(2) / ok_frac)
+    return pref * mean_z, pref * mean_t
 
 
 def ecrb_asymptotic(prior: UniformPrior, snr: float, geom: ArrayGeometry,
@@ -298,9 +274,8 @@ def ecrb_ao(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
     if snr <= 0:
         raise InvariantViolation("snr must be > 0")
     del wave
-    n_z, n_t = _grid_sizes(grid)
 
     def inv_itt(z, t):
         return 1.0 / _factors(z, t, geom)[2]
 
-    return expect_uniform(inv_itt, prior, n_z, n_t) / (2.0 * snr * geom.pitch)
+    return expect_uniform(inv_itt, prior, *grid) / (2.0 * snr * geom.pitch)

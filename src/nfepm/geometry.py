@@ -140,6 +140,19 @@ def spacing_constraint_distance(geom: ArrayGeometry, wave: Wave) -> float:
     return max(geom.pitch ** 2 / wave.wavelength, 3.6 * geom.pitch)
 
 
+def probe_elements(geom: ArrayGeometry, alpha_idx: int = 1,
+                   beta_idx: int | None = None,
+                   region: Region | None = None) -> tuple[int, int]:
+    """The 1-based element pair a regime solver reads: 1 and 2 in the
+    spacing-constraint regime, else alpha and beta (max(alpha + 1, N // 2)
+    by default)."""
+    if region is Region.CASE2_SC:
+        return 1, 2
+    if beta_idx is None:
+        beta_idx = max(alpha_idx + 1, geom.n_elements // 2)
+    return alpha_idx, beta_idx
+
+
 def classify_region(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
                     alpha_idx: int = 1, beta_idx: int | None = None) -> RegionClass:
     """Pick the closed-form solver regime covering the whole prior box.
@@ -151,8 +164,7 @@ def classify_region(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     with a reason instead of a guess.
     """
     n = geom.n_elements
-    if beta_idx is None:
-        beta_idx = max(alpha_idx + 1, n // 2)
+    alpha_idx, beta_idx = probe_elements(geom, alpha_idx, beta_idx)
     if not (1 <= alpha_idx < beta_idx <= n):
         raise IndexOutOfRange(
             f"need 1 <= alpha < beta <= {n}, got ({alpha_idx}, {beta_idx})")

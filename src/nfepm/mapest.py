@@ -72,12 +72,6 @@ def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
     return -total / noise.sigma2
 
 
-def _coarse_grid(prior: UniformPrior, grid: MapGrid):
-    z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
-    t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
-    return z, t
-
-
 def _refine(z0, t0, cell_z, cell_t, vtilde_values, prior, geom, wave, levels):
     offsets = np.linspace(-1.0, 1.0, 7)
     for _ in range(levels):
@@ -93,24 +87,40 @@ def _refine(z0, t0, cell_z, cell_t, vtilde_values, prior, geom, wave, levels):
     return z0, t0
 
 
+def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
+                grid: MapGrid):
+    """MAP search over the prior box, as a function from a block of voltage
+    rows to their (z, t) estimates. The coarse score 2 Re(model . v*) -
+    |model|^2 is the log-likelihood up to a pose-independent constant and
+    a positive factor; its argmax (ties to the smallest grid indices) is
+    refined locally."""
+    z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
+    t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
+    zz, tt = np.meshgrid(z, t, indexing="ij")
+    zf, tf = zz.ravel(), tt.ravel()
+    model = _forward(zf[:, None], tf[:, None], geom, wave)
+    model_power = np.sum(np.abs(model) ** 2, axis=1)
+    cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
+
+    def estimate(noisy):
+        scores = 2.0 * (model @ noisy.conj().T).real - model_power[:, None]
+        return [_refine(float(zf[best]), float(tf[best]), cell_z, cell_t, v,
+                        prior, geom, wave, grid.refine_levels)
+                for best, v in zip(np.argmax(scores, axis=0), noisy)]
+
+    return estimate
+
+
 def map_estimate(vtilde: Voltages, prior: UniformPrior, geom: ArrayGeometry,
                  wave: Wave, noise: NoiseSpec,
                  grid: MapGrid = DEFAULT_MAP_GRID) -> AxialPose:
     """Argmax of the posterior over the prior box.
 
-    The noise variance scales the likelihood uniformly, so the argmax is
-    computed on the raw squared-residual score. Ties resolve to the
-    smallest (z, t) grid indices.
+    The noise variance scales the likelihood uniformly and does not move
+    the argmax.
     """
-    z, t = _coarse_grid(prior, grid)
-    zz, tt = np.meshgrid(z, t, indexing="ij")
-    model = _forward(zz.ravel()[:, None], tt.ravel()[:, None], geom, wave)
-    score = -np.sum(np.abs(model - vtilde.values[None, :]) ** 2, axis=1)
-    best = int(np.argmax(score))
-    z0, t0 = float(zz.ravel()[best]), float(tt.ravel()[best])
-    z0, t0 = _refine(z0, t0, float(z[1] - z[0]), float(t[1] - t[0]),
-                     vtilde.values, prior, geom, wave, grid.refine_levels)
-    return AxialPose(z0, t0)
+    (z_hat, t_hat), = _map_search(prior, geom, wave, grid)(vtilde.values[None, :])
+    return AxialPose(z_hat, t_hat)
 
 
 def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
@@ -127,13 +137,7 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
     t_true = rng.uniform(0.0, 1.0, trials)
-
-    z, t = _coarse_grid(prior, grid)
-    zz, tt = np.meshgrid(z, t, indexing="ij")
-    zf, tf = zz.ravel(), tt.ravel()
-    model = _forward(zf[:, None], tf[:, None], geom, wave)
-    model_power = np.sum(np.abs(model) ** 2, axis=1)
-    cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
+    estimate = _map_search(prior, geom, wave, grid)
 
     sq_z = np.empty(trials)
     sq_t = np.empty(trials)
@@ -143,14 +147,7 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
             observe(Voltages(_forward(z_true[i], t_true[i], geom, wave), geom),
                     noise, trial=i).values
             for i in idx])
-        # scores differ from the likelihood by a pose-independent constant
-        cross = model @ noisy.conj().T
-        scores = 2.0 * cross.real - model_power[:, None]
-        coarse = np.argmax(scores, axis=0)
-        for j, i in enumerate(idx):
-            z0, t0 = float(zf[coarse[j]]), float(tf[coarse[j]])
-            z_hat, t_hat = _refine(z0, t0, cell_z, cell_t, noisy[j],
-                                   prior, geom, wave, grid.refine_levels)
+        for i, (z_hat, t_hat) in zip(idx, estimate(noisy)):
             sq_z[i] = (z_hat - z_true[i]) ** 2
             sq_t[i] = (t_hat - t_true[i]) ** 2
 

@@ -57,19 +57,21 @@ def q_function(x):
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
-def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64) -> float:
+def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
     """Midpoint tensor-grid average of f(z, t) over the prior box.
 
     z runs over [z_min, z_max]; t over [0, 1 - TZ_EPS]. f must broadcast
-    over numpy arrays.
+    over numpy arrays. Axes of its result in front of the (z, t) grid axes
+    are kept, so a stacked (k, n_z, n_t) result gives k averages.
     """
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
     z = prior.z_min + (np.arange(n_z) + 0.5) * (prior.span / n_z)
     t = (np.arange(n_t) + 0.5) * ((1.0 - TZ_EPS) / n_t)
     zz, tt = np.meshgrid(z, t, indexing="ij")
-    vals = np.broadcast_to(np.asarray(f(zz, tt), dtype=float), zz.shape)
-    return float(vals.mean())
+    vals = np.asarray(f(zz, tt), dtype=float)
+    vals = np.broadcast_to(vals, vals.shape[:-2] + zz.shape)
+    return vals.mean(axis=(-2, -1)).tolist()
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

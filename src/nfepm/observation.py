@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AxialPose, axis_channel
-from .errors import InvariantViolation, NonFinite, ZeroNoise
+from .errors import InvariantViolation, NonFinite, ValidityViolation, ZeroNoise
 from .geometry import ArrayGeometry, Wave
 from .numerics import stream
 
@@ -23,6 +23,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma2 < 0:
             raise InvariantViolation(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not math.isfinite(self.sigma2):
+            raise ValidityViolation(f"sigma2 must be finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,18 @@ def snr_db(wave: Wave, noise: NoiseSpec) -> float:
     return 10.0 * math.log10(snr(wave, noise))
 
 
+def snr_from_db(db: float) -> float:
+    """Linear SNR of a level in decibels. Raises ValidityViolation unless
+    the ratio is a finite float > 0."""
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValidityViolation(f"SNR of {db} dB is not a finite positive ratio")
+    return ratio
+
+
 def sigma2_for_snr_db(wave: Wave, db: float) -> float:
     """Noise variance that realizes the requested SNR at this drive level."""
-    return wave.amplitude ** 2 / (10.0 ** (db / 10.0))
+    return wave.amplitude ** 2 / snr_from_db(db)

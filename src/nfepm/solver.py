@@ -24,7 +24,7 @@ from .channel import axis_channel
 from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite, UnsupportedRegion)
 from .geometry import (ArrayGeometry, Region, RegionClass, UniformPrior, Wave,
-                       classify_region)
+                       classify_region, probe_elements)
 from .observation import Voltages
 
 _TWO_PI = 2.0 * np.pi
@@ -114,6 +114,22 @@ def solve_case2_sc(v_1, v_2, geom: ArrayGeometry, wave: Wave,
     return SolveResult(z[()], t, RegionClass(Region.CASE2_SC), diagnostic)
 
 
+def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
+              alpha_idx: int, beta_idx: int | None, diagnostic: bool):
+    """Apply the solver of regime `kind` to probe(n), the voltage of
+    element n, at that regime's probe elements."""
+    a, b = probe_elements(geom, alpha_idx, beta_idx, kind)
+    va, vb = probe(a), probe(b)
+    ya, yb = geom.element_center(a), geom.element_center(b)
+    if kind is Region.CASE1:
+        return solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
+    if kind is Region.CASE2_PA:
+        return solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
+    if kind is Region.CASE2_SC:
+        return solve_case2_sc(va, vb, geom, wave, diagnostic)
+    raise UnsupportedRegion(f"no solver for {kind}")
+
+
 def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
           wave: Wave, alpha_idx: int = 1, beta_idx: int | None = None,
           diagnostic: bool = False) -> SolveResult:
@@ -121,16 +137,8 @@ def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
     region = classify_region(prior, geom, wave, alpha_idx, beta_idx)
     if not region.is_supported:
         raise UnsupportedRegion(region.reason)
-    if beta_idx is None:
-        beta_idx = max(alpha_idx + 1, geom.n_elements // 2)
-    vals = voltages.values
-    if region.kind is Region.CASE2_SC:
-        return solve_case2_sc(vals[0], vals[1], geom, wave, diagnostic)
-    va, vb = vals[alpha_idx - 1], vals[beta_idx - 1]
-    ya, yb = geom.element_center(alpha_idx), geom.element_center(beta_idx)
-    if region.kind is Region.CASE1:
-        return solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
-    return solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
+    return _solve_as(region.kind, lambda n: voltages.values[n - 1], geom,
+                     wave, alpha_idx, beta_idx, diagnostic)
 
 
 def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
@@ -149,31 +157,16 @@ def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
         raise InvariantViolation("rmse grid needs u, v >= 2")
     if isinstance(case, RegionClass):
         case = case.kind
-    solver_kind = mismatch if mismatch is not None else case
     diagnostic = mismatch is not None
-    if beta_idx is None:
-        beta_idx = max(alpha_idx + 1, geom.n_elements // 2)
-
     z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
 
-    if solver_kind is Region.CASE2_SC:
-        ya, yb = 0.5 * geom.pitch, 1.5 * geom.pitch
-    else:
-        ya = geom.element_center(alpha_idx)
-        yb = geom.element_center(beta_idx)
-    va = axis_channel(z, t, ya, wave, scale=wave.amplitude * geom.pitch)
-    vb = axis_channel(z, t, yb, wave, scale=wave.amplitude * geom.pitch)
+    def probe(n):
+        return axis_channel(z, t, geom.element_center(n), wave,
+                            scale=wave.amplitude * geom.pitch)
 
-    if solver_kind is Region.CASE1:
-        res = solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
-    elif solver_kind is Region.CASE2_PA:
-        res = solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
-    elif solver_kind is Region.CASE2_SC:
-        res = solve_case2_sc(va, vb, geom, wave, diagnostic)
-    else:
-        raise UnsupportedRegion(f"no solver for {case}")
-
+    res = _solve_as(mismatch if diagnostic else case, probe, geom, wave,
+                    alpha_idx, beta_idx, diagnostic)
     err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
     err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
     rmse_z = np.sqrt(np.mean(err_z ** 2))

@@ -130,14 +130,6 @@ def _panel_rule(edges: np.ndarray, order: int):
     return nodes, weights
 
 
-def _log_panel_rule(lo: float, hi: float, n_total: int):
-    """Quadrature rule for a smooth-in-log integrand on [lo, hi]:
-    log-spaced panel edges, 4-point Gauss-Legendre per panel."""
-    n_panels = max(1, n_total // 4)
-    edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_panels + 1))
-    return _panel_rule(edges, 4)
-
-
 def _midpoints(lo: float, hi: float, n: int):
     return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
@@ -168,16 +160,20 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
     geom_factor = 1.0 - zmin / math.hypot(zmin, geom.aperture)
     cycles = wave.wavenumber * delta_z * geom_factor / (2.0 * math.pi)
     n_panels = max(8, int(math.ceil(2.0 * cycles)))
+    # checked before the first evaluation allocates n_theta_z x 8 * n_panels
+    if 2 * n_panels > _MAX_FAMILY_PANELS:
+        raise QuadratureFailure(
+            f"channel-mismatch integrals would start at {n_panels} panels")
     vals = _family_eval(theta_z, delta_z, geom, wave, n_panels)
     while True:
-        if 2 * n_panels > _MAX_FAMILY_PANELS:
-            raise QuadratureFailure(
-                f"channel-mismatch integrals not converged at {n_panels} panels")
         n_panels *= 2
         refined = _family_eval(theta_z, delta_z, geom, wave, n_panels)
         scale = np.abs(refined).max() + 1e-300
         if np.abs(refined - vals).max() <= mu_tol * scale:
             return refined
+        if 2 * n_panels > _MAX_FAMILY_PANELS:
+            raise QuadratureFailure(
+                f"channel-mismatch integrals not converged at {n_panels} panels")
         vals = refined
 
 
@@ -194,12 +190,44 @@ def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t: float):
     return e0 + e1 - 2.0 * cross
 
 
-def _q_box_integral(fams, prior, snr, geom, delta_z, delta_t, grid):
-    """Integral of the detection error over the admissible hypothesis box."""
-    theta_t = _midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
-    mu = snr * geom.pitch * _mu_over_tilts(fams, theta_t, delta_t)
-    cell = ((prior.span - delta_z) / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
+def _q_box(mu, z_len: float, delta_t: float, grid: ZZBGrid) -> float:
+    """Midpoint integral of the detection error Q(sqrt(mu/2)) over a
+    hypothesis box of z_len by 1 - delta_t, mu given on the box's grid."""
+    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
     return float(q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum()) * cell
+
+
+def _outer(hi: float, n_delta: int, bracket) -> float:
+    """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]:
+    log-spaced panels with 4-point Gauss-Legendre each, truncated once the
+    bracket falls below _TRUNCATE_REL of its running peak."""
+    lo = hi * _DELTA_FLOOR_REL
+    edges = np.exp(np.linspace(math.log(lo), math.log(hi), max(1, n_delta // 4) + 1))
+    total = 0.0
+    peak = 0.0
+    for d, w in zip(*_panel_rule(edges, 4)):
+        value = bracket(d)
+        total += w * d * value
+        peak = max(peak, value)
+        if value < _TRUNCATE_REL * peak:
+            break
+    return total
+
+
+def _joint_box(prior, snr, geom, wave, grid):
+    """box(delta_z)(delta_t): the detection-error integral over the joint
+    hypothesis box at offsets (delta_z, delta_t). The distance families
+    are computed once per box(delta_z)."""
+    def box(delta_z):
+        theta_z = _midpoints(prior.z_min, prior.z_max - delta_z, grid.n_theta_z)
+        fams = _families(theta_z, delta_z, geom, wave, grid.mu_tol)
+
+        def at_tilt(delta_t):
+            theta_t = _midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
+            mu = snr * geom.pitch * _mu_over_tilts(fams, theta_t, delta_t)
+            return _q_box(mu, prior.span - delta_z, delta_t, grid)
+        return at_tilt
+    return box
 
 
 def zzb_z(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
@@ -207,21 +235,10 @@ def zzb_z(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
     """MSE lower bound on the source distance (m^2)."""
     if snr < 0:
         raise InvariantViolation("snr must be >= 0")
-    span = prior.span
-    nodes, weights = _log_panel_rule(span * _DELTA_FLOOR_REL, span, grid.n_delta)
+    box = _joint_box(prior, snr, geom, wave, grid)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    total = 0.0
-    peak = 0.0
-    for dz, w in zip(nodes, weights):
-        theta_z = _midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z)
-        fams = _families(theta_z, dz, geom, wave, grid.mu_tol)
-        bracket = max(_q_box_integral(fams, prior, snr, geom, dz, dt, grid)
-                      for dt in search)
-        total += w * dz * bracket
-        peak = max(peak, bracket)
-        if bracket < _TRUNCATE_REL * peak:
-            break
-    return total / span
+    return _outer(prior.span, grid.n_delta,
+                  lambda dz: max(map(box(dz), search))) / prior.span
 
 
 def zzb_t(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
@@ -229,26 +246,11 @@ def zzb_t(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
     """MSE lower bound on the tilt (dimensionless^2)."""
     if snr < 0:
         raise InvariantViolation("snr must be >= 0")
-    span = prior.span
-    nodes, weights = _log_panel_rule(_DELTA_FLOOR_REL, 1.0, grid.n_delta)
-    search = np.linspace(0.0, span, grid.n_max_search, endpoint=False)
-    fams_cache = {}
-    total = 0.0
-    peak = 0.0
-    for dt, w in zip(nodes, weights):
-        bracket = 0.0
-        for j, dz in enumerate(search):
-            if j not in fams_cache:
-                theta_z = _midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z)
-                fams_cache[j] = (_families(theta_z, dz, geom, wave, grid.mu_tol), dz)
-            fams, dzv = fams_cache[j]
-            bracket = max(bracket, _q_box_integral(
-                fams, prior, snr, geom, dzv, dt, grid))
-        total += w * dt * bracket
-        peak = max(peak, bracket)
-        if bracket < _TRUNCATE_REL * peak:
-            break
-    return total / span
+    box = _joint_box(prior, snr, geom, wave, grid)
+    search = [box(dz) for dz in np.linspace(0.0, prior.span, grid.n_max_search,
+                                           endpoint=False)]
+    return _outer(1.0, grid.n_delta,
+                  lambda dt: max(at_dz(dt) for at_dz in search)) / prior.span
 
 
 def zzb_asymptotic(prior: UniformPrior):
@@ -286,22 +288,16 @@ def zzb_ao_t(prior: UniformPrior, snr: float, geom: ArrayGeometry,
              grid: ZZBGrid = DEFAULT_GRID) -> float:
     """Tilt bound with the distance treated as a random nuisance.
 
-    Grids match the joint zzb_t at zero distance offset, so the ordering
-    zzb_t >= zzb_ao_t survives discretization.
+    Grids and the box integral are those of the joint zzb_t at zero
+    distance offset, so the ordering zzb_t >= zzb_ao_t survives
+    discretization.
     """
     if snr < 0:
         raise InvariantViolation("snr must be >= 0")
-    nodes, weights = _log_panel_rule(_DELTA_FLOOR_REL, 1.0, grid.n_delta)
     z_mid = _midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
-    total = 0.0
-    peak = 0.0
-    for dt, w in zip(nodes, weights):
+
+    def bracket(dt):
         theta_t = _midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
-        mu = mu_L_ao(z_mid, theta_t, dt, snr, geom)
-        inner = q_function(np.sqrt(mu / 2.0)).mean(axis=0)
-        bracket = float(inner.sum()) * ((1.0 - dt) / grid.n_theta_t)
-        total += w * dt * bracket
-        peak = max(peak, bracket)
-        if bracket < _TRUNCATE_REL * peak:
-            break
-    return total
+        return _q_box(mu_L_ao(z_mid, theta_t, dt, snr, geom), prior.span, dt, grid)
+
+    return _outer(1.0, grid.n_delta, bracket) / prior.span

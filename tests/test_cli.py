@@ -2,14 +2,19 @@
 
 import csv
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfepm import errors
 from nfepm.channel import AxialPose
 from nfepm.cli import main
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.observation import noiseless_voltages
+from test_cli_goldens import OVERRIDES
 
 BASE_INI = """\
 [wave]
@@ -100,6 +105,19 @@ NON_FINITE_PROBES = {
     "pitch-nan": (("preset", "fig4"), None, "array.pitch=nan"),
     "aperture-nan": (("preset", "fig4"), None, "array.aperture=nan"),
     "sweep-nan": (("zzb",), "\n[sweep]\nsnr_db = nan,30\n", None),
+    # SNRs and noise variances with no finite positive float value
+    "noise-snr_db-nan": (("solve",), "", "noise.snr_db=nan"),
+    "noise-snr_db-inf": (("solve",), "", "noise.snr_db=inf"),
+    "noise-snr_db-minus-inf": (("solve",), "", "noise.snr_db=-inf"),
+    "noise-snr_db-4000": (("solve",), "", "noise.snr_db=4000"),
+    "noise-snr_db-minus-4000": (("solve",), "", "noise.snr_db=-4000"),
+    "noise-sigma2-inf": (("solve",), "", "noise.sigma2=inf"),
+    "noise-sigma2-nan": (("solve",), "", "noise.sigma2=nan"),
+    "sweep-4000-zzb": (("zzb",), "", "sweep.snr_db=4000"),
+    "sweep-minus-4000-zzb": (("zzb",), "", "sweep.snr_db=-4000"),
+    "sweep-4000-ecrb": (("ecrb",), "", "sweep.snr_db=4000"),
+    "sweep-4000-map-mc": (("map-mc",), "", "sweep.snr_db=4000"),
+    "sweep-minus-4000-map-mc": (("map-mc",), "", "sweep.snr_db=-4000"),
 }
 
 
@@ -267,3 +285,29 @@ def test_output_reproducible_up_to_timestamp(tmp_path):
                 if not ln.startswith("# created ")]
 
     assert stable(out_a / "channel.csv") == stable(out_b / "channel.csv")
+
+
+# Any float, nan, +-inf, subnormals and +-1e308 included; None leaves the
+# key unset.
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(snr_db=st.none() | ANY_FLOAT, sigma2=st.none() | ANY_FLOAT,
+       sweep_db=ANY_FLOAT, wavelength=st.floats(1e-9, 10.0))
+def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength):
+    """Every subcommand ends in exit 0, 1 or 2 and raises nothing, on the
+    golden fixture's reduced grids."""
+    overrides = [f"wave.wavelength={wavelength!r}", f"sweep.snr_db={sweep_db!r}"]
+    if snr_db is not None:
+        overrides.append(f"noise.snr_db={snr_db!r}")
+    if sigma2 is not None:
+        overrides.append(f"noise.sigma2={sigma2!r}")
+    args = [arg for item in overrides for arg in ("--override", item)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.ini"
+        config.write_text(BASE_INI, encoding="utf-8")
+        for command in ("solve", "zzb", "ecrb", "map-mc"):
+            code = main([command, "--config", str(config), "--out",
+                         str(Path(tmp) / command)] + list(OVERRIDES) + args)
+            assert code in (0, 1, 2)

@@ -2,7 +2,6 @@
 expected-bound assembly around them."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -193,31 +192,6 @@ def test_singular_information_raise_and_skip(monkeypatch):
     monkeypatch.setattr(ecrb_module, "_factors", half_singular)
     with pytest.raises(SingularFIM, match="z_t="):
         ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE, grid=(8, 8))
-    with pytest.warns(UserWarning, match="32 singular"):
-        bounds = ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                      grid=(8, 8), on_singular="skip")
-    pref = 1.0 / (2.0 * 10.0 * THRESHOLD_GEOM.pitch)
-    assert bounds == pytest.approx((pref, pref), rel=1e-12)
-
-    def all_singular(z, t, geom):
-        del geom
-        zero = np.zeros_like(np.asarray(z, dtype=float))
-        return zero, zero, zero, zero
-
-    monkeypatch.setattr(ecrb_module, "_factors", all_singular)
-    with pytest.raises(SingularFIM, match="whole prior grid"):
-        ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-             grid=(8, 8), on_singular="skip")
-
-
-def test_skip_mode_matches_raise_when_healthy():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        skip = ecrb(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                    grid=(8, 8), on_singular="skip")
-    raise_ = ecrb(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                  grid=(8, 8))
-    assert skip == raise_
 
 
 def test_attitude_singularity_guards():
@@ -231,9 +205,6 @@ def test_attitude_singularity_guards():
 def test_bound_validation():
     with pytest.raises(InvariantViolation):
         ecrb(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
-    with pytest.raises(InvariantViolation):
-        ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-             on_singular="bogus")
     with pytest.raises(InvariantViolation):
         ecrb_asymptotic(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
     with pytest.raises(InvariantViolation):
@@ -249,9 +220,3 @@ def test_known_distance_tilt_bound_below_joint():
     unbounded = ArrayGeometry(math.inf, 0.1)
     assert ecrb_ao(THRESHOLD_PRIOR, 100.0, unbounded, THRESHOLD_WAVE) > 0.0
 
-
-def test_grid_shorthand():
-    a = ecrb(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE, grid=8)
-    b = ecrb(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-             grid=(8, 8))
-    assert a == b

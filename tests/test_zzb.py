@@ -1,5 +1,6 @@
 """Detection-theoretic MSE lower bounds: building blocks and limits."""
 
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from nfepm.zzb import (HypothesisPair, ZZBGrid, _families, _mu_over_tilts,
                        ambiguity_function, mu_L, mu_L_ao, p_min,
                        p_min_general, zzb_ao_t, zzb_asymptotic, zzb_t, zzb_z)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
+
+zzb_module = importlib.import_module("nfepm.zzb")
 
 COARSE = ZZBGrid(16, 8, 8, 4)
 
@@ -192,6 +195,21 @@ def test_family_integrals_refinement_cap():
     theta_z = np.array([3.0, 4.0])
     with pytest.raises(QuadratureFailure):
         _families(theta_z, 0.5, THRESHOLD_GEOM, THRESHOLD_WAVE, 1e-18)
+
+
+def test_family_panel_cap_checked_before_evaluation(monkeypatch):
+    # At 1e-7 m the first panel count is millions, far past the cap; one
+    # evaluation there would allocate arrays of 8 * n_panels nodes per
+    # hypothesis distance before the refinement could fail.
+    real_eval = zzb_module._family_eval
+
+    def capped_eval(theta_z, delta_z, geom, wave, n_panels):
+        assert n_panels <= zzb_module._MAX_FAMILY_PANELS // 2, n_panels
+        return real_eval(theta_z, delta_z, geom, wave, n_panels)
+
+    monkeypatch.setattr(zzb_module, "_family_eval", capped_eval)
+    with pytest.raises(QuadratureFailure):
+        _families(np.array([3.0, 4.0]), 0.5, THRESHOLD_GEOM, Wave(1e-7), 1e-6)
 
 
 def test_engine_statistic_matches_mu_L():
