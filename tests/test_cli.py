@@ -67,6 +67,17 @@ def read_result(path):
     return comments, data[0], data[1:]
 
 
+def numbers(cells):
+    """The cells that parse as floats, parsed."""
+    out = []
+    for cell in cells:
+        try:
+            out.append(float(cell))
+        except ValueError:
+            pass
+    return out
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -132,6 +143,29 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, argv, extra_ini,
         args += ["--override", override]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+# Valid inputs whose results overflow the float range: (argv, overrides,
+# exit code). The run must fail cleanly and write no CSV.
+OVERFLOW_PROBES = {
+    "ecrb-snr-minus-3075": (("ecrb",), ("sweep.snr_db=-3075",), 2),
+    "fig8-snr-minus-3075": (("preset", "fig8"), ("sweep.snr_db=-3075",), 2),
+    "solve-amplitude-1e200": (("solve",),
+                              ("wave.amplitude=1e200", "noise.snr_db=30"), 1),
+}
+
+
+@pytest.mark.parametrize("argv, overrides, code", OVERFLOW_PROBES.values(),
+                         ids=OVERFLOW_PROBES)
+def test_overflow_fails_cleanly(tmp_path, capsys, argv, overrides, code):
+    args = list(argv) + ["--out", str(tmp_path / "out")] + list(OVERRIDES)
+    if argv[0] != "preset":
+        args += ["--config", write_ini(tmp_path, BASE_INI)]
+    args += [arg for item in overrides for arg in ("--override", item)]
+    assert main(args) == code
+    prefix = "error: " if code == 1 else "numerical failure: "
+    assert capsys.readouterr().err.startswith(prefix)
     assert not (tmp_path / "out").exists()
 
 
@@ -297,7 +331,8 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
        sweep_db=ANY_FLOAT, wavelength=st.floats(1e-9, 10.0))
 def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength):
     """Every subcommand ends in exit 0, 1 or 2 and raises nothing, on the
-    golden fixture's reduced grids."""
+    golden fixture's reduced grids; an exit-0 CSV holds finite numbers
+    only."""
     overrides = [f"wave.wavelength={wavelength!r}", f"sweep.snr_db={sweep_db!r}"]
     if snr_db is not None:
         overrides.append(f"noise.snr_db={snr_db!r}")
@@ -311,3 +346,8 @@ def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength):
             code = main([command, "--config", str(config), "--out",
                          str(Path(tmp) / command)] + list(OVERRIDES) + args)
             assert code in (0, 1, 2)
+            if code == 0:
+                for path in (Path(tmp) / command).iterdir():
+                    _, _, rows = read_result(path)
+                    cells = [cell for row in rows for cell in row]
+                    assert all(math.isfinite(x) for x in numbers(cells)), path
