@@ -9,7 +9,7 @@ from .channel import (AxialPose, GeneralPose, axis_channel, degenerate_channel,
                       scalar_green, scaling_factor, simp_channel, vector_field)
 from .ecrb import (FisherInfo, ecrb, ecrb_ao, ecrb_asymptotic, fim_closed,
                    fim_quadrature)
-from .geometry import (ArrayGeometry, Region, RegionClass, UniformPrior, Wave,
+from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, fraunhofer_distance, fresnel_distance,
                        phase_ambiguity_distance, spacing_constraint_distance)
 from .mapest import (MapGrid, MseReport, log_likelihood, map_estimate,

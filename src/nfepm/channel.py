@@ -4,6 +4,10 @@ a strip array.
 All channels are returned with the drive amplitude factored out; the
 observation layer reattaches it. Functions broadcast over numpy array
 inputs and return scalars for scalar inputs.
+
+The scalar channel e^{jkr} sqrt(z) |n x d| / r^2.5 is coded once, behind
+general_channel and nf_channel; axis_channel is its signed on-axis
+(x_r = 0) hot-path form, used by every voltage and zzb.ambiguity_function.
 """
 
 from __future__ import annotations
@@ -68,13 +72,39 @@ def _ret(a):
     return np.asarray(a)[()]
 
 
-def scalar_green(r, wave: Wave, eta: float = FREE_SPACE_IMPEDANCE):
+def _offsets(position, x_r, y_r):
+    """(dx, dy, z, r) from a source at position (x_t, y_t, z) to points
+    (x_r, y_r, 0)."""
+    x_t, y_t, z = position
+    z = np.asarray(z, dtype=float)
+    dx = np.asarray(x_r, dtype=float) - x_t
+    dy = np.asarray(y_r, dtype=float) - y_t
+    rr = np.sqrt(dx * dx + dy * dy + z * z)
+    if np.any(rr == 0):
+        raise CoincidentPoints("observation point coincides with the source")
+    return dx, dy, z, rr
+
+
+def _scalar_channel(position, n, x_r, y_r, wave: Wave):
+    """e^{jkr} sqrt(z) |n x d| / r^2.5 for a source at position (x_t, y_t, z)
+    with unit orientation n, d pointing from it to (x_r, y_r, 0);
+    broadcasts."""
+    t_x, t_y, t_z = n
+    dx, dy, z, rr = _offsets(position, x_r, y_r)
+    amp = np.sqrt((t_y * dx - t_x * dy) ** 2
+                  + (t_z * dx + t_x * z) ** 2
+                  + (t_z * dy + t_y * z) ** 2)
+    return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z) * amp)
+
+
+def scalar_green(r, wave: Wave):
     """Spherical-wave field coefficient at range r."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise NonPositiveDistance("range must be > 0")
     k = wave.wavenumber
-    return _ret(1j * eta / (2.0 * wave.wavelength * r) * np.exp(1j * k * r))
+    return _ret(1j * FREE_SPACE_IMPEDANCE / (2.0 * wave.wavelength * r)
+                * np.exp(1j * k * r))
 
 
 def vector_field(pose: GeneralPose, x_r, y_r, wave: Wave):
@@ -82,14 +112,8 @@ def vector_field(pose: GeneralPose, x_r, y_r, wave: Wave):
 
     Shape: broadcast(x_r, y_r) + (3,).
     """
-    x_t, y_t, z_t = pose.position
     t_x, t_y, t_z = pose.orientation
-    dx = np.asarray(x_r, dtype=float) - x_t
-    dy = np.asarray(y_r, dtype=float) - y_t
-    dx, dy = np.broadcast_arrays(dx, dy)
-    rr = np.sqrt(dx * dx + dy * dy + z_t * z_t)
-    if np.any(rr == 0):
-        raise CoincidentPoints("observation point coincides with the source")
+    dx, dy, z_t, rr = _offsets(pose.position, x_r, y_r)
     phase = np.exp(1j * wave.wavenumber * rr) / rr ** 3
     ex = ((dy * dy + z_t * z_t) * t_x - dx * dy * t_y + dx * z_t * t_z)
     ey = (-dx * dy * t_x + (dx * dx + z_t * z_t) * t_y + dy * z_t * t_z)
@@ -97,18 +121,18 @@ def vector_field(pose: GeneralPose, x_r, y_r, wave: Wave):
     return 1j * np.stack([ex, ey, ez], axis=-1) * phase[..., None]
 
 
+def general_channel(pose: GeneralPose, x_r, y_r, wave: Wave):
+    """Scalar channel for an arbitrarily placed and oriented source."""
+    return _scalar_channel(pose.position, pose.orientation, x_r, y_r, wave)
+
+
 def nf_channel(pose: AxialPose, x_r, y_r, wave: Wave):
-    """Scalar near-field channel for the on-axis source."""
-    z = np.asarray(pose.distance, dtype=float)
+    """Scalar near-field channel for the on-axis source: general_channel at
+    position (0, 0, distance), orientation (0, transverse, tilt), for array
+    poses too."""
     t = np.asarray(pose.tilt, dtype=float)
-    ty = np.sqrt(1.0 - t * t)
-    x = np.asarray(x_r, dtype=float)
-    y = np.asarray(y_r, dtype=float)
-    rr = np.sqrt(x * x + y * y + z * z)
-    if np.any(rr == 0):
-        raise CoincidentPoints("zero range")
-    amp = np.sqrt(z * x * x + z * (y * t + z * ty) ** 2)
-    return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * amp)
+    return _scalar_channel((0.0, 0.0, pose.distance),
+                           (0.0, pose.transverse, t), x_r, y_r, wave)
 
 
 def axis_channel(z, t, y, wave: Wave, scale=1.0):
@@ -137,21 +161,6 @@ def nf_channel_axis(pose: AxialPose, y_r, wave: Wave):
     return _ret(axis_channel(pose.distance, pose.tilt, y_r, wave))
 
 
-def general_channel(pose: GeneralPose, x_r, y_r, wave: Wave):
-    """Scalar channel for an arbitrarily placed and oriented source."""
-    x_t, y_t, z = pose.position
-    t_x, t_y, t_z = pose.orientation
-    dx = np.asarray(x_r, dtype=float) - x_t
-    dy = np.asarray(y_r, dtype=float) - y_t
-    rr = np.sqrt(dx * dx + dy * dy + z * z)
-    if np.any(rr == 0):
-        raise CoincidentPoints("zero range")
-    amp = np.sqrt((t_y * dx - t_x * dy) ** 2
-                  + (t_z * dx + t_x * z) ** 2
-                  + (t_z * dy + t_y * z) ** 2)
-    return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z) * amp)
-
-
 def scaling_factor(r, wave: Wave):
     """Full-field over propagating-field amplitude ratio at range r; >= 1,
     approaching 1 as k*r grows."""
@@ -165,32 +174,24 @@ def scaling_factor(r, wave: Wave):
 def simp_channel(pose: AxialPose, x_r, y_r, wave: Wave):
     """Channel with the reactive-term amplitude correction applied, the
     reference model for accuracy comparisons."""
-    z = np.asarray(pose.distance, dtype=float)
-    x = np.asarray(x_r, dtype=float)
-    y = np.asarray(y_r, dtype=float)
-    rr = np.sqrt(x * x + y * y + z * z)
+    rr = _offsets((0.0, 0.0, pose.distance), x_r, y_r)[3]
     return _ret(scaling_factor(rr, wave) * nf_channel(pose, x_r, y_r, wave))
 
 
 def degenerate_channel(kind: str, pose: AxialPose, x_r, y_r, wave: Wave):
     """Reduced channel models.
 
-    afem: amplitude keeps the geometry but drops the attitude term.
+    afem: nf_channel at tilt 0 (geometry kept, attitude term dropped).
     nusw: spherical wave with 1/r amplitude.
     usw:  plane-wave-style amplitude pinned at the source height.
     """
     kind = kind.lower()
     if kind not in DEGENERATE_KINDS:
         raise InvariantViolation(f"unknown degenerate channel kind {kind!r}")
-    z = np.asarray(pose.distance, dtype=float)
-    x = np.asarray(x_r, dtype=float)
-    y = np.asarray(y_r, dtype=float)
-    rr = np.sqrt(x * x + y * y + z * z)
-    if np.any(rr == 0):
-        raise CoincidentPoints("zero range")
-    ph = np.exp(1j * wave.wavenumber * rr)
     if kind == "afem":
-        return _ret(np.sqrt(z) * np.sqrt(x * x + z * z) / rr ** 2.5 * ph)
+        return nf_channel(AxialPose(pose.distance, 0.0), x_r, y_r, wave)
+    _, _, z, rr = _offsets((0.0, 0.0, pose.distance), x_r, y_r)
+    ph = np.exp(1j * wave.wavenumber * rr)
     if kind == "nusw":
         return _ret(ph / rr)
     return _ret(ph / z)

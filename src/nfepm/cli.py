@@ -206,7 +206,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
     res = solve(volts, cfg.prior, cfg.array, cfg.wave, alpha_idx=cfg.alpha,
                 beta_idx=cfg.beta)
     z, t = complex(res.z_hat), complex(res.t_hat)
-    rows = [(res.region.kind.value, cfg.pose.distance, cfg.pose.tilt,
+    rows = [(res.region.value, cfg.pose.distance, cfg.pose.tilt,
              z.real, z.imag, t.real, t.imag)]
     _write_csv(out_dir, "solve.csv", cfg,
                ("case", "z_true", "t_z_true", "re_z_hat", "im_z_hat",
@@ -223,7 +223,7 @@ def _zzb_row(cfg: ExperimentConfig, db):
 def _ecrb_row(cfg: ExperimentConfig, db):
     prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
     ez, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
-    return (db, ez, et, ecrb_ao(prior, snr, geom, wave, cfg.ecrb_grid))
+    return (db, ez, et, ecrb_ao(prior, snr, geom, cfg.ecrb_grid))
 
 
 def _map_row(cfg: ExperimentConfig, db):
@@ -237,9 +237,9 @@ def _ao_row(cfg: ExperimentConfig, db):
     _, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
     return (db, zzb_t(prior, snr, geom, wave, cfg.zzb_grid),
             zzb_ao_t(prior, snr, geom, cfg.zzb_grid), et,
-            ecrb_ao(prior, snr, geom, wave, cfg.ecrb_grid),
+            ecrb_ao(prior, snr, geom, cfg.ecrb_grid),
             zzb_ao_t(prior, snr, inf_geom, cfg.zzb_grid),
-            ecrb_ao(prior, snr, inf_geom, wave, cfg.ecrb_grid))
+            ecrb_ao(prior, snr, inf_geom, cfg.ecrb_grid))
 
 
 # Per-SNR row kinds: (columns, row builder).

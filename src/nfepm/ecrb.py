@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AxialPose
-from .errors import AttitudeSingularity, InvariantViolation, SingularFIM
+from .errors import AttitudeSingularity, InvariantViolation, NonFinite, SingularFIM
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform, integrate
 
@@ -215,13 +215,21 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
 
 
+def _finite(snr: float, bounds):
+    """`bounds` (a float or a tuple), or NonFinite if one overflowed."""
+    if not np.all(np.isfinite(bounds)):
+        raise NonFinite(f"expected CRB not finite at snr {snr!r}")
+    return bounds
+
+
 def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
          grid=(64, 64)):
     """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior,
     averaged on an (n_z, n_t) midpoint grid.
 
     Raises SingularFIM at the first prior sample whose information matrix
-    is singular.
+    is singular, and NonFinite when a bound overflows (an SNR so low that
+    1/snr leaves the float range).
     """
     if snr <= 0:
         raise InvariantViolation("snr must be > 0")
@@ -240,7 +248,7 @@ def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
 
     mean_z, mean_t = expect_uniform(ratios, prior, *grid)
     pref = 1.0 / (2.0 * snr * geom.pitch)
-    return pref * mean_z, pref * mean_t
+    return _finite(snr, (pref * mean_z, pref * mean_t))
 
 
 def ecrb_asymptotic(prior: UniformPrior, snr: float, geom: ArrayGeometry,
@@ -263,19 +271,19 @@ def ecrb_asymptotic(prior: UniformPrior, snr: float, geom: ArrayGeometry,
     return bound_z, bound_t
 
 
-def ecrb_ao(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
+def ecrb_ao(prior: UniformPrior, snr: float, geom: ArrayGeometry,
             grid=(64, 64)) -> float:
     """Expected CRB on the tilt when the distance is known per sample.
 
     Wavelength does not enter (the tilt information carries no phase
-    term); the wave argument is kept for interface symmetry with ecrb.
-    An infinite aperture uses the limiting coefficient values.
+    term), so unlike ecrb it takes no wave. An infinite aperture uses the
+    limiting coefficient values. Raises NonFinite as ecrb does.
     """
     if snr <= 0:
         raise InvariantViolation("snr must be > 0")
-    del wave
 
     def inv_itt(z, t):
         return 1.0 / _factors(z, t, geom)[2]
 
-    return expect_uniform(inv_itt, prior, *grid) / (2.0 * snr * geom.pitch)
+    return _finite(snr, expect_uniform(inv_itt, prior, *grid)
+                   / (2.0 * snr * geom.pitch))

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (IndexOutOfRange, InvariantViolation, NonPositiveDistance,
-                     ValidityViolation)
+                     UnsupportedRegion, ValidityViolation)
 
 
 def _require_finite(**values):
@@ -101,17 +101,6 @@ class Region(Enum):
     CASE1 = "case1"
     CASE2_PA = "case2_pa"
     CASE2_SC = "case2_sc"
-    UNSUPPORTED = "unsupported"
-
-
-@dataclass(frozen=True)
-class RegionClass:
-    kind: Region
-    reason: str = ""
-
-    @property
-    def is_supported(self) -> bool:
-        return self.kind is not Region.UNSUPPORTED
 
 
 def fraunhofer_distance(geom: ArrayGeometry, wave: Wave) -> float:
@@ -154,14 +143,14 @@ def probe_elements(geom: ArrayGeometry, alpha_idx: int = 1,
 
 
 def classify_region(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
-                    alpha_idx: int = 1, beta_idx: int | None = None) -> RegionClass:
+                    alpha_idx: int = 1, beta_idx: int | None = None) -> Region:
     """Pick the closed-form solver regime covering the whole prior box.
 
     The reactive test uses the far end of the prior (worst case for the
     probe elements alpha and beta); the phase-regime split is taken at the
     near end, which is conservative since both solver regimes extend
-    outward. Priors not covered by a single regime come back Unsupported
-    with a reason instead of a guess.
+    outward. A prior not covered by a single regime raises
+    UnsupportedRegion with the reason instead of a guess.
     """
     n = geom.n_elements
     alpha_idx, beta_idx = probe_elements(geom, alpha_idx, beta_idx)
@@ -173,10 +162,9 @@ def classify_region(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     reach = [math.hypot(prior.z_max, geom.element_center(k))
              for k in (alpha_idx, beta_idx)]
     if all(r < lam for r in reach):
-        return RegionClass(Region.CASE1)
+        return Region.CASE1
     if any(r < lam for r in reach):
-        return RegionClass(
-            Region.UNSUPPORTED,
+        raise UnsupportedRegion(
             "prior box straddles the wavelength boundary between regimes")
 
     try:
@@ -187,10 +175,9 @@ def classify_region(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     # on a characteristic distance are not tipped over by rounding
     slack = 1.0 - 1e-12
     if d_pa is not None and prior.z_min >= d_pa * slack:
-        return RegionClass(Region.CASE2_PA)
+        return Region.CASE2_PA
     if prior.z_min >= spacing_constraint_distance(geom, wave) * slack:
-        return RegionClass(Region.CASE2_SC)
-    return RegionClass(
-        Region.UNSUPPORTED,
+        return Region.CASE2_SC
+    raise UnsupportedRegion(
         f"z_min {prior.z_min} below the spacing-constraint distance "
         f"{spacing_constraint_distance(geom, wave)}")

@@ -57,6 +57,11 @@ def q_function(x):
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
+def midpoints(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of n equal cells on [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
 def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
     """Midpoint tensor-grid average of f(z, t) over the prior box.
 
@@ -66,9 +71,8 @@ def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
     """
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
-    z = prior.z_min + (np.arange(n_z) + 0.5) * (prior.span / n_z)
-    t = (np.arange(n_t) + 0.5) * ((1.0 - TZ_EPS) / n_t)
-    zz, tt = np.meshgrid(z, t, indexing="ij")
+    zz, tt = np.meshgrid(midpoints(prior.z_min, prior.z_max, n_z),
+                         midpoints(0.0, 1.0 - TZ_EPS, n_t), indexing="ij")
     vals = np.asarray(f(zz, tt), dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-2] + zz.shape)
     return vals.mean(axis=(-2, -1)).tolist()

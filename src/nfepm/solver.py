@@ -22,8 +22,8 @@ import numpy as np
 
 from .channel import axis_channel
 from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
-                     NonFinite, UnsupportedRegion)
-from .geometry import (ArrayGeometry, Region, RegionClass, UniformPrior, Wave,
+                     NonFinite)
+from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
 from .observation import Voltages
 
@@ -42,7 +42,7 @@ class DecoupledVoltage:
 class SolveResult:
     z_hat: complex | float | np.ndarray
     t_hat: complex | float | np.ndarray
-    region: RegionClass
+    region: Region
     diagnostic: bool = False
 
 
@@ -78,7 +78,7 @@ def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
                 "phase range below element offset; data not from this regime")
         z = np.sqrt(radicand)
     t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
-    return SolveResult(z, t, RegionClass(Region.CASE1), diagnostic)
+    return SolveResult(z, t, Region.CASE1, diagnostic)
 
 
 def _phase_period_distance(dtheta, scale, wave: Wave):
@@ -100,7 +100,7 @@ def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
     z = _phase_period_distance(db.theta - da.theta,
                                (y_beta ** 2 - y_alpha ** 2) / 2.0, wave)
     t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
-    return SolveResult(z[()], t, RegionClass(Region.CASE2_PA), diagnostic)
+    return SolveResult(z[()], t, Region.CASE2_PA, diagnostic)
 
 
 def solve_case2_sc(v_1, v_2, geom: ArrayGeometry, wave: Wave,
@@ -111,7 +111,7 @@ def solve_case2_sc(v_1, v_2, geom: ArrayGeometry, wave: Wave,
     d1, d2 = decouple(v_1), decouple(v_2)
     z = _phase_period_distance(d2.theta - d1.theta, geom.pitch ** 2, wave)
     t = _tilt_from_amplitudes(d1.psi, d2.psi, y1, y2, z, geom, wave)
-    return SolveResult(z[()], t, RegionClass(Region.CASE2_SC), diagnostic)
+    return SolveResult(z[()], t, Region.CASE2_SC, diagnostic)
 
 
 def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
@@ -125,26 +125,22 @@ def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
         return solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
     if kind is Region.CASE2_PA:
         return solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
-    if kind is Region.CASE2_SC:
-        return solve_case2_sc(va, vb, geom, wave, diagnostic)
-    raise UnsupportedRegion(f"no solver for {kind}")
+    return solve_case2_sc(va, vb, geom, wave, diagnostic)
 
 
 def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
           wave: Wave, alpha_idx: int = 1, beta_idx: int | None = None,
           diagnostic: bool = False) -> SolveResult:
-    """Classify the prior box and dispatch to the matching regime solver."""
+    """Classify the prior box and dispatch to the matching regime solver;
+    raises UnsupportedRegion when no single regime covers it."""
     region = classify_region(prior, geom, wave, alpha_idx, beta_idx)
-    if not region.is_supported:
-        raise UnsupportedRegion(region.reason)
-    return _solve_as(region.kind, lambda n: voltages.values[n - 1], geom,
-                     wave, alpha_idx, beta_idx, diagnostic)
+    return _solve_as(region, lambda n: voltages.values[n - 1], geom, wave,
+                     alpha_idx, beta_idx, diagnostic)
 
 
-def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
-              geom: ArrayGeometry, wave: Wave, u: int = 200, v: int = 200,
-              mismatch: Region | None = None,
-              alpha_idx: int = 1, beta_idx: int | None = None):
+def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
+              wave: Wave, u: int = 200, v: int = 200,
+              mismatch: Region | None = None):
     """Forward-model a u-by-v grid over the prior box and solve each point,
     returning (rmse_z, rmse_t).
 
@@ -155,8 +151,6 @@ def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
     """
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
-    if isinstance(case, RegionClass):
-        case = case.kind
     diagnostic = mismatch is not None
     z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
@@ -166,7 +160,7 @@ def rmse_grid(case: Region | RegionClass, prior: UniformPrior,
                             scale=wave.amplitude * geom.pitch)
 
     res = _solve_as(mismatch if diagnostic else case, probe, geom, wave,
-                    alpha_idx, beta_idx, diagnostic)
+                    alpha_idx=1, beta_idx=None, diagnostic=diagnostic)
     err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
     err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
     rmse_z = np.sqrt(np.mean(err_z ** 2))

@@ -20,9 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import axis_channel
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, q_function
+from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
+                       q_function)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
@@ -65,18 +67,13 @@ class ZZBGrid:
 DEFAULT_GRID = ZZBGrid()
 
 
-def _signed_amp(z, t, y):
-    rr = np.sqrt(y * y + z * z)
-    return np.sqrt(z) * (y * t + z * np.sqrt(1.0 - t * t)) / rr ** 2.5
-
-
 def ambiguity_function(pair: HypothesisPair, y_r, wave: Wave):
     """Squared channel mismatch between the two hypotheses at array
     coordinate y_r. Equals |h1 - h0|^2."""
     y = np.asarray(y_r, dtype=float)
     z0, z1 = pair.theta_z, pair.theta_z + pair.delta_z
-    m0 = np.abs(_signed_amp(z0, pair.theta_t, y))
-    m1 = np.abs(_signed_amp(z1, pair.theta_t + pair.delta_t, y))
+    m0 = np.abs(axis_channel(z0, pair.theta_t, y, wave))
+    m1 = np.abs(axis_channel(z1, pair.theta_t + pair.delta_t, y, wave))
     dr = np.sqrt(y * y + z1 * z1) - np.sqrt(y * y + z0 * z0)
     return (m1 * m1 + m0 * m0
             - 2.0 * m1 * m0 * np.cos(wave.wavenumber * dr))[()]
@@ -128,10 +125,6 @@ def _panel_rule(edges: np.ndarray, order: int):
     nodes = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     weights = (half[:, None] * wi[None, :]).ravel()
     return nodes, weights
-
-
-def _midpoints(lo: float, hi: float, n: int):
-    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
 def _family_eval(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
@@ -219,11 +212,11 @@ def _joint_box(prior, snr, geom, wave, grid):
     hypothesis box at offsets (delta_z, delta_t). The distance families
     are computed once per box(delta_z)."""
     def box(delta_z):
-        theta_z = _midpoints(prior.z_min, prior.z_max - delta_z, grid.n_theta_z)
+        theta_z = midpoints(prior.z_min, prior.z_max - delta_z, grid.n_theta_z)
         fams = _families(theta_z, delta_z, geom, wave, grid.mu_tol)
 
         def at_tilt(delta_t):
-            theta_t = _midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
+            theta_t = midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
             mu = snr * geom.pitch * _mu_over_tilts(fams, theta_t, delta_t)
             return _q_box(mu, prior.span - delta_z, delta_t, grid)
         return at_tilt
@@ -294,10 +287,10 @@ def zzb_ao_t(prior: UniformPrior, snr: float, geom: ArrayGeometry,
     """
     if snr < 0:
         raise InvariantViolation("snr must be >= 0")
-    z_mid = _midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
+    z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
 
     def bracket(dt):
-        theta_t = _midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
+        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
         return _q_box(mu_L_ao(z_mid, theta_t, dt, snr, geom), prior.span, dt, grid)
 
     return _outer(1.0, grid.n_delta, bracket) / prior.span

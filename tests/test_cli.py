@@ -14,7 +14,7 @@ from nfepm.channel import AxialPose
 from nfepm.cli import main
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.observation import noiseless_voltages
-from test_cli_goldens import OVERRIDES
+from test_cli_goldens import OVERRIDES, _number
 
 BASE_INI = """\
 [wave]
@@ -65,17 +65,6 @@ def read_result(path):
     comments = [ln for ln in lines if ln.startswith("#")]
     data = list(csv.reader(ln for ln in lines if not ln.startswith("#")))
     return comments, data[0], data[1:]
-
-
-def numbers(cells):
-    """The cells that parse as floats, parsed."""
-    out = []
-    for cell in cells:
-        try:
-            out.append(float(cell))
-        except ValueError:
-            pass
-    return out
 
 
 def test_missing_subcommand_is_usage_error():
@@ -349,5 +338,6 @@ def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength):
             if code == 0:
                 for path in (Path(tmp) / command).iterdir():
                     _, _, rows = read_result(path)
-                    cells = [cell for row in rows for cell in row]
-                    assert all(math.isfinite(x) for x in numbers(cells)), path
+                    cells = [_number(cell) for row in rows for cell in row]
+                    assert all(math.isfinite(x) for x in cells
+                               if x is not None), path

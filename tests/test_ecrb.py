@@ -1,6 +1,7 @@
 """Fisher information closed forms against quadrature oracles, and the
 expected-bound assembly around them."""
 
+import inspect
 import math
 
 import numpy as np
@@ -132,9 +133,7 @@ def test_tilt_information_is_wavelength_free():
     assert a.f_tt == b.f_tt
     assert a.f_zt == b.f_zt
     assert a.f_zz != b.f_zz
-    ao_a = ecrb_ao(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, Wave(0.1))
-    ao_b = ecrb_ao(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, Wave(0.01))
-    assert ao_a == ao_b
+    assert "wave" not in inspect.signature(ecrb_ao).parameters
 
 
 def test_expected_bound_equals_midpoint_average():
@@ -208,15 +207,14 @@ def test_bound_validation():
     with pytest.raises(InvariantViolation):
         ecrb_asymptotic(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
     with pytest.raises(InvariantViolation):
-        ecrb_ao(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
+        ecrb_ao(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM)
 
 
 def test_known_distance_tilt_bound_below_joint():
     _, joint_t = ecrb(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
                       grid=(16, 16))
-    ao = ecrb_ao(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                 grid=(16, 16))
+    ao = ecrb_ao(THRESHOLD_PRIOR, 100.0, THRESHOLD_GEOM, grid=(16, 16))
     assert ao <= joint_t
     unbounded = ArrayGeometry(math.inf, 0.1)
-    assert ecrb_ao(THRESHOLD_PRIOR, 100.0, unbounded, THRESHOLD_WAVE) > 0.0
+    assert ecrb_ao(THRESHOLD_PRIOR, 100.0, unbounded) > 0.0
 
