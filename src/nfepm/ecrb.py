@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AxialPose
-from .errors import AttitudeSingularity, InvariantViolation, NonFinite, SingularFIM
+from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
+                     SingularFIM)
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform, integrate
 
@@ -215,6 +216,15 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
 
 
+def _info_scale(snr: float, geom: ArrayGeometry) -> float:
+    """2 snr pitch, the divisor of the expected CRBs; NonFinite where it
+    underflows to 0."""
+    scale = 2.0 * snr * geom.pitch
+    if scale == 0.0:
+        raise NonFinite(f"expected CRB not finite at snr {snr!r}")
+    return scale
+
+
 def _finite(snr: float, bounds):
     """`bounds` (a float or a tuple), or NonFinite if one overflowed."""
     if not np.all(np.isfinite(bounds)):
@@ -228,8 +238,8 @@ def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
     averaged on an (n_z, n_t) midpoint grid.
 
     Raises SingularFIM at the first prior sample whose information matrix
-    is singular, and NonFinite when a bound overflows (an SNR so low that
-    1/snr leaves the float range).
+    is singular, and NonFinite when a bound leaves the float range (an SNR
+    so low that 1 / snr overflows).
     """
     if snr <= 0:
         raise InvariantViolation("snr must be > 0")
@@ -247,7 +257,7 @@ def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
         return np.stack((i_tt / det, i_zz / det))
 
     mean_z, mean_t = expect_uniform(ratios, prior, *grid)
-    pref = 1.0 / (2.0 * snr * geom.pitch)
+    pref = 1.0 / _info_scale(snr, geom)
     return _finite(snr, (pref * mean_z, pref * mean_t))
 
 
@@ -286,4 +296,4 @@ def ecrb_ao(prior: UniformPrior, snr: float, geom: ArrayGeometry,
         return 1.0 / _factors(z, t, geom)[2]
 
     return _finite(snr, expect_uniform(inv_itt, prior, *grid)
-                   / (2.0 * snr * geom.pitch))
+                   / _info_scale(snr, geom))

@@ -62,7 +62,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Wave:
-    """Operating wavelength and source drive level (volts)."""
+    """Operating wavelength and source drive level (volts), whose square,
+    the drive power, must be a finite float."""
     wavelength: float
     amplitude: float = 1.0
 
@@ -71,7 +72,8 @@ class Wave:
             raise NonPositiveDistance(f"wavelength must be > 0, got {self.wavelength}")
         if self.amplitude <= 0:
             raise InvariantViolation(f"amplitude must be > 0, got {self.amplitude}")
-        _require_finite(wavelength=self.wavelength, amplitude=self.amplitude)
+        _require_finite(wavelength=self.wavelength, amplitude=self.amplitude,
+                        drive_power=self.amplitude * self.amplitude)
 
     @property
     def wavenumber(self) -> float:

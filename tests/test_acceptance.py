@@ -292,7 +292,8 @@ def test_criterion_06_information_oracles():
 def test_criterion_07_attitude_only_consistency():
     # tilt-only statistic against its quadrature oracle, ordering of the
     # joint bounds above the tilt-only ones, small gaps on the coarse
-    # pitch config, and wavelength invariance of the tilt-only bounds
+    # pitch config, and wavelength invariance of the tilt-only bounds,
+    # which take no wave
     t0 = time.perf_counter()
     fails = []
     rng = np.random.default_rng(7)

@@ -113,6 +113,9 @@ NON_FINITE_PROBES = {
     "noise-snr_db-minus-4000": (("solve",), "", "noise.snr_db=-4000"),
     "noise-sigma2-inf": (("solve",), "", "noise.sigma2=inf"),
     "noise-sigma2-nan": (("solve",), "", "noise.sigma2=nan"),
+    # a drive level whose square overflows the noise variance
+    "amplitude-1e200": (("solve",), "\n[noise]\nsnr_db = 30\n",
+                        "wave.amplitude=1e200"),
     "sweep-4000-zzb": (("zzb",), "", "sweep.snr_db=4000"),
     "sweep-minus-4000-zzb": (("zzb",), "", "sweep.snr_db=-4000"),
     "sweep-4000-ecrb": (("ecrb",), "", "sweep.snr_db=4000"),
@@ -135,26 +138,25 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, argv, extra_ini,
     assert not (tmp_path / "out").exists()
 
 
-# Valid inputs whose results overflow the float range: (argv, overrides,
-# exit code). The run must fail cleanly and write no CSV.
-OVERFLOW_PROBES = {
-    "ecrb-snr-minus-3075": (("ecrb",), ("sweep.snr_db=-3075",), 2),
-    "fig8-snr-minus-3075": (("preset", "fig8"), ("sweep.snr_db=-3075",), 2),
-    "solve-amplitude-1e200": (("solve",),
-                              ("wave.amplitude=1e200", "noise.snr_db=30"), 1),
+# Valid SNRs (ratios > 0) at which the expected-CRB prefactor
+# 1 / (2 snr pitch) leaves the float range: (argv, sweep.snr_db). At
+# -3075 dB it overflows; at -3227 dB, 2 snr pitch underflows to 0.
+BOUND_OVERFLOW_PROBES = {
+    "ecrb-3075": (("ecrb",), -3075),
+    "ecrb-3227": (("ecrb",), -3227),
+    "fig8-3075": (("preset", "fig8"), -3075),
 }
 
 
-@pytest.mark.parametrize("argv, overrides, code", OVERFLOW_PROBES.values(),
-                         ids=OVERFLOW_PROBES)
-def test_overflow_fails_cleanly(tmp_path, capsys, argv, overrides, code):
-    args = list(argv) + ["--out", str(tmp_path / "out")] + list(OVERRIDES)
-    if argv[0] != "preset":
+@pytest.mark.parametrize("argv, db", BOUND_OVERFLOW_PROBES.values(),
+                         ids=BOUND_OVERFLOW_PROBES)
+def test_bound_overflow_is_numerical_failure(tmp_path, capsys, argv, db):
+    args = list(argv) + ["--out", str(tmp_path / "out"),
+                         "--override", f"sweep.snr_db={db}"] + list(OVERRIDES)
+    if argv[0] == "ecrb":
         args += ["--config", write_ini(tmp_path, BASE_INI)]
-    args += [arg for item in overrides for arg in ("--override", item)]
-    assert main(args) == code
-    prefix = "error: " if code == 1 else "numerical failure: "
-    assert capsys.readouterr().err.startswith(prefix)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not (tmp_path / "out").exists()
 
 
