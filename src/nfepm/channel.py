@@ -130,9 +130,8 @@ def nf_channel(pose: AxialPose, x_r, y_r, wave: Wave):
     """Scalar near-field channel for the on-axis source: general_channel at
     position (0, 0, distance), orientation (0, transverse, tilt), for array
     poses too."""
-    t = np.asarray(pose.tilt, dtype=float)
     return _scalar_channel((0.0, 0.0, pose.distance),
-                           (0.0, pose.transverse, t), x_r, y_r, wave)
+                           (0.0, pose.transverse, pose.tilt), x_r, y_r, wave)
 
 
 def axis_channel(z, t, y, wave: Wave, scale=1.0):
