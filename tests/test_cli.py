@@ -113,7 +113,7 @@ NON_FINITE_PROBES = {
     "noise-snr_db-minus-4000": (("solve",), "", "noise.snr_db=-4000"),
     "noise-sigma2-inf": (("solve",), "", "noise.sigma2=inf"),
     "noise-sigma2-nan": (("solve",), "", "noise.sigma2=nan"),
-    # a drive level whose square overflows the noise variance
+    # a drive level whose square, the drive power, overflows
     "amplitude-1e200": (("solve",), "\n[noise]\nsnr_db = 30\n",
                         "wave.amplitude=1e200"),
     "sweep-4000-zzb": (("zzb",), "", "sweep.snr_db=4000"),
