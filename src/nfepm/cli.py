@@ -213,55 +213,54 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
                 "re_t_hat", "im_t_hat"), rows)
 
 
-def _zzb_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
-    return (db, zzb_z(prior, snr, geom, wave, cfg.zzb_grid),
-            zzb_t(prior, snr, geom, wave, cfg.zzb_grid),
-            zzb_ao_t(prior, snr, geom, cfg.zzb_grid))
+# Bound column table: column names -> their values over the linear SNR
+# sweep s for one case (prior p, array g, wave w), a sequence per column.
+_MAP = tuple(f.name for f in fields(MseReport))
+_BOUNDS = {
+    ("zzb_z",): lambda cfg, p, s, g, w: (zzb_z(p, s, g, w, cfg.zzb_grid),),
+    ("zzb_t",): lambda cfg, p, s, g, w: (zzb_t(p, s, g, w, cfg.zzb_grid),),
+    ("zzb_ao_t",): lambda cfg, p, s, g, w: (zzb_ao_t(p, s, g, cfg.zzb_grid),),
+    ("ecrb_z", "ecrb_t"): lambda cfg, p, s, g, w: ecrb(p, s, g, w, cfg.ecrb_grid),
+    ("ecrb_ao_t",): lambda cfg, p, s, g, w: (ecrb_ao(p, s, g, cfg.ecrb_grid),),
+    ("zzb_ao_t_inf",): lambda cfg, p, s, g, w: (
+        zzb_ao_t(p, s, replace(g, aperture=math.inf), cfg.zzb_grid),),
+    ("ecrb_ao_t_inf",): lambda cfg, p, s, g, w: (
+        ecrb_ao(p, s, replace(g, aperture=math.inf), cfg.ecrb_grid),),
+    _MAP[1:]: lambda cfg, p, s, g, w: zip(*(
+        astuple(r)[1:] for r in monte_carlo_mse(p, g, w, cfg.snr_db, cfg.trials,
+                                                 cfg.seed, cfg.map_grid))),
+}
+_ZZB = ("snr_db", "zzb_z", "zzb_t", "zzb_ao_t")
+_ECRB = ("snr_db", "ecrb_z", "ecrb_t", "ecrb_ao_t")
+_AXIS = ("snr_db", "zzb_z", "zzb_t", "ecrb_z", "ecrb_t")
 
 
-def _ecrb_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
-    ez, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
-    return (db, ez, et, ecrb_ao(prior, snr, geom, cfg.ecrb_grid))
-
-
-def _map_row(cfg: ExperimentConfig, db):
-    return astuple(monte_carlo_mse(cfg.prior, cfg.array, cfg.wave, db,
-                                   cfg.trials, cfg.seed, cfg.map_grid))
-
-
-def _ao_row(cfg: ExperimentConfig, db):
-    prior, geom, wave, snr = cfg.prior, cfg.array, cfg.wave, snr_from_db(db)
-    inf_geom = ArrayGeometry(float("inf"), geom.pitch)
-    _, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
-    return (db, zzb_t(prior, snr, geom, wave, cfg.zzb_grid),
-            zzb_ao_t(prior, snr, geom, cfg.zzb_grid), et,
-            ecrb_ao(prior, snr, geom, cfg.ecrb_grid),
-            zzb_ao_t(prior, snr, inf_geom, cfg.zzb_grid),
-            ecrb_ao(prior, snr, inf_geom, cfg.ecrb_grid))
-
-
-# Per-SNR row kinds: (columns, row builder).
-_ZZB = (("snr_db", "zzb_z", "zzb_t", "zzb_ao_t"), _zzb_row)
-_ECRB = (("snr_db", "ecrb_z", "ecrb_t", "ecrb_ao_t"), _ecrb_row)
-_MAP = (tuple(f.name for f in fields(MseReport)), _map_row)
-_AO = (("snr_db", "zzb_t", "zzb_ao_t", "ecrb_t", "ecrb_ao_t", "zzb_ao_t_inf",
-        "ecrb_ao_t_inf"), _ao_row)
-
-
-def _per_snr(outputs: dict):
-    """Runner writing each CSV of `outputs` (file -> row kind) with one row
-    per swept SNR; the rows of all files are computed SNR by SNR."""
+def _sweep(outputs: dict,
+           cases=lambda cfg: [((), cfg.prior, cfg.array, cfg.wave)]):
+    """Runner writing each CSV of `outputs` (file -> header) with one row
+    per case (label, prior, array, wave) of cases(cfg) and swept SNR: the
+    label's cells, then the header's other columns: snr_db or a bound of
+    _BOUNDS, each called once per case for the whole sweep. A CSV without
+    an snr_db column takes a single SNR."""
     def run(cfg: ExperimentConfig, out_dir: str):
         if not cfg.snr_db:
             raise ParseError(f"{cfg.scenario} needs a [sweep] snr_db list")
+        if len(cfg.snr_db) > 1 and not all("snr_db" in h for h in outputs.values()):
+            raise ParseError(f"{cfg.scenario} takes a single sweep.snr_db value, "
+                             f"got {_fmt(cfg.snr_db)}")
+        snr = list(map(snr_from_db, cfg.snr_db))
+        wanted = set().union(*outputs.values())
         rows = {file: [] for file in outputs}
-        for db in cfg.snr_db:
-            for file, (_, row) in outputs.items():
-                rows[file].append(row(cfg, db))
-        for file, (columns, _) in outputs.items():
-            _write_csv(out_dir, file, cfg, columns, rows[file])
+        for label, prior, geom, wave in cases(cfg):
+            values = {"snr_db": cfg.snr_db}
+            for names, bound in _BOUNDS.items():
+                if wanted.intersection(names):
+                    values.update(zip(names, bound(cfg, prior, snr, geom, wave)))
+            for file, header in outputs.items():
+                rows[file] += [label + cells for cells in
+                               zip(*(values[c] for c in header[len(label):]))]
+        for file, header in outputs.items():
+            _write_csv(out_dir, file, cfg, header, rows[file])
     return run
 
 
@@ -269,9 +268,9 @@ def _per_snr(outputs: dict):
 _COMMANDS = {
     "channel": (("pose", "array", "wave"), _cmd_channel),
     "solve": (("pose", "array", "wave", "prior"), _cmd_solve),
-    "zzb": (("array", "wave", "prior"), _per_snr({"zzb.csv": _ZZB})),
-    "ecrb": (("array", "wave", "prior"), _per_snr({"ecrb.csv": _ECRB})),
-    "map-mc": (("array", "wave", "prior"), _per_snr({"map_mc.csv": _MAP})),
+    "zzb": (("array", "wave", "prior"), _sweep({"zzb.csv": _ZZB})),
+    "ecrb": (("array", "wave", "prior"), _sweep({"ecrb.csv": _ECRB})),
+    "map-mc": (("array", "wave", "prior"), _sweep({"map_mc.csv": _MAP})),
 }
 
 
@@ -324,46 +323,7 @@ def _preset_fig3(cfg: ExperimentConfig, out_dir: str):
                ("t_z", "z") + tuple(f"rerr_{k}" for k in RERR_KINDS), rows)
 
 
-def _axis_sweep(field: str, values):
-    """Preset runner writing `<preset>.csv`: bound rows over the SNR sweep
-    for each value of one array or wave field, the rest as configured."""
-    def run(cfg: ExperimentConfig, out_dir: str):
-        prior, rows = cfg.prior, []
-        for x in values:
-            if field == "wavelength":
-                geom, wave = cfg.array, replace(cfg.wave, wavelength=x)
-            else:
-                geom, wave = replace(cfg.array, **{field: x}), cfg.wave
-            for db in cfg.snr_db:
-                snr = snr_from_db(db)
-                ez, et = ecrb(prior, snr, geom, wave, cfg.ecrb_grid)
-                rows.append((x, db, zzb_z(prior, snr, geom, wave, cfg.zzb_grid),
-                             zzb_t(prior, snr, geom, wave, cfg.zzb_grid), ez, et))
-        _write_csv(out_dir, f"{cfg.scenario}.csv", cfg,
-                   (field, "snr_db", "zzb_z", "zzb_t", "ecrb_z", "ecrb_t"),
-                   rows)
-    return run
-
-
 _APERTURES = tuple(float(d_r) for d_r in range(2, 11))
-
-
-def _preset_fig9(cfg: ExperimentConfig, out_dir: str):
-    if len(cfg.snr_db) != 1:
-        raise ParseError("fig9 takes a single sweep.snr_db value, got "
-                         + _fmt(cfg.snr_db))
-    snr = snr_from_db(cfg.snr_db[0])
-    rows = []
-    for z_min, z_max in ((4.0, 5.0), (4.0, 7.0), (4.0, 10.0), (6.0, 7.0),
-                         (9.0, 10.0)):
-        prior = UniformPrior(z_min, z_max)
-        for d_r in _APERTURES:
-            geom = ArrayGeometry(d_r, cfg.array.pitch)
-            ez, _ = ecrb(prior, snr, geom, cfg.wave, cfg.ecrb_grid)
-            rows.append((z_min, z_max, d_r,
-                         zzb_z(prior, snr, geom, cfg.wave, cfg.zzb_grid), ez))
-    _write_csv(out_dir, "fig9.csv", cfg,
-               ("z_min", "z_max", "aperture", "zzb_z", "ecrb_z"), rows)
 
 
 _SNR_0_TO_60 = "sweep.snr_db=" + ",".join(str(db) for db in range(0, 61, 10))
@@ -375,22 +335,36 @@ _PRESETS = {
     "fig3": (("wave.wavelength=0.01",), _preset_fig3),
     "fig4": (("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
               "prior.z_min=3", "prior.z_max=5", _SNR_0_TO_60),
-             _per_snr({"fig4_zzb.csv": _ZZB, "fig4_ecrb.csv": _ECRB,
-                       "fig4_map.csv": _MAP})),
+             _sweep({"fig4_zzb.csv": _ZZB, "fig4_ecrb.csv": _ECRB,
+                     "fig4_map.csv": _MAP})),
     "fig5": (("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
               "prior.z_min=4", "prior.z_max=8", "sweep.snr_db=30,40,50"),
-             _axis_sweep("aperture", _APERTURES)),
+             _sweep({"fig5.csv": ("aperture",) + _AXIS},
+                    lambda c: [((x,), c.prior, replace(c.array, aperture=x), c.wave)
+                               for x in _APERTURES])),
     "fig6": (("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
               "prior.z_min=5", "prior.z_max=6", _SNR_0_TO_60),
-             _axis_sweep("wavelength", (0.1, 0.01, 0.001))),
+             _sweep({"fig6.csv": ("wavelength",) + _AXIS},
+                    lambda c: [((x,), c.prior, c.array, replace(c.wave, wavelength=x))
+                               for x in (0.1, 0.01, 0.001)])),
     "fig7": (("wave.wavelength=0.01", "array.aperture=5", "array.pitch=0.1",
               "prior.z_min=5", "prior.z_max=6", _SNR_0_TO_60),
-             _axis_sweep("pitch", (0.02, 0.1, 0.5, 2.5))),
+             _sweep({"fig7.csv": ("pitch",) + _AXIS},
+                    lambda c: [((x,), c.prior, replace(c.array, pitch=x), c.wave)
+                               for x in (0.02, 0.1, 0.5, 2.5)])),
     "fig8": (("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.5",
               "prior.z_min=3", "prior.z_max=4", _SNR_0_TO_60),
-             _per_snr({"fig8.csv": _AO})),
+             _sweep({"fig8.csv": ("snr_db", "zzb_t", "zzb_ao_t", "ecrb_t",
+                                  "ecrb_ao_t", "zzb_ao_t_inf", "ecrb_ao_t_inf")})),
     "fig9": (("wave.wavelength=0.01", "array.aperture=5", "array.pitch=0.5",
-              "sweep.snr_db=40"), _preset_fig9),
+              "sweep.snr_db=40"),
+             _sweep({"fig9.csv": ("z_min", "z_max", "aperture", "zzb_z",
+                                  "ecrb_z")},
+                    lambda c: [((lo, hi, d_r), UniformPrior(lo, hi),
+                                ArrayGeometry(d_r, c.array.pitch), c.wave)
+                               for lo, hi in ((4.0, 5.0), (4.0, 7.0), (4.0, 10.0),
+                                              (6.0, 7.0), (9.0, 10.0))
+                               for d_r in _APERTURES])),
 }
 
 

@@ -20,7 +20,8 @@ from .channel import AxialPose
 from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                      SingularFIM)
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform, integrate
+from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform,
+                       integrate, snr_sweep)
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -216,33 +217,31 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
 
 
-def _info_scale(snr: float, geom: ArrayGeometry) -> float:
-    """2 snr pitch, the divisor of the expected CRBs; NonFinite where it
-    underflows to 0."""
-    scale = 2.0 * snr * geom.pitch
-    if scale == 0.0:
-        raise NonFinite(f"expected CRB not finite at snr {snr!r}")
-    return scale
+def _over_sweep(snr, bounds):
+    """bounds(s) at the SNRs s of `snr`, a scalar or a 1-D sweep of SNRs
+    > 0, each bound shaped like `snr`; NonFinite names the first SNR where
+    one leaves the float range (1 / snr overflows, 2 snr pitch underflows)."""
+    snrs, shape = snr_sweep(snr)
+    if not snrs.all():
+        raise InvariantViolation("snr must be > 0, got 0.0")
+    with np.errstate(divide="ignore", over="ignore"):
+        values = bounds(snrs)
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise NonFinite(f"expected CRB not finite at snr {snrs[~finite][0]}")
+    return tuple(map(shape, values))
 
 
-def _finite(snr: float, bounds):
-    """`bounds` (a float or a tuple), or NonFinite if one overflowed."""
-    if not np.all(np.isfinite(bounds)):
-        raise NonFinite(f"expected CRB not finite at snr {snr!r}")
-    return bounds
-
-
-def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
+def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
          grid=(64, 64)):
     """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior,
     averaged on an (n_z, n_t) midpoint grid.
 
-    Raises SingularFIM at the first prior sample whose information matrix
-    is singular, and NonFinite when a bound leaves the float range (an SNR
-    so low that 1 / snr overflows).
+    `snr` is a scalar (the bounds are floats) or a 1-D sweep (arrays); the
+    grid means are computed once for the sweep. Raises SingularFIM at the
+    first prior sample whose information matrix is singular, and NonFinite
+    when a bound leaves the float range.
     """
-    if snr <= 0:
-        raise InvariantViolation("snr must be > 0")
     k = wave.wavenumber
 
     def ratios(z, t):
@@ -256,44 +255,46 @@ def ecrb(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
                 f"t_z={t[iz, it]!r}")
         return np.stack((i_tt / det, i_zz / det))
 
-    mean_z, mean_t = expect_uniform(ratios, prior, *grid)
-    pref = 1.0 / _info_scale(snr, geom)
-    return _finite(snr, (pref * mean_z, pref * mean_t))
+    def bounds(s):
+        mean_z, mean_t = expect_uniform(ratios, prior, *grid)
+        pref = 1.0 / (2.0 * s * geom.pitch)
+        return pref * mean_z, pref * mean_t
+
+    return _over_sweep(snr, bounds)
 
 
-def ecrb_asymptotic(prior: UniformPrior, snr: float, geom: ArrayGeometry,
+def ecrb_asymptotic(prior: UniformPrior, snr, geom: ArrayGeometry,
                     wave: Wave, large_z: bool = False):
-    """Infinite-aperture, zero-tilt limits of the expected CRBs. With
-    large_z the distance bound uses the further z_t >> lambda
-    simplification."""
-    if snr <= 0:
-        raise InvariantViolation("snr must be > 0")
-    pref = 1.0 / (2.0 * snr * geom.pitch)
+    """Infinite-aperture, zero-tilt limits of the expected CRBs, taking
+    `snr` and raising NonFinite as ecrb does. With large_z the distance
+    bound uses the further z_t >> lambda simplification."""
     mean_z = 0.5 * (prior.z_min + prior.z_max)
-    bound_t = 3.0 * pref * mean_z
-    if large_z:
-        lam = wave.wavelength
-        return 15.0 * lam * lam * mean_z / (
-            64.0 * math.pi ** 2 * snr * geom.pitch), bound_t
-    k = wave.wavenumber
-    bound_z = pref * expect_uniform(
-        lambda z, t: 210.0 * z ** 3 / (112.0 * k * k * z * z + 75.0), prior)
-    return bound_z, bound_t
+    lam, k = wave.wavelength, wave.wavenumber
+
+    def bounds(s):
+        pref = 1.0 / (2.0 * s * geom.pitch)
+        if large_z:
+            bound_z = 15.0 * lam * lam * mean_z / (
+                64.0 * math.pi ** 2 * s * geom.pitch)
+        else:
+            bound_z = pref * expect_uniform(
+                lambda z, t: 210.0 * z ** 3 / (112.0 * k * k * z * z + 75.0),
+                prior)
+        return bound_z, 3.0 * pref * mean_z
+
+    return _over_sweep(snr, bounds)
 
 
-def ecrb_ao(prior: UniformPrior, snr: float, geom: ArrayGeometry,
-            grid=(64, 64)) -> float:
-    """Expected CRB on the tilt when the distance is known per sample.
+def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=(64, 64)):
+    """Expected CRB on the tilt when the distance is known per sample,
+    taking `snr` and raising NonFinite as ecrb does.
 
     Wavelength does not enter (the tilt information carries no phase
     term), so unlike ecrb it takes no wave. An infinite aperture uses the
-    limiting coefficient values. Raises NonFinite as ecrb does.
+    limiting coefficient values.
     """
-    if snr <= 0:
-        raise InvariantViolation("snr must be > 0")
-
     def inv_itt(z, t):
         return 1.0 / _factors(z, t, geom)[2]
 
-    return _finite(snr, expect_uniform(inv_itt, prior, *grid)
-                   / _info_scale(snr, geom))
+    return _over_sweep(snr, lambda s: (expect_uniform(inv_itt, prior, *grid)
+                                       / (2.0 * s * geom.pitch),))[0]

@@ -124,37 +124,39 @@ def map_estimate(vtilde: Voltages, prior: UniformPrior, geom: ArrayGeometry,
 
 
 def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
-                    snr_db: float, trials: int, seed: int,
-                    grid: MapGrid = DEFAULT_MAP_GRID) -> MseReport:
-    """MAP mean squared errors over random poses and noise.
+                    snr_db, trials: int, seed: int,
+                    grid: MapGrid = DEFAULT_MAP_GRID):
+    """MAP mean squared errors over random poses and noise: a report at one
+    SNR in dB, a list of reports over a 1-D sweep of levels.
 
     Deterministic given (seed, config): poses come from the base stream,
-    the noise of trial i from the i-th substream.
+    the noise of trial i from the i-th substream, at every level. The
+    coarse model and the clean voltages are built once for the sweep.
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
-    noise = NoiseSpec(sigma2_for_snr_db(wave, snr_db), seed)
+    levels = np.asarray(snr_db, dtype=float).ravel().tolist()
+    noises = [NoiseSpec(sigma2_for_snr_db(wave, db), seed) for db in levels]
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
     t_true = rng.uniform(0.0, 1.0, trials)
     estimate = _map_search(prior, geom, wave, grid)
+    clean = [Voltages(_forward(z_true[i], t_true[i], geom, wave), geom)
+             for i in range(trials)]
 
-    sq_z = np.empty(trials)
-    sq_t = np.empty(trials)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        idx = range(start, min(start + _TRIAL_BLOCK, trials))
-        noisy = np.stack([
-            observe(Voltages(_forward(z_true[i], t_true[i], geom, wave), geom),
-                    noise, trial=i).values
-            for i in idx])
-        for i, (z_hat, t_hat) in zip(idx, estimate(noisy)):
-            sq_z[i] = (z_hat - z_true[i]) ** 2
-            sq_t[i] = (t_hat - t_true[i]) ** 2
+    sq = np.empty((len(noises), 2, trials))
+    for sq_level, noise in zip(sq, noises):
+        for start in range(0, trials, _TRIAL_BLOCK):
+            idx = range(start, min(start + _TRIAL_BLOCK, trials))
+            noisy = np.stack([observe(clean[i], noise, trial=i).values for i in idx])
+            for i, (z_hat, t_hat) in zip(idx, estimate(noisy)):
+                sq_level[:, i] = (z_hat - z_true[i]) ** 2, (t_hat - t_true[i]) ** 2
 
     def se(x):
         return float(np.std(x, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")
 
-    return MseReport(snr_db=float(snr_db),
-                     mse_z=float(sq_z.mean()), mse_t=float(sq_t.mean()),
-                     se_z=se(sq_z), se_t=se(sq_t),
-                     trials=trials, seed=int(seed))
+    reports = [MseReport(snr_db=db, mse_z=float(sq_z.mean()),
+                         mse_t=float(sq_t.mean()), se_z=se(sq_z), se_t=se(sq_t),
+                         trials=trials, seed=int(seed))
+               for db, (sq_z, sq_t) in zip(levels, sq)]
+    return reports if np.ndim(snr_db) else reports[0]

@@ -1,5 +1,6 @@
 """Shared numeric kernels: 1-D adaptive quadrature, Gaussian tail function,
-deterministic tensor-grid expectations, and splittable RNG streams."""
+deterministic tensor-grid expectations, SNR sweeps, and splittable RNG
+streams."""
 
 from __future__ import annotations
 
@@ -76,6 +77,18 @@ def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
     vals = np.asarray(f(zz, tt), dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-2] + zz.shape)
     return vals.mean(axis=(-2, -1)).tolist()
+
+
+def snr_sweep(snr):
+    """`snr`, a scalar or a non-empty 1-D sequence of SNRs >= 0, as a 1-D
+    array, and a function shaping a per-SNR result like `snr`."""
+    snrs = np.asarray(snr, dtype=float)
+    if snrs.ndim > 1 or snrs.size == 0:
+        raise InvariantViolation("an SNR sweep is a scalar or a non-empty 1-D sequence")
+    if not np.all(snrs >= 0):
+        raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+    shape = (lambda out: out[0]) if snrs.ndim == 0 else (lambda out: out)
+    return np.atleast_1d(snrs), shape
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

@@ -56,10 +56,15 @@ def decouple(v) -> DecoupledVoltage:
 def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: Wave):
     # Amplitude model is linear in (tilt, transverse); eliminating the
     # transverse part between the two elements isolates the tilt.
+    # A drive level tiny enough to overflow the quotient raises NonFinite.
     ra = (y_a * y_a + z * z) ** 1.25
     rb = (y_b * y_b + z * z) ** 1.25
-    return (psi_a * ra - psi_b * rb) / (
-        wave.amplitude * geom.pitch * np.sqrt(z) * (y_a - y_b))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = (psi_a * ra - psi_b * rb) / (
+            wave.amplitude * geom.pitch * np.sqrt(z) * (y_a - y_b))
+    if not np.all(np.isfinite(t)):
+        raise NonFinite("tilt estimate is not finite")
+    return t
 
 
 def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,

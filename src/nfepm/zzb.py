@@ -8,6 +8,9 @@ computes those once per distance offset and assembles the
 tilt/search/SNR dependence algebraically. Outer offset integrals run on
 log-spaced panels because the integrand support shrinks like 1/SNR.
 
+The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
+array); the SNR-free work, the families included, runs once per sweep.
+
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
 """
@@ -24,11 +27,13 @@ from .channel import axis_channel
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
-                       q_function)
+                       q_function, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
+# SNRs per Q evaluation: its arrays hold n_theta_z x n_theta_t x _SNR_BLOCK.
+_SNR_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -183,67 +188,74 @@ def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t: float):
     return e0 + e1 - 2.0 * cross
 
 
-def _q_box(mu, z_len: float, delta_t: float, grid: ZZBGrid) -> float:
+def _q_box(mu, snrs: np.ndarray, z_len: float, delta_t: float, grid: ZZBGrid):
     """Midpoint integral of the detection error Q(sqrt(mu/2)) over a
-    hypothesis box of z_len by 1 - delta_t, mu given on the box's grid."""
+    hypothesis box of z_len by 1 - delta_t per SNR, mu(s) given on the
+    box's grid for each (k, 1, 1) block s of _SNR_BLOCK SNRs."""
     cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
-    return float(q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum()) * cell
+    col = snrs[:, None, None]
+    return np.concatenate([
+        q_function(np.sqrt(np.maximum(mu(col[i:i + _SNR_BLOCK]), 0.0) / 2.0))
+        .sum(axis=(1, 2)) for i in range(0, len(snrs), _SNR_BLOCK)]) * cell
 
 
-def _outer(hi: float, n_delta: int, bracket) -> float:
-    """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]:
-    log-spaced panels with 4-point Gauss-Legendre each, truncated once the
-    bracket falls below _TRUNCATE_REL of its running peak."""
+def _outer(hi: float, n_delta: int, bracket) -> np.ndarray:
+    """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]
+    per SNR: log-spaced panels with 4-point Gauss-Legendre each, each SNR
+    truncated once its bracket falls below _TRUNCATE_REL of its running
+    peak."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi), max(1, n_delta // 4) + 1))
-    total = 0.0
-    peak = 0.0
+    total = peak = 0.0
+    cut = False
     for d, w in zip(*_panel_rule(edges, 4)):
         value = bracket(d)
-        total += w * d * value
-        peak = max(peak, value)
-        if value < _TRUNCATE_REL * peak:
+        total = total + np.where(cut, 0.0, w * d * value)
+        peak = np.maximum(peak, value)
+        cut = cut | (value < _TRUNCATE_REL * peak)
+        if np.all(cut):
             break
     return total
 
 
-def _joint_box(prior, snr, geom, wave, grid):
-    """box(delta_z)(delta_t): the detection-error integral over the joint
-    hypothesis box at offsets (delta_z, delta_t). The distance families
-    are computed once per box(delta_z)."""
+def _joint_box(prior, snrs, geom, wave, grid):
+    """box(delta_z)(delta_t): the detection-error integral per SNR over the
+    joint hypothesis box at offsets (delta_z, delta_t). The distance
+    families are computed once per box(delta_z)."""
     def box(delta_z):
         theta_z = midpoints(prior.z_min, prior.z_max - delta_z, grid.n_theta_z)
         fams = _families(theta_z, delta_z, geom, wave, grid.mu_tol)
 
         def at_tilt(delta_t):
             theta_t = midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
-            mu = snr * geom.pitch * _mu_over_tilts(fams, theta_t, delta_t)
-            return _q_box(mu, prior.span - delta_z, delta_t, grid)
+            m = _mu_over_tilts(fams, theta_t, delta_t)
+            return _q_box(lambda s: s * geom.pitch * m, snrs,
+                          prior.span - delta_z, delta_t, grid)
         return at_tilt
     return box
 
 
-def zzb_z(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
-          grid: ZZBGrid = DEFAULT_GRID) -> float:
+def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
+          grid: ZZBGrid = DEFAULT_GRID):
     """MSE lower bound on the source distance (m^2)."""
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
-    box = _joint_box(prior, snr, geom, wave, grid)
+    snrs, shape = snr_sweep(snr)
+    box = _joint_box(prior, snrs, geom, wave, grid)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    return _outer(prior.span, grid.n_delta,
-                  lambda dz: max(map(box(dz), search))) / prior.span
+    return shape(_outer(prior.span, grid.n_delta,
+                        lambda dz: np.max(list(map(box(dz), search)), axis=0))
+                 / prior.span)
 
 
-def zzb_t(prior: UniformPrior, snr: float, geom: ArrayGeometry, wave: Wave,
-          grid: ZZBGrid = DEFAULT_GRID) -> float:
+def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
+          grid: ZZBGrid = DEFAULT_GRID):
     """MSE lower bound on the tilt (dimensionless^2)."""
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
-    box = _joint_box(prior, snr, geom, wave, grid)
+    snrs, shape = snr_sweep(snr)
+    box = _joint_box(prior, snrs, geom, wave, grid)
     search = [box(dz) for dz in np.linspace(0.0, prior.span, grid.n_max_search,
                                            endpoint=False)]
-    return _outer(1.0, grid.n_delta,
-                  lambda dt: max(at_dz(dt) for at_dz in search)) / prior.span
+    return shape(_outer(1.0, grid.n_delta,
+                        lambda dt: np.max([at_dz(dt) for at_dz in search], axis=0))
+                 / prior.span)
 
 
 def zzb_asymptotic(prior: UniformPrior):
@@ -277,20 +289,20 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
             * (dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0))[()]
 
 
-def zzb_ao_t(prior: UniformPrior, snr: float, geom: ArrayGeometry,
-             grid: ZZBGrid = DEFAULT_GRID) -> float:
+def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
+             grid: ZZBGrid = DEFAULT_GRID):
     """Tilt bound with the distance treated as a random nuisance.
 
     Grids and the box integral are those of the joint zzb_t at zero
     distance offset, so the ordering zzb_t >= zzb_ao_t survives
     discretization.
     """
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
+    snrs, shape = snr_sweep(snr)
     z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
 
     def bracket(dt):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
-        return _q_box(mu_L_ao(z_mid, theta_t, dt, snr, geom), prior.span, dt, grid)
+        return _q_box(lambda s: mu_L_ao(z_mid, theta_t, dt, s, geom), snrs,
+                      prior.span, dt, grid)
 
-    return _outer(1.0, grid.n_delta, bracket) / prior.span
+    return shape(_outer(1.0, grid.n_delta, bracket) / prior.span)

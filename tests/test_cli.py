@@ -160,6 +160,19 @@ def test_bound_overflow_is_numerical_failure(tmp_path, capsys, argv, db):
     assert not (tmp_path / "out").exists()
 
 
+def test_tiny_drive_level_is_numerical_failure(tmp_path, capsys):
+    # The tilt divisor amplitude * pitch * sqrt(z) * (y_a - y_b) is about
+    # 1e-302 here, so the tilt quotient overflows.
+    args = ["solve", "--config", write_ini(tmp_path, BASE_INI),
+            "--out", str(tmp_path / "out"),
+            "--override", "wave.wavelength=10.0",
+            "--override", "wave.amplitude=1e-300",
+            "--override", "noise.sigma2=300654090927.0"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fig9_rejects_several_snrs(tmp_path, capsys):
     assert main(["preset", "fig9", "--out", str(tmp_path / "out"),
                  "--override", "sweep.snr_db=30,40"]) == 1
@@ -319,16 +332,17 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(snr_db=st.none() | ANY_FLOAT, sigma2=st.none() | ANY_FLOAT,
-       sweep_db=ANY_FLOAT, wavelength=st.floats(1e-9, 10.0))
-def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength):
+       sweep_db=ANY_FLOAT, wavelength=st.floats(1e-9, 10.0),
+       amplitude=st.none() | ANY_FLOAT)
+def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength, amplitude):
     """Every subcommand ends in exit 0, 1 or 2 and raises nothing, on the
     golden fixture's reduced grids; an exit-0 CSV holds finite numbers
     only."""
     overrides = [f"wave.wavelength={wavelength!r}", f"sweep.snr_db={sweep_db!r}"]
-    if snr_db is not None:
-        overrides.append(f"noise.snr_db={snr_db!r}")
-    if sigma2 is not None:
-        overrides.append(f"noise.sigma2={sigma2!r}")
+    for key, value in (("noise.snr_db", snr_db), ("noise.sigma2", sigma2),
+                       ("wave.amplitude", amplitude)):
+        if value is not None:
+            overrides.append(f"{key}={value!r}")
     args = [arg for item in overrides for arg in ("--override", item)]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.ini"

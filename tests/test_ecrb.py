@@ -14,7 +14,8 @@ from nfepm.ecrb import (channel_deriv_t, channel_deriv_z, ecrb, ecrb_ao,
                         ecrb_asymptotic, fim_closed, fim_quadrature, ftau1,
                         ftau2, ftau3, ftau4, ftau5, ftau6, ftau7, ftau8,
                         ftau9, ftau10, ftau11, ftau12)
-from nfepm.errors import (AttitudeSingularity, InvariantViolation, SingularFIM)
+from nfepm.errors import (AttitudeSingularity, InvariantViolation, NonFinite,
+                          SingularFIM)
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import TZ_EPS, integrate
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
@@ -208,6 +209,16 @@ def test_bound_validation():
         ecrb_asymptotic(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
     with pytest.raises(InvariantViolation):
         ecrb_ao(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM)
+
+
+@pytest.mark.parametrize("large_z", [False, True])
+@pytest.mark.parametrize("snr", [10 ** -322.7, 1e-310])
+def test_asymptotic_bounds_outside_float_range_raise(snr, large_z):
+    # 2 snr pitch underflows to 0 at 10**-322.7; 1 / (2 snr pitch)
+    # overflows at 1e-310
+    with pytest.raises(NonFinite, match="not finite at snr"):
+        ecrb_asymptotic(UniformPrior(0.5, 0.9), snr, ArrayGeometry(0.5, 0.05),
+                        Wave(1.0), large_z)
 
 
 def test_known_distance_tilt_bound_below_joint():
