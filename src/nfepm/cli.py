@@ -213,8 +213,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
                 "re_t_hat", "im_t_hat"), rows)
 
 
-# Bound column table: column names -> their values over the linear SNR
-# sweep s for one case (prior p, array g, wave w), a sequence per column.
+# Bound column table: column names -> their values for one case (prior p,
+# array g, wave w) over the SNR sweep s (MAP: in dB), a sequence per column.
 _MAP = tuple(f.name for f in fields(MseReport))
 _BOUNDS = {
     ("zzb_z",): lambda cfg, p, s, g, w: (zzb_z(p, s, g, w, cfg.zzb_grid),),
@@ -237,11 +237,10 @@ _AXIS = ("snr_db", "zzb_z", "zzb_t", "ecrb_z", "ecrb_t")
 
 def _sweep(outputs: dict,
            cases=lambda cfg: [((), cfg.prior, cfg.array, cfg.wave)]):
-    """Runner writing each CSV of `outputs` (file -> header) with one row
-    per case (label, prior, array, wave) of cases(cfg) and swept SNR: the
-    label's cells, then the header's other columns: snr_db or a bound of
-    _BOUNDS, each called once per case for the whole sweep. A CSV without
-    an snr_db column takes a single SNR."""
+    """Runner writing each CSV of `outputs` (file -> header), a row per case
+    (label, prior, array, wave) of cases(cfg) and swept SNR: the label's
+    cells, then snr_db or _BOUNDS columns, each bound called once per case
+    for the whole sweep. A CSV without snr_db takes a single SNR."""
     def run(cfg: ExperimentConfig, out_dir: str):
         if not cfg.snr_db:
             raise ParseError(f"{cfg.scenario} needs a [sweep] snr_db list")

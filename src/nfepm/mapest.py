@@ -135,7 +135,10 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
-    levels = np.asarray(snr_db, dtype=float).ravel().tolist()
+    levels = np.asarray(snr_db, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise InvariantViolation("snr_db is a scalar or a non-empty 1-D sequence")
+    levels = levels.ravel().tolist()
     noises = [NoiseSpec(sigma2_for_snr_db(wave, db), seed) for db in levels]
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)

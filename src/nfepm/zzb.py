@@ -32,7 +32,6 @@ from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
-# SNRs per Q evaluation: its arrays hold n_theta_z x n_theta_t x _SNR_BLOCK.
 _SNR_BLOCK = 16
 
 
@@ -191,7 +190,8 @@ def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t: float):
 def _q_box(mu, snrs: np.ndarray, z_len: float, delta_t: float, grid: ZZBGrid):
     """Midpoint integral of the detection error Q(sqrt(mu/2)) over a
     hypothesis box of z_len by 1 - delta_t per SNR, mu(s) given on the
-    box's grid for each (k, 1, 1) block s of _SNR_BLOCK SNRs."""
+    box's grid for each (k, 1, 1) block s of at most _SNR_BLOCK SNRs, so
+    memory does not grow with the sweep."""
     cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
     col = snrs[:, None, None]
     return np.concatenate([
@@ -199,11 +199,11 @@ def _q_box(mu, snrs: np.ndarray, z_len: float, delta_t: float, grid: ZZBGrid):
         .sum(axis=(1, 2)) for i in range(0, len(snrs), _SNR_BLOCK)]) * cell
 
 
-def _outer(hi: float, n_delta: int, bracket) -> np.ndarray:
+def _outer(prior, hi: float, n_delta: int, bracket) -> np.ndarray:
     """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]
-    per SNR: log-spaced panels with 4-point Gauss-Legendre each, each SNR
-    truncated once its bracket falls below _TRUNCATE_REL of its running
-    peak."""
+    per SNR, over the prior's span: log-spaced panels with 4-point
+    Gauss-Legendre each, each SNR truncated once its bracket falls below
+    _TRUNCATE_REL of its running peak."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi), max(1, n_delta // 4) + 1))
     total = peak = 0.0
@@ -215,7 +215,7 @@ def _outer(hi: float, n_delta: int, bracket) -> np.ndarray:
         cut = cut | (value < _TRUNCATE_REL * peak)
         if np.all(cut):
             break
-    return total
+    return total / prior.span
 
 
 def _joint_box(prior, snrs, geom, wave, grid):
@@ -241,9 +241,8 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     snrs, shape = snr_sweep(snr)
     box = _joint_box(prior, snrs, geom, wave, grid)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    return shape(_outer(prior.span, grid.n_delta,
-                        lambda dz: np.max(list(map(box(dz), search)), axis=0))
-                 / prior.span)
+    return shape(_outer(prior, prior.span, grid.n_delta,
+                        lambda dz: np.max(list(map(box(dz), search)), axis=0)))
 
 
 def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
@@ -253,9 +252,8 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     box = _joint_box(prior, snrs, geom, wave, grid)
     search = [box(dz) for dz in np.linspace(0.0, prior.span, grid.n_max_search,
                                            endpoint=False)]
-    return shape(_outer(1.0, grid.n_delta,
-                        lambda dt: np.max([at_dz(dt) for at_dz in search], axis=0))
-                 / prior.span)
+    return shape(_outer(prior, 1.0, grid.n_delta,
+                        lambda dt: np.max([at_dz(dt) for at_dz in search], axis=0)))
 
 
 def zzb_asymptotic(prior: UniformPrior):
@@ -305,4 +303,4 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
         return _q_box(lambda s: mu_L_ao(z_mid, theta_t, dt, s, geom), snrs,
                       prior.span, dt, grid)
 
-    return shape(_outer(1.0, grid.n_delta, bracket) / prior.span)
+    return shape(_outer(prior, 1.0, grid.n_delta, bracket))

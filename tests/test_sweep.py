@@ -76,5 +76,7 @@ def test_sweep_errors_name_the_offending_snr():
     with pytest.raises(NonFinite, match=r"at snr 1e-310$"):
         ecrb(PRIOR, [1.0, 1e-310, 1e-311], GEOM, WAVE, ECRB_GRID)
     for bad in ([], [[1.0, 2.0]]):
-        with pytest.raises(InvariantViolation, match="sweep"):
+        with pytest.raises(InvariantViolation, match="sequence"):
             zzb_ao_t(PRIOR, bad, GEOM, GRID)
+        with pytest.raises(InvariantViolation, match="sequence"):
+            monte_carlo_mse(PRIOR, GEOM, WAVE, bad, 2, 0, MapGrid(8, 8, 0))
