@@ -231,6 +231,26 @@ def test_dispatch_matches_region():
         assert abs(res.z_hat - z) / z <= 0.05
 
 
+@pytest.mark.parametrize("column", [5, 6, 7, 8])
+def test_spacing_constraint_solve_is_phase_period_rule_at_elements_1_2(column):
+    # Case II-SC is the phase-ambiguity rule read at the adjacent pair 1, 2.
+    # The tilt quotient differences two terms that agree to about
+    # t * pitch / z, so a one-ulp move of the range moves the tilt by up to
+    # ~1e-12 on the last column: the tilt gets an absolute tolerance.
+    _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    rng = np.random.default_rng(column)
+    for _ in range(16):
+        pose = AxialPose(rng.uniform(prior.z_min, prior.z_max),
+                         rng.uniform(0.0, 1.0))
+        v = noiseless_voltages(pose, geom, wave)
+        res = solve(v, prior, geom, wave)
+        ref = solve_case2_pa(v.values[0], v.values[1], geom.element_center(1),
+                             geom.element_center(2), geom, wave)
+        assert res.region is Region.CASE2_SC
+        assert res.z_hat == pytest.approx(ref.z_hat, rel=1e-12, abs=0.0)
+        assert res.t_hat == pytest.approx(ref.t_hat, abs=1e-10)
+
+
 def test_dispatch_rejects_unsupported_prior():
     _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[1])
     v = noiseless_voltages(AxialPose(0.3, 0.2), geom, wave)
