@@ -15,10 +15,10 @@ from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
 from .mapest import (MapGrid, MseReport, log_likelihood, map_estimate,
                      monte_carlo_mse)
 from .numerics import QuadratureSpec, expect_uniform, integrate, q_function, stream
-from .observation import (NoiseSpec, Voltages, noiseless_voltages, observe,
-                          sigma2_for_snr_db, snr, snr_db, snr_from_db)
+from .observation import (NoiseSpec, Voltages, element_voltages, noiseless_voltages,
+                          observe, sigma2_for_snr_db, snr, snr_db, snr_from_db)
 from .solver import (SolveResult, decouple, rmse_grid, solve, solve_case1,
-                     solve_case2_pa, solve_case2_sc)
+                     solve_case2_pa)
 from .zzb import (HypothesisPair, ZZBGrid, ambiguity_function, mu_L, mu_L_ao,
                   p_min, p_min_general, zzb_ao_t, zzb_asymptotic, zzb_t, zzb_z)
 

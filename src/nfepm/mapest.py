@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AxialPose, axis_channel
+from .channel import AxialPose
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import TZ_EPS, stream
-from .observation import NoiseSpec, Voltages, observe, sigma2_for_snr_db
+from .observation import (NoiseSpec, Voltages, element_voltages, observe,
+                          sigma2_for_snr_db)
 
 # Trials scored per matrix product so the score block stays ~tens of MB.
 _TRIAL_BLOCK = 64
@@ -56,57 +57,48 @@ class MseReport:
             raise InvariantViolation("trials must be >= 1")
 
 
-def _forward(z, t, geom: ArrayGeometry, wave: Wave):
-    """Noiseless voltage model, broadcasting over pose arrays."""
-    return axis_channel(z, t, geom.element_centers, wave,
-                        scale=wave.amplitude * geom.pitch)
-
-
 def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
                    wave: Wave, noise: NoiseSpec) -> float:
     """Gaussian log-likelihood up to its additive constant."""
-    resid = vtilde.values - _forward(pose.distance, pose.tilt, geom, wave)
+    resid = vtilde.values - element_voltages(pose.distance, pose.tilt, geom, wave)
     total = float(np.sum(np.abs(resid) ** 2))
     if noise.sigma2 == 0:
         return 0.0 if total == 0 else -np.inf
     return -total / noise.sigma2
 
 
-def _refine(z0, t0, cell_z, cell_t, vtilde_values, prior, geom, wave, levels):
-    offsets = np.linspace(-1.0, 1.0, 7)
-    for _ in range(levels):
-        zs = np.clip(z0 + cell_z * offsets, prior.z_min, prior.z_max)
-        ts = np.clip(t0 + cell_t * offsets, 0.0, 1.0 - TZ_EPS)
-        zz, tt = np.meshgrid(zs, ts, indexing="ij")
-        cand = _forward(zz.ravel()[:, None], tt.ravel()[:, None], geom, wave)
-        score = -np.sum(np.abs(cand - vtilde_values[None, :]) ** 2, axis=1)
-        best = int(np.argmax(score))
-        z0, t0 = float(zz.ravel()[best]), float(tt.ravel()[best])
-        cell_z /= 3.0
-        cell_t /= 3.0
-    return z0, t0
-
-
 def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
                 grid: MapGrid):
     """MAP search over the prior box, as a function from a block of voltage
-    rows to their (z, t) estimates. The coarse score 2 Re(model . v*) -
-    |model|^2 is the log-likelihood up to a pose-independent constant and
+    rows to their (z, t) estimate arrays. The coarse score 2 Re(model . v*)
+    - |model|^2 is the log-likelihood up to a pose-independent constant and
     a positive factor; its argmax (ties to the smallest grid indices) is
-    refined locally."""
+    refined on 7 x 7 patches, clipped to the box, of shrinking cells."""
     z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
     t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
     zz, tt = np.meshgrid(z, t, indexing="ij")
     zf, tf = zz.ravel(), tt.ravel()
-    model = _forward(zf[:, None], tf[:, None], geom, wave)
+    model = element_voltages(zf[:, None], tf[:, None], geom, wave)
     model_power = np.sum(np.abs(model) ** 2, axis=1)
-    cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
+    offsets = np.linspace(-1.0, 1.0, 7)
 
     def estimate(noisy):
         scores = 2.0 * (model @ noisy.conj().T).real - model_power[:, None]
-        return [_refine(float(zf[best]), float(tf[best]), cell_z, cell_t, v,
-                        prior, geom, wave, grid.refine_levels)
-                for best, v in zip(np.argmax(scores, axis=0), noisy)]
+        best = np.argmax(scores, axis=0)
+        z_hat, t_hat = zf[best], tf[best]
+        cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
+        rows = np.arange(len(noisy))
+        for _ in range(grid.refine_levels):
+            zs = np.clip(z_hat[:, None] + cell_z * offsets, prior.z_min, prior.z_max)
+            ts = np.clip(t_hat[:, None] + cell_t * offsets, 0.0, 1.0 - TZ_EPS)
+            cand = element_voltages(zs[:, :, None, None], ts[:, None, :, None],
+                                    geom, wave)
+            score = -np.sum(np.abs(cand - noisy[:, None, None, :]) ** 2, axis=3)
+            best = np.argmax(score.reshape(len(noisy), -1), axis=1)
+            z_hat, t_hat = zs[rows, best // offsets.size], ts[rows, best % offsets.size]
+            cell_z /= 3.0
+            cell_t /= 3.0
+        return z_hat, t_hat
 
     return estimate
 
@@ -119,8 +111,8 @@ def map_estimate(vtilde: Voltages, prior: UniformPrior, geom: ArrayGeometry,
     The noise variance scales the likelihood uniformly and does not move
     the argmax.
     """
-    (z_hat, t_hat), = _map_search(prior, geom, wave, grid)(vtilde.values[None, :])
-    return AxialPose(z_hat, t_hat)
+    z_hat, t_hat = _map_search(prior, geom, wave, grid)(vtilde.values[None, :])
+    return AxialPose(float(z_hat[0]), float(t_hat[0]))
 
 
 def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
@@ -144,16 +136,17 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
     t_true = rng.uniform(0.0, 1.0, trials)
     estimate = _map_search(prior, geom, wave, grid)
-    clean = [Voltages(_forward(z_true[i], t_true[i], geom, wave), geom)
-             for i in range(trials)]
+    clean = [Voltages(v, geom) for v in
+             element_voltages(z_true[:, None], t_true[:, None], geom, wave)]
 
-    sq = np.empty((len(noises), 2, trials))
-    for sq_level, noise in zip(sq, noises):
+    est = np.empty((len(noises), 2, trials))
+    for est_level, noise in zip(est, noises):
         for start in range(0, trials, _TRIAL_BLOCK):
-            idx = range(start, min(start + _TRIAL_BLOCK, trials))
-            noisy = np.stack([observe(clean[i], noise, trial=i).values for i in idx])
-            for i, (z_hat, t_hat) in zip(idx, estimate(noisy)):
-                sq_level[:, i] = (z_hat - z_true[i]) ** 2, (t_hat - t_true[i]) ** 2
+            block = slice(start, start + _TRIAL_BLOCK)
+            noisy = np.stack([observe(clean[i], noise, trial=i).values
+                              for i in range(trials)[block]])
+            est_level[:, block] = estimate(noisy)
+    sq = (est - np.stack((z_true, t_true))) ** 2
 
     def se(x):
         return float(np.std(x, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")

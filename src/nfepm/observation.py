@@ -42,12 +42,17 @@ class Voltages:
         object.__setattr__(self, "values", vals)
 
 
+def element_voltages(z, t, geom: ArrayGeometry, wave: Wave, y=None):
+    """Voltages v = amplitude * pitch * channel(y) under the constant-field-
+    over-element rule, y the element centers by default; broadcasts over
+    poses z, t (a (k, 1) column gives k rows). No pose validation."""
+    y = geom.element_centers if y is None else y
+    return axis_channel(z, t, y, wave, scale=wave.amplitude * geom.pitch)
+
+
 def noiseless_voltages(pose: AxialPose, geom: ArrayGeometry, wave: Wave) -> Voltages:
-    """Per-element voltages under the constant-field-over-element rule:
-    v_n = amplitude * pitch * channel(center_n)."""
-    vals = axis_channel(pose.distance, pose.tilt, geom.element_centers, wave,
-                        scale=wave.amplitude * geom.pitch)
-    return Voltages(values=np.asarray(vals, dtype=complex), geom=geom)
+    """The voltage vector of one validated pose."""
+    return Voltages(element_voltages(pose.distance, pose.tilt, geom, wave), geom)
 
 
 def observe(v: Voltages, noise: NoiseSpec, trial: int = 0) -> Voltages:

@@ -1,12 +1,13 @@
 """Closed-form joint distance/tilt recovery from noise-free voltages.
 
-Three regimes. In the reactive regime (all probe ranges under a
-wavelength) the element phase is unambiguous and the solve is exact. In
-the propagating regime the unknown integer phase periods of two elements
-differ by at most one once the source is far enough out, which pins the
-phase difference and yields a second-order-accurate distance: either from
-a distant element pair (phase-ambiguity regime) or from the first two
-elements (spacing-constraint regime). The tilt then follows from the two
+Three regimes, two rules. In the reactive regime (all probe ranges under
+a wavelength) the element phase is unambiguous and the solve is exact. In
+the propagating regime the integer phase periods of two elements differ by
+at most one once the source is far enough out, which pins the phase
+difference and yields a second-order-accurate distance. One phase-period
+rule (`solve_case2_pa`) serves both Case II regimes, at the pair that
+`geometry.probe_elements` names: a distant pair (phase ambiguity) or
+elements 1 and 2 (spacing constraint). The tilt then follows from the two
 amplitudes. All solvers broadcast over array voltage inputs.
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
@@ -16,16 +17,15 @@ and estimates may come back complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import axis_channel
 from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite)
 from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
-from .observation import Voltages
+from .observation import Voltages, element_voltages
 
 _TWO_PI = 2.0 * np.pi
 
@@ -96,8 +96,8 @@ def _phase_period_distance(dtheta, scale, wave: Wave):
 def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
                    geom: ArrayGeometry, wave: Wave,
                    diagnostic: bool = False) -> SolveResult:
-    """Phase-ambiguity regime: the two probe phases differ by less than a
-    full period, so their principal difference (shifted up by one period
+    """Case II phase-period rule: the two probe phases differ by less than
+    a full period, so their principal difference (shifted up by one period
     when non-positive) determines the range."""
     if not y_beta > y_alpha:
         raise DegenerateElements("need y_beta > y_alpha")
@@ -108,29 +108,16 @@ def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
     return SolveResult(z[()], t, Region.CASE2_PA, diagnostic)
 
 
-def solve_case2_sc(v_1, v_2, geom: ArrayGeometry, wave: Wave,
-                   diagnostic: bool = False) -> SolveResult:
-    """Spacing-constraint regime: same period argument applied to the
-    first two (adjacent) elements."""
-    y1, y2 = 0.5 * geom.pitch, 1.5 * geom.pitch
-    d1, d2 = decouple(v_1), decouple(v_2)
-    z = _phase_period_distance(d2.theta - d1.theta, geom.pitch ** 2, wave)
-    t = _tilt_from_amplitudes(d1.psi, d2.psi, y1, y2, z, geom, wave)
-    return SolveResult(z[()], t, Region.CASE2_SC, diagnostic)
-
-
 def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
               alpha_idx: int, beta_idx: int | None, diagnostic: bool):
     """Apply the solver of regime `kind` to probe(n), the voltage of
-    element n, at that regime's probe elements."""
+    element n, at that regime's probe elements; the result carries `kind`."""
     a, b = probe_elements(geom, alpha_idx, beta_idx, kind)
     va, vb = probe(a), probe(b)
     ya, yb = geom.element_center(a), geom.element_center(b)
-    if kind is Region.CASE1:
-        return solve_case1(va, vb, ya, yb, geom, wave, diagnostic)
-    if kind is Region.CASE2_PA:
-        return solve_case2_pa(va, vb, ya, yb, geom, wave, diagnostic)
-    return solve_case2_sc(va, vb, geom, wave, diagnostic)
+    solver = solve_case1 if kind is Region.CASE1 else solve_case2_pa
+    res = solver(va, vb, ya, yb, geom, wave, diagnostic)
+    return replace(res, region=kind)
 
 
 def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
@@ -161,8 +148,7 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
 
     def probe(n):
-        return axis_channel(z, t, geom.element_center(n), wave,
-                            scale=wave.amplitude * geom.pitch)
+        return element_voltages(z, t, geom, wave, y=geom.element_center(n))
 
     res = _solve_as(mismatch if diagnostic else case, probe, geom, wave,
                     alpha_idx=1, beta_idx=None, diagnostic=diagnostic)

@@ -6,9 +6,10 @@ import pytest
 from nfepm.channel import AxialPose, nf_channel, nf_channel_axis
 from nfepm.errors import InvariantViolation, NonFinite, ZeroNoise
 from nfepm.geometry import ArrayGeometry, Wave
-from nfepm.numerics import stream
-from nfepm.observation import (NoiseSpec, Voltages, noiseless_voltages,
-                               observe, sigma2_for_snr_db, snr, snr_db)
+from nfepm.numerics import TZ_EPS, stream
+from nfepm.observation import (NoiseSpec, Voltages, element_voltages,
+                               noiseless_voltages, observe, sigma2_for_snr_db,
+                               snr, snr_db)
 
 GEOM = ArrayGeometry(1.0, 0.25)
 WAVE = Wave(1.0, amplitude=2.0)
@@ -44,6 +45,22 @@ def test_voltages_match_surface_integral(pitch):
         integral = half * half * np.einsum("i,j,ij->", wi, wi, vals)
         oracle = WAVE.amplitude * integral / geom.pitch
         assert abs(v.values[n - 1] - oracle) <= 0.01 * abs(oracle)
+
+
+def test_element_voltages_is_every_voltage_rule():
+    # the pose-column rows the MAP model scores and the per-element grids
+    # the rmse_grid probes read equal the per-pose voltage vectors exactly
+    z = np.linspace(0.3, 2.0, 5)
+    t = np.linspace(0.0, 1.0 - TZ_EPS, 4)
+    zz, tt = np.meshgrid(z, t, indexing="ij")
+    rows = element_voltages(zz.ravel()[:, None], tt.ravel()[:, None], GEOM, WAVE)
+    for row, z_i, t_i in zip(rows, zz.ravel(), tt.ravel()):
+        pose = AxialPose(float(z_i), float(t_i))
+        assert np.array_equal(row, noiseless_voltages(pose, GEOM, WAVE).values)
+    for n in range(1, GEOM.n_elements + 1):
+        probe = element_voltages(z[:, None], t[None, :], GEOM, WAVE,
+                                 y=GEOM.element_center(n))
+        assert np.array_equal(probe, rows[:, n - 1].reshape(zz.shape))
 
 
 def test_voltages_validation():

@@ -10,7 +10,7 @@ from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                             classify_region)
 from nfepm.observation import noiseless_voltages
 from nfepm.solver import (_tilt_from_amplitudes, decouple, rmse_grid, solve,
-                          solve_case1, solve_case2_pa, solve_case2_sc)
+                          solve_case1, solve_case2_pa)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
@@ -116,7 +116,7 @@ def test_adjacent_pair_bias_envelope():
         t = rng.uniform(0.0, 0.95)
         v1 = axis_channel(z, t, y_1, wave, scale)
         v2 = axis_channel(z, t, y_2, wave, scale)
-        res = solve_case2_sc(v1, v2, geom, wave)
+        res = solve_case2_pa(v1, v2, y_1, y_2, geom, wave)
         eps = _relative_bias(geom, y_1, y_2, z)
         assert abs(res.z_hat - z) / z <= 1.05 * eps + 1e-12
         assert abs(res.t_hat - t) <= 2.5 * eps + 1e-12
