@@ -21,7 +21,7 @@ from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                      SingularFIM)
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform,
-                       integrate, snr_sweep)
+                       integrate, require_snr, snr_sweep)
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -152,8 +152,7 @@ def _factors(z, t_z, geom: ArrayGeometry):
 def fim_closed(pose: AxialPose, snr: float, geom: ArrayGeometry,
                wave: Wave) -> FisherInfo:
     """Fisher information from the tau closed forms."""
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
+    require_snr(snr)
     return _assemble(*_factors(pose.distance, pose.tilt, geom),
                      snr, geom, wave)
 
@@ -190,8 +189,7 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FisherInfo:
     """Fisher information by numerical integration of the derivative
     products along the strip; the oracle for fim_closed."""
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
+    require_snr(snr)
     z, tz = pose.distance, pose.tilt
     if 1.0 - tz * tz < _TY_SQ_MIN:
         raise AttitudeSingularity("t_z too close to 1 for the tilt divisions")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (IndexOutOfRange, InvariantViolation, NonPositiveDistance,
                      UnsupportedRegion, ValidityViolation)
+from .numerics import require_cells
 
 
 def _require_finite(**values):
@@ -47,7 +48,9 @@ class ArrayGeometry:
     def n_elements(self) -> int:
         if math.isinf(self.aperture):
             raise ValidityViolation("infinite aperture has no element grid")
-        return int(math.floor(self.aperture / self.pitch))
+        n = self.aperture / self.pitch
+        require_cells("the element grid", n)
+        return int(math.floor(n))
 
     def element_center(self, n: int) -> float:
         """Center of element n, 1-based."""

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import AxialPose
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import TZ_EPS, stream
+from .numerics import TZ_EPS, require_cells, stream
 from .observation import (NoiseSpec, Voltages, element_voltages, observe,
                           sigma2_for_snr_db)
 
@@ -74,6 +74,10 @@ def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     - |model|^2 is the log-likelihood up to a pose-independent constant and
     a positive factor; its argmax (ties to the smallest grid indices) is
     refined on 7 x 7 patches, clipped to the box, of shrinking cells."""
+    # largest arrays: the coarse model (grid x N), its scores for a trial
+    # block (grid x block) and the block's patches (49 x block x N)
+    require_cells("the MAP search", (grid.n_z * grid.n_t + 49 * _TRIAL_BLOCK)
+                  * max(geom.n_elements, _TRIAL_BLOCK))
     z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
     t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
     zz, tt = np.meshgrid(z, t, indexing="ij")
@@ -131,6 +135,8 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     if levels.ndim > 1 or levels.size == 0:
         raise InvariantViolation("snr_db is a scalar or a non-empty 1-D sequence")
     levels = levels.ravel().tolist()
+    require_cells("the Monte Carlo trials",
+                  trials * (geom.n_elements + 2 * len(levels)))
     noises = [NoiseSpec(sigma2_for_snr_db(wave, db), seed) for db in levels]
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)

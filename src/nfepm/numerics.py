@@ -16,6 +16,26 @@ from .errors import InvariantViolation, QuadratureFailure
 # Upper cap applied to every t_z grid so 1/sqrt(1 - t_z^2) stays finite.
 TZ_EPS = 1e-4
 
+# Most cells of one array a config may request: the element count and each
+# grid product. 2**24 complex cells take 256 MiB.
+MAX_CELLS = 1 << 24
+
+
+def require_cells(what: str, cells) -> None:
+    """Raise InvariantViolation, before anything is allocated, when `what`
+    would request more than MAX_CELLS array cells."""
+    if not cells <= MAX_CELLS:
+        raise InvariantViolation(
+            f"{what} requests {cells} array cells, over the cap of {MAX_CELLS}")
+
+
+def require_snr(snr) -> None:
+    """Raise InvariantViolation unless every SNR in `snr` is >= 0; NaN is
+    not."""
+    snrs = np.asarray(snr, dtype=float)
+    if not np.all(snrs >= 0):
+        raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -72,6 +92,7 @@ def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
     """
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
+    require_cells("the expectation grid", n_z * n_t)
     zz, tt = np.meshgrid(midpoints(prior.z_min, prior.z_max, n_z),
                          midpoints(0.0, 1.0 - TZ_EPS, n_t), indexing="ij")
     vals = np.asarray(f(zz, tt), dtype=float)
@@ -85,13 +106,15 @@ def snr_sweep(snr):
     snrs = np.asarray(snr, dtype=float)
     if snrs.ndim > 1 or snrs.size == 0:
         raise InvariantViolation("an SNR sweep is a scalar or a non-empty 1-D sequence")
-    if not np.all(snrs >= 0):
-        raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+    require_snr(snrs)
     shape = (lambda out: out[0]) if snrs.ndim == 0 else (lambda out: out)
     return np.atleast_1d(snrs), shape
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
-    """Independent generator for (seed, indices), stable across runs."""
-    key = tuple(int(i) for i in indices)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    """Independent generator for (seed, indices), stable across runs. The
+    seed and the indices are integers >= 0; else InvariantViolation."""
+    key = (int(seed),) + tuple(int(i) for i in indices)
+    if min(key) < 0:
+        raise InvariantViolation(f"seed and stream indices must be >= 0, got {key}")
+    return np.random.default_rng(np.random.SeedSequence(key[0], spawn_key=key[1:]))

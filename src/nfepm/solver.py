@@ -25,6 +25,7 @@ from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite)
 from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
+from .numerics import require_cells
 from .observation import Voltages, element_voltages
 
 _TWO_PI = 2.0 * np.pi
@@ -143,6 +144,7 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     """
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
+    require_cells("the RMSE grid", u * v)
     diagnostic = mismatch is not None
     z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]

@@ -27,7 +27,7 @@ from .channel import axis_channel
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
-                       q_function, snr_sweep)
+                       q_function, require_cells, require_snr, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
@@ -66,6 +66,13 @@ class ZZBGrid:
             raise InvariantViolation("n_max_search must be >= 1")
         if self.mu_tol <= 0:
             raise InvariantViolation("mu_tol must be > 0")
+        # largest arrays: the offset nodes, zzb_t's search families, the
+        # detection grid of an SNR block, and a family integrand at its
+        # panel cap (8 nodes per panel, _MAX_FAMILY_PANELS / 2 panels)
+        require_cells("the ZZB grid", max(
+            self.n_delta, 10 * self.n_max_search * self.n_theta_z,
+            self.n_theta_z * self.n_theta_t * _SNR_BLOCK,
+            self.n_theta_z * 4 * _MAX_FAMILY_PANELS))
 
 
 DEFAULT_GRID = ZZBGrid()
@@ -87,8 +94,7 @@ def mu_L(pair: HypothesisPair, snr: float, geom: ArrayGeometry, wave: Wave,
          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mean log-likelihood-ratio under the continuous-array approximation:
     snr * pitch * integral of the ambiguity function along the strip."""
-    if snr < 0:
-        raise InvariantViolation("snr must be >= 0")
+    require_snr(snr)
     if snr == 0 or (pair.delta_z == 0 and pair.delta_t == 0):
         return 0.0
     val = integrate(lambda y: ambiguity_function(pair, y, wave),
@@ -268,6 +274,7 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     An infinite aperture evaluates the limiting form. Broadcasts over
     array inputs.
     """
+    require_snr(snr)
     z = np.asarray(z_t, dtype=float)
     t0 = np.asarray(theta_t, dtype=float)
     dt = np.asarray(delta_t, dtype=float)

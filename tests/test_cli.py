@@ -138,6 +138,45 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, argv, extra_ini,
     assert not (tmp_path / "out").exists()
 
 
+SWEEP_30 = "\n[sweep]\nsnr_db = 30\n"
+# pitch 1e-9 on a 5 m aperture: 5e9 elements, 37 GiB of element centers
+FINE_PITCH = ("array.aperture=5", "array.pitch=1e-9")
+
+# Well-formed inputs out of range: negative seeds, and array requests over
+# the cell cap, rejected before anything is allocated:
+# (argv, extra INI text or None for a preset, overrides).
+OUT_OF_RANGE_PROBES = {
+    "map-mc-seed-minus-1": (("map-mc", "--seed", "-1"), SWEEP_30, ()),
+    "solve-seed-minus-1": (("solve", "--seed", "-1"),
+                           "\n[noise]\nsnr_db = 30\n", ()),
+    "noise-seed-minus-3": (("map-mc",), SWEEP_30, ("noise.seed=-3",)),
+    "channel-fine-pitch": (("channel",), "", FINE_PITCH),
+    "solve-fine-pitch": (("solve",), "", FINE_PITCH),
+    "map-mc-fine-pitch": (("map-mc",), SWEEP_30, FINE_PITCH),
+    "map-mc-grid": (("map-mc",), SWEEP_30,
+                    ("grid.map_n_z=100000", "grid.map_n_t=100000")),
+    "map-mc-trials": (("map-mc",), SWEEP_30, ("grid.trials=1000000000",)),
+    "ecrb-grid": (("ecrb",), SWEEP_30,
+                  ("grid.ecrb_n_z=100000", "grid.ecrb_n_t=100000")),
+    "zzb-grid": (("zzb",), SWEEP_30, ("grid.n_theta_z=100000",)),
+    "table2-grid": (("preset", "table2"), None, ("grid.u=100000", "grid.v=100000")),
+}
+
+
+@pytest.mark.parametrize("argv, extra_ini, overrides",
+                         OUT_OF_RANGE_PROBES.values(), ids=OUT_OF_RANGE_PROBES)
+def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, extra_ini,
+                                            overrides):
+    args = list(argv) + ["--out", str(tmp_path / "out")]
+    if extra_ini is not None:
+        args += ["--config", write_ini(tmp_path, BASE_INI + extra_ini)]
+    args += [arg for item in overrides for arg in ("--override", item)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # Valid SNRs (ratios > 0) at which the expected-CRB prefactor
 # 1 / (2 snr pitch) leaves the float range: (argv, sweep.snr_db). At
 # -3075 dB it overflows; at -3227 dB, 2 snr pitch underflows to 0.
@@ -328,22 +367,37 @@ def test_output_reproducible_up_to_timestamp(tmp_path):
 # Any float, nan, +-inf, subnormals and +-1e308 included; None leaves the
 # key unset.
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# Pitches on the 0.5 m aperture: at most 500 elements, or so many that the
+# cell cap rejects them before allocating.
+PITCH = st.none() | st.floats(1e-3, 0.6) | st.floats(1e-12, 1e-8)
+# One grid size: tiny (invalid ones included), or over the cell cap.
+GRID = st.none() | st.tuples(
+    st.sampled_from(("n_delta", "n_theta_z", "n_theta_t", "ecrb_n_z", "map_n_z",
+                     "trials")),
+    st.integers(-1, 12) | st.integers(10 ** 8, 10 ** 12))
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(snr_db=st.none() | ANY_FLOAT, sigma2=st.none() | ANY_FLOAT,
        sweep_db=ANY_FLOAT, wavelength=st.floats(1e-9, 10.0),
-       amplitude=st.none() | ANY_FLOAT)
-def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength, amplitude):
+       amplitude=st.none() | ANY_FLOAT,
+       seed=st.none() | st.integers(0, 2 ** 40) | st.integers(-(2 ** 40), -1),
+       pitch=PITCH, grid=GRID)
+def test_cli_exit_contract(snr_db, sigma2, sweep_db, wavelength, amplitude,
+                           seed, pitch, grid):
     """Every subcommand ends in exit 0, 1 or 2 and raises nothing, on the
     golden fixture's reduced grids; an exit-0 CSV holds finite numbers
     only."""
     overrides = [f"wave.wavelength={wavelength!r}", f"sweep.snr_db={sweep_db!r}"]
     for key, value in (("noise.snr_db", snr_db), ("noise.sigma2", sigma2),
-                       ("wave.amplitude", amplitude)):
+                       ("wave.amplitude", amplitude), ("array.pitch", pitch)):
         if value is not None:
             overrides.append(f"{key}={value!r}")
+    if grid is not None:
+        overrides.append("grid.{}={}".format(*grid))
     args = [arg for item in overrides for arg in ("--override", item)]
+    if seed is not None:
+        args += ["--seed", str(seed)]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.ini"
         config.write_text(BASE_INI, encoding="utf-8")

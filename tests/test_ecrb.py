@@ -211,6 +211,13 @@ def test_bound_validation():
         ecrb_ao(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM)
 
 
+@pytest.mark.parametrize("snr", [math.nan, -5.0])
+@pytest.mark.parametrize("fim", [fim_closed, fim_quadrature])
+def test_information_rejects_nan_and_negative_snr(fim, snr):
+    with pytest.raises(InvariantViolation, match="snr must be >= 0"):
+        fim(AxialPose(4.0, 0.3), snr, THRESHOLD_GEOM, THRESHOLD_WAVE)
+
+
 @pytest.mark.parametrize("large_z", [False, True])
 @pytest.mark.parametrize("snr", [10 ** -322.7, 1e-310])
 def test_asymptotic_bounds_outside_float_range_raise(snr, large_z):

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from nfepm.errors import InvariantViolation, QuadratureFailure
-from nfepm.geometry import UniformPrior
-from nfepm.numerics import (DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform,
-                            integrate, q_function, stream)
+from nfepm.errors import ConfigError, InvariantViolation, QuadratureFailure
+from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
+from nfepm.mapest import MapGrid, monte_carlo_mse
+from nfepm.numerics import (DEFAULT_QUADRATURE, MAX_CELLS, QuadratureSpec,
+                            expect_uniform, integrate, q_function,
+                            require_cells, stream)
+from nfepm.solver import rmse_grid
+from nfepm.zzb import ZZBGrid
 
 
 def test_integrate_linear():
@@ -105,3 +109,36 @@ def test_stream_spawn_key_contract():
     ref = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3,)))
     assert np.array_equal(stream(7, 3).standard_normal(4),
                           ref.standard_normal(4))
+
+
+def test_stream_rejects_negative_seed_and_indices():
+    for args in ((-1,), (3, -2), (0, 1, -1)):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            stream(*args)
+
+
+def test_every_array_request_is_capped():
+    # each raises before it allocates: the over-cap requests here would
+    # take tens of GiB
+    require_cells("a grid at the cap", MAX_CELLS)
+    prior, wave = UniformPrior(3.0, 5.0), Wave(0.1)
+    fine = ArrayGeometry(5.0, 1e-9)
+    requests = (
+        lambda: require_cells("a grid over the cap", MAX_CELLS + 1),
+        lambda: fine.n_elements,
+        lambda: ArrayGeometry(1e300, 1e-300).n_elements,
+        lambda: ZZBGrid(n_delta=MAX_CELLS + 1),
+        lambda: ZZBGrid(n_max_search=MAX_CELLS),
+        lambda: ZZBGrid(n_theta_z=MAX_CELLS // 2 ** 16 + 1),
+        lambda: ZZBGrid(n_theta_t=MAX_CELLS),
+        lambda: expect_uniform(lambda z, t: z, prior, MAX_CELLS, 2),
+        lambda: rmse_grid(Region.CASE2_PA, UniformPrior(5.0, 20.0),
+                          ArrayGeometry(1.0, 0.05), wave, u=MAX_CELLS, v=2),
+        lambda: monte_carlo_mse(prior, ArrayGeometry(5.0, 0.1), wave, 30.0, 1, 0,
+                                MapGrid(MAX_CELLS, 2)),
+        lambda: monte_carlo_mse(prior, ArrayGeometry(5.0, 0.1), wave, 30.0,
+                                MAX_CELLS, 0, MapGrid(8, 8, 0)),
+    )
+    for request in requests:
+        with pytest.raises(ConfigError, match="over the cap"):
+            request()

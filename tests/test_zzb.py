@@ -191,6 +191,19 @@ def test_snr_validation():
         zzb_ao_t(THRESHOLD_PRIOR, -1.0, THRESHOLD_GEOM, COARSE)
 
 
+@pytest.mark.parametrize("snr", [math.nan, -5.0])
+def test_scalar_statistics_reject_nan_and_negative_snr(snr):
+    pair = HypothesisPair(4.0, 0.2, 0.1, 0.3)
+    statistics = (
+        lambda: mu_L(pair, snr, THRESHOLD_GEOM, THRESHOLD_WAVE),
+        lambda: p_min(pair, snr, THRESHOLD_GEOM, THRESHOLD_WAVE),
+        lambda: mu_L_ao(4.0, 0.2, 0.3, snr, THRESHOLD_GEOM),
+    )
+    for statistic in statistics:
+        with pytest.raises(InvariantViolation, match="snr must be >= 0"):
+            statistic()
+
+
 def test_family_integrals_refinement_cap():
     theta_z = np.array([3.0, 4.0])
     with pytest.raises(QuadratureFailure):
