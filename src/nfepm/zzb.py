@@ -67,12 +67,12 @@ class ZZBGrid:
         if self.mu_tol <= 0:
             raise InvariantViolation("mu_tol must be > 0")
         # largest arrays: the offset nodes, zzb_t's search families, the
-        # detection grid of an SNR block, and a family integrand at its
-        # panel cap (8 nodes per panel, _MAX_FAMILY_PANELS / 2 panels)
+        # detection grid of an SNR block, and a family integrand at the
+        # panel cap (8 nodes per panel), so n_theta_z is at most 128
         require_cells("the ZZB grid", max(
             self.n_delta, 10 * self.n_max_search * self.n_theta_z,
             self.n_theta_z * self.n_theta_t * _SNR_BLOCK,
-            self.n_theta_z * 4 * _MAX_FAMILY_PANELS))
+            self.n_theta_z * 8 * _MAX_FAMILY_PANELS))
 
 
 DEFAULT_GRID = ZZBGrid()
