@@ -124,18 +124,25 @@ NON_FINITE_PROBES = {
 }
 
 
+def _assert_config_error(tmp_path, capsys, argv, extra_ini, overrides):
+    """Run argv with its overrides, on BASE_INI plus extra_ini unless that
+    is None, and expect exit 1, an `error: ` line, no stdout, no output."""
+    args = list(argv) + ["--out", str(tmp_path / "out")]
+    if extra_ini is not None:
+        args += ["--config", write_ini(tmp_path, BASE_INI + extra_ini)]
+    args += [arg for item in overrides for arg in ("--override", item)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, extra_ini, override",
                          NON_FINITE_PROBES.values(), ids=NON_FINITE_PROBES)
 def test_non_finite_input_is_config_error(tmp_path, capsys, argv, extra_ini,
                                           override):
-    args = list(argv) + ["--out", str(tmp_path / "out")]
-    if extra_ini is not None:
-        args += ["--config", write_ini(tmp_path, BASE_INI + extra_ini)]
-    if override is not None:
-        args += ["--override", override]
-    assert main(args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "out").exists()
+    _assert_config_error(tmp_path, capsys, argv, extra_ini,
+                         () if override is None else (override,))
 
 
 SWEEP_30 = "\n[sweep]\nsnr_db = 30\n"
@@ -167,14 +174,7 @@ OUT_OF_RANGE_PROBES = {
                          OUT_OF_RANGE_PROBES.values(), ids=OUT_OF_RANGE_PROBES)
 def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, extra_ini,
                                             overrides):
-    args = list(argv) + ["--out", str(tmp_path / "out")]
-    if extra_ini is not None:
-        args += ["--config", write_ini(tmp_path, BASE_INI + extra_ini)]
-    args += [arg for item in overrides for arg in ("--override", item)]
-    assert main(args) == 1
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ") and out == ""
-    assert not (tmp_path / "out").exists()
+    _assert_config_error(tmp_path, capsys, argv, extra_ini, overrides)
 
 
 # Valid SNRs (ratios > 0) at which the expected-CRB prefactor
