@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy.special import erfc
 
 from .errors import InvariantViolation, QuadratureFailure
@@ -44,7 +43,7 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InvariantViolation("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise InvariantViolation("max_subdivisions must be >= 1")
@@ -64,8 +63,9 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """
     if not a <= b:
         raise InvariantViolation(f"integration bounds out of order: ({a}, {b})")
-    out = _sciint.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                       limit=spec.max_subdivisions, full_output=1)
+    from scipy.integrate import quad
+    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               limit=spec.max_subdivisions, full_output=1)
     if len(out) > 3:
         raise QuadratureFailure(
             f"quadrature on [{a}, {b}] did not converge: {out[3]} "

@@ -10,6 +10,9 @@ log-spaced panels because the integrand support shrinks like 1/SNR.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work, the families included, runs once per sweep.
+Each search line of boxes is one array pass, the detection error taken
+in blocks of (SNR, box) pairs of at most `_BLOCK_CELLS` grid cells (one
+box at least), so memory grows with neither the sweep nor the search.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -32,7 +35,7 @@ from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
-_SNR_BLOCK = 16
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,15 @@ class ZZBGrid:
             raise InvariantViolation("grid sizes must be >= 2")
         if self.n_max_search < 1:
             raise InvariantViolation("n_max_search must be >= 1")
-        if self.mu_tol <= 0:
+        if not self.mu_tol > 0:
             raise InvariantViolation("mu_tol must be > 0")
-        # largest arrays: the offset nodes, zzb_t's search families, the
-        # detection grid of an SNR block, and a family integrand at the
-        # panel cap (8 nodes per panel), so n_theta_z is at most 128
+        # largest arrays: the offset nodes, zzb_t's search families, a
+        # detection block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells
+        # (one grid is held to 1/16 of the cap), and a family integrand at
+        # the panel cap (8 nodes per panel), so n_theta_z is at most 128
         require_cells("the ZZB grid", max(
             self.n_delta, 10 * self.n_max_search * self.n_theta_z,
-            self.n_theta_z * self.n_theta_t * _SNR_BLOCK,
+            self.n_theta_z * self.n_theta_t * 16,
             self.n_theta_z * 8 * _MAX_FAMILY_PANELS))
 
 
@@ -180,10 +184,12 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
         vals = refined
 
 
-def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t: float):
-    """Assemble mu/(snr*pitch) on the (theta_z, theta_t) tensor grid."""
-    a0sq, a0b0, b0sq, a1sq, a1b1, b1sq, paa, qab, rba, sbb = fams[:, :, None]
-    t0 = theta_t[None, :]
+def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t):
+    """Assemble mu/(snr*pitch) on each box's (theta_z, theta_t) grid: fams
+    (..., 10, n_theta_z), theta_t and delta_t against (..., 1, n_theta_t)."""
+    a0sq, a0b0, b0sq, a1sq, a1b1, b1sq, paa, qab, rba, sbb = np.moveaxis(
+        fams, -2, 0)[..., None]
+    t0 = theta_t
     s0 = np.sqrt(1.0 - t0 * t0)
     t1 = t0 + delta_t
     s1 = np.sqrt(1.0 - t1 * t1)
@@ -193,16 +199,38 @@ def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t: float):
     return e0 + e1 - 2.0 * cross
 
 
-def _q_box(mu, snrs: np.ndarray, z_len: float, delta_t: float, grid: ZZBGrid):
-    """Midpoint integral of the detection error Q(sqrt(mu/2)) over a
-    hypothesis box of z_len by 1 - delta_t per SNR, mu(s) given on the
-    box's grid for each (k, 1, 1) block s of at most _SNR_BLOCK SNRs, so
-    memory does not grow with the sweep."""
+def _q_box(mu, snrs: np.ndarray, z_len, delta_t, grid: ZZBGrid):
+    """Midpoint integrals of the detection error Q(sqrt(mu/2)) per (SNR,
+    box) over hypothesis boxes of z_len[b] by 1 - delta_t[b], mu(s) given
+    on the boxes' grids for each (k, 1, 1, 1) block s of as many SNRs as
+    fit in _BLOCK_CELLS cells (one at least), so memory does not grow
+    with the sweep."""
     cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
-    col = snrs[:, None, None]
+    k = max(1, _BLOCK_CELLS // (np.size(cell) * grid.n_theta_z * grid.n_theta_t))
+    col = snrs[:, None, None, None]
     return np.concatenate([
-        q_function(np.sqrt(np.maximum(mu(col[i:i + _SNR_BLOCK]), 0.0) / 2.0))
-        .sum(axis=(1, 2)) for i in range(0, len(snrs), _SNR_BLOCK)]) * cell
+        q_function(np.sqrt(np.maximum(mu(col[i:i + k]), 0.0) / 2.0))
+        .sum(axis=(2, 3)) for i in range(0, len(snrs), k)]) * cell
+
+
+def _search_max(fams, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
+    """Per SNR, the largest detection-error integral over the n_max_search
+    boxes of a search line. Box b has families fams[b] (10, n_theta_z),
+    tilt grid theta_t[b] (1, n_theta_t), tilt offset delta_t[b] and distance
+    length z_len[b]; what the boxes share is given once. The boxes go in
+    blocks of at most _BLOCK_CELLS grid cells (one box at least)."""
+    n = grid.n_max_search
+    fams = np.broadcast_to(fams, (n, 10, grid.n_theta_z))
+    theta_t = np.broadcast_to(theta_t, (n, 1, grid.n_theta_t))
+    delta_t, z_len = np.broadcast_to(delta_t, n), np.broadcast_to(z_len, n)
+    step = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
+    peak = []
+    for i in range(0, n, step):
+        b = slice(i, i + step)
+        m = _mu_over_tilts(fams[b], theta_t[b], delta_t[b, None, None])
+        peak.append(_q_box(lambda s: s * pitch * m, snrs, z_len[b],
+                           delta_t[b], grid).max(axis=1))
+    return np.max(peak, axis=0)
 
 
 def _outer(prior, hi: float, n_delta: int, bracket) -> np.ndarray:
@@ -224,42 +252,29 @@ def _outer(prior, hi: float, n_delta: int, bracket) -> np.ndarray:
     return total / prior.span
 
 
-def _joint_box(prior, snrs, geom, wave, grid):
-    """box(delta_z)(delta_t): the detection-error integral per SNR over the
-    joint hypothesis box at offsets (delta_z, delta_t). The distance
-    families are computed once per box(delta_z)."""
-    def box(delta_z):
-        theta_z = midpoints(prior.z_min, prior.z_max - delta_z, grid.n_theta_z)
-        fams = _families(theta_z, delta_z, geom, wave, grid.mu_tol)
-
-        def at_tilt(delta_t):
-            theta_t = midpoints(0.0, 1.0 - delta_t, grid.n_theta_t)
-            m = _mu_over_tilts(fams, theta_t, delta_t)
-            return _q_box(lambda s: s * geom.pitch * m, snrs,
-                          prior.span - delta_z, delta_t, grid)
-        return at_tilt
-    return box
-
-
 def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
           grid: ZZBGrid = DEFAULT_GRID):
     """MSE lower bound on the source distance (m^2)."""
     snrs, shape = snr_sweep(snr)
-    box = _joint_box(prior, snrs, geom, wave, grid)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    return shape(_outer(prior, prior.span, grid.n_delta,
-                        lambda dz: np.max(list(map(box(dz), search)), axis=0)))
+    theta_t = midpoints(0.0, 1.0 - search[:, None, None], grid.n_theta_t)
+    return shape(_outer(prior, prior.span, grid.n_delta, lambda dz: _search_max(
+        _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
+                  dz, geom, wave, grid.mu_tol),
+        theta_t, search, prior.span - dz, snrs, geom.pitch, grid)))
 
 
 def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
           grid: ZZBGrid = DEFAULT_GRID):
     """MSE lower bound on the tilt (dimensionless^2)."""
     snrs, shape = snr_sweep(snr)
-    box = _joint_box(prior, snrs, geom, wave, grid)
-    search = [box(dz) for dz in np.linspace(0.0, prior.span, grid.n_max_search,
-                                           endpoint=False)]
-    return shape(_outer(prior, 1.0, grid.n_delta,
-                        lambda dt: np.max([at_dz(dt) for at_dz in search], axis=0)))
+    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)
+    fams = np.stack([
+        _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
+                  dz, geom, wave, grid.mu_tol) for dz in search])
+    return shape(_outer(prior, 1.0, grid.n_delta, lambda dt: _search_max(
+        fams, midpoints(0.0, 1.0 - dt, grid.n_theta_t), dt,
+        prior.span - search, snrs, geom.pitch, grid)))
 
 
 def zzb_asymptotic(prior: UniformPrior):
@@ -308,6 +323,6 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     def bracket(dt):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
         return _q_box(lambda s: mu_L_ao(z_mid, theta_t, dt, s, geom), snrs,
-                      prior.span, dt, grid)
+                      prior.span, dt, grid)[:, 0]
 
     return shape(_outer(prior, 1.0, grid.n_delta, bracket))

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -73,6 +75,16 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only integrate() needs scipy.integrate, and no CLI path calls it
+    src = Path(errors.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nfepm.cli; print('scipy.integrate' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, check=True, timeout=120)
+    assert probe.stdout.strip() == "False"
+
+
 def test_unknown_preset(tmp_path, capsys):
     assert main(["preset", "nope", "--out", str(tmp_path)]) == 1
     assert "unknown preset" in capsys.readouterr().err
@@ -105,6 +117,7 @@ NON_FINITE_PROBES = {
     "pitch-nan": (("preset", "fig4"), None, "array.pitch=nan"),
     "aperture-nan": (("preset", "fig4"), None, "array.aperture=nan"),
     "sweep-nan": (("zzb",), "\n[sweep]\nsnr_db = nan,30\n", None),
+    "mu_tol-nan": (("zzb",), "\n[sweep]\nsnr_db = 30\n", "grid.mu_tol=nan"),
     # SNRs and noise variances with no finite positive float value
     "noise-snr_db-nan": (("solve",), "", "noise.snr_db=nan"),
     "noise-snr_db-inf": (("solve",), "", "noise.snr_db=inf"),

@@ -46,8 +46,10 @@ def test_integrate_subdivision_budget():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(InvariantViolation):
-        QuadratureSpec(abs_tol=0.0, rel_tol=1e-11, max_subdivisions=10)
+    for abs_tol, rel_tol in ((0.0, 1e-11), (float("nan"), 1e-11),
+                             (1e-11, float("nan"))):
+        with pytest.raises(InvariantViolation):
+            QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=10)
     with pytest.raises(InvariantViolation):
         QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=0)
 

@@ -24,26 +24,30 @@ ECRB_GRID = (16, 12)
 
 
 def test_zzb_sweep_equals_one_snr_calls(monkeypatch):
-    assert len(SNR) > zzb_module._SNR_BLOCK
+    # blocks of three boxes, so the sweep spans many (SNR, box) blocks
+    box = GRID.n_theta_z * GRID.n_theta_t
+    monkeypatch.setattr(zzb_module, "_BLOCK_CELLS", 3 * box)
+    assert len(SNR) * box > zzb_module._BLOCK_CELLS
     real_q = zzb_module.q_function
-    widths = []
+    cells = []
 
     def recording_q(x):
-        widths.append(x.shape[0])
+        cells.append(x.size)
         return real_q(x)
 
     monkeypatch.setattr(zzb_module, "q_function", recording_q)
     for bound, args in ((zzb_z, (GEOM, WAVE)), (zzb_t, (GEOM, WAVE)),
                         (zzb_ao_t, (GEOM,))):
-        widths.clear()
+        cells.clear()
         sweep = bound(PRIOR, SNR, *args, GRID)
-        # the Q arrays hold at most one block of SNRs
-        assert max(widths) == zzb_module._SNR_BLOCK
+        # no Q array holds more than one block of cells, or one box if
+        # a box is larger, whatever the sweep length
+        assert max(cells) <= max(zzb_module._BLOCK_CELLS, box)
         nodes = []
         for snr in SNR:
-            widths.clear()
+            cells.clear()
             assert sweep[len(nodes)] == bound(PRIOR, snr, *args, GRID)
-            nodes.append(len(widths))
+            nodes.append(len(cells))
         assert nodes[0] > nodes[-1], bound.__name__
     assert isinstance(zzb_z(PRIOR, SNR[0], GEOM, WAVE, GRID), float)
 

@@ -37,8 +37,9 @@ def test_grid_validation():
         ZZBGrid(n_delta=1)
     with pytest.raises(InvariantViolation):
         ZZBGrid(n_max_search=0)
-    with pytest.raises(InvariantViolation):
-        ZZBGrid(mu_tol=0.0)
+    for mu_tol in (0.0, float("nan")):
+        with pytest.raises(InvariantViolation):
+            ZZBGrid(mu_tol=mu_tol)
 
 
 def test_ambiguity_equals_squared_channel_gap():
@@ -229,9 +230,12 @@ def test_engine_statistic_matches_mu_L():
     # The bound engine assembles mu from ten tilt-free family integrals;
     # mu_L integrates the ambiguity function directly. Cancellation at tiny
     # offsets makes a mu-relative tolerance meaningless, so the gap is
-    # measured against the energy of the two hypotheses' channels.
+    # measured against the energy of the two hypotheses' channels. The
+    # engine runs once per pair and once on the stack of all pairs, the
+    # way the bounds evaluate a search line.
     geom, wave, prior = THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR
     rng = np.random.default_rng(34)
+    pairs, snrs, fams = [], [], []
     for i in range(120):
         theta_z = rng.uniform(prior.z_min, prior.z_max)
         theta_t = rng.uniform(0.0, 0.9)
@@ -239,15 +243,41 @@ def test_engine_statistic_matches_mu_L():
             -6.0, math.log10(prior.z_max - theta_z))
         delta_t = 0.0 if i % 4 == 1 else 10.0 ** rng.uniform(
             -6.0, math.log10(0.999 - theta_t))
-        pair = HypothesisPair(theta_z, theta_t, delta_z, delta_t)
-        snr = 10.0 ** rng.uniform(0.0, 6.0)
-        fams = _families(np.array([theta_z]), delta_z, geom, wave, 1e-6)
-        engine = snr * geom.pitch * _mu_over_tilts(
-            fams, np.array([theta_t]), delta_t)[0, 0]
-        h0, h1 = (AxialPose(theta_z, theta_t),
-                  AxialPose(theta_z + delta_z, theta_t + delta_t))
+        pairs.append(HypothesisPair(theta_z, theta_t, delta_z, delta_t))
+        snrs.append(10.0 ** rng.uniform(0.0, 6.0))
+        fams.append(_families(np.array([theta_z]), delta_z, geom, wave, 1e-6))
+    stacked = _mu_over_tilts(np.stack(fams),
+                             np.array([[[p.theta_t]] for p in pairs]),
+                             np.array([[[p.delta_t]] for p in pairs]))
+    assert stacked.shape == (len(pairs), 1, 1)
+    for pair, snr, fam, m in zip(pairs, snrs, fams, stacked[:, 0, 0]):
+        single = _mu_over_tilts(fam, np.array([pair.theta_t]), pair.delta_t)
+        h0, h1 = (AxialPose(pair.theta_z, pair.theta_t),
+                  AxialPose(pair.theta_z + pair.delta_z,
+                            pair.theta_t + pair.delta_t))
         energy = snr * geom.pitch * integrate(
             lambda y: (abs(nf_channel_axis(h0, y, wave)) ** 2
                        + abs(nf_channel_axis(h1, y, wave)) ** 2),
             0.0, geom.aperture)
-        assert abs(engine - mu_L(pair, snr, geom, wave)) <= 1e-10 * energy
+        reference = mu_L(pair, snr, geom, wave)
+        for engine in (single[0, 0], m):
+            assert abs(snr * geom.pitch * engine - reference) <= 1e-10 * energy
+
+
+def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
+    # one search line holds more cells than the default block, so the
+    # default splits it; one box per block and the whole line per block
+    # must give the same bits
+    grid = ZZBGrid(8, 16, 64, 20)
+    line = grid.n_max_search * grid.n_theta_z * grid.n_theta_t
+    assert line > zzb_module._BLOCK_CELLS
+    prior, geom, wave = THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE
+    snrs = [10.0 ** (db / 10.0) for db in (0.0, 30.0, 34.0, 45.0, 60.0)]
+    results = []
+    for block in (zzb_module._BLOCK_CELLS, grid.n_theta_z * grid.n_theta_t,
+                  line):
+        monkeypatch.setattr(zzb_module, "_BLOCK_CELLS", block)
+        results.append([zzb_z(prior, snrs, geom, wave, grid).tolist(),
+                        zzb_t(prior, snrs, geom, wave, grid).tolist(),
+                        zzb_ao_t(prior, snrs, geom, grid).tolist()])
+    assert results[0] == results[1] == results[2]
