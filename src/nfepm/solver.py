@@ -51,7 +51,11 @@ def decouple(v) -> DecoupledVoltage:
     v = np.asarray(v)
     if not np.all(np.isfinite(v)):
         raise NonFinite("voltage is not finite")
-    return DecoupledVoltage(psi=np.abs(v)[()], theta=np.mod(np.angle(v), _TWO_PI)[()])
+    # on [-pi, pi] this is np.mod(phase, 2*pi) bit for bit: adding 0.0
+    # turns -0.0 into 0.0 as mod does, and only one temporary is made
+    phase = np.angle(v)
+    phase += np.where(phase < 0, _TWO_PI, 0.0)
+    return DecoupledVoltage(psi=np.abs(v)[()], theta=phase[()])
 
 
 def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: Wave):

@@ -1,15 +1,18 @@
 """Ziv-Zakai MSE lower bounds for joint distance/tilt estimation.
 
 The detection statistic behind the bound needs, for every hypothesis
-offset, an integral of the squared channel mismatch along the array. The
-on-axis channel magnitude is linear in (tilt, transverse), so that
-integral splits into ten tilt-independent y-integrals; the engine
-computes those once per distance offset and assembles the
-tilt/search/SNR dependence algebraically. Outer offset integrals run on
+offset, an integral of |h1 - h0|^2 = (A1 - A0)^2 + 4 A0 A1 sin^2(k (r1 -
+r0) / 2) along the array, with the on-axis amplitude A_i = G_i (y t_i +
+z_i s_i) linear in (tilt, transverse) and G_i = sqrt(z_i) / r_i^2.5. The
+engine takes A1 - A0 and r1 - r0 as differences point by point, never
+subtracting channel energies, so mu stays accurate relative to itself at
+the smallest offsets: per distance offset, the y^0..y^2 moments of seven
+kernels in G give 14 coefficients, and mu on a box's tilt grid is one
+product with a 14-function tilt basis. Outer offset integrals run on
 log-spaced panels because the integrand support shrinks like 1/SNR.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
-array); the SNR-free work, the families included, runs once per sweep.
+array); the SNR-free work, the coefficients included, runs once per sweep.
 Each search line of boxes is one array pass, the detection error taken
 in blocks of (SNR, box) pairs of at most `_BLOCK_CELLS` grid cells (one
 box at least), so memory grows with neither the sweep nor the search.
@@ -36,6 +39,7 @@ _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
 _BLOCK_CELLS = 1 << 14
+_FAMILY_BLOCK = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,14 @@ class ZZBGrid:
             raise InvariantViolation("n_max_search must be >= 1")
         if not self.mu_tol > 0:
             raise InvariantViolation("mu_tol must be > 0")
-        # largest arrays: the offset nodes, zzb_t's search families, a
-        # detection block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells
-        # (one grid is held to 1/16 of the cap), and a family integrand at
-        # the panel cap (8 nodes per panel), so n_theta_z is at most 128
+        # largest arrays: the offset nodes, a search line's 14 coefficients
+        # per distance (zzb_t) or basis functions per tilt, a detection
+        # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells, and the
+        # 7 family kernels on one y-block of 8 * _FAMILY_BLOCK nodes
         require_cells("the ZZB grid", max(
-            self.n_delta, 10 * self.n_max_search * self.n_theta_z,
-            self.n_theta_z * self.n_theta_t * 16,
-            self.n_theta_z * 8 * _MAX_FAMILY_PANELS))
+            self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
+            14 * self.n_max_search * max(self.n_theta_z, self.n_theta_t),
+            7 * self.n_theta_z * 8 * _FAMILY_BLOCK))
 
 
 DEFAULT_GRID = ZZBGrid()
@@ -84,14 +88,16 @@ DEFAULT_GRID = ZZBGrid()
 
 def ambiguity_function(pair: HypothesisPair, y_r, wave: Wave):
     """Squared channel mismatch between the two hypotheses at array
-    coordinate y_r. Equals |h1 - h0|^2."""
+    coordinate y_r. Equals |h1 - h0|^2, in a form free of cancellation:
+    (m1 - m0)^2 + 4 m0 m1 sin^2(k (r1 - r0) / 2)."""
     y = np.asarray(y_r, dtype=float)
     z0, z1 = pair.theta_z, pair.theta_z + pair.delta_z
     m0 = np.abs(axis_channel(z0, pair.theta_t, y, wave))
     m1 = np.abs(axis_channel(z1, pair.theta_t + pair.delta_t, y, wave))
-    dr = np.sqrt(y * y + z1 * z1) - np.sqrt(y * y + z0 * z0)
-    return (m1 * m1 + m0 * m0
-            - 2.0 * m1 * m0 * np.cos(wave.wavenumber * dr))[()]
+    dr = pair.delta_z * (z0 + z1) / (np.sqrt(y * y + z1 * z1)
+                                     + np.sqrt(y * y + z0 * z0))
+    return ((m1 - m0) ** 2
+            + 4.0 * m0 * m1 * np.sin(0.5 * wave.wavenumber * dr) ** 2)[()]
 
 
 def mu_L(pair: HypothesisPair, snr: float, geom: ArrayGeometry, wave: Wave,
@@ -143,60 +149,99 @@ def _panel_rule(edges: np.ndarray, order: int):
 
 def _family_eval(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
                  wave: Wave, n_panels: int):
-    y, w = _panel_rule(np.linspace(0.0, geom.aperture, n_panels + 1), 8)
+    """y^0, y^1 and y^2 moments (7, 3, n_theta_z) of dG^2, dG G0, dG G1,
+    G0^2, G0 G1, G1^2 and G0 G1 S, taken in blocks of _FAMILY_BLOCK panels:
+    G_i = sqrt(z_i) / r_i^2.5, dG = G1 - G0, S = sin^2(k (r1 - r0) / 2)."""
+    edges = np.linspace(0.0, geom.aperture, n_panels + 1)
     z0 = theta_z[:, None]
     z1 = z0 + delta_z
-    y = y[None, :]
-    r0 = np.sqrt(y * y + z0 * z0)
-    r1 = np.sqrt(y * y + z1 * z1)
-    a0 = np.sqrt(z0) * y / r0 ** 2.5
-    b0 = z0 ** 1.5 / r0 ** 2.5
-    a1 = np.sqrt(z1) * y / r1 ** 2.5
-    b1 = z1 ** 1.5 / r1 ** 2.5
-    c = np.cos(wave.wavenumber * (r1 - r0))
-    parts = (a0 * a0, a0 * b0, b0 * b0,
-             a1 * a1, a1 * b1, b1 * b1,
-             a0 * a1 * c, a0 * b1 * c, b0 * a1 * c, b0 * b1 * c)
-    return np.stack([p @ w for p in parts])
+    half_phase = 0.5 * wave.wavenumber * delta_z * (z0 + z1)
+    moments = 0.0
+    for i in range(0, n_panels, _FAMILY_BLOCK):
+        y, w = _panel_rule(edges[i:i + _FAMILY_BLOCK + 1], 8)
+        rho0, rho1 = y * y + z0 * z0, y * y + z1 * z1
+        r0, r1 = np.sqrt(rho0), np.sqrt(rho1)
+        g0 = np.sqrt(z0) / (rho0 * np.sqrt(r0))
+        g1 = np.sqrt(z1) / (rho1 * np.sqrt(r1))
+        dg = g1 - g0
+        # written in place: stacking the products would copy each once more
+        kernels = np.empty((7,) + dg.shape)
+        for out, (a, b) in zip(kernels, ((dg, dg), (dg, g0), (dg, g1), (g0, g0),
+                                         (g0, g1), (g1, g1))):
+            np.multiply(a, b, out=out)
+        np.multiply(kernels[4], np.sin(half_phase / (r0 + r1)) ** 2,
+                    out=kernels[6])
+        moments = moments + kernels @ np.stack((w, y * w, y * y * w), axis=1)
+    return np.swapaxes(moments, 1, 2)
+
+
+def _ten_families(m, z0, dz):
+    """The ten y-integrals a_i a_j, a_i b_j, b_i b_j (cross terms with
+    cos k (r1 - r0)) of A_i = a_i t_i + b_i s_i, a_i = y G_i, b_i = z_i G_i."""
+    g00, g11, c, z1 = m[3], m[5], m[4] - 2.0 * m[6], z0 + dz
+    return np.stack((g00[2], z0 * g00[1], z0 * z0 * g00[0],
+                     g11[2], z1 * g11[1], z1 * z1 * g11[0],
+                     c[2], z1 * c[1], z0 * c[1], z0 * z1 * c[0]))
+
+
+def _coefficients(m, z0, dz):
+    """The 14 coefficients of mu in the tilt basis of _mu_over_tilts.
+    A1 - A0 = dG (y t1 + z0 s1) + G0 (y dt + z0 ds) + G1 dz s1, squared,
+    plus the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1)."""
+    dd, d0, d1, g00, g01, g11, ph = m
+    z1 = z0 + dz
+    return np.stack((dd[2], 2.0 * (z0 * dd[1] + dz * d1[1]),
+                     z0 * z0 * dd[0] + dz * (2.0 * z0 * d1[0] + dz * g11[0]),
+                     g00[2], 2.0 * z0 * g00[1], z0 * z0 * g00[0],
+                     2.0 * d0[2], 2.0 * z0 * d0[1],
+                     2.0 * (z0 * d0[1] + dz * g01[1]),
+                     2.0 * z0 * (z0 * d0[0] + dz * g01[0]),
+                     4.0 * ph[2], 4.0 * z1 * ph[1], 4.0 * z0 * ph[1],
+                     4.0 * z0 * z1 * ph[0]))
 
 
 def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
               wave: Wave, mu_tol: float):
-    """Ten y-integrals per hypothesis distance, refined until stable."""
+    """The 14 mu coefficients per hypothesis distance, from moments refined
+    until the ten energy and cross families they give are stable."""
     zmin = float(theta_z.min())
     geom_factor = 1.0 - zmin / math.hypot(zmin, geom.aperture)
     cycles = wave.wavenumber * delta_z * geom_factor / (2.0 * math.pi)
     n_panels = max(8, int(math.ceil(2.0 * cycles)))
-    # checked before the first evaluation allocates n_theta_z x 8 * n_panels
+    # checked before the first evaluation, which would already cost
+    # 8 * n_panels nodes per hypothesis distance
     if 2 * n_panels > _MAX_FAMILY_PANELS:
         raise QuadratureFailure(
             f"channel-mismatch integrals would start at {n_panels} panels")
-    vals = _family_eval(theta_z, delta_z, geom, wave, n_panels)
+    vals = _ten_families(_family_eval(theta_z, delta_z, geom, wave, n_panels),
+                         theta_z, delta_z)
     while True:
         n_panels *= 2
-        refined = _family_eval(theta_z, delta_z, geom, wave, n_panels)
+        moments = _family_eval(theta_z, delta_z, geom, wave, n_panels)
+        refined = _ten_families(moments, theta_z, delta_z)
         scale = np.abs(refined).max() + 1e-300
         if np.abs(refined - vals).max() <= mu_tol * scale:
-            return refined
+            return _coefficients(moments, theta_z, delta_z)
         if 2 * n_panels > _MAX_FAMILY_PANELS:
             raise QuadratureFailure(
                 f"channel-mismatch integrals not converged at {n_panels} panels")
         vals = refined
 
 
-def _mu_over_tilts(fams: np.ndarray, theta_t: np.ndarray, delta_t):
-    """Assemble mu/(snr*pitch) on each box's (theta_z, theta_t) grid: fams
-    (..., 10, n_theta_z), theta_t and delta_t against (..., 1, n_theta_t)."""
-    a0sq, a0b0, b0sq, a1sq, a1b1, b1sq, paa, qab, rba, sbb = np.moveaxis(
-        fams, -2, 0)[..., None]
+def _mu_over_tilts(coef: np.ndarray, theta_t: np.ndarray, delta_t):
+    """mu/(snr*pitch) on each box's (theta_z, theta_t) grid, one product of
+    the coefficients coef (..., 14, n_theta_z) with the tilt basis, theta_t
+    and delta_t against (..., 1, n_theta_t)."""
     t0 = theta_t
     s0 = np.sqrt(1.0 - t0 * t0)
     t1 = t0 + delta_t
     s1 = np.sqrt(1.0 - t1 * t1)
-    e0 = a0sq * t0 * t0 + 2.0 * a0b0 * t0 * s0 + b0sq * s0 * s0
-    e1 = a1sq * t1 * t1 + 2.0 * a1b1 * t1 * s1 + b1sq * s1 * s1
-    cross = paa * t0 * t1 + qab * t0 * s1 + rba * s0 * t1 + sbb * s0 * s1
-    return e0 + e1 - 2.0 * cross
+    dt = np.broadcast_to(delta_t, t1.shape)
+    ds = -dt * (t0 + t1) / (s0 + s1)
+    basis = np.concatenate((t1 * t1, t1 * s1, s1 * s1, dt * dt, dt * ds,
+                            ds * ds, t1 * dt, t1 * ds, s1 * dt, s1 * ds,
+                            t0 * t1, t0 * s1, s0 * t1, s0 * s1), axis=-2)
+    return np.swapaxes(coef, -1, -2) @ basis
 
 
 def _q_box(mu, snrs: np.ndarray, z_len, delta_t, grid: ZZBGrid):
@@ -213,21 +258,21 @@ def _q_box(mu, snrs: np.ndarray, z_len, delta_t, grid: ZZBGrid):
         .sum(axis=(2, 3)) for i in range(0, len(snrs), k)]) * cell
 
 
-def _search_max(fams, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
+def _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
     """Per SNR, the largest detection-error integral over the n_max_search
-    boxes of a search line. Box b has families fams[b] (10, n_theta_z),
+    boxes of a search line. Box b has coefficients coef[b] (14, n_theta_z),
     tilt grid theta_t[b] (1, n_theta_t), tilt offset delta_t[b] and distance
     length z_len[b]; what the boxes share is given once. The boxes go in
     blocks of at most _BLOCK_CELLS grid cells (one box at least)."""
     n = grid.n_max_search
-    fams = np.broadcast_to(fams, (n, 10, grid.n_theta_z))
+    coef = np.broadcast_to(coef, (n, 14, grid.n_theta_z))
     theta_t = np.broadcast_to(theta_t, (n, 1, grid.n_theta_t))
     delta_t, z_len = np.broadcast_to(delta_t, n), np.broadcast_to(z_len, n)
     step = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
     peak = []
     for i in range(0, n, step):
         b = slice(i, i + step)
-        m = _mu_over_tilts(fams[b], theta_t[b], delta_t[b, None, None])
+        m = _mu_over_tilts(coef[b], theta_t[b], delta_t[b, None, None])
         peak.append(_q_box(lambda s: s * pitch * m, snrs, z_len[b],
                            delta_t[b], grid).max(axis=1))
     return np.max(peak, axis=0)
@@ -269,11 +314,11 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     """MSE lower bound on the tilt (dimensionless^2)."""
     snrs, shape = snr_sweep(snr)
     search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)
-    fams = np.stack([
+    coef = np.stack([
         _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
                   dz, geom, wave, grid.mu_tol) for dz in search])
     return shape(_outer(prior, 1.0, grid.n_delta, lambda dt: _search_max(
-        fams, midpoints(0.0, 1.0 - dt, grid.n_theta_t), dt,
+        coef, midpoints(0.0, 1.0 - dt, grid.n_theta_t), dt,
         prior.span - search, snrs, geom.pitch, grid)))
 
 

@@ -179,6 +179,8 @@ OUT_OF_RANGE_PROBES = {
     "ecrb-grid": (("ecrb",), SWEEP_30,
                   ("grid.ecrb_n_z=100000", "grid.ecrb_n_t=100000")),
     "zzb-grid": (("zzb",), SWEEP_30, ("grid.n_theta_z=100000",)),
+    "zzb-family-block": (("zzb",), SWEEP_30, ("grid.n_theta_z=2341",)),
+    "zzb-detection-grid": (("zzb",), SWEEP_30, ("grid.n_theta_t=262145",)),
     "table2-grid": (("preset", "table2"), None, ("grid.u=100000", "grid.v=100000")),
 }
 

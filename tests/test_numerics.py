@@ -123,7 +123,7 @@ def test_every_array_request_is_capped():
     # each raises before it allocates: the over-cap requests here would
     # take tens of GiB
     require_cells("a grid at the cap", MAX_CELLS)
-    ZZBGrid(n_theta_z=128)
+    ZZBGrid(n_theta_z=2340)
     prior, wave = UniformPrior(3.0, 5.0), Wave(0.1)
     fine = ArrayGeometry(5.0, 1e-9)
     requests = (
@@ -132,7 +132,7 @@ def test_every_array_request_is_capped():
         lambda: ArrayGeometry(1e300, 1e-300).n_elements,
         lambda: ZZBGrid(n_delta=MAX_CELLS + 1),
         lambda: ZZBGrid(n_max_search=MAX_CELLS),
-        lambda: ZZBGrid(n_theta_z=129),
+        lambda: ZZBGrid(n_theta_z=2341),
         lambda: ZZBGrid(n_theta_t=MAX_CELLS),
         lambda: expect_uniform(lambda z, t: z, prior, MAX_CELLS, 2),
         lambda: rmse_grid(Region.CASE2_PA, UniformPrior(5.0, 20.0),

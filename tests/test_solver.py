@@ -32,6 +32,20 @@ def test_decouple_polar_form():
     assert np.max(np.abs(back - v)) < 1e-12
 
 
+def test_decouple_phase_equals_mod_two_pi_bitwise():
+    # np.angle lies in [-pi, pi], where shifting the negative half by 2*pi
+    # is np.mod(angle, 2*pi) exactly; signed zeros and the ends included
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([complex(re, im) for re in (1.0, -1.0, 0.0, -0.0, tiny, -tiny)
+                      for im in (0.0, -0.0, tiny, -tiny, 1e-300, -1e-300)])
+    rng = np.random.default_rng(7)
+    phases = np.concatenate((
+        rng.uniform(-np.pi, np.pi, 4096), [np.pi, -np.pi, np.nextafter(np.pi, 0.0)]))
+    v = np.concatenate((edges, 3.0 * np.exp(1j * phases)))
+    expected = np.mod(np.angle(v), TWO_PI)
+    assert np.array_equal(decouple(v).theta.view(np.uint64), expected.view(np.uint64))
+
+
 def test_decouple_scalar_and_nonfinite():
     d = decouple(2.0 * np.exp(1j * 5.0))
     assert d.psi == pytest.approx(2.0)

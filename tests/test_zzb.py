@@ -3,13 +3,14 @@
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from nfepm.channel import AxialPose, nf_channel_axis
 from nfepm.errors import InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.numerics import integrate, q_function
+from nfepm.numerics import MAX_CELLS, integrate, q_function
 from nfepm.zzb import (HypothesisPair, ZZBGrid, _families, _mu_over_tilts,
                        ambiguity_function, mu_L, mu_L_ao, p_min,
                        p_min_general, zzb_ao_t, zzb_asymptotic, zzb_t, zzb_z)
@@ -40,6 +41,33 @@ def test_grid_validation():
     for mu_tol in (0.0, float("nan")):
         with pytest.raises(InvariantViolation):
             ZZBGrid(mu_tol=mu_tol)
+
+
+_FAMILY_NODES = 8 * zzb_module._FAMILY_BLOCK
+# Each edge of the ZZB cell cap: grid sizes whose named array holds at
+# most MAX_CELLS cells, and the sizes one step past it.
+CAP_EDGES = {
+    "offset-nodes": (dict(n_delta=MAX_CELLS), dict(n_delta=MAX_CELLS + 1)),
+    "search-coefficients": (
+        dict(n_theta_z=2, n_theta_t=2, n_max_search=MAX_CELLS // 28),
+        dict(n_theta_z=2, n_theta_t=2, n_max_search=MAX_CELLS // 28 + 1)),
+    "search-tilt-basis": (
+        dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14, n_max_search=1),
+        dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14 + 1, n_max_search=1)),
+    "detection-grid": (
+        dict(n_theta_z=2048, n_theta_t=MAX_CELLS // 2048, n_max_search=1),
+        dict(n_theta_z=2048, n_theta_t=MAX_CELLS // 2048 + 1, n_max_search=1)),
+    "family-block": (
+        dict(n_theta_z=MAX_CELLS // (7 * _FAMILY_NODES), n_theta_t=2),
+        dict(n_theta_z=MAX_CELLS // (7 * _FAMILY_NODES) + 1, n_theta_t=2)),
+}
+
+
+@pytest.mark.parametrize("under, past", CAP_EDGES.values(), ids=CAP_EDGES)
+def test_grid_cell_cap_edges(under, past):
+    ZZBGrid(**under)
+    with pytest.raises(InvariantViolation, match="array cells"):
+        ZZBGrid(**past)
 
 
 def test_ambiguity_equals_squared_channel_gap():
@@ -227,12 +255,12 @@ def test_family_panel_cap_checked_before_evaluation(monkeypatch):
 
 
 def test_engine_statistic_matches_mu_L():
-    # The bound engine assembles mu from ten tilt-free family integrals;
-    # mu_L integrates the ambiguity function directly. Cancellation at tiny
-    # offsets makes a mu-relative tolerance meaningless, so the gap is
-    # measured against the energy of the two hypotheses' channels. The
-    # engine runs once per pair and once on the stack of all pairs, the
-    # way the bounds evaluate a search line.
+    # The bound engine assembles mu from tilt-free moment integrals; mu_L
+    # integrates the ambiguity function directly. Neither subtracts the
+    # two hypotheses' channel energies, so they agree relative to mu down
+    # to the smallest offsets, and to within the quadrature tolerance
+    # relative to those energies. The engine runs once per pair and once
+    # on the stack of all pairs, the way the bounds evaluate a search line.
     geom, wave, prior = THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR
     rng = np.random.default_rng(34)
     pairs, snrs, fams = [], [], []
@@ -251,7 +279,7 @@ def test_engine_statistic_matches_mu_L():
                              np.array([[[p.delta_t]] for p in pairs]))
     assert stacked.shape == (len(pairs), 1, 1)
     for pair, snr, fam, m in zip(pairs, snrs, fams, stacked[:, 0, 0]):
-        single = _mu_over_tilts(fam, np.array([pair.theta_t]), pair.delta_t)
+        single = _mu_over_tilts(fam, np.array([[pair.theta_t]]), pair.delta_t)
         h0, h1 = (AxialPose(pair.theta_z, pair.theta_t),
                   AxialPose(pair.theta_z + pair.delta_z,
                             pair.theta_t + pair.delta_t))
@@ -261,7 +289,8 @@ def test_engine_statistic_matches_mu_L():
             0.0, geom.aperture)
         reference = mu_L(pair, snr, geom, wave)
         for engine in (single[0, 0], m):
-            assert abs(snr * geom.pitch * engine - reference) <= 1e-10 * energy
+            assert abs(snr * geom.pitch * engine - reference) <= min(
+                1e-10 * energy, 1e-9 * reference)
 
 
 def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
@@ -281,3 +310,32 @@ def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
                         zzb_t(prior, snrs, geom, wave, grid).tolist(),
                         zzb_ao_t(prior, snrs, geom, grid).tolist()])
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("delta_z, delta_t", [
+    (1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6), (1e-4, 1e-3), (1e-2, 1e-2),
+    (0.1, 0.05), (0.3, 0.2)])
+def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t):
+    # mu/(snr*pitch) = integral of |h1 - h0|^2 along the strip, here at
+    # 40 digits on the threshold config at z 4, t 0.3; the engine forms it
+    # without subtracting channel energies, so it stays accurate relative
+    # to mu itself however small the offsets are
+    mp = mpmath.mp
+    geom, wave = THRESHOLD_GEOM, THRESHOLD_WAVE
+    z0, t0 = 4.0, 0.3
+    coef = _families(np.array([z0]), delta_z, geom, wave, 1e-6)
+    engine = _mu_over_tilts(coef, np.array([[t0]]), delta_t)[0, 0]
+    with mp.workdps(40):
+        k = 2 * mp.pi / mp.mpf(wave.wavelength)
+
+        def h(z, t, y):
+            r = mp.sqrt(y * y + z * z)
+            return (mp.expj(k * r) * mp.sqrt(z) * (y * t + z * mp.sqrt(1 - t * t))
+                    / r ** mp.mpf(2.5))
+
+        z1 = mp.mpf(z0) + mp.mpf(delta_z)
+        t1 = mp.mpf(t0) + mp.mpf(delta_t)
+        reference = mp.quad(
+            lambda y: abs(h(z1, t1, y) - h(mp.mpf(z0), mp.mpf(t0), y)) ** 2,
+            mp.linspace(0, geom.aperture, 5))
+    assert engine == pytest.approx(float(reference), rel=1e-12, abs=0.0)
