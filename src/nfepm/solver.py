@@ -29,6 +29,9 @@ from .numerics import require_cells
 from .observation import Voltages, element_voltages
 
 _TWO_PI = 2.0 * np.pi
+# rmse_grid evaluates the grid in blocks of distance rows of at most this
+# many cells (one row at least)
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,19 @@ def decouple(v) -> DecoupledVoltage:
     return DecoupledVoltage(psi=np.abs(v)[()], theta=phase[()])
 
 
+def _pow_five_quarters(x):
+    """x ** 1.25 on the principal branch, for real x >= 0 and complex x
+    (diagnostic mode) alike, without the costly complex power."""
+    return x * np.sqrt(np.sqrt(x))
+
+
 def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: Wave):
     # Amplitude model is linear in (tilt, transverse); eliminating the
     # transverse part between the two elements isolates the tilt.
     # A drive level tiny enough to overflow the quotient raises NonFinite.
-    ra = (y_a * y_a + z * z) ** 1.25
-    rb = (y_b * y_b + z * z) ** 1.25
+    z2 = z * z
+    ra = _pow_five_quarters(y_a * y_a + z2)
+    rb = _pow_five_quarters(y_b * y_b + z2)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = (psi_a * ra - psi_b * rb) / (
             wave.amplitude * geom.pitch * np.sqrt(z) * (y_a - y_b))
@@ -145,23 +155,34 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     names a different regime whose solver is applied instead, in
     diagnostic mode, in which case the RMSEs may be complex (square root
     of the complex mean of squared errors).
+
+    The grid is streamed in blocks of distance rows of at most
+    `_BLOCK_CELLS` cells (one row at least), and the squared errors are
+    summed block by block, so memory does not grow with u * v. A check
+    failing in any block raises; no partial RMSE is returned.
     """
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
     require_cells("the RMSE grid", u * v)
     diagnostic = mismatch is not None
-    z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
+    kind = mismatch if diagnostic else case
+    z_rows = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
+    step = max(1, _BLOCK_CELLS // v)
+    sq_z = sq_t = 0.0
+    for i in range(0, u, step):
+        z = z_rows[i:i + step]
 
-    def probe(n):
-        return element_voltages(z, t, geom, wave, y=geom.element_center(n))
+        def probe(n):
+            return element_voltages(z, t, geom, wave, y=geom.element_center(n))
 
-    res = _solve_as(mismatch if diagnostic else case, probe, geom, wave,
-                    alpha_idx=1, beta_idx=None, diagnostic=diagnostic)
-    err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
-    err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
-    rmse_z = np.sqrt(np.mean(err_z ** 2))
-    rmse_t = np.sqrt(np.mean(err_t ** 2))
+        res = _solve_as(kind, probe, geom, wave, alpha_idx=1, beta_idx=None,
+                        diagnostic=diagnostic)
+        shape = (len(z), v)
+        sq_z += np.sum(np.broadcast_to(np.asarray(res.z_hat) - z, shape) ** 2)
+        sq_t += np.sum(np.broadcast_to(np.asarray(res.t_hat) - t, shape) ** 2)
+    rmse_z = np.sqrt(sq_z / (u * v))
+    rmse_t = np.sqrt(sq_t / (u * v))
     if not diagnostic:
         return float(rmse_z), float(rmse_t)
     return complex(rmse_z), complex(rmse_t)

@@ -1,15 +1,20 @@
 """Regime solvers: exactness, bias envelopes, dispatch, and error paths."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
+from nfepm import solver as solver_module
 from nfepm.channel import AxialPose, axis_channel
 from nfepm.errors import (DegenerateElements, InvariantViolation,
                           NegativeRadicand, NonFinite, UnsupportedRegion)
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
-                            classify_region)
-from nfepm.observation import noiseless_voltages
-from nfepm.solver import (_tilt_from_amplitudes, decouple, rmse_grid, solve,
+                            classify_region, probe_elements)
+from nfepm.observation import element_voltages, noiseless_voltages
+from nfepm.solver import (TABLE2_COLUMNS, _pow_five_quarters, _solve_as,
+                          _tilt_from_amplitudes, decouple, rmse_grid, solve,
                           solve_case1, solve_case2_pa)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
@@ -68,6 +73,39 @@ def test_tilt_from_true_range_is_exact():
         psi_b = np.abs(axis_channel(z, t, y_b, wave, scale))
         t_hat = _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom, wave)
         assert abs(t_hat - t) < 1e-10
+
+
+def test_pow_five_quarters_real_within_4_ulp_on_table2_priors():
+    # the squared element ranges the tilt solve raises to 1.25, at every
+    # column's probe elements across its prior
+    for region, lam, aperture, pitch, z_min, z_max in TABLE2_COLUMNS:
+        geom = ArrayGeometry(aperture, pitch)
+        z = np.linspace(z_min, z_max, 4001)
+        for n in probe_elements(geom, 1, None, region):
+            r2 = geom.element_center(n) ** 2 + z * z
+            ref = r2 ** 1.25
+            ulps = np.abs(_pow_five_quarters(r2) - ref) / np.spacing(ref)
+            assert ulps.max() <= 4.0, (region, lam, z_min, z_max, n)
+
+
+def test_pow_five_quarters_complex_is_the_principal_branch():
+    # diagnostic-mode ranges z = sqrt(negative radicand) make y^2 + z^2
+    # complex and often negative, where the branch matters; random complex
+    # values cover the other quadrants. The reference is r2 ** 1.25 on the
+    # principal branch at 40 digits; numpy's own complex power is up to
+    # ~12 ulp off it, so it only confirms the branch
+    rng = np.random.default_rng(5)
+    z = np.sqrt(-np.geomspace(1e-6, 1e2, 300).astype(complex))
+    r2 = np.concatenate((0.025 ** 2 + z * z, 0.475 ** 2 + z * z,
+                         (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+                         * 10.0 ** rng.uniform(-3.0, 3.0, 300)))
+    assert np.any(r2.real < 0.0) and np.any(r2.real > 0.0)
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.mpc(x.real, x.imag) ** mpmath.mpf(1.25))
+                          for x in r2])
+    got = _pow_five_quarters(r2)
+    assert np.max(np.abs(got - exact) / np.spacing(np.abs(exact))) <= 4.0
+    assert np.max(np.abs(got - r2 ** 1.25) / np.abs(exact)) < 1e-13
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -286,6 +324,103 @@ def test_rmse_grid_mismatch_is_complex():
                                u=8, v=8, mismatch=Region.CASE1)
     assert isinstance(rmse_z, complex) and isinstance(rmse_t, complex)
     assert abs(rmse_z) > 0.0
+
+
+def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
+    # the whole u-by-v grid in one array pass: the unblocked formula
+    diagnostic = mismatch is not None
+    z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
+    t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
+    res = _solve_as(mismatch if diagnostic else case,
+                    lambda n: element_voltages(z, t, geom, wave,
+                                               y=geom.element_center(n)),
+                    geom, wave, 1, None, diagnostic)
+    err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
+    err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
+    return np.sqrt(np.mean(err_z ** 2)), np.sqrt(np.mean(err_t ** 2))
+
+
+def _recording_voltages(monkeypatch):
+    # every probe grid rmse_grid synthesizes, by shape
+    shapes = []
+
+    def recording(z, t, geom, wave, y=None):
+        out = element_voltages(z, t, geom, wave, y=y)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(solver_module, "element_voltages", recording)
+    return shapes
+
+
+# (column, mismatch): Case II-SC data under its own solver (real RMSE) and
+# Case II-PA data under the Case I solver (diagnostic, complex RMSE)
+BLOCKED_CASES = ((5, None), (2, Region.CASE1))
+
+
+@pytest.mark.parametrize("block", [5 * 23, 200, 10])
+@pytest.mark.parametrize("column, mismatch", BLOCKED_CASES)
+def test_blocked_rmse_grid_matches_one_array_pass(monkeypatch, column, mismatch,
+                                                  block):
+    # 37 rows of 23 cells: blocks of 5 and 8 rows leave a ragged last
+    # block, and a block smaller than a row takes one row at a time
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    u, v = 37, 23
+    ref = _one_array_rmse(region, prior, geom, wave, u, v, mismatch)
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
+    shapes = _recording_voltages(monkeypatch)
+    got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
+    rows = [shape[0] for shape in shapes]
+    assert sum(rows) == 2 * u and max(rows) == max(1, block // v)
+    assert all(shape[1] == v for shape in shapes)
+    if mismatch is None:
+        assert all(isinstance(x, float) for x in got)
+    else:
+        assert all(isinstance(x, complex) and x.imag != 0.0 for x in got)
+    assert got[0] == pytest.approx(complex(ref[0]), rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(complex(ref[1]), rel=1e-12, abs=0.0)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("column, mismatch", BLOCKED_CASES)
+def test_rmse_grid_memory_does_not_grow_with_the_grid(column, mismatch):
+    # a whole-grid pass peaks at 66.6 MB (Case II-SC) and 97.4 MB
+    # (diagnostic) on an 800 x 800 grid
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+
+    def peak(u):
+        return _peak_bytes(lambda: rmse_grid(region, prior, geom, wave, u=u,
+                                             v=800, mismatch=mismatch))
+
+    assert peak(800) < 8e6
+    # four times the rows add only the u-long distance axis (8 bytes a row)
+    assert peak(1600) <= peak(400) + 64 * 1024
+
+
+def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
+    # Case I data on a prior reaching past the wavelength: the first rows
+    # solve, but near z = lambda the principal phase range falls below the
+    # probe offset and the radicand turns negative
+    _, wave, geom, _ = benchmark_setup(SOLVER_BENCHMARK[0])
+    prior = UniformPrior(0.5, 1.6)
+    with pytest.raises(NegativeRadicand):
+        rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 16)
+    shapes = _recording_voltages(monkeypatch)
+    with pytest.raises(NegativeRadicand):
+        rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
+    # one row a block, two probe grids a row: blocks before the failing
+    # one were solved, and the rows after it never were
+    assert all(shape == (1, 16) for shape in shapes)
+    assert 4 <= len(shapes) < 2 * 45
 
 
 def test_adjacent_pair_grid_converges_to_reference():
