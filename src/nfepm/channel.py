@@ -7,7 +7,7 @@ inputs and return scalars for scalar inputs.
 
 The scalar channel e^{jkr} sqrt(z) |n x d| / r^2.5 is coded once, behind
 general_channel and nf_channel; axis_channel is its signed on-axis
-(x_r = 0) hot-path form, used by every voltage and zzb.ambiguity_function.
+(x_r = 0) hot-path form, which every element voltage uses.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class AxialPose:
     def transverse(self):
         """Y component of the orientation unit vector."""
         return np.sqrt(1.0 - np.asarray(self.tilt) ** 2)
-
-    def as_general(self) -> "GeneralPose":
-        return GeneralPose(position=(0.0, 0.0, float(self.distance)),
-                           orientation=(0.0, float(self.transverse), float(self.tilt)))
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,6 @@ def axis_channel(z, t, y, wave: Wave, scale=1.0):
     rr = np.sqrt(y * y + z * z)
     return (scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5
             * np.sqrt(z) * (y * t + z * ty))
-
-
-def nf_channel_axis(pose: AxialPose, y_r, wave: Wave):
-    """nf_channel restricted to the array center line x_r = 0.
-
-    The amplitude factor is kept signed, not wrapped in an absolute value.
-    """
-    return _ret(axis_channel(pose.distance, pose.tilt, y_r, wave))
 
 
 def scaling_factor(r, wave: Wave):

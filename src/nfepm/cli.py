@@ -154,7 +154,9 @@ def _build_config(scenario: str, values: dict, seed_flag) -> ExperimentConfig:
     built = {field: _BUILDERS[field](*vals) if field in _BUILDERS else vals[0]
              for field, vals in parts.items() if field is not None}
     db = settings.pop("noise.snr_db")
-    if built["sigma2"] is None and db is not None:
+    if db is not None:
+        if built["sigma2"] is not None:
+            raise ParseError("[noise] sigma2 and [noise] snr_db conflict; set one")
         if "wave" not in built:
             raise ParseError("[noise] snr_db needs a [wave] section")
         built["sigma2"] = settings["noise.sigma2"] = sigma2_for_snr_db(

@@ -2,11 +2,11 @@
 channel.
 
 The FIM entries are integrals along the array of products of channel
-derivatives. Both routes are provided: closed forms built from twelve
-coefficient functions of the aspect ratio tau = aperture/distance (the
-most transcription-sensitive code in the package, so each has a
-quadrature unit test), and direct numerical integration of the
-derivative products as an oracle.
+derivatives, computed here only in closed form: twelve coefficient
+functions of the aspect ratio tau = aperture/distance. They are the most
+transcription-sensitive code in the package, so the tests check each one,
+and the assembled information, against adaptive quadrature of the
+defining integrals.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .channel import AxialPose
 from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                      SingularFIM)
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, expect_uniform,
-                       integrate, require_snr, snr_sweep)
+from .numerics import expect_uniform, require_snr, snr_sweep
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -155,64 +154,6 @@ def fim_closed(pose: AxialPose, snr: float, geom: ArrayGeometry,
     require_snr(snr)
     return _assemble(*_factors(pose.distance, pose.tilt, geom),
                      snr, geom, wave)
-
-
-def channel_deriv_z(pose: AxialPose, y_r, wave: Wave):
-    """Derivative of the on-axis channel with respect to the source
-    distance. Complex; broadcasts over y_r."""
-    y = np.asarray(y_r, dtype=float)
-    z, t = pose.distance, pose.tilt
-    ty = pose.transverse
-    r = np.sqrt(y * y + z * z)
-    jkr = 1j * wave.wavenumber * r
-    l1 = 2.0 * z * z * (2.0 - jkr)
-    l2 = 2.0 * z * z * (1.0 - jkr)
-    num = t * y * (y * y - l1) + ty * z * (3.0 * y * y - l2)
-    return (num / (2.0 * math.sqrt(z) * r ** 4.5) * np.exp(jkr))[()]
-
-
-def channel_deriv_t(pose: AxialPose, y_r, wave: Wave):
-    """Derivative of the on-axis channel with respect to the tilt
-    component (with the transverse component eliminated)."""
-    y = np.asarray(y_r, dtype=float)
-    z, t = pose.distance, pose.tilt
-    if 1.0 - t * t < _TY_SQ_MIN:
-        raise AttitudeSingularity("t_z too close to 1 for the tilt derivative")
-    ty = pose.transverse
-    r = np.sqrt(y * y + z * z)
-    jkr = 1j * wave.wavenumber * r
-    return ((y - z * t / ty) * math.sqrt(z) / r ** 2.5 * np.exp(jkr))[()]
-
-
-def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
-                   wave: Wave,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FisherInfo:
-    """Fisher information by numerical integration of the derivative
-    products along the strip; the oracle for fim_closed."""
-    require_snr(snr)
-    z, tz = pose.distance, pose.tilt
-    if 1.0 - tz * tz < _TY_SQ_MIN:
-        raise AttitudeSingularity("t_z too close to 1 for the tilt divisions")
-    ty = pose.transverse
-    c = tz / ty
-
-    def r2(y):
-        return y * y + z * z
-
-    def num_z(y):
-        # real part of the distance-derivative numerator
-        return (tz * y * (y * y - 4.0 * z * z)
-                + ty * z * (3.0 * y * y - 2.0 * z * z))
-
-    i_zz1 = integrate(lambda y: num_z(y) ** 2 / (4.0 * z * r2(y) ** 4.5),
-                      0.0, geom.aperture, spec)
-    i_zz2 = integrate(lambda y: z ** 3 * (tz * y + ty * z) ** 2 / r2(y) ** 3.5,
-                      0.0, geom.aperture, spec)
-    i_tt = integrate(lambda y: z * (y - z * c) ** 2 / r2(y) ** 2.5,
-                     0.0, geom.aperture, spec)
-    i_zt = integrate(lambda y: num_z(y) * (y - z * c) / (2.0 * r2(y) ** 3.5),
-                     0.0, geom.aperture, spec)
-    return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
 
 
 def _over_sweep(snr, bounds):

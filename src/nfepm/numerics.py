@@ -1,16 +1,13 @@
-"""Shared numeric kernels: 1-D adaptive quadrature, Gaussian tail function,
-deterministic tensor-grid expectations, SNR sweeps, and splittable RNG
-streams."""
+"""Shared numeric kernels: the Gaussian tail function, deterministic
+tensor-grid expectations, SNR sweeps, array-size and SNR guards, and
+splittable RNG streams."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
 
-from .errors import InvariantViolation, QuadratureFailure
+from .errors import InvariantViolation
 
 # Upper cap applied to every t_z grid so 1/sqrt(1 - t_z^2) stays finite.
 TZ_EPS = 1e-4
@@ -34,43 +31,6 @@ def require_snr(snr) -> None:
     snrs = np.asarray(snr, dtype=float)
     if not np.all(snrs >= 0):
         raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise InvariantViolation("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise InvariantViolation("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              spec: QuadratureSpec = DEFAULT_QUADRATURE,
-              with_error: bool = False):
-    """Adaptive quadrature of a real-valued f over [a, b].
-
-    Returns the estimate, or (estimate, error_estimate) when with_error is
-    set. Raises QuadratureFailure if the subdivision budget is exhausted
-    before the tolerances are met.
-    """
-    if not a <= b:
-        raise InvariantViolation(f"integration bounds out of order: ({a}, {b})")
-    from scipy.integrate import quad
-    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-               limit=spec.max_subdivisions, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(
-            f"quadrature on [{a}, {b}] did not converge: {out[3]} "
-            f"(estimate {out[0]!r}, error {out[1]!r})")
-    return (out[0], out[1]) if with_error else out[0]
 
 
 def q_function(x):

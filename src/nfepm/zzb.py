@@ -29,33 +29,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import axis_channel
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (DEFAULT_QUADRATURE, QuadratureSpec, integrate, midpoints,
-                       q_function, require_cells, require_snr, snr_sweep)
+from .numerics import (midpoints, q_function, require_cells, require_snr,
+                       snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
-
-
-@dataclass(frozen=True)
-class HypothesisPair:
-    """A hypothesis point (theta_z, theta_t) and its nonnegative offset
-    (delta_z, delta_t)."""
-    theta_z: float
-    theta_t: float
-    delta_z: float
-    delta_t: float
-
-    def __post_init__(self):
-        if self.theta_z <= 0 or self.delta_z < 0 or self.delta_t < 0:
-            raise InvariantViolation("need theta_z > 0 and offsets >= 0")
-        if not (0 <= self.theta_t and self.theta_t + self.delta_t < 1):
-            raise InvariantViolation("tilt hypotheses must stay inside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -84,53 +67,6 @@ class ZZBGrid:
 
 
 DEFAULT_GRID = ZZBGrid()
-
-
-def ambiguity_function(pair: HypothesisPair, y_r, wave: Wave):
-    """Squared channel mismatch between the two hypotheses at array
-    coordinate y_r. Equals |h1 - h0|^2, in a form free of cancellation:
-    (m1 - m0)^2 + 4 m0 m1 sin^2(k (r1 - r0) / 2)."""
-    y = np.asarray(y_r, dtype=float)
-    z0, z1 = pair.theta_z, pair.theta_z + pair.delta_z
-    m0 = np.abs(axis_channel(z0, pair.theta_t, y, wave))
-    m1 = np.abs(axis_channel(z1, pair.theta_t + pair.delta_t, y, wave))
-    dr = pair.delta_z * (z0 + z1) / (np.sqrt(y * y + z1 * z1)
-                                     + np.sqrt(y * y + z0 * z0))
-    return ((m1 - m0) ** 2
-            + 4.0 * m0 * m1 * np.sin(0.5 * wave.wavenumber * dr) ** 2)[()]
-
-
-def mu_L(pair: HypothesisPair, snr: float, geom: ArrayGeometry, wave: Wave,
-         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Mean log-likelihood-ratio under the continuous-array approximation:
-    snr * pitch * integral of the ambiguity function along the strip."""
-    require_snr(snr)
-    if snr == 0 or (pair.delta_z == 0 and pair.delta_t == 0):
-        return 0.0
-    val = integrate(lambda y: ambiguity_function(pair, y, wave),
-                    0.0, geom.aperture, spec)
-    return snr * geom.pitch * val
-
-
-def p_min(pair: HypothesisPair, snr: float, geom: ArrayGeometry,
-          wave: Wave) -> float:
-    """Minimum binary detection error between the two hypotheses under
-    equal priors."""
-    return float(q_function(math.sqrt(mu_L(pair, snr, geom, wave) / 2.0)))
-
-
-def p_min_general(mu, prob0: float = 0.5, prob1: float = 0.5):
-    """Two-term minimum error probability for unequal hypothesis priors.
-    Collapses to Q(sqrt(mu/2)) when the priors match."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
-        raise InvariantViolation("mu must be >= 0")
-    ratio = math.log(prob1 / prob0)
-    s = np.sqrt(2.0 * mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (prob0 * q_function((mu - ratio) / s)
-               + prob1 * q_function((mu + ratio) / s))
-    return np.where(mu > 0, val, min(prob0, prob1))[()]
 
 
 @lru_cache(maxsize=8)
@@ -320,11 +256,6 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     return shape(_outer(prior, 1.0, grid.n_delta, lambda dt: _search_max(
         coef, midpoints(0.0, 1.0 - dt, grid.n_theta_t), dt,
         prior.span - search, snrs, geom.pitch, grid)))
-
-
-def zzb_asymptotic(prior: UniformPrior):
-    """Zero-SNR (or zero-aperture) limits: the prior variances."""
-    return prior.span ** 2 / 12.0, 1.0 / 12.0
 
 
 def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):

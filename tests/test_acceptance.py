@@ -23,15 +23,15 @@ import numpy as np
 
 from nfepm import (ArrayGeometry, AxialPose, GeneralPose, UniformPrior, Wave,
                    ecrb, ecrb_ao, monte_carlo_mse, zzb_ao_t, zzb_t, zzb_z)
-from nfepm.channel import (RERR_KINDS, nf_channel, nf_channel_axis, rerr,
+from nfepm.channel import (RERR_KINDS, axis_channel, nf_channel, rerr,
                            scaling_factor, vector_field)
-from nfepm.ecrb import channel_deriv_t, channel_deriv_z, fim_closed, \
-    fim_quadrature
+from nfepm.ecrb import fim_closed
 from nfepm.geometry import Region
-from nfepm.numerics import integrate
 from nfepm.solver import rmse_grid
-from nfepm.zzb import (HypothesisPair, ZZBGrid, ambiguity_function, mu_L_ao)
+from nfepm.zzb import ZZBGrid, mu_L_ao
 
+from oracles import (HypothesisPair, ambiguity_function, channel_deriv_t,
+                     channel_deriv_z, fim_quadrature, integrate)
 from scenarios import (SOLVER_BENCHMARK, THRESHOLD_GEOM, THRESHOLD_PRIOR,
                        THRESHOLD_WAVE, AO_GEOM, AO_PRIOR, AO_WAVE,
                        benchmark_setup)
@@ -96,8 +96,7 @@ def _prior_region_snr(prior, geom, wave):
     """
     def energy(t):
         return geom.pitch * integrate(
-            lambda y: abs(nf_channel_axis(AxialPose(prior.z_min, t), y,
-                                          wave)) ** 2,
+            lambda y: abs(axis_channel(prior.z_min, t, y, wave)) ** 2,
             0.0, geom.aperture)
 
     # y = z*u turns E into (1/z) int_0^{D/z} (u t + s)^2 / (1 + u^2)^2.5 du
@@ -275,12 +274,12 @@ def test_criterion_06_information_oracles():
         z = 10.0 ** rng.uniform(-0.5, 1.0)
         t = rng.uniform(0.0, 0.9)
         y = rng.uniform(0.0, 3.0)
-        fd_z = (nf_channel_axis(AxialPose(z + step, t), y, wave)
-                - nf_channel_axis(AxialPose(z - step, t), y, wave)) / (2 * step)
+        fd_z = (axis_channel(z + step, t, y, wave)
+                - axis_channel(z - step, t, y, wave)) / (2 * step)
         got_z = channel_deriv_z(AxialPose(z, t), y, wave)
         worst_fd = max(worst_fd, abs(got_z - fd_z) / max(1.0, abs(got_z)))
-        fd_t = (nf_channel_axis(AxialPose(z, t + step), y, wave)
-                - nf_channel_axis(AxialPose(z, t - step), y, wave)) / (2 * step)
+        fd_t = (axis_channel(z, t + step, y, wave)
+                - axis_channel(z, t - step, y, wave)) / (2 * step)
         got_t = channel_deriv_t(AxialPose(z, t), y, wave)
         worst_fd = max(worst_fd, abs(got_t - fd_t) / max(1.0, abs(got_t)))
     if worst_fd > 1e-5:
@@ -452,10 +451,10 @@ def test_criterion_10_property_suite():
             x_r, y_r, wave)
         near = nf_channel(pose, x_r, y_r, wave)
         worst_chain = max(worst_chain, abs(general - near) / abs(near))
-        on_axis = nf_channel_axis(pose, y_r, wave)
+        on_axis = axis_channel(z, t, y_r, wave)
         near0 = nf_channel(pose, 0.0, y_r, wave)
         worst_chain = max(worst_chain, abs(near0 - on_axis) / abs(on_axis))
-        flat = nf_channel_axis(AxialPose(z, 0.0), y_r, wave)
+        flat = axis_channel(z, 0.0, y_r, wave)
         afem = degenerate_channel("afem", AxialPose(z, 0.0), 0.0, y_r, wave)
         worst_chain = max(worst_chain, abs(flat - afem) / abs(afem))
     if worst_chain > 1e-12:
@@ -470,9 +469,9 @@ def test_criterion_10_property_suite():
                               rng.uniform(0.0, 1.0 - th_t - 1e-9))
         y = rng.uniform(0.0, 3.0)
         af = ambiguity_function(pair, y, wave)
-        h0 = nf_channel_axis(AxialPose(pair.theta_z, pair.theta_t), y, wave)
-        h1 = nf_channel_axis(AxialPose(pair.theta_z + pair.delta_z,
-                                       pair.theta_t + pair.delta_t), y, wave)
+        h0 = axis_channel(pair.theta_z, pair.theta_t, y, wave)
+        h1 = axis_channel(pair.theta_z + pair.delta_z,
+                          pair.theta_t + pair.delta_t, y, wave)
         ref = abs(h1 - h0) ** 2
         worst_af = max(worst_af, abs(af - ref) / max(ref, 1e-30))
     if worst_af > 1e-10:

@@ -6,7 +6,7 @@ import pytest
 
 from nfepm.channel import (DEGENERATE_KINDS, AxialPose, GeneralPose,
                            axis_channel, degenerate_channel, general_channel,
-                           nf_channel, nf_channel_axis, rerr, scalar_green,
+                           nf_channel, rerr, scalar_green,
                            scaling_factor, simp_channel, vector_field)
 from nfepm.errors import InvariantViolation, NonPositiveDistance
 from nfepm.geometry import ArrayGeometry, Wave
@@ -40,8 +40,8 @@ def test_pose_validation():
 def test_axial_pose_transverse():
     pose = AxialPose(2.0, 0.6)
     assert pose.transverse == pytest.approx(0.8)
-    gen = pose.as_general()
-    assert gen.position == (0.0, 0.0, 2.0)
+    # (0, transverse, tilt) passes GeneralPose's unit-norm check
+    gen = GeneralPose((0.0, 0.0, pose.distance), (0.0, pose.transverse, pose.tilt))
     assert gen.orientation == pytest.approx((0.0, 0.8, 0.6))
 
 
@@ -73,11 +73,11 @@ def test_reduction_chain():
         near = nf_channel(pose, x_r, y_r, wave)
         assert abs(general - near) <= 1e-12 * abs(near)
 
-        on_axis = nf_channel_axis(pose, y_r, wave)
+        on_axis = axis_channel(z, t, y_r, wave)
         near0 = nf_channel(pose, 0.0, y_r, wave)
         assert abs(near0 - on_axis) <= 1e-12 * abs(on_axis)
 
-        flat = nf_channel_axis(AxialPose(z, 0.0), y_r, wave)
+        flat = axis_channel(z, 0.0, y_r, wave)
         afem = degenerate_channel("afem", AxialPose(z, 0.0), 0.0, y_r, wave)
         assert abs(flat - afem) <= 1e-12 * abs(afem)
 
@@ -91,7 +91,8 @@ def test_scalar_vector_consistency():
         t = rng.uniform(0.0, 0.999)
         x_r, y_r = rng.uniform(-2.0, 2.0, 2)
         pose = AxialPose(z, t)
-        e = vector_field(pose.as_general(), x_r, y_r, wave)
+        e = vector_field(GeneralPose((0.0, 0.0, z), (0.0, pose.transverse, t)),
+                         x_r, y_r, wave)
         r = np.sqrt(x_r ** 2 + y_r ** 2 + z ** 2)
         lhs = abs(nf_channel(pose, x_r, y_r, wave))
         rhs = np.linalg.norm(e) * np.sqrt(z / r)
@@ -105,7 +106,7 @@ def test_on_axis_phase_law():
         z = rng.uniform(0.05, 3.0)
         t = rng.uniform(0.0, 0.999)
         y_r = rng.uniform(0.0, 2.0)
-        h = nf_channel_axis(AxialPose(z, t), y_r, wave)
+        h = axis_channel(z, t, y_r, wave)
         r = np.hypot(y_r, z)
         width = np.angle(h * np.exp(-1j * wave.wavenumber * r))
         assert abs(width) < 1e-10
@@ -173,12 +174,11 @@ def test_degenerate_channel_kinds():
 
 
 def test_channels_broadcast():
-    pose, wave = AxialPose(1.5, 0.2), Wave(0.3)
+    wave = Wave(0.3)
     y = np.linspace(0.0, 2.0, 7)
-    h = nf_channel_axis(pose, y, wave)
+    h = axis_channel(1.5, 0.2, y, wave)
     assert h.shape == (7,)
-    single = nf_channel_axis(pose, float(y[3]), wave)
-    assert np.isscalar(single) or single.shape == ()
+    single = axis_channel(1.5, 0.2, float(y[3]), wave)
     assert h[3] == pytest.approx(complex(single))
 
 
@@ -194,7 +194,7 @@ def test_axis_channel_is_the_on_axis_voltage_kernel():
     assert grid.shape == (geom.n_elements, 5, 4)
     for i, j in ((0, 0), (2, 1), (4, 3)):
         pose = AxialPose(float(z[i, 0]), float(t[0, j]))
-        assert np.array_equal(axis_channel(pose.distance, pose.tilt, y, wave),
-                              nf_channel_axis(pose, y, wave))
+        np.testing.assert_allclose(axis_channel(pose.distance, pose.tilt, y, wave),
+                                   nf_channel(pose, 0.0, y, wave), rtol=1e-12, atol=0)
         volts = noiseless_voltages(pose, geom, wave).values
         np.testing.assert_allclose(grid[:, i, j], volts, rtol=1e-14, atol=0)

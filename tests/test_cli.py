@@ -75,14 +75,33 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+# The package's public names, pinned so that none comes or goes unnoticed.
+PUBLIC_NAMES = """
+    ArrayGeometry AxialPose FisherInfo GeneralPose MapGrid MseReport
+    NoiseSpec Region SolveResult UniformPrior Voltages Wave ZZBGrid
+    axis_channel channel classify_region decouple degenerate_channel ecrb
+    ecrb_ao ecrb_asymptotic element_voltages errors expect_uniform
+    fim_closed fraunhofer_distance fresnel_distance general_channel
+    geometry log_likelihood map_estimate mapest monte_carlo_mse mu_L_ao
+    nf_channel noiseless_voltages numerics observation observe
+    phase_ambiguity_distance q_function rerr rmse_grid scalar_green
+    scaling_factor sigma2_for_snr_db simp_channel snr snr_db snr_from_db
+    solve solve_case1 solve_case2_pa solver spacing_constraint_distance
+    stream vector_field zzb zzb_ao_t zzb_t zzb_z
+""".split()
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only integrate() needs scipy.integrate, and no CLI path calls it
+    # no library code uses scipy.integrate; only the test oracles do
     src = Path(errors.__file__).resolve().parents[1]
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nfepm.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, nfepm, nfepm.cli; print('scipy.integrate' in sys.modules); "
+         "print(sorted(nfepm.__all__))"],
         cwd=src, capture_output=True, text=True, check=True, timeout=120)
-    assert probe.stdout.strip() == "False"
+    loaded, names = probe.stdout.splitlines()
+    assert loaded == "False"
+    assert names == repr(PUBLIC_NAMES)
 
 
 def test_unknown_preset(tmp_path, capsys):
@@ -162,10 +181,13 @@ SWEEP_30 = "\n[sweep]\nsnr_db = 30\n"
 # pitch 1e-9 on a 5 m aperture: 5e9 elements, 37 GiB of element centers
 FINE_PITCH = ("array.aperture=5", "array.pitch=1e-9")
 
-# Well-formed inputs out of range: negative seeds, and array requests over
-# the cell cap, rejected before anything is allocated:
+# Well-formed inputs out of range: negative seeds, array requests over the
+# cell cap, rejected before anything is allocated, and both noise keys,
+# each of which sets the noise variance:
 # (argv, extra INI text or None for a preset, overrides).
 OUT_OF_RANGE_PROBES = {
+    "noise-sigma2-and-snr_db": (("solve",),
+                                "\n[noise]\nsigma2 = 1e-6\nsnr_db = 0\n", ()),
     "map-mc-seed-minus-1": (("map-mc", "--seed", "-1"), SWEEP_30, ()),
     "solve-seed-minus-1": (("solve", "--seed", "-1"),
                            "\n[noise]\nsnr_db = 30\n", ()),

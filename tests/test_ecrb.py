@@ -9,15 +9,15 @@ import pytest
 
 import importlib
 
-from nfepm.channel import AxialPose, nf_channel_axis
-from nfepm.ecrb import (channel_deriv_t, channel_deriv_z, ecrb, ecrb_ao,
-                        ecrb_asymptotic, fim_closed, fim_quadrature, ftau1,
+from nfepm.channel import AxialPose, axis_channel
+from nfepm.ecrb import (ecrb, ecrb_ao, ecrb_asymptotic, fim_closed, ftau1,
                         ftau2, ftau3, ftau4, ftau5, ftau6, ftau7, ftau8,
                         ftau9, ftau10, ftau11, ftau12)
 from nfepm.errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                           SingularFIM)
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.numerics import TZ_EPS, integrate
+from nfepm.numerics import TZ_EPS
+from oracles import channel_deriv_t, channel_deriv_z, fim_quadrature, integrate
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 # the package root re-exports a function named like the module, so fetch
@@ -89,12 +89,12 @@ def test_channel_derivatives_match_finite_differences():
         z = 10.0 ** rng.uniform(-0.5, 1.0)
         t = rng.uniform(0.0, 0.9)
         y = rng.uniform(0.0, 3.0)
-        fd_z = (nf_channel_axis(AxialPose(z + step, t), y, wave)
-                - nf_channel_axis(AxialPose(z - step, t), y, wave)) / (2 * step)
+        fd_z = (axis_channel(z + step, t, y, wave)
+                - axis_channel(z - step, t, y, wave)) / (2 * step)
         got_z = channel_deriv_z(AxialPose(z, t), y, wave)
         assert abs(got_z - fd_z) <= 1e-5 * max(1.0, abs(got_z))
-        fd_t = (nf_channel_axis(AxialPose(z, t + step), y, wave)
-                - nf_channel_axis(AxialPose(z, t - step), y, wave)) / (2 * step)
+        fd_t = (axis_channel(z, t + step, y, wave)
+                - axis_channel(z, t - step, y, wave)) / (2 * step)
         got_t = channel_deriv_t(AxialPose(z, t), y, wave)
         assert abs(got_t - fd_t) <= 1e-5 * max(1.0, abs(got_t))
 

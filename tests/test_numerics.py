@@ -1,4 +1,5 @@
-"""Quadrature, Q-function, tensor-grid expectation, and RNG stream checks."""
+"""The quadrature oracle, Q-function, tensor-grid expectation, and RNG stream
+checks."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from nfepm.errors import ConfigError, InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
-from nfepm.numerics import (DEFAULT_QUADRATURE, MAX_CELLS, QuadratureSpec,
-                            expect_uniform, integrate, q_function,
+from nfepm.numerics import (MAX_CELLS, expect_uniform, q_function,
                             require_cells, stream)
 from nfepm.solver import rmse_grid
 from nfepm.zzb import ZZBGrid
+from oracles import QuadratureSpec, integrate
 
 
 def test_integrate_linear():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nfepm.channel import AxialPose, nf_channel, nf_channel_axis
+from nfepm.channel import AxialPose, axis_channel, nf_channel
 from nfepm.errors import InvariantViolation, NonFinite, ZeroNoise
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.numerics import TZ_EPS, stream
@@ -18,7 +18,8 @@ POSE = AxialPose(0.8, 0.4)
 
 def test_noiseless_voltages_definition():
     v = noiseless_voltages(POSE, GEOM, WAVE)
-    expected = 2.0 * 0.25 * nf_channel_axis(POSE, GEOM.element_centers, WAVE)
+    expected = 2.0 * 0.25 * axis_channel(POSE.distance, POSE.tilt,
+                                         GEOM.element_centers, WAVE)
     assert np.allclose(v.values, expected, rtol=1e-15, atol=0.0)
 
 

@@ -7,13 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from nfepm.channel import AxialPose, nf_channel_axis
+from nfepm.channel import axis_channel
 from nfepm.errors import InvariantViolation, QuadratureFailure
-from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.numerics import MAX_CELLS, integrate, q_function
-from nfepm.zzb import (HypothesisPair, ZZBGrid, _families, _mu_over_tilts,
-                       ambiguity_function, mu_L, mu_L_ao, p_min,
-                       p_min_general, zzb_ao_t, zzb_asymptotic, zzb_t, zzb_z)
+from nfepm.geometry import ArrayGeometry, Wave
+from nfepm.numerics import MAX_CELLS
+from nfepm.zzb import (ZZBGrid, _families, _mu_over_tilts, mu_L_ao, zzb_ao_t,
+                       zzb_t, zzb_z)
+from oracles import HypothesisPair, ambiguity_function, integrate, mu_L, p_min
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 zzb_module = importlib.import_module("nfepm.zzb")
@@ -79,10 +79,9 @@ def test_ambiguity_equals_squared_channel_gap():
         pair = HypothesisPair(z0, t0, rng.uniform(0.0, z0),
                               rng.uniform(0.0, 0.98 - t0))
         y = rng.uniform(0.0, 5.0, size=32)
-        h0 = nf_channel_axis(AxialPose(pair.theta_z, pair.theta_t), y, wave)
-        h1 = nf_channel_axis(
-            AxialPose(pair.theta_z + pair.delta_z, pair.theta_t + pair.delta_t),
-            y, wave)
+        h0 = axis_channel(pair.theta_z, pair.theta_t, y, wave)
+        h1 = axis_channel(pair.theta_z + pair.delta_z,
+                          pair.theta_t + pair.delta_t, y, wave)
         gap = np.abs(h1 - h0) ** 2
         af = ambiguity_function(pair, y, wave)
         assert np.max(np.abs(af - gap)) < 1e-10
@@ -95,8 +94,8 @@ def test_ambiguity_degenerate_offsets():
     assert np.max(np.abs(zero)) == 0.0
     # same distance: pure amplitude gap, the phase factor cancels
     pair = HypothesisPair(1.0, 0.3, 0.0, 0.4)
-    m0 = np.abs(nf_channel_axis(AxialPose(1.0, 0.3), y, wave))
-    m1 = np.abs(nf_channel_axis(AxialPose(1.0, 0.7), y, wave))
+    m0 = np.abs(axis_channel(1.0, 0.3, y, wave))
+    m1 = np.abs(axis_channel(1.0, 0.7, y, wave))
     assert np.max(np.abs(ambiguity_function(pair, y, wave) - (m1 - m0) ** 2)) < 1e-12
 
 
@@ -165,23 +164,9 @@ def test_detection_error_range():
         assert 0.0 <= p <= 0.5
 
 
-def test_unequal_prior_detection_error():
-    mu = np.array([0.0, 0.5, 3.0, 20.0])
-    equal = p_min_general(mu)
-    expected = q_function(np.sqrt(mu / 2.0))
-    expected = np.where(mu > 0, expected, 0.5)
-    assert np.max(np.abs(equal - expected)) < 1e-15
-    assert p_min_general(0.0, 0.3, 0.7) == 0.3
-    skew = p_min_general(2.0, 0.1, 0.9)
-    assert 0.0 < skew < 0.5
-    with pytest.raises(InvariantViolation):
-        p_min_general(-1.0)
-
-
 def test_bounds_reach_prior_variance_at_zero_snr():
-    var_z, var_t = zzb_asymptotic(THRESHOLD_PRIOR)
-    assert var_z == pytest.approx(THRESHOLD_PRIOR.span ** 2 / 12.0)
-    assert var_t == pytest.approx(1.0 / 12.0)
+    # the prior variances: span^2 / 12 for the distance, 1 / 12 for the tilt
+    var_z, var_t = THRESHOLD_PRIOR.span ** 2 / 12.0, 1.0 / 12.0
     bz = zzb_z(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
     bt = zzb_t(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
     assert bz == pytest.approx(var_z, rel=1e-9)
@@ -189,7 +174,7 @@ def test_bounds_reach_prior_variance_at_zero_snr():
 
 
 def test_bounds_monotone_and_capped():
-    var_z, var_t = zzb_asymptotic(THRESHOLD_PRIOR)
+    var_z, var_t = THRESHOLD_PRIOR.span ** 2 / 12.0, 1.0 / 12.0
     prev_z, prev_t = math.inf, math.inf
     for snr in (0.0, 1e2, 1e4, 1e6):
         bz = zzb_z(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
@@ -280,12 +265,11 @@ def test_engine_statistic_matches_mu_L():
     assert stacked.shape == (len(pairs), 1, 1)
     for pair, snr, fam, m in zip(pairs, snrs, fams, stacked[:, 0, 0]):
         single = _mu_over_tilts(fam, np.array([[pair.theta_t]]), pair.delta_t)
-        h0, h1 = (AxialPose(pair.theta_z, pair.theta_t),
-                  AxialPose(pair.theta_z + pair.delta_z,
-                            pair.theta_t + pair.delta_t))
+        h0, h1 = ((pair.theta_z, pair.theta_t),
+                  (pair.theta_z + pair.delta_z, pair.theta_t + pair.delta_t))
         energy = snr * geom.pitch * integrate(
-            lambda y: (abs(nf_channel_axis(h0, y, wave)) ** 2
-                       + abs(nf_channel_axis(h1, y, wave)) ** 2),
+            lambda y: (abs(axis_channel(*h0, y, wave)) ** 2
+                       + abs(axis_channel(*h1, y, wave)) ** 2),
             0.0, geom.aperture)
         reference = mu_L(pair, snr, geom, wave)
         for engine in (single[0, 0], m):
