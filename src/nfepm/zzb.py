@@ -13,9 +13,18 @@ log-spaced panels because the integrand support shrinks like 1/SNR.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work, the coefficients included, runs once per sweep.
-Each search line of boxes is one array pass, the detection error taken
-in blocks of (SNR, box) pairs of at most `_BLOCK_CELLS` grid cells (one
-box at least), so memory grows with neither the sweep nor the search.
+Each search line of boxes gets mu in blocks of at most `_BLOCK_CELLS`
+grid cells (one box at least), and its detection error in blocks of as
+many (SNR, box) pairs, so memory grows with neither the sweep nor the
+search. Box 0 is taken at every SNR and starts the running maximum.
+Since Q decreases, no other box's integral exceeds its cell count times
+its cell area times Q at its least mu, and a pair is evaluated only where
+that bound reaches the running maximum less `_PRUNE_MARGIN` (1e-9) of it.
+The least mu of the bound is the least of the very products the cells
+use, so only the ulp-level non-monotonicity of `erfc` (below 1e-13
+relative) and the rounding of the cell sum and of the cell-area products
+(below 1e-14) can put a skipped pair above its bound, far inside the
+margin: the bounds are bit-identical to taking every pair.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -39,6 +48,7 @@ _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,38 +190,50 @@ def _mu_over_tilts(coef: np.ndarray, theta_t: np.ndarray, delta_t):
     return np.swapaxes(coef, -1, -2) @ basis
 
 
-def _q_box(mu, snrs: np.ndarray, z_len, delta_t, grid: ZZBGrid):
-    """Midpoint integrals of the detection error Q(sqrt(mu/2)) per (SNR,
-    box) over hypothesis boxes of z_len[b] by 1 - delta_t[b], mu(s) given
-    on the boxes' grids for each (k, 1, 1, 1) block s of as many SNRs as
-    fit in _BLOCK_CELLS cells (one at least), so memory does not grow
-    with the sweep."""
-    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
-    k = max(1, _BLOCK_CELLS // (np.size(cell) * grid.n_theta_z * grid.n_theta_t))
-    col = snrs[:, None, None, None]
-    return np.concatenate([
-        q_function(np.sqrt(np.maximum(mu(col[i:i + k]), 0.0) / 2.0))
-        .sum(axis=(2, 3)) for i in range(0, len(snrs), k)]) * cell
+def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
+    """Midpoint integrals of the detection error Q(sqrt(mu/2)) for n_pairs
+    (SNR, box) pairs, pair j over a box of grid cells of area cell[j] (or
+    one area cell for all): mu(rows) gives mu on the grids of the pairs in
+    the slice rows, taken in blocks of at most _BLOCK_CELLS grid cells (one
+    box at least), so memory grows with neither the sweep nor the search."""
+    k = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
+    sums = np.empty(n_pairs)
+    for i in range(0, n_pairs, k):
+        rows = slice(i, i + k)
+        sums[rows] = q_function(
+            np.sqrt(np.maximum(mu(rows), 0.0) / 2.0)).sum(axis=(-2, -1))
+    return sums * cell
 
 
 def _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
     """Per SNR, the largest detection-error integral over the n_max_search
     boxes of a search line. Box b has coefficients coef[b] (14, n_theta_z),
     tilt grid theta_t[b] (1, n_theta_t), tilt offset delta_t[b] and distance
-    length z_len[b]; what the boxes share is given once. The boxes go in
-    blocks of at most _BLOCK_CELLS grid cells (one box at least)."""
-    n = grid.n_max_search
+    length z_len[b]; what the boxes share is given once. Box 0 is taken at
+    every SNR, the other boxes' mu in blocks of at most _BLOCK_CELLS grid
+    cells (one box at least), and their (SNR, box) pairs only where an
+    upper bound reaches the running maximum less _PRUNE_MARGIN of it."""
+    n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
     coef = np.broadcast_to(coef, (n, 14, grid.n_theta_z))
     theta_t = np.broadcast_to(theta_t, (n, 1, grid.n_theta_t))
     delta_t, z_len = np.broadcast_to(delta_t, n), np.broadcast_to(z_len, n)
-    step = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
-    peak = []
-    for i in range(0, n, step):
-        b = slice(i, i + step)
-        m = _mu_over_tilts(coef[b], theta_t[b], delta_t[b, None, None])
-        peak.append(_q_box(lambda s: s * pitch * m, snrs, z_len[b],
-                           delta_t[b], grid).max(axis=1))
-    return np.max(peak, axis=0)
+    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
+    sp = snrs * pitch
+    m = _mu_over_tilts(coef[:1], theta_t[:1], delta_t[:1, None, None])[0]
+    peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell[0], grid)
+    step = max(1, _BLOCK_CELLS // box)
+    for i in range(1, n, step):
+        m = _mu_over_tilts(coef[i:i + step], theta_t[i:i + step],
+                           delta_t[i:i + step, None, None])
+        c = cell[i:i + step]
+        # Q decreases, so no cell of a box exceeds Q at the box's least mu
+        bound = box * c * q_function(np.sqrt(np.maximum(
+            sp[:, None] * m.min(axis=(1, 2)), 0.0) / 2.0))
+        s, b = np.nonzero(bound >= (1.0 - _PRUNE_MARGIN) * peak[:, None])
+        np.maximum.at(peak, s, _q_box(
+            lambda rows: sp[s[rows], None, None] * m[b[rows]], len(s), c[b],
+            grid))
+    return peak
 
 
 def _outer(prior, hi: float, n_delta: int, bracket) -> np.ndarray:
@@ -298,7 +320,9 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
 
     def bracket(dt):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
-        return _q_box(lambda s: mu_L_ao(z_mid, theta_t, dt, s, geom), snrs,
-                      prior.span, dt, grid)[:, 0]
+        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
+        return _q_box(lambda rows: mu_L_ao(z_mid, theta_t, dt,
+                                           snrs[rows, None, None], geom),
+                      len(snrs), cell, grid)
 
     return shape(_outer(prior, 1.0, grid.n_delta, bracket))

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 
 from nfepm.channel import axis_channel
 from nfepm.errors import InvariantViolation, QuadratureFailure
-from nfepm.geometry import ArrayGeometry, Wave
-from nfepm.numerics import MAX_CELLS
-from nfepm.zzb import (ZZBGrid, _families, _mu_over_tilts, mu_L_ao, zzb_ao_t,
-                       zzb_t, zzb_z)
+from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
+from nfepm.numerics import MAX_CELLS, midpoints, q_function
+from nfepm.observation import snr_from_db
+from nfepm.zzb import (ZZBGrid, _families, _mu_over_tilts, _search_max,
+                       mu_L_ao, zzb_ao_t, zzb_t, zzb_z)
 from oracles import HypothesisPair, ambiguity_function, integrate, mu_L, p_min
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
@@ -294,6 +296,114 @@ def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
                         zzb_t(prior, snrs, geom, wave, grid).tolist(),
                         zzb_ao_t(prior, snrs, geom, grid).tolist()])
     assert results[0] == results[1] == results[2]
+
+
+# 0-60 dB in 5 dB steps, the sweep of the snr_sweep benchmark workload
+SWEEP = [snr_from_db(db) for db in range(0, 61, 5)]
+
+
+def _counting_q(monkeypatch):
+    """Route zzb's Q evaluations through a counter of cells; returns the
+    one-element list holding the count."""
+    cells = [0]
+
+    def counted(x):
+        cells[0] += np.size(x)
+        return q_function(x)
+
+    monkeypatch.setattr(zzb_module, "q_function", counted)
+    return cells
+
+
+@pytest.mark.parametrize("geom, wave, prior, grid", [
+    # the snr_sweep benchmark workload (fig4 geometry) and two
+    # geometry_scan geometries: the widest aperture with the widest
+    # prior, and the narrowest with the farthest
+    (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR,
+     ZZBGrid(n_delta=24, n_theta_z=24)),
+    (ArrayGeometry(10.0, 0.5), Wave(0.01), UniformPrior(4.0, 7.0),
+     ZZBGrid(24, 12)),
+    (ArrayGeometry(2.0, 0.5), Wave(0.01), UniformPrior(9.0, 10.0),
+     ZZBGrid(24, 12))])
+def test_search_pruning_leaves_the_bounds_bit_identical(
+        monkeypatch, geom, wave, prior, grid):
+    # a margin of 1 puts the pruning threshold at 0, so every pair is
+    # taken; with the default margin, Q sees at most a quarter of the cells
+    cells = _counting_q(monkeypatch)
+    results = []
+    for margin in (zzb_module._PRUNE_MARGIN, 1.0):
+        monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
+        cells[0] = 0
+        results.append([zzb_z(prior, SWEEP, geom, wave, grid).tolist(),
+                        zzb_t(prior, SWEEP, geom, wave, grid).tolist()])
+        results[-1].append(cells[0])
+    (pruned_z, pruned_t, pruned), (full_z, full_t, full) = results
+    assert pruned_z == full_z and pruned_t == full_t
+    assert np.all(np.isfinite(full_z + full_t))
+    assert pruned <= 0.25 * full
+
+
+RAMP = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
+
+
+@pytest.mark.parametrize("block", [None, 32])
+@pytest.mark.parametrize("profiles, winners", [
+    # box 2 has mu 0 on half its distance nodes and a large mu on the
+    # rest: it wins above 0 dB although its mean mu is the largest
+    ((RAMP, RAMP, (0.0, 0.0, 1e3, 1e3), RAMP), {0, 2}),
+    ([[b * r for r in RAMP] for b in (1.0, 2.0, 3.0, 4.0)], {0})])
+def test_search_max_equals_brute_force(monkeypatch, block, profiles, winners):
+    # a hand-made search line of four boxes, box b at tilt offset
+    # delta_t[b] with mu/(snr*pitch) = profiles[b] over distance times
+    # s1^2; block 32 is one box per block, so the running maximum
+    # crosses blocks
+    if block is not None:
+        monkeypatch.setattr(zzb_module, "_BLOCK_CELLS", block)
+    grid = ZZBGrid(2, 4, 8, 4)
+    delta_t = np.array([0.0, 0.1, 0.2, 0.3])
+    coef = np.zeros((4, 14, grid.n_theta_z))
+    coef[:, 2] = profiles
+    theta_t = midpoints(0.0, 1.0 - delta_t[:, None, None], grid.n_theta_t)
+    snrs, pitch, z_len = np.array([0.0, 1.0, 10.0, 1e2, 1e3, 1e4]), 0.1, 2.0
+    box = grid.n_theta_z * grid.n_theta_t
+    values = np.array([
+        q_function(np.sqrt(np.maximum(
+            (snrs * pitch)[:, None, None] * _mu_over_tilts(
+                coef[b], theta_t[b], delta_t[b]), 0.0) / 2.0)).sum(axis=(1, 2))
+        * ((z_len / grid.n_theta_z) * ((1.0 - delta_t[b]) / grid.n_theta_t))
+        for b in range(4)])
+    assert set(values.argmax(axis=0).tolist()) == winners
+    cells = _counting_q(monkeypatch)
+    peak = _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid)
+    assert peak.tolist() == values.max(axis=0).tolist()
+    # the (SNR, box) upper bounds cost one cell each; fewer than every
+    # box's grid means some pair was skipped
+    assert box * len(snrs) <= cells[0] < box * values.size
+
+
+@pytest.mark.parametrize("snr", [0.0, 1e200])
+def test_search_pruning_at_extreme_snrs(monkeypatch, snr):
+    # SNR 0 gives Q = 1/2 on every cell; at 1e200 every Q underflows to 0
+    # and so does the running maximum, so the threshold is 0
+    seen = []
+
+    def recording_q(x):
+        q = q_function(x)
+        seen.append(float(np.max(q, initial=0.0)))
+        return q
+
+    monkeypatch.setattr(zzb_module, "q_function", recording_q)
+    prior, geom, wave = THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for margin in (zzb_module._PRUNE_MARGIN, 1.0):
+            monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
+            results.append((zzb_z(prior, snr, geom, wave, COARSE),
+                            zzb_t(prior, snr, geom, wave, COARSE)))
+    assert results[0] == results[1]
+    assert all(math.isfinite(v) for v in results[0])
+    assert set(seen) == ({0.5} if snr == 0.0 else {0.0})
 
 
 @pytest.mark.parametrize("delta_z, delta_t", [
