@@ -5,6 +5,14 @@ phase, so the estimator scans the whole prior box on a coarse grid and
 then refines locally; gradient methods are not trustworthy here. With a
 uniform prior the MAP estimate coincides with maximum likelihood
 restricted to the box.
+
+The coarse model is built by broadcasting the grid distances against the
+tilts and the element centres, so the phase, r^2.5 and sqrt(z) are formed
+once per (distance, element), not per grid pose. It is kept only as one
+real (grid, 2N) matrix [Re | Im], beside its row powers. A block of trials
+[Re v | Im v] is scored against it in one real product, half the flops of
+the complex one, into a trial-major (block, grid) array; the argmax then
+runs along contiguous rows.
 """
 
 from __future__ import annotations
@@ -67,29 +75,39 @@ def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
     return -total / noise.sigma2
 
 
+def _coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
+    """Voltages of the grid poses z x t, one row per pose, distance-major,
+    broadcast over (distance, tilt, element)."""
+    return element_voltages(z[:, None, None], t[None, :, None], geom,
+                            wave).reshape(len(z) * len(t), geom.n_elements)
+
+
 def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
                 grid: MapGrid):
     """MAP search over the prior box, as a function from a block of voltage
     rows to their (z, t) estimate arrays. The coarse score 2 Re(model . v*)
     - |model|^2 is the log-likelihood up to a pose-independent constant and
-    a positive factor; its argmax (ties to the smallest grid indices) is
-    refined on 7 x 7 patches, clipped to the box, of shrinking cells."""
-    # largest arrays: the coarse model (grid x N), its scores for a trial
-    # block (grid x block) and the block's patches (49 x block x N)
-    require_cells("the MAP search", (grid.n_z * grid.n_t + 49 * _TRIAL_BLOCK)
-                  * max(geom.n_elements, _TRIAL_BLOCK))
+    a positive factor; its argmax along each trial's row (ties to the
+    smallest grid index) is refined on 7 x 7 patches, clipped to the box,
+    of shrinking cells."""
+    # largest arrays: the coarse model as [Re | Im] (grid x 2N), the scores
+    # of a trial block (block x grid) and the block's patches (block x 49 x N)
+    n_grid, n = grid.n_z * grid.n_t, geom.n_elements
+    require_cells("the MAP search", max(n_grid * max(2 * n, _TRIAL_BLOCK),
+                                        49 * _TRIAL_BLOCK * n))
     z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
     t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
-    zz, tt = np.meshgrid(z, t, indexing="ij")
-    zf, tf = zz.ravel(), tt.ravel()
-    model = element_voltages(zf[:, None], tf[:, None], geom, wave)
+    model = _coarse_model(z, t, geom, wave)
     model_power = np.sum(np.abs(model) ** 2, axis=1)
+    model_ri = np.concatenate((model.real, model.imag), axis=1)
     offsets = np.linspace(-1.0, 1.0, 7)
 
     def estimate(noisy):
-        scores = 2.0 * (model @ noisy.conj().T).real - model_power[:, None]
-        best = np.argmax(scores, axis=0)
-        z_hat, t_hat = zf[best], tf[best]
+        scores = np.concatenate((noisy.real, noisy.imag), axis=1) @ model_ri.T
+        scores *= 2.0
+        scores -= model_power
+        best = np.argmax(scores, axis=1)
+        z_hat, t_hat = z[best // grid.n_t], t[best % grid.n_t]
         cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
         rows = np.arange(len(noisy))
         for _ in range(grid.refine_levels):

@@ -11,8 +11,11 @@ elements 1 and 2 (spacing constraint). The tilt then follows from the two
 amplitudes. All solvers broadcast over array voltage inputs.
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
-negative radicand is carried into the complex plane instead of raising,
-and estimates may come back complex.
+negative radicand is carried into the complex plane instead of raising.
+A Case I solve whose radicands include a negative one comes back complex
+as a whole. One whose radicands are all >= 0 stays real: its ranges equal
+the complex solve's real parts bit for bit, and its tilts to within two
+ulps (the real quotient rounds once, numpy's complex one twice).
 """
 
 from __future__ import annotations
@@ -89,14 +92,12 @@ def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
     if y_alpha == y_beta:
         raise DegenerateElements("probe elements coincide")
     da, db = decouple(v_alpha), decouple(v_beta)
-    radicand = (da.theta / wave.wavenumber) ** 2 - y_alpha ** 2
-    if diagnostic:
-        z = np.sqrt(np.asarray(radicand, dtype=complex))[()]
-    else:
-        if np.any(np.asarray(radicand) < 0):
-            raise NegativeRadicand(
-                "phase range below element offset; data not from this regime")
-        z = np.sqrt(radicand)
+    radicand = np.asarray((da.theta / wave.wavenumber) ** 2 - y_alpha ** 2)
+    negative = np.any(radicand < 0)
+    if negative and not diagnostic:
+        raise NegativeRadicand(
+            "phase range below element offset; data not from this regime")
+    z = np.sqrt(radicand.astype(complex) if negative else radicand)[()]
     t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
     return SolveResult(z, t, Region.CASE1, diagnostic)
 

@@ -19,12 +19,16 @@ many (SNR, box) pairs, so memory grows with neither the sweep nor the
 search. Box 0 is taken at every SNR and starts the running maximum.
 Since Q decreases, no other box's integral exceeds its cell count times
 its cell area times Q at its least mu, and a pair is evaluated only where
-that bound reaches the running maximum less `_PRUNE_MARGIN` (1e-9) of it.
+that bound reaches the running maximum less `_PRUNE_MARGIN` (1e-9) of it
+and its Q at the least mu is not 0.
 The least mu of the bound is the least of the very products the cells
 use, so only the ulp-level non-monotonicity of `erfc` (below 1e-13
 relative) and the rounding of the cell sum and of the cell-area products
 (below 1e-14) can put a skipped pair above its bound, far inside the
-margin: the bounds are bit-identical to taking every pair.
+margin. scipy's `erfc` is exactly 0 from 26.64... on and positive below,
+so a pair whose Q at its least mu is 0 integrates to exactly 0 (a bound
+of 0 would still reach a running maximum that underflowed to 0). The
+bounds are bit-identical to taking every pair, which a margin of 1 does.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -212,7 +216,8 @@ def _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
     length z_len[b]; what the boxes share is given once. Box 0 is taken at
     every SNR, the other boxes' mu in blocks of at most _BLOCK_CELLS grid
     cells (one box at least), and their (SNR, box) pairs only where an
-    upper bound reaches the running maximum less _PRUNE_MARGIN of it."""
+    upper bound reaches the running maximum less _PRUNE_MARGIN of it and
+    Q at the box's least mu is not 0; a margin of 1 takes every pair."""
     n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
     coef = np.broadcast_to(coef, (n, 14, grid.n_theta_z))
     theta_t = np.broadcast_to(theta_t, (n, 1, grid.n_theta_t))
@@ -227,9 +232,13 @@ def _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
                            delta_t[i:i + step, None, None])
         c = cell[i:i + step]
         # Q decreases, so no cell of a box exceeds Q at the box's least mu
-        bound = box * c * q_function(np.sqrt(np.maximum(
+        q_least = q_function(np.sqrt(np.maximum(
             sp[:, None] * m.min(axis=(1, 2)), 0.0) / 2.0))
-        s, b = np.nonzero(bound >= (1.0 - _PRUNE_MARGIN) * peak[:, None])
+        take = box * c * q_least >= (1.0 - _PRUNE_MARGIN) * peak[:, None]
+        if _PRUNE_MARGIN < 1.0:
+            # where Q at the least mu underflowed to 0, every cell's Q is 0
+            take &= q_least > 0.0
+        s, b = np.nonzero(take)
         np.maximum.at(peak, s, _q_box(
             lambda rows: sp[s[rows], None, None] * m[b[rows]], len(s), c[b],
             grid))

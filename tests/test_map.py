@@ -1,6 +1,8 @@
 """Grid-search MAP estimator and its Monte-Carlo harness."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +10,15 @@ import pytest
 from nfepm.channel import AxialPose
 from nfepm.errors import InvariantViolation
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.mapest import (MapGrid, MseReport, log_likelihood, map_estimate,
+from nfepm.mapest import (DEFAULT_MAP_GRID, MapGrid, MseReport, _coarse_model,
+                          _map_search, log_likelihood, map_estimate,
                           monte_carlo_mse)
-from nfepm.numerics import TZ_EPS, stream
-from nfepm.observation import (NoiseSpec, noiseless_voltages, observe,
-                               sigma2_for_snr_db)
+from nfepm.numerics import MAX_CELLS, TZ_EPS, stream
+from nfepm.observation import (NoiseSpec, element_voltages, noiseless_voltages,
+                               observe, sigma2_for_snr_db)
+from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
+
+mapest_module = importlib.import_module("nfepm.mapest")
 
 GEOM = ArrayGeometry(0.5, 0.05)
 WAVE = Wave(1.0)
@@ -119,3 +125,91 @@ def test_monte_carlo_equals_per_trial_estimates(geom, wave, prior):
             sq_z[i] = (est.distance - z_true[i]) ** 2
             sq_t[i] = (est.tilt - t_true[i]) ** 2
         assert (report.mse_z, report.mse_t) == (sq_z.mean(), sq_t.mean())
+
+
+def _coarse_axes(prior, grid):
+    return (np.linspace(prior.z_min, prior.z_max, grid.n_z),
+            np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t))
+
+
+@pytest.mark.parametrize("geom, wave, prior, grid", [
+    (GEOM, WAVE, PRIOR, DEFAULT_MAP_GRID),
+    (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR, MapGrid(37, 11))])
+def test_coarse_model_equals_per_pose_voltages(geom, wave, prior, grid):
+    # the (distance, tilt, element) broadcast against one row per grid
+    # pose, distance-major, bit for bit
+    z, t = _coarse_axes(prior, grid)
+    zz, tt = np.meshgrid(z, t, indexing="ij")
+    flat = element_voltages(zz.ravel()[:, None], tt.ravel()[:, None], geom, wave)
+    assert np.array_equal(_coarse_model(z, t, geom, wave), flat)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_coarse_estimates_are_the_likelihood_argmax(seed):
+    # with no refinement, every Monte Carlo estimate is the grid pose of
+    # largest log-likelihood, the first such in distance-major order
+    grid, trials = MapGrid(16, 8, 0), 12
+    z, t = _coarse_axes(PRIOR, grid)
+    poses = [AxialPose(zi, ti) for zi in z for ti in t]
+    rng = stream(seed)
+    z_true = rng.uniform(PRIOR.z_min, PRIOR.z_max, trials)
+    t_true = rng.uniform(0.0, 1.0, trials)
+    for db in (0.0, 30.0, 60.0):
+        noise = NoiseSpec(sigma2_for_snr_db(WAVE, db), seed)
+        est = np.empty((2, trials))
+        for i in range(trials):
+            v = observe(noiseless_voltages(AxialPose(z_true[i], t_true[i]),
+                                           GEOM, WAVE), noise, trial=i)
+            best = np.argmax([log_likelihood(p, v, GEOM, WAVE, noise)
+                              for p in poses])
+            est[:, i] = poses[best].distance, poses[best].tilt
+        report = monte_carlo_mse(PRIOR, GEOM, WAVE, db, trials, seed, grid)
+        sq_z, sq_t = (est - np.stack((z_true, t_true))) ** 2
+        assert (report.mse_z, report.mse_t) == (sq_z.mean(), sq_t.mean())
+
+
+def test_trial_block_scoring_peak_memory():
+    # the scores of a 64-trial block against the default grid are one real
+    # (trial, grid) array; complex grid x block temporaries would take at
+    # least twice its size
+    estimate = _map_search(PRIOR, GEOM, WAVE, DEFAULT_MAP_GRID)
+    clean = noiseless_voltages(AxialPose(0.7, 0.4), GEOM, WAVE)
+    noise = NoiseSpec(sigma2_for_snr_db(WAVE, 20.0), 3)
+    noisy = np.stack([observe(clean, noise, trial=i).values for i in range(64)])
+    score_bytes = 64 * DEFAULT_MAP_GRID.n_z * DEFAULT_MAP_GRID.n_t * 8
+    tracemalloc.start()
+    try:
+        estimate(noisy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * score_bytes
+
+
+class _ModelBuilt(Exception):
+    pass
+
+
+def test_map_cell_cap_edge(monkeypatch):
+    # the real coarse model holds 2N cells per pose, so the default grid
+    # (2^15 poses) takes at most 2^24 / 2^16 = 256 elements; one more is
+    # refused before anything is allocated
+    grid = DEFAULT_MAP_GRID
+    assert grid.n_z * grid.n_t * 2 * 256 == MAX_CELLS
+
+    def built(*args):
+        raise _ModelBuilt
+
+    monkeypatch.setattr(mapest_module, "_coarse_model", built)
+    with pytest.raises(_ModelBuilt):
+        _map_search(PRIOR, ArrayGeometry(128.0, 0.5), WAVE, grid)
+    past = ArrayGeometry(128.5, 0.5)
+    assert past.n_elements == 257
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantViolation, match="array cells"):
+            _map_search(PRIOR, past, WAVE, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

@@ -272,6 +272,33 @@ def test_negative_radicand_and_diagnostic_mode():
     assert np.imag(res.z_hat) != 0.0
 
 
+def test_diagnostic_case1_goes_complex_only_with_a_negative_radicand():
+    # Case I data (column 1): every radicand is >= 0, so the diagnostic
+    # solve stays real; its ranges equal the complex path's real parts bit
+    # for bit, its tilts to two ulps (numpy divides complex numbers by
+    # multiplying with a rounded reciprocal)
+    geom, wave = ArrayGeometry(0.5, 0.05), Wave(1.0)
+    y_a, y_b = geom.element_center(1), geom.element_center(10)
+    z = np.linspace(0.5, 0.9, 9)[:, None]
+    t = np.linspace(0.0, 0.9, 5)[None, :]
+    v_a = element_voltages(z, t, geom, wave, y=y_a)
+    v_b = element_voltages(z, t, geom, wave, y=y_b)
+    da, db = decouple(v_a), decouple(v_b)
+    z_c = np.sqrt(((da.theta / wave.wavenumber) ** 2 - y_a ** 2).astype(complex))
+    t_c = _tilt_from_amplitudes(da.psi, db.psi, y_a, y_b, z_c, geom, wave)
+    assert np.all(z_c.imag == 0.0) and np.all(t_c.imag == 0.0)
+    res = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
+    assert not np.iscomplexobj(res.z_hat) and not np.iscomplexobj(res.t_hat)
+    assert np.array_equal(res.z_hat, z_c.real)
+    np.testing.assert_array_max_ulp(res.t_hat, t_c.real, maxulp=2)
+    # one negative radicand turns the whole block complex
+    v_a[0, 0] = 0.5 * np.exp(1j * 1e-3)
+    mixed = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
+    assert np.iscomplexobj(mixed.z_hat) and np.iscomplexobj(mixed.t_hat)
+    assert mixed.z_hat[0, 0].imag != 0.0
+    assert np.array_equal(mixed.z_hat.ravel()[1:], z_c.ravel()[1:])
+
+
 def test_dispatch_matches_region():
     for column, kind in ((0, Region.CASE1), (2, Region.CASE2_PA),
                          (5, Region.CASE2_SC)):
