@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -369,7 +370,9 @@ _PRESETS = {
 }
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nfepm",
         description="Near-field channel, bound, and estimator experiments.")
@@ -406,7 +409,7 @@ def _run(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _argparser().parse_args(argv)
     try:
         _run(args)
     except ConfigError as exc:

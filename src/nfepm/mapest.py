@@ -6,13 +6,9 @@ then refines locally; gradient methods are not trustworthy here. With a
 uniform prior the MAP estimate coincides with maximum likelihood
 restricted to the box.
 
-The coarse model is built by broadcasting the grid distances against the
-tilts and the element centres, so the phase, r^2.5 and sqrt(z) are formed
-once per (distance, element), not per grid pose. It is kept only as one
-real (grid, 2N) matrix [Re | Im], beside its row powers. A block of trials
-[Re v | Im v] is scored against it in one real product, half the flops of
-the complex one, into a trial-major (block, grid) array; the argmax then
-runs along contiguous rows.
+The coarse score is separable in distance and tilt (`_coarse_scores`), so
+a block of trials is scored by two small real products, trial-major, and
+no model over the whole grid is formed.
 """
 
 from __future__ import annotations
@@ -25,8 +21,8 @@ from .channel import AxialPose
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import TZ_EPS, require_cells, stream
-from .observation import (NoiseSpec, Voltages, element_voltages, observe,
-                          sigma2_for_snr_db)
+from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
+                          sigma2_for_snr_db, unit_noise)
 
 # Trials scored per matrix product so the score block stays ~tens of MB.
 _TRIAL_BLOCK = 64
@@ -75,11 +71,36 @@ def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
     return -total / noise.sigma2
 
 
-def _coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
-    """Voltages of the grid poses z x t, one row per pose, distance-major,
-    broadcast over (distance, tilt, element)."""
-    return element_voltages(z[:, None, None], t[None, :, None], geom,
-                            wave).reshape(len(z) * len(t), geom.n_elements)
+def _coarse_scores(z, t, geom: ArrayGeometry, wave: Wave):
+    """Coarse scores 2 Re(model . v*) - |model|^2 of voltage rows v against
+    the grid poses z x t, as a function from a block of rows to its
+    (block, n_z * n_t) scores, distance-major.
+
+    A model voltage is c(z, e) (y_e t + z s) with s = sqrt(1 - t^2), so the
+    score is sum_k C_k(v, z) B_k(t) over the tilt basis
+    B = (t, s, t^2, t s, s^2), with C = (2 P_1, 2 z P_0, -Q_2, -2 z Q_1,
+    -z^2 Q_0), P_k = sum_e y_e^k Re(c v_e*) and Q_k = sum_e y_e^k |c|^2.
+    """
+    y = geom.element_centers
+    # the tilt factor y t + z s is exactly z at t = 0
+    c = element_voltages(z[:, None], 0.0, geom, wave) / z[:, None]
+    c_ri = np.concatenate((c.real, c.imag), axis=1)
+    # (2N, 2 n_z): the weights of 2 P_1, then of 2 z P_0, per distance
+    factors = 2.0 * np.concatenate((np.concatenate((y, y)) * c_ri,
+                                    z[:, None] * c_ri)).T
+    q = (c.real ** 2 + c.imag ** 2) @ np.stack((y * y, y, np.ones_like(y)), axis=1)
+    fixed = -q * np.stack((np.ones_like(z), 2.0 * z, z * z), axis=1)
+    s = np.sqrt(1.0 - t * t)
+    basis = np.stack((t, s, t * t, t * s, s * s))
+
+    def score(noisy):
+        p = np.concatenate((noisy.real, noisy.imag), axis=1) @ factors
+        coef = np.empty((len(noisy), len(z), 5))
+        coef[:, :, :2] = p.reshape(len(noisy), 2, len(z)).transpose(0, 2, 1)
+        coef[:, :, 2:] = fixed
+        return (coef.reshape(-1, 5) @ basis).reshape(len(noisy), -1)
+
+    return score
 
 
 def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
@@ -90,23 +111,21 @@ def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     a positive factor; its argmax along each trial's row (ties to the
     smallest grid index) is refined on 7 x 7 patches, clipped to the box,
     of shrinking cells."""
-    # largest arrays: the coarse model as [Re | Im] (grid x 2N), the scores
-    # of a trial block (block x grid) and the block's patches (block x 49 x N)
-    n_grid, n = grid.n_z * grid.n_t, geom.n_elements
-    require_cells("the MAP search", max(n_grid * max(2 * n, _TRIAL_BLOCK),
-                                        49 * _TRIAL_BLOCK * n))
+    # largest arrays: the (distance, element) factors (2N x 2 n_z), the
+    # scores of a trial block (block x grid, or its block x n_z x 5
+    # coefficients) and the block's patches (block x 49 x N)
+    n = geom.n_elements
+    require_cells("the MAP search",
+                  max(4 * grid.n_z * n,
+                      _TRIAL_BLOCK * grid.n_z * max(grid.n_t, 5),
+                      49 * _TRIAL_BLOCK * n))
     z = np.linspace(prior.z_min, prior.z_max, grid.n_z)
     t = np.linspace(0.0, 1.0 - TZ_EPS, grid.n_t)
-    model = _coarse_model(z, t, geom, wave)
-    model_power = np.sum(np.abs(model) ** 2, axis=1)
-    model_ri = np.concatenate((model.real, model.imag), axis=1)
+    coarse_scores = _coarse_scores(z, t, geom, wave)
     offsets = np.linspace(-1.0, 1.0, 7)
 
     def estimate(noisy):
-        scores = np.concatenate((noisy.real, noisy.imag), axis=1) @ model_ri.T
-        scores *= 2.0
-        scores -= model_power
-        best = np.argmax(scores, axis=1)
+        best = np.argmax(coarse_scores(noisy), axis=1)
         z_hat, t_hat = z[best // grid.n_t], t[best % grid.n_t]
         cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
         rows = np.arange(len(noisy))
@@ -144,8 +163,9 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     SNR in dB, a list of reports over a 1-D sweep of levels.
 
     Deterministic given (seed, config): poses come from the base stream,
-    the noise of trial i from the i-th substream, at every level. The
-    coarse model and the clean voltages are built once for the sweep.
+    the noise of trial i from the i-th substream, the same draws scaled to
+    every level. The coarse factors, the clean voltages and the draws are
+    made once for the sweep.
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
@@ -160,16 +180,15 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
     t_true = rng.uniform(0.0, 1.0, trials)
     estimate = _map_search(prior, geom, wave, grid)
-    clean = [Voltages(v, geom) for v in
-             element_voltages(z_true[:, None], t_true[:, None], geom, wave)]
+    clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
+    unit = np.stack([unit_noise(seed, i, geom.n_elements) for i in range(trials)])
 
-    est = np.empty((len(noises), 2, trials))
+    est = np.empty((len(levels), 2, trials))
     for est_level, noise in zip(est, noises):
         for start in range(0, trials, _TRIAL_BLOCK):
             block = slice(start, start + _TRIAL_BLOCK)
-            noisy = np.stack([observe(clean[i], noise, trial=i).values
-                              for i in range(trials)[block]])
-            est_level[:, block] = estimate(noisy)
+            est_level[:, block] = estimate(add_noise(clean[block], unit[block],
+                                                     noise.sigma2))
     sq = (est - np.stack((z_true, t_true))) ** 2
 
     def se(x):

@@ -55,19 +55,35 @@ def noiseless_voltages(pose: AxialPose, geom: ArrayGeometry, wave: Wave) -> Volt
     return Voltages(element_voltages(pose.distance, pose.tilt, geom, wave), geom)
 
 
+def unit_noise(seed: int, trial: int, n: int) -> np.ndarray:
+    """The n complex noise draws of one trial before scaling: d_re + j d_im,
+    standard normal, from the substream (seed, trial), real parts drawn
+    before imaginary parts."""
+    draws = stream(seed, trial).standard_normal((2, n))
+    return draws[0] + 1j * draws[1]
+
+
+def add_noise(values, unit, sigma2: float) -> np.ndarray:
+    """values plus unit noise scaled to total variance sigma2 per element
+    (sigma2/2 in each quadrature); broadcasts. Raises NonFinite when a
+    noisy value is not finite."""
+    noisy = values + math.sqrt(sigma2 / 2.0) * unit
+    if not np.all(np.isfinite(noisy)):
+        raise NonFinite("noisy voltages contain non-finite entries")
+    return noisy
+
+
 def observe(v: Voltages, noise: NoiseSpec, trial: int = 0) -> Voltages:
     """Add circularly-symmetric complex Gaussian noise, total variance
     sigma2 per element (sigma2/2 in each quadrature).
 
-    Deterministic: the draw depends only on (noise.seed, trial). Real
-    parts are drawn before imaginary parts.
+    Deterministic: the draw depends only on (noise.seed, trial), see
+    `unit_noise`.
     """
     if noise.sigma2 == 0:
         return v
-    n = v.geom.n_elements
-    draws = stream(noise.seed, trial).standard_normal((2, n))
-    w = math.sqrt(noise.sigma2 / 2.0) * (draws[0] + 1j * draws[1])
-    return Voltages(values=v.values + w, geom=v.geom)
+    unit = unit_noise(noise.seed, trial, v.geom.n_elements)
+    return Voltages(values=add_noise(v.values, unit, noise.sigma2), geom=v.geom)
 
 
 def snr(wave: Wave, noise: NoiseSpec) -> float:

@@ -1,8 +1,10 @@
-"""Quadrature reference implementations the tests check the library against.
+"""Reference implementations the tests check the library against.
 
 The library computes mu from moment integrals (`zzb._families`) and the
 Fisher information from the tau closed forms (`ecrb._factors`); these
 integrate the defining expressions directly with adaptive quadrature.
+The MAP search scores its coarse grid in a separable form
+(`mapest._coarse_scores`); `coarse_model` is the dense model it replaces.
 """
 
 import math
@@ -17,6 +19,7 @@ from nfepm.ecrb import _TY_SQ_MIN, FisherInfo, _assemble
 from nfepm.errors import AttitudeSingularity, InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.numerics import q_function, require_snr
+from nfepm.observation import element_voltages
 
 
 @dataclass(frozen=True)
@@ -160,3 +163,10 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     i_zt = integrate(lambda y: num_z(y) * (y - z * c) / (2.0 * r2(y) ** 3.5),
                      0.0, geom.aperture, spec)
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
+
+
+def coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
+    """Voltages of the grid poses z x t, one row per pose, distance-major,
+    broadcast over (distance, tilt, element)."""
+    return element_voltages(z[:, None, None], t[None, :, None], geom,
+                            wave).reshape(len(z) * len(t), geom.n_elements)

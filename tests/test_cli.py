@@ -289,6 +289,22 @@ def test_channel_output(tmp_path):
     assert any(ln.startswith("# nfepm ") for ln in comments)
 
 
+def test_overrides_do_not_leak_between_main_calls(tmp_path):
+    # one argparser serves every main call of the process; each call
+    # sees its own --override list and nothing of an earlier one
+    cfg = write_ini(tmp_path, BASE_INI)
+    runs = ((["--override", "pose.z=0.8"], AxialPose(0.8, 0.3)),
+            (["--override", "pose.t_z=0.5"], AxialPose(0.7, 0.5)),
+            ([], AxialPose(0.7, 0.3)))
+    for i, (flags, pose) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(["channel", "--config", cfg, "--out", str(out), *flags]) == 0
+        _, _, rows = read_result(out / "channel.csv")
+        volts = noiseless_voltages(pose, ArrayGeometry(0.5, 0.05), Wave(1.0))
+        assert [complex(float(re), float(im)) for _, re, im in rows] == \
+            volts.values.tolist()
+
+
 def test_solve_output_exact(tmp_path):
     cfg = write_ini(tmp_path, BASE_INI)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0

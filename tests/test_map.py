@@ -10,12 +10,13 @@ import pytest
 from nfepm.channel import AxialPose
 from nfepm.errors import InvariantViolation
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.mapest import (DEFAULT_MAP_GRID, MapGrid, MseReport, _coarse_model,
-                          _map_search, log_likelihood, map_estimate,
-                          monte_carlo_mse)
+from nfepm.mapest import (_TRIAL_BLOCK, DEFAULT_MAP_GRID, MapGrid, MseReport,
+                          _coarse_scores, _map_search, log_likelihood,
+                          map_estimate, monte_carlo_mse)
 from nfepm.numerics import MAX_CELLS, TZ_EPS, stream
-from nfepm.observation import (NoiseSpec, element_voltages, noiseless_voltages,
-                               observe, sigma2_for_snr_db)
+from nfepm.observation import (NoiseSpec, Voltages, element_voltages,
+                               noiseless_voltages, observe, sigma2_for_snr_db)
+from oracles import coarse_model
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 mapest_module = importlib.import_module("nfepm.mapest")
@@ -141,7 +142,33 @@ def test_coarse_model_equals_per_pose_voltages(geom, wave, prior, grid):
     z, t = _coarse_axes(prior, grid)
     zz, tt = np.meshgrid(z, t, indexing="ij")
     flat = element_voltages(zz.ravel()[:, None], tt.ravel()[:, None], geom, wave)
-    assert np.array_equal(_coarse_model(z, t, geom, wave), flat)
+    assert np.array_equal(coarse_model(z, t, geom, wave), flat)
+
+
+@pytest.mark.parametrize("geom, wave, prior", [
+    (GEOM, WAVE, PRIOR), (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR)])
+def test_separable_scores_equal_dense_scores(geom, wave, prior):
+    # the separable coarse scores against 2 Re(model . v*) - |model|^2 of
+    # the dense model at 0-60 dB: within 1e-13 of each row's largest
+    # |score|, with the same first argmax
+    z, t = _coarse_axes(prior, DEFAULT_MAP_GRID)
+    model = coarse_model(z, t, geom, wave)
+    power = np.sum(np.abs(model) ** 2, axis=1)
+    score = _coarse_scores(z, t, geom, wave)
+    rng = stream(5)
+    z_true = rng.uniform(prior.z_min, prior.z_max, 32)
+    t_true = rng.uniform(0.0, 1.0, 32)
+    clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
+    for db in range(0, 61, 10):
+        noise = NoiseSpec(sigma2_for_snr_db(wave, db), 5)
+        noisy = np.stack([observe(Voltages(v, geom), noise, trial=i).values
+                          for i, v in enumerate(clean)])
+        dense = 2.0 * (noisy.conj() @ model.T).real - power
+        separable = score(noisy)
+        row_max = np.max(np.abs(dense), axis=1, keepdims=True)
+        assert np.all(np.abs(separable - dense) <= 1e-13 * row_max)
+        assert np.array_equal(np.argmax(separable, axis=1),
+                              np.argmax(dense, axis=1))
 
 
 @pytest.mark.parametrize("seed", [0, 4, 17])
@@ -186,25 +213,46 @@ def test_trial_block_scoring_peak_memory():
     assert peak <= 1.25 * score_bytes
 
 
-class _ModelBuilt(Exception):
+def test_search_build_allocates_less_than_one_score_block():
+    # building the search keeps (distance, element) factors and the tilt
+    # basis only; a dense model of the default grid would take 26 MB
+    # complex on this geometry, and as many again as [Re | Im]
+    grid = DEFAULT_MAP_GRID
+    score_bytes = _TRIAL_BLOCK * grid.n_z * grid.n_t * 8
+    tracemalloc.start()
+    try:
+        _map_search(THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < score_bytes
+
+
+class _SearchBuilt(Exception):
     pass
 
 
 def test_map_cell_cap_edge(monkeypatch):
-    # the real coarse model holds 2N cells per pose, so the default grid
-    # (2^15 poses) takes at most 2^24 / 2^16 = 256 elements; one more is
-    # refused before anything is allocated
+    # the largest array of the default search is a trial block's
+    # refinement patches, 49 x 64 x N cells, so it takes at most
+    # 2^24 // 3136 = 5349 elements; one more is refused before anything
+    # is allocated
     grid = DEFAULT_MAP_GRID
-    assert grid.n_z * grid.n_t * 2 * 256 == MAX_CELLS
+    assert _TRIAL_BLOCK == 64
+    assert 49 * 64 * 5349 <= MAX_CELLS < 49 * 64 * 5350
+    # the (2N, 2 n_z) factors and the (64, grid) scores stay smaller
+    assert 4 * grid.n_z < 49 * 64 and 64 * grid.n_z * grid.n_t < MAX_CELLS
 
     def built(*args):
-        raise _ModelBuilt
+        raise _SearchBuilt
 
-    monkeypatch.setattr(mapest_module, "_coarse_model", built)
-    with pytest.raises(_ModelBuilt):
-        _map_search(PRIOR, ArrayGeometry(128.0, 0.5), WAVE, grid)
-    past = ArrayGeometry(128.5, 0.5)
-    assert past.n_elements == 257
+    monkeypatch.setattr(mapest_module, "_coarse_scores", built)
+    edge = ArrayGeometry(2674.5, 0.5)
+    assert edge.n_elements == 5349
+    with pytest.raises(_SearchBuilt):
+        _map_search(PRIOR, edge, WAVE, grid)
+    past = ArrayGeometry(2675.0, 0.5)
+    assert past.n_elements == 5350
     tracemalloc.start()
     try:
         with pytest.raises(InvariantViolation, match="array cells"):

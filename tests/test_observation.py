@@ -7,7 +7,7 @@ from nfepm.channel import AxialPose, axis_channel, nf_channel
 from nfepm.errors import InvariantViolation, NonFinite, ZeroNoise
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.numerics import TZ_EPS, stream
-from nfepm.observation import (NoiseSpec, Voltages, element_voltages,
+from nfepm.observation import (NoiseSpec, Voltages, add_noise, element_voltages,
                                noiseless_voltages, observe, sigma2_for_snr_db,
                                snr, snr_db)
 
@@ -49,8 +49,9 @@ def test_voltages_match_surface_integral(pitch):
 
 
 def test_element_voltages_is_every_voltage_rule():
-    # the pose-column rows the MAP model scores and the per-element grids
-    # the rmse_grid probes read equal the per-pose voltage vectors exactly
+    # the pose-column rows of the Monte Carlo clean voltages and the
+    # per-element grids the rmse_grid probes read equal the per-pose
+    # voltage vectors exactly
     z = np.linspace(0.3, 2.0, 5)
     t = np.linspace(0.0, 1.0 - TZ_EPS, 4)
     zz, tt = np.meshgrid(z, t, indexing="ij")
@@ -95,6 +96,16 @@ def test_observe_draw_convention():
     draws = stream(3, 7).standard_normal((2, GEOM.n_elements))
     expected = v.values + np.sqrt(0.02) * (draws[0] + 1j * draws[1])
     assert np.array_equal(observe(v, spec, trial=7).values, expected)
+
+
+def test_add_noise_rejects_a_non_finite_block():
+    # the Monte Carlo harness adds noise to whole trial blocks without
+    # building Voltages; the finiteness check travels with the rule
+    unit = np.full((2, 3), 1e308 + 0j)
+    values = np.full((2, 3), 1.7e308 + 0j)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        add_noise(values, unit, 2.0)
+    assert np.array_equal(add_noise(values, unit, 0.0), values)
 
 
 def test_noise_statistics():
