@@ -12,7 +12,10 @@ product with a 14-function tilt basis. Outer offset integrals run on
 log-spaced panels because the integrand support shrinks like 1/SNR.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
-array); the SNR-free work, the coefficients included, runs once per sweep.
+array); the SNR-free work, the coefficients and tilt bases included, runs
+once per sweep, and the outer offset integral evaluates only the SNRs it
+has not cut yet. zzb_z forms its boxes' tilt basis once per call, zzb_t
+once per outer node (its boxes share one tilt grid).
 Each search line of boxes gets mu in blocks of at most `_BLOCK_CELLS`
 grid cells (one box at least), and its detection error in blocks of as
 many (SNR, box) pairs, so memory grows with neither the sweep nor the
@@ -29,6 +32,21 @@ margin. scipy's `erfc` is exactly 0 from 26.64... on and positive below,
 so a pair whose Q at its least mu is 0 integrates to exactly 0 (a bound
 of 0 would still reach a running maximum that underflowed to 0). The
 bounds are bit-identical to taking every pair, which a margin of 1 does.
+
+zzb_t's boxes sit at distance offsets of their own. Box 0 gets its exact
+coefficients at once, the others amplitude-only ones: at wavenumber 0 the
+phase term, which is >= 0 on the strip, drops out, so they bound mu from
+below on every cell. With the Chernoff bound Q(x) <= exp(-x^2/2)/2, a
+box's integral is at most its cell count times its cell area times
+exp(-snr pitch mu_amp / 4)/2 at its least mu_amp, with no Q call. A box
+whose bound stays below the running maximum less the margin, or
+underflows to 0, at every SNR of an outer node is skipped there;
+otherwise its exact coefficients are built once, kept for the call, and
+it goes through the exact bound above. The screen's mu is within 1e-12
+relative of the exact coefficients' amplitude part, which moves the
+exponential by under 7.5e-10 where it has not underflowed, and it
+underflows only from x = 38.6 on, where `erfc` is already 0. So the
+bounds stay bit-identical, and a margin of 1 builds every box.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -97,15 +115,19 @@ def _panel_rule(edges: np.ndarray, order: int):
     return nodes, weights
 
 
-def _family_eval(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
-                 wave: Wave, n_panels: int):
-    """y^0, y^1 and y^2 moments (7, 3, n_theta_z) of dG^2, dG G0, dG G1,
-    G0^2, G0 G1, G1^2 and G0 G1 S, taken in blocks of _FAMILY_BLOCK panels:
-    G_i = sqrt(z_i) / r_i^2.5, dG = G1 - G0, S = sin^2(k (r1 - r0) / 2)."""
+def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
+                 n_panels: int):
+    """y^0, y^1 and y^2 moments (7, 3, ..., n_theta_z) of dG^2, dG G0, dG G1,
+    G0^2, G0 G1, G1^2 and G0 G1 S at wavenumber k, for hypothesis distances
+    theta_z (..., n_theta_z) and offsets delta_z broadcasting against them
+    (a scalar, or one per row as (..., 1)): G_i = sqrt(z_i) / r_i^2.5,
+    dG = G1 - G0, S = sin^2(k (r1 - r0) / 2), so S = 0 at k = 0. Taken in
+    blocks of _FAMILY_BLOCK panels."""
     edges = np.linspace(0.0, geom.aperture, n_panels + 1)
-    z0 = theta_z[:, None]
-    z1 = z0 + delta_z
-    half_phase = 0.5 * wave.wavenumber * delta_z * (z0 + z1)
+    z0 = theta_z[..., None]
+    dz = np.asarray(delta_z)[..., None]
+    z1 = z0 + dz
+    half_phase = 0.5 * k * dz * (z0 + z1)
     moments = 0.0
     for i in range(0, n_panels, _FAMILY_BLOCK):
         y, w = _panel_rule(edges[i:i + _FAMILY_BLOCK + 1], 8)
@@ -122,7 +144,7 @@ def _family_eval(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
         np.multiply(kernels[4], np.sin(half_phase / (r0 + r1)) ** 2,
                     out=kernels[6])
         moments = moments + kernels @ np.stack((w, y * w, y * y * w), axis=1)
-    return np.swapaxes(moments, 1, 2)
+    return np.moveaxis(moments, -1, 1)
 
 
 def _ten_families(m, z0, dz):
@@ -135,7 +157,7 @@ def _ten_families(m, z0, dz):
 
 
 def _coefficients(m, z0, dz):
-    """The 14 coefficients of mu in the tilt basis of _mu_over_tilts.
+    """The 14 coefficients of mu in the tilt basis of _tilt_basis.
     A1 - A0 = dG (y t1 + z0 s1) + G0 (y dt + z0 ds) + G1 dz s1, squared,
     plus the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1)."""
     dd, d0, d1, g00, g01, g11, ph = m
@@ -163,11 +185,12 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
     if 2 * n_panels > _MAX_FAMILY_PANELS:
         raise QuadratureFailure(
             f"channel-mismatch integrals would start at {n_panels} panels")
-    vals = _ten_families(_family_eval(theta_z, delta_z, geom, wave, n_panels),
-                         theta_z, delta_z)
+    vals = _ten_families(
+        _family_eval(theta_z, delta_z, geom, wave.wavenumber, n_panels),
+        theta_z, delta_z)
     while True:
         n_panels *= 2
-        moments = _family_eval(theta_z, delta_z, geom, wave, n_panels)
+        moments = _family_eval(theta_z, delta_z, geom, wave.wavenumber, n_panels)
         refined = _ten_families(moments, theta_z, delta_z)
         scale = np.abs(refined).max() + 1e-300
         if np.abs(refined - vals).max() <= mu_tol * scale:
@@ -178,19 +201,48 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
         vals = refined
 
 
-def _mu_over_tilts(coef: np.ndarray, theta_t: np.ndarray, delta_t):
-    """mu/(snr*pitch) on each box's (theta_z, theta_t) grid, one product of
-    the coefficients coef (..., 14, n_theta_z) with the tilt basis, theta_t
-    and delta_t against (..., 1, n_theta_t)."""
+def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
+                            geom: ArrayGeometry):
+    """Amplitude-only mu coefficients (rows, 14, n_theta_z) for hypothesis
+    distances theta_z (rows, n_theta_z) and offsets delta_z (rows,): those
+    of _coefficients at wavenumber 0, the ten of (A1 - A0)^2 and four zeros
+    for the phase term, which is >= 0 on the strip, so they bound mu from
+    below on every cell. The kernels' nearest singularities lie at
+    y = +-i z, so panels at most a third of the least distance wide put the
+    quadrature error at rounding level; where that would take more than
+    _MAX_FAMILY_PANELS panels, all coefficients are 0, the bound mu >= 0."""
+    coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
+    n_panels = max(1, math.ceil(3.0 * geom.aperture
+                                / theta_z.min(initial=math.inf)))
+    if n_panels > _MAX_FAMILY_PANELS:
+        return coef
+    # rows in groups of at most 16 panels in all: every _families call
+    # evaluates 16 panels at least, so the screen adds no larger y-block
+    group = max(1, 16 // n_panels)
+    for i in range(0, len(coef), group):
+        z0, dz = theta_z[i:i + group], delta_z[i:i + group, None]
+        coef[i:i + group] = np.moveaxis(_coefficients(
+            _family_eval(z0, dz, geom, 0.0, n_panels), z0, dz), 0, 1)
+    return coef
+
+
+def _tilt_basis(theta_t: np.ndarray, delta_t):
+    """The 14 tilt functions (..., 14, n_theta_t) that mu's coefficients
+    multiply, theta_t and delta_t given against (..., 1, n_theta_t)."""
     t0 = theta_t
     s0 = np.sqrt(1.0 - t0 * t0)
     t1 = t0 + delta_t
     s1 = np.sqrt(1.0 - t1 * t1)
     dt = np.broadcast_to(delta_t, t1.shape)
     ds = -dt * (t0 + t1) / (s0 + s1)
-    basis = np.concatenate((t1 * t1, t1 * s1, s1 * s1, dt * dt, dt * ds,
-                            ds * ds, t1 * dt, t1 * ds, s1 * dt, s1 * ds,
-                            t0 * t1, t0 * s1, s0 * t1, s0 * s1), axis=-2)
+    return np.concatenate((t1 * t1, t1 * s1, s1 * s1, dt * dt, dt * ds,
+                           ds * ds, t1 * dt, t1 * ds, s1 * dt, s1 * ds,
+                           t0 * t1, t0 * s1, s0 * t1, s0 * s1), axis=-2)
+
+
+def _mu(coef: np.ndarray, basis: np.ndarray):
+    """mu/(snr*pitch) on each box's (theta_z, theta_t) grid, one product of
+    the coefficients coef (..., 14, n_theta_z) with the tilt basis."""
     return np.swapaxes(coef, -1, -2) @ basis
 
 
@@ -209,57 +261,76 @@ def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
     return sums * cell
 
 
-def _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid: ZZBGrid):
+def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
+                grid: ZZBGrid):
     """Per SNR, the largest detection-error integral over the n_max_search
     boxes of a search line. Box b has coefficients coef[b] (14, n_theta_z),
-    tilt grid theta_t[b] (1, n_theta_t), tilt offset delta_t[b] and distance
-    length z_len[b]; what the boxes share is given once. Box 0 is taken at
-    every SNR, the other boxes' mu in blocks of at most _BLOCK_CELLS grid
-    cells (one box at least), and their (SNR, box) pairs only where an
-    upper bound reaches the running maximum less _PRUNE_MARGIN of it and
-    Q at the box's least mu is not 0; a margin of 1 takes every pair."""
+    tilt basis basis[b] (14, n_theta_t), tilt offset delta_t[b] and distance
+    length z_len[b]; what the boxes share is given once. Where exact[b] is
+    false, coef[b] holds amplitude-only coefficients, below mu on every
+    cell; the first time they cannot rule the box out, coef[b] = build(b)
+    replaces them with the exact ones and exact[b] is set. Box 0 (exact) is
+    taken at every SNR, the other boxes' mu in blocks of at most
+    _BLOCK_CELLS grid cells (one box at least), and their (SNR, box) pairs
+    only where an upper bound reaches the running maximum less
+    _PRUNE_MARGIN of it and is not 0; a margin of 1 takes every pair."""
     n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
-    coef = np.broadcast_to(coef, (n, 14, grid.n_theta_z))
-    theta_t = np.broadcast_to(theta_t, (n, 1, grid.n_theta_t))
-    delta_t, z_len = np.broadcast_to(delta_t, n), np.broadcast_to(z_len, n)
-    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
+    basis = np.broadcast_to(basis, (n, 14, grid.n_theta_t))
+    cell = np.broadcast_to(
+        (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t), n)
     sp = snrs * pitch
-    m = _mu_over_tilts(coef[:1], theta_t[:1], delta_t[:1, None, None])[0]
+    m = _mu(coef[:1], basis[:1])[0]
     peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell[0], grid)
+
+    def taken(bound, c):
+        take = box * c * bound >= (1.0 - _PRUNE_MARGIN) * peak[:, None]
+        if _PRUNE_MARGIN < 1.0:
+            # where the bound underflowed to 0, every cell's Q is 0
+            take &= bound > 0.0
+        return take
+
     step = max(1, _BLOCK_CELLS // box)
     for i in range(1, n, step):
-        m = _mu_over_tilts(coef[i:i + step], theta_t[i:i + step],
-                           delta_t[i:i + step, None, None])
+        m = _mu(coef[i:i + step], basis[i:i + step])
         c = cell[i:i + step]
+        least = np.maximum(sp[:, None] * m.min(axis=(1, 2)), 0.0)
+        screened = ~exact[i:i + step]
+        # Chernoff, Q(x) <= exp(-x^2/2)/2, at the least amplitude-only mu
+        chernoff = 0.5 * np.exp(-least[:, screened] / 4.0)
+        for j in np.flatnonzero(screened)[
+                taken(chernoff, c[screened]).any(axis=0)]:
+            coef[i + j], exact[i + j] = build(i + j), True
+            m[j] = _mu(coef[i + j], basis[i + j])
+            least[:, j] = np.maximum(sp * m[j].min(), 0.0)
+        done = np.flatnonzero(exact[i:i + step])
+        if done.size == 0:
+            continue
         # Q decreases, so no cell of a box exceeds Q at the box's least mu
-        q_least = q_function(np.sqrt(np.maximum(
-            sp[:, None] * m.min(axis=(1, 2)), 0.0) / 2.0))
-        take = box * c * q_least >= (1.0 - _PRUNE_MARGIN) * peak[:, None]
-        if _PRUNE_MARGIN < 1.0:
-            # where Q at the least mu underflowed to 0, every cell's Q is 0
-            take &= q_least > 0.0
-        s, b = np.nonzero(take)
+        s, b = np.nonzero(taken(q_function(np.sqrt(least[:, done] / 2.0)),
+                                c[done]))
+        b = done[b]
         np.maximum.at(peak, s, _q_box(
             lambda rows: sp[s[rows], None, None] * m[b[rows]], len(s), c[b],
             grid))
     return peak
 
 
-def _outer(prior, hi: float, n_delta: int, bracket) -> np.ndarray:
-    """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]
-    per SNR, over the prior's span: log-spaced panels with 4-point
-    Gauss-Legendre each, each SNR truncated once its bracket falls below
-    _TRUNCATE_REL of its running peak."""
+def _outer(prior, hi: float, n_delta: int, n_snr: int, bracket) -> np.ndarray:
+    """Offset integral of d * bracket(d, live) over [hi * _DELTA_FLOOR_REL,
+    hi] for each of n_snr SNRs, over the prior's span: log-spaced panels
+    with 4-point Gauss-Legendre each, each SNR truncated once its bracket
+    falls below _TRUNCATE_REL of its running peak. bracket(d, live) gives
+    the bracket at the still-live SNR indices live only."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi), max(1, n_delta // 4) + 1))
-    total = peak = 0.0
-    cut = False
+    total, peak = np.zeros(n_snr), np.zeros(n_snr)
+    live = np.arange(n_snr)
     for d, w in zip(*_panel_rule(edges, 4)):
-        value = bracket(d)
-        total = total + np.where(cut, 0.0, w * d * value)
-        peak = np.maximum(peak, value)
-        cut = cut | (value < _TRUNCATE_REL * peak)
-        if np.all(cut):
+        value = bracket(d, live)
+        total[live] = total[live] + w * d * value
+        peak[live] = np.maximum(peak[live], value)
+        live = live[~(value < _TRUNCATE_REL * peak[live])]
+        if live.size == 0:
             break
     return total / prior.span
 
@@ -269,11 +340,19 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     """MSE lower bound on the source distance (m^2)."""
     snrs, shape = snr_sweep(snr)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    theta_t = midpoints(0.0, 1.0 - search[:, None, None], grid.n_theta_t)
-    return shape(_outer(prior, prior.span, grid.n_delta, lambda dz: _search_max(
-        _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
-                  dz, geom, wave, grid.mu_tol),
-        theta_t, search, prior.span - dz, snrs, geom.pitch, grid)))
+    # the boxes' tilt grids and offsets do not move with the outer node
+    basis = _tilt_basis(midpoints(0.0, 1.0 - search[:, None, None],
+                                  grid.n_theta_t), search[:, None, None])
+    exact = np.ones(grid.n_max_search, dtype=bool)
+
+    def bracket(dz, live):
+        coef = _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
+                         dz, geom, wave, grid.mu_tol)
+        return _search_max(
+            np.broadcast_to(coef, (grid.n_max_search,) + coef.shape), exact,
+            None, basis, prior.span - dz, search, snrs[live], geom.pitch, grid)
+
+    return shape(_outer(prior, prior.span, grid.n_delta, len(snrs), bracket))
 
 
 def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
@@ -281,12 +360,26 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     """MSE lower bound on the tilt (dimensionless^2)."""
     snrs, shape = snr_sweep(snr)
     search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)
-    coef = np.stack([
-        _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
-                  dz, geom, wave, grid.mu_tol) for dz in search])
-    return shape(_outer(prior, 1.0, grid.n_delta, lambda dt: _search_max(
-        coef, midpoints(0.0, 1.0 - dt, grid.n_theta_t), dt,
-        prior.span - search, snrs, geom.pitch, grid)))
+    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
+                        grid.n_theta_z)
+
+    def build(b):
+        return _families(theta_z[b], search[b], geom, wave, grid.mu_tol)
+
+    # box 0 is exact from the start; the others keep amplitude-only
+    # coefficients until the search needs their exact ones
+    coef = np.empty((grid.n_max_search, 14, grid.n_theta_z))
+    coef[0] = build(0)
+    coef[1:] = _amplitude_coefficients(theta_z[1:], search[1:], geom)
+    exact = np.arange(grid.n_max_search) == 0
+
+    def bracket(dt, live):
+        # one tilt grid for all boxes: one basis per outer node
+        basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
+        return _search_max(coef, exact, build, basis, prior.span - search, dt,
+                           snrs[live], geom.pitch, grid)
+
+    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
 
 
 def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
@@ -327,11 +420,11 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     snrs, shape = snr_sweep(snr)
     z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
 
-    def bracket(dt):
+    def bracket(dt, live):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
         cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
         return _q_box(lambda rows: mu_L_ao(z_mid, theta_t, dt,
-                                           snrs[rows, None, None], geom),
-                      len(snrs), cell, grid)
+                                           snrs[live[rows], None, None], geom),
+                      len(live), cell, grid)
 
-    return shape(_outer(prior, 1.0, grid.n_delta, bracket))
+    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))

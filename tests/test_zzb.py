@@ -13,8 +13,9 @@ from nfepm.errors import InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
 from nfepm.observation import snr_from_db
-from nfepm.zzb import (ZZBGrid, _families, _mu_over_tilts, _search_max,
-                       mu_L_ao, zzb_ao_t, zzb_t, zzb_z)
+from nfepm.zzb import (ZZBGrid, _amplitude_coefficients, _families, _mu,
+                       _search_max, _tilt_basis, mu_L_ao, zzb_ao_t, zzb_t,
+                       zzb_z)
 from oracles import HypothesisPair, ambiguity_function, integrate, mu_L, p_min
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
@@ -261,12 +262,12 @@ def test_engine_statistic_matches_mu_L():
         pairs.append(HypothesisPair(theta_z, theta_t, delta_z, delta_t))
         snrs.append(10.0 ** rng.uniform(0.0, 6.0))
         fams.append(_families(np.array([theta_z]), delta_z, geom, wave, 1e-6))
-    stacked = _mu_over_tilts(np.stack(fams),
-                             np.array([[[p.theta_t]] for p in pairs]),
-                             np.array([[[p.delta_t]] for p in pairs]))
+    stacked = _mu(np.stack(fams),
+                  _tilt_basis(np.array([[[p.theta_t]] for p in pairs]),
+                              np.array([[[p.delta_t]] for p in pairs])))
     assert stacked.shape == (len(pairs), 1, 1)
     for pair, snr, fam, m in zip(pairs, snrs, fams, stacked[:, 0, 0]):
-        single = _mu_over_tilts(fam, np.array([[pair.theta_t]]), pair.delta_t)
+        single = _mu(fam, _tilt_basis(np.array([[pair.theta_t]]), pair.delta_t))
         h0, h1 = ((pair.theta_z, pair.theta_t),
                   (pair.theta_z + pair.delta_z, pair.theta_t + pair.delta_t))
         energy = snr * geom.pitch * integrate(
@@ -345,12 +346,132 @@ def test_search_pruning_leaves_the_bounds_bit_identical(
 
 def test_search_skips_pairs_whose_q_underflowed(monkeypatch):
     # the snr_sweep benchmark config: the bound alone leaves 1 592 976 Q
-    # cells; skipping the pairs whose Q at the least mu is 0 drops 276 480
+    # cells; skipping the pairs whose Q at the least mu is 0 drops 276 480,
+    # and screening zzb_t's boxes without Q and evaluating only the SNRs
+    # the outer integral has not cut drop 56 990 more
     cells = _counting_q(monkeypatch)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
     zzb_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
-    assert cells[0] <= 1_592_976 - 276_480
+    assert cells[0] <= 1_592_976 - 276_480 - 56_990
+
+
+def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
+    # every bracket call gets only the SNRs not yet cut; 60 dB is cut
+    # before 0 dB (tests/test_sweep.py pins the values against one-SNR calls)
+    seen = []
+    outer = zzb_module._outer
+
+    def recording_outer(prior, hi, n_delta, n_snr, bracket):
+        def recorded(d, live):
+            seen.append(live.tolist())
+            return bracket(d, live)
+        return outer(prior, hi, n_delta, n_snr, recorded)
+
+    monkeypatch.setattr(zzb_module, "_outer", recording_outer)
+    snrs = [snr_from_db(0.0), snr_from_db(60.0)]
+    for bound in (lambda s: zzb_z(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
+                                  THRESHOLD_WAVE, COARSE),
+                  lambda s: zzb_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
+                                  THRESHOLD_WAVE, COARSE),
+                  lambda s: zzb_ao_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, COARSE)):
+        seen.clear()
+        bound(snrs)
+        assert seen[0] == [0, 1] and [0] in seen and [1] not in seen
+
+
+def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
+    # a geometry_scan benchmark geometry at 40 dB: box 0 and four of the
+    # other 15 search distances need their channel-mismatch families
+    calls = []
+    families = zzb_module._families
+
+    def counted(theta_z, delta_z, *args):
+        calls.append(float(delta_z))
+        return families(theta_z, delta_z, *args)
+
+    monkeypatch.setattr(zzb_module, "_families", counted)
+    zzb_t(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
+          Wave(0.01), ZZBGrid(24, 12))
+    assert len(calls) == len(set(calls)) == 5
+    assert calls[0] == 0.0
+
+
+def _screened_line(geom, prior, grid):
+    """Boxes 1..n-1 of a zzb_t search line: their hypothesis distances,
+    distance offsets and the screen's amplitude-only coefficients."""
+    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)[1:]
+    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
+                        grid.n_theta_z)
+    return (theta_z, search, _amplitude_coefficients(theta_z, search, geom))
+
+
+# tilt offsets of zzb_t outer nodes, from the floor to near the top
+OUTER_DT = (1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.7, 0.98)
+
+
+def test_amplitude_coefficients_bound_mu_from_below():
+    # the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1) is >= 0 on the
+    # strip, so the screen's mu is at most the exact mu on every cell
+    rng = np.random.default_rng(15)
+    grid = ZZBGrid(8, 6, 16, 6)
+    for _ in range(24):
+        z_min = rng.uniform(0.5, 8.0)
+        prior = UniformPrior(z_min, z_min + rng.uniform(0.05, 3.0))
+        geom = ArrayGeometry(rng.uniform(0.5, 10.0), 0.5)
+        wave = Wave(10.0 ** rng.uniform(-2.0, 0.0))
+        theta_z, search, screen = _screened_line(geom, prior, grid)
+        exact = np.stack([_families(z, dz, geom, wave, grid.mu_tol)
+                          for z, dz in zip(theta_z, search)])
+        assert np.all(screen[:, 10:] == 0.0)
+        for dt in rng.uniform(0.0, 0.99, 3):
+            basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :],
+                                dt)
+            assert np.all(_mu(screen, basis) <= _mu(exact, basis))
+
+
+def test_screen_past_the_panel_cap_keeps_only_mu_nonnegative(monkeypatch):
+    # so near the array that the screen would need more panels than the
+    # family cap: its coefficients are all 0 and the bound stays exact
+    geom, wave = ArrayGeometry(2.0, 0.5), Wave(0.1)
+    prior, grid = UniformPrior(1e-4, 0.0101), ZZBGrid(8, 6, 16, 6)
+    assert not _screened_line(geom, prior, grid)[2].any()
+    results = []
+    for margin in (zzb_module._PRUNE_MARGIN, 1.0):
+        monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
+        results.append(zzb_t(prior, [1.0, 1e2, 1e4], geom, wave, grid).tolist())
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("geom, wave, prior", [
+    (ArrayGeometry(a, 0.5), Wave(0.01), UniformPrior(*p))
+    for p in ((4.0, 5.0), (4.0, 7.0), (6.0, 7.0), (9.0, 10.0))
+    for a in (2.0, 4.0, 7.0, 10.0)] + [
+    (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR),
+    (ArrayGeometry(5.0, 0.1), Wave(0.01), THRESHOLD_PRIOR),
+    (ArrayGeometry(5.0, 0.5), Wave(0.01), THRESHOLD_PRIOR)])
+def test_screen_quadrature_error_is_at_rounding_level(geom, wave, prior):
+    # the screen integrates the amplitude kernels on a few panels; its mu
+    # must match the amplitude part of the exact coefficients to 1e-12,
+    # far inside the pruning margin: exp(709 * 1e-12) - 1 is about 7e-10
+    grid = ZZBGrid(24, 12)
+    theta_z, search, screen = _screened_line(geom, prior, grid)
+    exact = np.stack([_families(z, dz, geom, wave, grid.mu_tol)
+                      for z, dz in zip(theta_z, search)])
+    exact[:, 10:] = 0.0
+    for dt in OUTER_DT:
+        basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
+        reference = _mu(exact, basis)
+        assert np.all(np.abs(_mu(screen, basis) - reference) <= 1e-12 * reference)
+
+
+def test_chernoff_bound_holds_for_q():
+    # the screen bounds Q(x) by exp(-x^2/2)/2 without calling Q; checked on
+    # a dense grid through the point where erfc underflows to 0 (x 37.68)
+    x = np.linspace(0.0, 38.0, 1_000_001)
+    q = q_function(x)
+    assert q[-1] == 0.0 < q_function(37.6)
+    assert np.all(0.5 * np.exp(-x * x / 2.0) >= q)
 
 
 RAMP = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
@@ -378,13 +499,16 @@ def test_search_max_equals_brute_force(monkeypatch, block, profiles, winners):
     box = grid.n_theta_z * grid.n_theta_t
     values = np.array([
         q_function(np.sqrt(np.maximum(
-            (snrs * pitch)[:, None, None] * _mu_over_tilts(
-                coef[b], theta_t[b], delta_t[b]), 0.0) / 2.0)).sum(axis=(1, 2))
+            (snrs * pitch)[:, None, None] * _mu(
+                coef[b], _tilt_basis(theta_t[b], delta_t[b])), 0.0) / 2.0)).sum(
+                    axis=(1, 2))
         * ((z_len / grid.n_theta_z) * ((1.0 - delta_t[b]) / grid.n_theta_t))
         for b in range(4)])
     assert set(values.argmax(axis=0).tolist()) == winners
     cells = _counting_q(monkeypatch)
-    peak = _search_max(coef, theta_t, delta_t, z_len, snrs, pitch, grid)
+    peak = _search_max(coef, np.ones(4, dtype=bool), None,
+                       _tilt_basis(theta_t, delta_t[:, None, None]), z_len,
+                       delta_t, snrs, pitch, grid)
     assert peak.tolist() == values.max(axis=0).tolist()
     # the (SNR, box) upper bounds cost one cell each; fewer than every
     # box's grid means some pair was skipped
@@ -428,7 +552,7 @@ def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t):
     geom, wave = THRESHOLD_GEOM, THRESHOLD_WAVE
     z0, t0 = 4.0, 0.3
     coef = _families(np.array([z0]), delta_z, geom, wave, 1e-6)
-    engine = _mu_over_tilts(coef, np.array([[t0]]), delta_t)[0, 0]
+    engine = _mu(coef, _tilt_basis(np.array([[t0]]), delta_t))[0, 0]
     with mp.workdps(40):
         k = 2 * mp.pi / mp.mpf(wave.wavelength)
 
