@@ -61,7 +61,6 @@ _KEYS = (
     ("grid", "n_theta_z", int, 64, "zzb_grid"),
     ("grid", "n_theta_t", int, 64, "zzb_grid"),
     ("grid", "n_max_search", int, 16, "zzb_grid"),
-    ("grid", "mu_tol", float, 1e-6, "zzb_grid"),
     ("grid", "ecrb_n_z", int, 64, "ecrb_grid"),
     ("grid", "ecrb_n_t", int, 64, "ecrb_grid"),
     ("grid", "map_n_z", int, 256, "map_grid"),

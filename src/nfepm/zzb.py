@@ -7,9 +7,10 @@ z_i s_i) linear in (tilt, transverse) and G_i = sqrt(z_i) / r_i^2.5. The
 engine takes A1 - A0 and r1 - r0 as differences point by point, never
 subtracting channel energies, so mu stays accurate relative to itself at
 the smallest offsets: per distance offset, the y^0..y^2 moments of seven
-kernels in G give 14 coefficients, and mu on a box's tilt grid is one
-product with a 14-function tilt basis. Outer offset integrals run on
-log-spaced panels because the integrand support shrinks like 1/SNR.
+kernels in G, from one quadrature on a panel count fixed beforehand, give
+14 coefficients, and mu on a box's tilt grid is one product with a
+14-function tilt basis. Outer offset integrals run on log-spaced panels
+because the integrand support shrinks like 1/SNR.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work, the coefficients and tilt bases included, runs
@@ -36,17 +37,19 @@ bounds are bit-identical to taking every pair, which a margin of 1 does.
 zzb_t's boxes sit at distance offsets of their own. Box 0 gets its exact
 coefficients at once, the others amplitude-only ones: at wavenumber 0 the
 phase term, which is >= 0 on the strip, drops out, so they bound mu from
-below on every cell. With the Chernoff bound Q(x) <= exp(-x^2/2)/2, a
-box's integral is at most its cell count times its cell area times
-exp(-snr pitch mu_amp / 4)/2 at its least mu_amp, with no Q call. A box
-whose bound stays below the running maximum less the margin, or
-underflows to 0, at every SNR of an outer node is skipped there;
-otherwise its exact coefficients are built once, kept for the call, and
-it goes through the exact bound above. The screen's mu is within 1e-12
-relative of the exact coefficients' amplitude part, which moves the
-exponential by under 7.5e-10 where it has not underflowed, and it
-underflows only from x = 38.6 on, where `erfc` is already 0. So the
-bounds stay bit-identical, and a margin of 1 builds every box.
+below on every cell. A screened box goes through the same bound as an
+exact one, its cell count times its cell area times Q at its least
+mu_amp. Where that reaches the running maximum less the margin and is not
+0 at some SNR of an outer node, its exact coefficients are built once and
+kept for the call, and it goes through the exact bound; otherwise it is
+skipped there. The screen's mu is within 1e-12 relative of the exact
+coefficients' amplitude part, which moves Q by a factor of at most
+exp((x^2 + 1) / 2 * 1e-12), under 7.1e-10 up to x = 37.68 where Q
+underflows to 0, inside the margin. Where the bound is 0, the exact least
+mu can sit at most 1e-12 lower, where Q is 0 or below 1e-310; only a
+running maximum below the box's cell count times that could notice.
+Short of that, the bounds are bit-identical to building every box, which
+a margin of 1 does.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -68,6 +71,8 @@ from .numerics import (midpoints, q_function, require_cells, require_snr,
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
+_PANELS_PER_Z = 6.0
+_PANELS_PER_CYCLE = 2.0
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
 _PRUNE_MARGIN = 1e-9
@@ -79,15 +84,12 @@ class ZZBGrid:
     n_theta_z: int = 64
     n_theta_t: int = 64
     n_max_search: int = 16
-    mu_tol: float = 1e-6
 
     def __post_init__(self):
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")
         if self.n_max_search < 1:
             raise InvariantViolation("n_max_search must be >= 1")
-        if not self.mu_tol > 0:
-            raise InvariantViolation("mu_tol must be > 0")
         # largest arrays: the offset nodes, a search line's 14 coefficients
         # per distance (zzb_t) or basis functions per tilt, a detection
         # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells, and the
@@ -147,15 +149,6 @@ def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
     return np.moveaxis(moments, -1, 1)
 
 
-def _ten_families(m, z0, dz):
-    """The ten y-integrals a_i a_j, a_i b_j, b_i b_j (cross terms with
-    cos k (r1 - r0)) of A_i = a_i t_i + b_i s_i, a_i = y G_i, b_i = z_i G_i."""
-    g00, g11, c, z1 = m[3], m[5], m[4] - 2.0 * m[6], z0 + dz
-    return np.stack((g00[2], z0 * g00[1], z0 * z0 * g00[0],
-                     g11[2], z1 * g11[1], z1 * z1 * g11[0],
-                     c[2], z1 * c[1], z0 * c[1], z0 * z1 * c[0]))
-
-
 def _coefficients(m, z0, dz):
     """The 14 coefficients of mu in the tilt basis of _tilt_basis.
     A1 - A0 = dG (y t1 + z0 s1) + G0 (y dt + z0 ds) + G1 dz s1, squared,
@@ -173,32 +166,39 @@ def _coefficients(m, z0, dz):
 
 
 def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
-              wave: Wave, mu_tol: float):
-    """The 14 mu coefficients per hypothesis distance, from moments refined
-    until the ten energy and cross families they give are stable."""
-    zmin = float(theta_z.min())
-    geom_factor = 1.0 - zmin / math.hypot(zmin, geom.aperture)
-    cycles = wave.wavenumber * delta_z * geom_factor / (2.0 * math.pi)
-    n_panels = max(8, int(math.ceil(2.0 * cycles)))
-    # checked before the first evaluation, which would already cost
-    # 8 * n_panels nodes per hypothesis distance
-    if 2 * n_panels > _MAX_FAMILY_PANELS:
+              wave: Wave):
+    """The 14 mu coefficients per hypothesis distance, from one evaluation
+    of the moments on a panel count fixed before it: the largest of
+    2 max(8, ceil(2 cycles)), cycles the turns of the phase k (r1 - r0)
+    along the array at the least distance z0; _PANELS_PER_Z per z0 of
+    aperture, as the kernels are singular at y = +-i z; and
+    _PANELS_PER_CYCLE per turn at the phase's peak rate, which near the
+    array lies far above its mean. Against 8x the panels, every coefficient
+    is then within 2e-14 of the largest, down to a least distance of 0.0004
+    apertures (tests/test_zzb.py). Up to an aperture of 2.5 z0, as in
+    every preset, the first term is the largest. A count past
+    _MAX_FAMILY_PANELS raises before any evaluation."""
+    z0 = float(theta_z.min())
+    z1, aperture, k = z0 + delta_z, geom.aperture, wave.wavenumber
+    cycles = (k * delta_z * (1.0 - z0 / math.hypot(z0, aperture))
+              / (2.0 * math.pi))
+    # |d(r1 - r0)/dy| = y dz (z0 + z1) / (r0 r1 (r0 + r1)) rises to its peak
+    # at y = (z0 z1)^(2/3) / sqrt(z0^(2/3) + z1^(2/3)) and falls after; at a
+    # fixed offset it falls as z0 grows, so the least row bounds the others
+    a, b = z0 ** (2.0 / 3.0), z1 ** (2.0 / 3.0)
+    y = min(aperture, a * b / math.sqrt(a + b))
+    r0, r1 = math.hypot(y, z0), math.hypot(y, z1)
+    rate = k * y * delta_z * (z0 + z1) / (r0 * r1 * (r0 + r1))
+    n_panels = max(2 * max(8, math.ceil(2.0 * cycles)),
+                   _PANELS_PER_Z * aperture / z0,
+                   _PANELS_PER_CYCLE * rate * aperture / (2.0 * math.pi))
+    # the evaluation would cost 8 * n_panels nodes per hypothesis distance
+    if not n_panels <= _MAX_FAMILY_PANELS:
         raise QuadratureFailure(
-            f"channel-mismatch integrals would start at {n_panels} panels")
-    vals = _ten_families(
-        _family_eval(theta_z, delta_z, geom, wave.wavenumber, n_panels),
+            f"channel-mismatch integrals would need {n_panels:.6g} panels")
+    return _coefficients(
+        _family_eval(theta_z, delta_z, geom, k, math.ceil(n_panels)),
         theta_z, delta_z)
-    while True:
-        n_panels *= 2
-        moments = _family_eval(theta_z, delta_z, geom, wave.wavenumber, n_panels)
-        refined = _ten_families(moments, theta_z, delta_z)
-        scale = np.abs(refined).max() + 1e-300
-        if np.abs(refined - vals).max() <= mu_tol * scale:
-            return _coefficients(moments, theta_z, delta_z)
-        if 2 * n_panels > _MAX_FAMILY_PANELS:
-            raise QuadratureFailure(
-                f"channel-mismatch integrals not converged at {n_panels} panels")
-        vals = refined
 
 
 def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
@@ -216,8 +216,9 @@ def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
                                 / theta_z.min(initial=math.inf)))
     if n_panels > _MAX_FAMILY_PANELS:
         return coef
-    # rows in groups of at most 16 panels in all: every _families call
-    # evaluates 16 panels at least, so the screen adds no larger y-block
+    # rows in groups of at most 16 panels in all: the one evaluation of a
+    # _families call has 16 panels at least, so the screen adds no larger
+    # y-block
     group = max(1, 16 // n_panels)
     for i in range(0, len(coef), group):
         z0, dz = theta_z[i:i + group], delta_z[i:i + group, None]
@@ -271,9 +272,11 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     cell; the first time they cannot rule the box out, coef[b] = build(b)
     replaces them with the exact ones and exact[b] is set. Box 0 (exact) is
     taken at every SNR, the other boxes' mu in blocks of at most
-    _BLOCK_CELLS grid cells (one box at least), and their (SNR, box) pairs
-    only where an upper bound reaches the running maximum less
-    _PRUNE_MARGIN of it and is not 0; a margin of 1 takes every pair."""
+    _BLOCK_CELLS grid cells (one box at least). One upper bound, the cell
+    count times the cell area times Q at the box's least mu, decides both
+    the builds and the (SNR, box) pairs taken: only where it reaches the
+    running maximum less _PRUNE_MARGIN of it and is not 0. A margin of 1
+    builds every box and takes every pair."""
     n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
     basis = np.broadcast_to(basis, (n, 14, grid.n_theta_t))
     cell = np.broadcast_to(
@@ -282,7 +285,9 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     m = _mu(coef[:1], basis[:1])[0]
     peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell[0], grid)
 
-    def taken(bound, c):
+    def taken(least, c):
+        # Q decreases, so no cell of a box exceeds Q at the box's least mu
+        bound = q_function(np.sqrt(least / 2.0))
         take = box * c * bound >= (1.0 - _PRUNE_MARGIN) * peak[:, None]
         if _PRUNE_MARGIN < 1.0:
             # where the bound underflowed to 0, every cell's Q is 0
@@ -294,20 +299,18 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
         m = _mu(coef[i:i + step], basis[i:i + step])
         c = cell[i:i + step]
         least = np.maximum(sp[:, None] * m.min(axis=(1, 2)), 0.0)
-        screened = ~exact[i:i + step]
-        # Chernoff, Q(x) <= exp(-x^2/2)/2, at the least amplitude-only mu
-        chernoff = 0.5 * np.exp(-least[:, screened] / 4.0)
-        for j in np.flatnonzero(screened)[
-                taken(chernoff, c[screened]).any(axis=0)]:
-            coef[i + j], exact[i + j] = build(i + j), True
-            m[j] = _mu(coef[i + j], basis[i + j])
-            least[:, j] = np.maximum(sp * m[j].min(), 0.0)
+        screened = np.flatnonzero(~exact[i:i + step])
+        if screened.size:
+            # a screened box's least mu_amp is at most its least mu
+            keep = taken(least[:, screened], c[screened]).any(axis=0)
+            for j in screened[keep]:
+                coef[i + j], exact[i + j] = build(i + j), True
+                m[j] = _mu(coef[i + j], basis[i + j])
+                least[:, j] = np.maximum(sp * m[j].min(), 0.0)
         done = np.flatnonzero(exact[i:i + step])
         if done.size == 0:
             continue
-        # Q decreases, so no cell of a box exceeds Q at the box's least mu
-        s, b = np.nonzero(taken(q_function(np.sqrt(least[:, done] / 2.0)),
-                                c[done]))
+        s, b = np.nonzero(taken(least[:, done], c[done]))
         b = done[b]
         np.maximum.at(peak, s, _q_box(
             lambda rows: sp[s[rows], None, None] * m[b[rows]], len(s), c[b],
@@ -347,7 +350,7 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
 
     def bracket(dz, live):
         coef = _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
-                         dz, geom, wave, grid.mu_tol)
+                         dz, geom, wave)
         return _search_max(
             np.broadcast_to(coef, (grid.n_max_search,) + coef.shape), exact,
             None, basis, prior.span - dz, search, snrs[live], geom.pitch, grid)
@@ -364,7 +367,7 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
                         grid.n_theta_z)
 
     def build(b):
-        return _families(theta_z[b], search[b], geom, wave, grid.mu_tol)
+        return _families(theta_z[b], search[b], geom, wave)
 
     # box 0 is exact from the start; the others keep amplitude-only
     # coefficients until the search needs their exact ones

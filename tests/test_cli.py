@@ -129,6 +129,17 @@ def test_bad_overrides(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+def test_removed_mu_tol_key_is_unknown(tmp_path, capsys):
+    # the ZZB family integrals take their panel count from a fixed rule, so
+    # the refinement tolerance [grid] mu_tol is gone from the config
+    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30\n")
+    out = tmp_path / "out"
+    assert main(["zzb", "--config", cfg, "--out", str(out),
+                 "--override", "grid.mu_tol=1e-6"]) == 1
+    assert "unknown config key [grid] mu_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Non-finite inputs: (subcommand argv, extra INI text, override).
 NON_FINITE_PROBES = {
     "wavelength-nan": (("preset", "fig4"), None, "wave.wavelength=nan"),
@@ -136,7 +147,6 @@ NON_FINITE_PROBES = {
     "pitch-nan": (("preset", "fig4"), None, "array.pitch=nan"),
     "aperture-nan": (("preset", "fig4"), None, "array.aperture=nan"),
     "sweep-nan": (("zzb",), "\n[sweep]\nsnr_db = nan,30\n", None),
-    "mu_tol-nan": (("zzb",), "\n[sweep]\nsnr_db = 30\n", "grid.mu_tol=nan"),
     # SNRs and noise variances with no finite positive float value
     "noise-snr_db-nan": (("solve",), "", "noise.snr_db=nan"),
     "noise-snr_db-inf": (("solve",), "", "noise.snr_db=inf"),

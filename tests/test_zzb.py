@@ -41,9 +41,6 @@ def test_grid_validation():
         ZZBGrid(n_delta=1)
     with pytest.raises(InvariantViolation):
         ZZBGrid(n_max_search=0)
-    for mu_tol in (0.0, float("nan")):
-        with pytest.raises(InvariantViolation):
-            ZZBGrid(mu_tol=mu_tol)
 
 
 _FAMILY_NODES = 8 * zzb_module._FAMILY_BLOCK
@@ -221,25 +218,126 @@ def test_scalar_statistics_reject_nan_and_negative_snr(snr):
             statistic()
 
 
-def test_family_integrals_refinement_cap():
-    theta_z = np.array([3.0, 4.0])
+def test_family_integrals_refinement_cap(monkeypatch):
+    # The threshold rows at a wavelength whose phase cycles ask for more
+    # panels than _MAX_FAMILY_PANELS: _families raises, and raises before
+    # it evaluates any family.
+    def no_eval(*args):
+        raise AssertionError("family evaluated past the panel cap")
+
+    monkeypatch.setattr(zzb_module, "_family_eval", no_eval)
     with pytest.raises(QuadratureFailure):
-        _families(theta_z, 0.5, THRESHOLD_GEOM, THRESHOLD_WAVE, 1e-18)
+        _families(np.array([3.0, 4.0]), 0.5, THRESHOLD_GEOM, Wave(1e-6))
 
 
 def test_family_panel_cap_checked_before_evaluation(monkeypatch):
-    # At 1e-7 m the first panel count is millions, far past the cap; one
-    # evaluation there would allocate arrays of 8 * n_panels nodes per
-    # hypothesis distance before the refinement could fail.
+    # Past the cap, _families raises before its one evaluation, which would
+    # allocate arrays of 8 * n_panels nodes per hypothesis distance: at
+    # 1e-7 m the phase cycles ask for millions of panels, and 1 mm from a
+    # 5 m array the panel width rule asks for 30 000. At 2 mm the width
+    # rule stays inside the cap and the evaluation runs.
     real_eval = zzb_module._family_eval
+    counts = []
 
-    def capped_eval(theta_z, delta_z, geom, wave, n_panels):
-        assert n_panels <= zzb_module._MAX_FAMILY_PANELS // 2, n_panels
-        return real_eval(theta_z, delta_z, geom, wave, n_panels)
+    def capped_eval(theta_z, delta_z, geom, k, n_panels):
+        assert n_panels <= zzb_module._MAX_FAMILY_PANELS, n_panels
+        counts.append(n_panels)
+        return real_eval(theta_z, delta_z, geom, k, n_panels)
 
     monkeypatch.setattr(zzb_module, "_family_eval", capped_eval)
-    with pytest.raises(QuadratureFailure):
-        _families(np.array([3.0, 4.0]), 0.5, THRESHOLD_GEOM, Wave(1e-7), 1e-6)
+    for theta_z, delta_z, wave in ((np.array([3.0, 4.0]), 0.5, Wave(1e-7)),
+                                   (np.array([1e-3, 2e-3]), 1e-3, Wave(0.01))):
+        with pytest.raises(QuadratureFailure):
+            _families(theta_z, delta_z, THRESHOLD_GEOM, wave)
+    assert counts == []
+    _families(np.array([2e-3, 3e-3]), 1e-3, THRESHOLD_GEOM, Wave(0.01))
+    assert counts == [15000]
+
+
+# Geometries (wavelength, aperture, z_min, z_max) of the panel rule tests.
+# The fig4-fig9 presets: fig5 and fig9 sweep the aperture, fig6 the
+# wavelength down to 1 mm; the pitch does not enter the families, and
+# fig4's is the threshold config. The geometry_scan benchmark's 16 are
+# among fig9's.
+APERTURES = tuple(float(a) for a in range(2, 11))
+GEOMETRY_SCAN = [(0.01, a, lo, hi)
+                 for lo, hi in ((4.0, 5.0), (4.0, 7.0), (6.0, 7.0), (9.0, 10.0))
+                 for a in (2.0, 4.0, 7.0, 10.0)]
+PRESET_GEOMETRIES = sorted(
+    {(0.1, 5.0, 3.0, 5.0), (0.1, 5.0, 3.0, 4.0)}
+    | {(0.1, a, 4.0, 8.0) for a in APERTURES}
+    | {(lam, 5.0, 5.0, 6.0) for lam in (0.1, 0.01, 0.001)}
+    | {(0.01, a, lo, hi) for a in APERTURES
+       for lo, hi in ((4.0, 5.0), (4.0, 7.0), (4.0, 10.0), (6.0, 7.0),
+                      (9.0, 10.0))})
+# near the array: priors 0.1 to 0.0004 apertures away, the last just
+# inside the panel cap
+NEAR_ARRAY = [(0.01, 5.0, lo, hi) for lo, hi in (
+    (0.5, 2.0), (0.2, 1.0), (0.05, 0.25), (0.01, 0.05), (0.002, 0.01))]
+# distance offsets, as fractions of the prior span
+SPAN_FRACTIONS = (1e-9, 1e-6, 1e-3, 0.03, 0.1, 0.3, 0.6, 0.99)
+
+
+def _family_lines(geometries, n_theta_z):
+    """Per geometry and offset: the rows, the offset, the array and the
+    wavenumber of one _families call, rows as zzb_z lays them out."""
+    for lam, aperture, lo, hi in geometries:
+        for frac in SPAN_FRACTIONS:
+            dz = frac * (hi - lo)
+            yield (midpoints(lo, hi - dz, n_theta_z), dz,
+                   ArrayGeometry(aperture, 0.5), Wave(lam))
+
+
+def _counting_family_eval(monkeypatch):
+    """Route zzb's family evaluations through a recorder of panel counts;
+    returns the list they are appended to."""
+    counts = []
+    real_eval = zzb_module._family_eval
+
+    def counted(theta_z, delta_z, geom, k, n_panels):
+        counts.append(n_panels)
+        return real_eval(theta_z, delta_z, geom, k, n_panels)
+
+    monkeypatch.setattr(zzb_module, "_family_eval", counted)
+    return counts
+
+
+@pytest.mark.parametrize("geometries, n_theta_z", [
+    (PRESET_GEOMETRIES, 4), (NEAR_ARRAY[:3], 8), (NEAR_ARRAY[3:], 2)],
+    ids=["presets", "near-array", "near-array-cap"])
+def test_family_panel_rule_matches_eight_times_the_panels(
+        monkeypatch, geometries, n_theta_z):
+    # each call evaluates once, on the a priori panel count, and is within
+    # 1e-12 of the largest coefficient of an evaluation on 8x the panels;
+    # one at the count 2 max(8, ceil(2 cycles)) alone is 2e-11 off on the
+    # (0.5, 2) prior and 4e-4 on (0.2, 1)
+    counts = _counting_family_eval(monkeypatch)
+    for theta_z, dz, geom, wave in _family_lines(geometries, n_theta_z):
+        counts.clear()
+        coef = _families(theta_z, dz, geom, wave)
+        assert len(counts) == 1
+        reference = zzb_module._coefficients(zzb_module._family_eval(
+            theta_z, dz, geom, wave.wavenumber, 8 * counts[0]), theta_z, dz)
+        assert np.abs(coef - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_families_keep_the_base_count_on_geometry_scan(monkeypatch):
+    # the near-array terms never raise the panel count on the geometry_scan
+    # benchmark's geometries: the coefficients are those of one evaluation
+    # at 2 max(8, ceil(2 cycles)) panels, cycles the turns of the phase
+    # along the array at the least distance
+    counts = _counting_family_eval(monkeypatch)
+    for theta_z, dz, geom, wave in _family_lines(GEOMETRY_SCAN, 12):
+        z0, k = theta_z.min(), wave.wavenumber
+        cycles = (k * dz * (1.0 - z0 / math.hypot(z0, geom.aperture))
+                  / (2.0 * math.pi))
+        n_panels = 2 * max(8, math.ceil(2.0 * cycles))
+        counts.clear()
+        coef = _families(theta_z, dz, geom, wave)
+        assert counts == [n_panels]
+        assert np.array_equal(coef, zzb_module._coefficients(
+            zzb_module._family_eval(theta_z, dz, geom, k, n_panels),
+            theta_z, dz))
 
 
 def test_engine_statistic_matches_mu_L():
@@ -261,7 +359,7 @@ def test_engine_statistic_matches_mu_L():
             -6.0, math.log10(0.999 - theta_t))
         pairs.append(HypothesisPair(theta_z, theta_t, delta_z, delta_t))
         snrs.append(10.0 ** rng.uniform(0.0, 6.0))
-        fams.append(_families(np.array([theta_z]), delta_z, geom, wave, 1e-6))
+        fams.append(_families(np.array([theta_z]), delta_z, geom, wave))
     stacked = _mu(np.stack(fams),
                   _tilt_basis(np.array([[[p.theta_t]] for p in pairs]),
                               np.array([[[p.delta_t]] for p in pairs])))
@@ -345,15 +443,27 @@ def test_search_pruning_leaves_the_bounds_bit_identical(
 
 
 def test_search_skips_pairs_whose_q_underflowed(monkeypatch):
-    # the snr_sweep benchmark config: the bound alone leaves 1 592 976 Q
-    # cells; skipping the pairs whose Q at the least mu is 0 drops 276 480,
-    # and screening zzb_t's boxes without Q and evaluating only the SNRs
-    # the outer integral has not cut drop 56 990 more
-    cells = _counting_q(monkeypatch)
+    # the snr_sweep benchmark config. Q sees the grid cells _q_box
+    # integrates, in blocks (k, n_theta_z, n_theta_t), and one cell per
+    # (SNR, box) bound, in (SNR, box) arrays. The bound alone left
+    # 1 592 976 cells of both kinds; skipping the pairs whose Q at the
+    # least mu is 0 dropped 276 480, and screening zzb_t's boxes and
+    # evaluating only the SNRs the outer integral has not cut 56 990 more.
+    # 4 594 of the 1 259 506 left were bounds; the grid cells stay under
+    # the rest. Screening with Q takes one bound per (SNR, screened box)
+    # and outer node, and one more per box built.
+    cells = {"grid": 0, "bound": 0}
+
+    def counted(x):
+        cells["grid" if np.ndim(x) == 3 else "bound"] += np.size(x)
+        return q_function(x)
+
+    monkeypatch.setattr(zzb_module, "q_function", counted)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
     zzb_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
-    assert cells[0] <= 1_592_976 - 276_480 - 56_990
+    assert cells["grid"] <= 1_592_976 - 276_480 - 56_990 - 4_594
+    assert cells["bound"] <= 8_914
 
 
 def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
@@ -381,8 +491,9 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
 
 
 def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
-    # a geometry_scan benchmark geometry at 40 dB: box 0 and four of the
-    # other 15 search distances need their channel-mismatch families
+    # a geometry_scan benchmark geometry at 40 dB: box 0 and three of the
+    # other 15 search distances need their channel-mismatch families, each
+    # built once
     calls = []
     families = zzb_module._families
 
@@ -393,8 +504,7 @@ def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
     monkeypatch.setattr(zzb_module, "_families", counted)
     zzb_t(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
           Wave(0.01), ZZBGrid(24, 12))
-    assert len(calls) == len(set(calls)) == 5
-    assert calls[0] == 0.0
+    assert calls == [0.0, 0.1875, 0.375, 0.5625]
 
 
 def _screened_line(geom, prior, grid):
@@ -421,7 +531,7 @@ def test_amplitude_coefficients_bound_mu_from_below():
         geom = ArrayGeometry(rng.uniform(0.5, 10.0), 0.5)
         wave = Wave(10.0 ** rng.uniform(-2.0, 0.0))
         theta_z, search, screen = _screened_line(geom, prior, grid)
-        exact = np.stack([_families(z, dz, geom, wave, grid.mu_tol)
+        exact = np.stack([_families(z, dz, geom, wave)
                           for z, dz in zip(theta_z, search)])
         assert np.all(screen[:, 10:] == 0.0)
         for dt in rng.uniform(0.0, 0.99, 3):
@@ -432,10 +542,16 @@ def test_amplitude_coefficients_bound_mu_from_below():
 
 def test_screen_past_the_panel_cap_keeps_only_mu_nonnegative(monkeypatch):
     # so near the array that the screen would need more panels than the
-    # family cap: its coefficients are all 0 and the bound stays exact
+    # family cap: its coefficients are all 0 and the bound stays exact.
+    # Panels z/6 wide would put the nearest boxes' families past the cap
+    # too, so zzb_t raises once the search builds them; the comparison
+    # with a margin of 1, which builds every box, drops that width rule.
     geom, wave = ArrayGeometry(2.0, 0.5), Wave(0.1)
     prior, grid = UniformPrior(1e-4, 0.0101), ZZBGrid(8, 6, 16, 6)
     assert not _screened_line(geom, prior, grid)[2].any()
+    with pytest.raises(QuadratureFailure):
+        zzb_t(prior, 1.0, geom, wave, grid)
+    monkeypatch.setattr(zzb_module, "_PANELS_PER_Z", 0.0)
     results = []
     for margin in (zzb_module._PRUNE_MARGIN, 1.0):
         monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
@@ -456,7 +572,7 @@ def test_screen_quadrature_error_is_at_rounding_level(geom, wave, prior):
     # far inside the pruning margin: exp(709 * 1e-12) - 1 is about 7e-10
     grid = ZZBGrid(24, 12)
     theta_z, search, screen = _screened_line(geom, prior, grid)
-    exact = np.stack([_families(z, dz, geom, wave, grid.mu_tol)
+    exact = np.stack([_families(z, dz, geom, wave)
                       for z, dz in zip(theta_z, search)])
     exact[:, 10:] = 0.0
     for dt in OUTER_DT:
@@ -465,13 +581,31 @@ def test_screen_quadrature_error_is_at_rounding_level(geom, wave, prior):
         assert np.all(np.abs(_mu(screen, basis) - reference) <= 1e-12 * reference)
 
 
-def test_chernoff_bound_holds_for_q():
-    # the screen bounds Q(x) by exp(-x^2/2)/2 without calling Q; checked on
-    # a dense grid through the point where erfc underflows to 0 (x 37.68)
-    x = np.linspace(0.0, 38.0, 1_000_001)
-    q = q_function(x)
-    assert q[-1] == 0.0 < q_function(37.6)
-    assert np.all(0.5 * np.exp(-x * x / 2.0) >= q)
+def test_q_screen_bounds_every_screened_box():
+    # the screen's bound on a box, its cell count times Q at its least
+    # mu_amp, is at least its exact integral less the pruning margin, and
+    # 0 only where that integral is 0 (the cell area is common to both);
+    # on the threshold config, the geometry_scan geometries and a prior
+    # 0.1 apertures away, at every outer tilt offset and swept SNR
+    grid = ZZBGrid(24, 12)
+    box = grid.n_theta_z * grid.n_theta_t
+    for lam, aperture, lo, hi in ([(0.1, 5.0, 3.0, 5.0)] + GEOMETRY_SCAN
+                                  + NEAR_ARRAY[:1]):
+        geom, wave = ArrayGeometry(aperture, 0.5), Wave(lam)
+        theta_z, search, screen = _screened_line(
+            geom, UniformPrior(lo, hi), grid)
+        exact = np.stack([_families(z, dz, geom, wave)
+                          for z, dz in zip(theta_z, search)])
+        sp = np.array(SWEEP)[:, None] * geom.pitch
+        for dt in OUTER_DT:
+            basis = _tilt_basis(
+                midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
+            least = np.maximum(sp * _mu(screen, basis).min(axis=(1, 2)), 0.0)
+            bound = box * q_function(np.sqrt(least / 2.0))
+            mu = np.maximum(sp[:, :, None, None] * _mu(exact, basis), 0.0)
+            integral = q_function(np.sqrt(mu / 2.0)).sum(axis=(2, 3))
+            assert np.all(bound >= (1.0 - zzb_module._PRUNE_MARGIN) * integral)
+            assert np.all(integral[bound == 0.0] == 0.0)
 
 
 RAMP = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
@@ -551,7 +685,7 @@ def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t):
     mp = mpmath.mp
     geom, wave = THRESHOLD_GEOM, THRESHOLD_WAVE
     z0, t0 = 4.0, 0.3
-    coef = _families(np.array([z0]), delta_z, geom, wave, 1e-6)
+    coef = _families(np.array([z0]), delta_z, geom, wave)
     engine = _mu(coef, _tilt_basis(np.array([[t0]]), delta_t))[0, 0]
     with mp.workdps(40):
         k = 2 * mp.pi / mp.mpf(wave.wavelength)
