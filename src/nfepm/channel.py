@@ -7,7 +7,10 @@ inputs and return scalars for scalar inputs.
 
 The scalar channel e^{jkr} sqrt(z) |n x d| / r^2.5 is coded once, behind
 general_channel and nf_channel; axis_channel is its signed on-axis
-(x_r = 0) hot-path form, which every element voltage uses.
+(x_r = 0) hot-path form, which every element voltage uses. Its
+tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in
+axis_factor, which axis_channel multiplies by the attitude term and
+which rmse_grid reads once per distance row.
 """
 
 from __future__ import annotations
@@ -130,22 +133,34 @@ def nf_channel(pose: AxialPose, x_r, y_r, wave: Wave):
                            (0.0, pose.transverse, pose.tilt), x_r, y_r, wave)
 
 
-def axis_channel(z, t, y, wave: Wave, scale=1.0):
-    """On-axis channel kernel: scale * e^{jkr} / r^2.5 * sqrt(z) * (y t + z t_y)
-    with r = sqrt(y^2 + z^2), broadcasting over z, t and y.
+def axis_factor(z, y, wave: Wave, scale=1.0):
+    """The tilt-free factor of the on-axis kernel: scale * e^{jkr} / r^2.5
+    * sqrt(z) with r = sqrt(y^2 + z^2), broadcasting over z and y.
 
-    Every on-axis voltage is this kernel with scale = amplitude * pitch.
     The factors are applied in the order written; the phase k r is formed
     in full, so its float64 rounding grows with the range. No pose
-    validation: callers pass distances > 0 and tilts in [0, 1).
+    validation: callers pass distances > 0.
+    """
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rr = np.sqrt(y * y + z * z)
+    return scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z)
+
+
+def axis_channel(z, t, y, wave: Wave, scale=1.0):
+    """On-axis channel kernel: axis_factor(z, y, wave, scale) * (y t + z t_y)
+    with t_y = sqrt(1 - t^2), broadcasting over z, t and y.
+
+    Every on-axis voltage is this kernel with scale = amplitude * pitch.
+    The attitude term y t + z t_y is > 0 for tilts in [0, 1), so the
+    voltage's phase is the factor's. No pose validation: callers pass
+    distances > 0 and tilts in [0, 1).
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     ty = np.sqrt(1.0 - t * t)
-    rr = np.sqrt(y * y + z * z)
-    return (scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5
-            * np.sqrt(z) * (y * t + z * ty))
+    return axis_factor(z, y, wave, scale) * (y * t + z * ty)
 
 
 def scaling_factor(r, wave: Wave):

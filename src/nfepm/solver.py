@@ -10,6 +10,12 @@ rule (`solve_case2_pa`) serves both Case II regimes, at the pair that
 elements 1 and 2 (spacing constraint). The tilt then follows from the two
 amplitudes. All solvers broadcast over array voltage inputs.
 
+`rmse_grid` scores a regime's solver on a grid over the prior without
+forming voltages: per distance row it takes the tilt-free channel factor
+of each probe element, reads the range per cell off the cell's phase with
+the regime's own rule, and solves the tilt, linear in the amplitudes,
+once per row.
+
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
 negative radicand is carried into the complex plane instead of raising.
 A Case I solve whose radicands include a negative one comes back complex
@@ -24,12 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import axis_factor
 from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite)
 from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
 from .numerics import require_cells
-from .observation import Voltages, element_voltages
+from .observation import Voltages
 
 _TWO_PI = 2.0 * np.pi
 # rmse_grid evaluates the grid in blocks of distance rows of at most this
@@ -53,15 +60,29 @@ class SolveResult:
     diagnostic: bool = False
 
 
+def _wrapped(phase):
+    """phase in [-pi, pi] taken to [0, 2*pi), in place."""
+    # on [-pi, pi] this is np.mod(phase, 2*pi) bit for bit: adding 0.0
+    # turns -0.0 into 0.0 as mod does, and only one temporary is made
+    phase += np.where(phase < 0, _TWO_PI, 0.0)
+    return phase
+
+
 def decouple(v) -> DecoupledVoltage:
     v = np.asarray(v)
     if not np.all(np.isfinite(v)):
         raise NonFinite("voltage is not finite")
-    # on [-pi, pi] this is np.mod(phase, 2*pi) bit for bit: adding 0.0
-    # turns -0.0 into 0.0 as mod does, and only one temporary is made
-    phase = np.angle(v)
-    phase += np.where(phase < 0, _TWO_PI, 0.0)
-    return DecoupledVoltage(psi=np.abs(v)[()], theta=phase[()])
+    return DecoupledVoltage(psi=np.abs(v)[()], theta=_wrapped(np.angle(v))[()])
+
+
+def _gain_phase(c, gain):
+    """decouple(c * gain).theta bit for bit, for complex c and real
+    gain > 0 broadcast against it, without forming the complex product:
+    np.angle(c * gain) is arctan2(c.imag * gain, c.real * gain)."""
+    re, im = c.real * gain, c.imag * gain
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise NonFinite("voltage is not finite")
+    return _wrapped(np.arctan2(im, re))
 
 
 def _pow_five_quarters(x):
@@ -85,6 +106,39 @@ def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: 
     return t
 
 
+def _reactive_distance(theta_alpha, y_alpha: float, wave: Wave,
+                       diagnostic: bool):
+    """The Case I range rule: the alpha phase read as a range. A negative
+    radicand raises, or in diagnostic mode makes the whole result complex."""
+    radicand = np.asarray((theta_alpha / wave.wavenumber) ** 2 - y_alpha ** 2)
+    negative = np.any(radicand < 0)
+    if negative and not diagnostic:
+        raise NegativeRadicand(
+            "phase range below element offset; data not from this regime")
+    return np.sqrt(radicand.astype(complex) if negative else radicand)[()]
+
+
+def _phase_period_distance(theta_alpha, theta_beta, y_alpha: float,
+                           y_beta: float, wave: Wave):
+    """The Case II range rule: the principal phase difference, shifted up
+    by one period when non-positive, read as a range."""
+    dtheta = theta_beta - theta_alpha
+    denom = np.where(np.asarray(dtheta) > 0, dtheta, dtheta + _TWO_PI)
+    if np.any(denom < 1e-12):
+        raise NonFinite("phase difference too small to resolve a distance")
+    return wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0) / denom
+
+
+def _distance(kind: Region, theta, y_alpha: float, y_beta: float, wave: Wave,
+              diagnostic: bool):
+    """The range rule of regime `kind` on theta(y), the principal phase at
+    the probe element centred at y; the Case I rule reads only theta(y_alpha)."""
+    if kind is Region.CASE1:
+        return _reactive_distance(theta(y_alpha), y_alpha, wave, diagnostic)
+    return _phase_period_distance(theta(y_alpha), theta(y_beta), y_alpha,
+                                  y_beta, wave)
+
+
 def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
                 geom: ArrayGeometry, wave: Wave,
                 diagnostic: bool = False) -> SolveResult:
@@ -92,21 +146,9 @@ def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
     if y_alpha == y_beta:
         raise DegenerateElements("probe elements coincide")
     da, db = decouple(v_alpha), decouple(v_beta)
-    radicand = np.asarray((da.theta / wave.wavenumber) ** 2 - y_alpha ** 2)
-    negative = np.any(radicand < 0)
-    if negative and not diagnostic:
-        raise NegativeRadicand(
-            "phase range below element offset; data not from this regime")
-    z = np.sqrt(radicand.astype(complex) if negative else radicand)[()]
+    z = _reactive_distance(da.theta, y_alpha, wave, diagnostic)
     t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
     return SolveResult(z, t, Region.CASE1, diagnostic)
-
-
-def _phase_period_distance(dtheta, scale, wave: Wave):
-    denom = np.where(np.asarray(dtheta) > 0, dtheta, dtheta + _TWO_PI)
-    if np.any(denom < 1e-12):
-        raise NonFinite("phase difference too small to resolve a distance")
-    return wave.wavenumber * scale / denom
 
 
 def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
@@ -118,8 +160,7 @@ def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
     if not y_beta > y_alpha:
         raise DegenerateElements("need y_beta > y_alpha")
     da, db = decouple(v_alpha), decouple(v_beta)
-    z = _phase_period_distance(db.theta - da.theta,
-                               (y_beta ** 2 - y_alpha ** 2) / 2.0, wave)
+    z = _phase_period_distance(da.theta, db.theta, y_alpha, y_beta, wave)
     t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
     return SolveResult(z[()], t, Region.CASE2_PA, diagnostic)
 
@@ -157,31 +198,61 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     diagnostic mode, in which case the RMSEs may be complex (square root
     of the complex mean of squared errors).
 
+    Nothing forms the probe voltages c (y t + z s), with c the
+    tilt-free factor `axis_factor` of a distance row and s = sqrt(1 - t^2).
+    The range is solved per cell from the cell's principal phase alone,
+    bit for bit as the regime's solver reads it off the voltage. It is
+    not solved once per row from c's phase, which equals the cells' only
+    in exact arithmetic: on column 9 of Table 2 the phase-period rule
+    divides by a phase difference near 1e-4 rad, so each cell's phase
+    rounding shows in rmse_z, which would move by 4.5e-9 relative at
+    800 x 800. The attitude term y t + z s is > 0, so a cell's amplitude
+    is |c| (y t + z s), and the tilt solve, linear in the two amplitudes,
+    runs once per row at the range from c's phases: it gives alpha at the
+    amplitudes |c| y and beta at |c| z, the cell's tilt estimate is
+    alpha t + beta s, and a row's squared tilt errors sum to
+    (alpha - 1)^2 sum t^2 + 2 (alpha - 1) beta sum t s + beta^2 sum s^2.
+
     The grid is streamed in blocks of distance rows of at most
     `_BLOCK_CELLS` cells (one row at least), and the squared errors are
     summed block by block, so memory does not grow with u * v. A check
-    failing in any block raises; no partial RMSE is returned.
+    failing in any block raises; no partial RMSE is returned. In
+    diagnostic mode, a negative Case I radicand anywhere in a block, in a
+    cell or in a row, makes the whole block's solve complex.
     """
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
     require_cells("the RMSE grid", u * v)
     diagnostic = mismatch is not None
     kind = mismatch if diagnostic else case
+    y_a, y_b = (geom.element_center(n)
+                for n in probe_elements(geom, 1, None, kind))
+    scale = wave.amplitude * geom.pitch
     z_rows = np.linspace(prior.z_min, prior.z_max, u)[:, None]
-    t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
+    t = np.linspace(0.0, 1.0, v, endpoint=False)
+    s = np.sqrt(1.0 - t * t)
+    tt, ts, ss = np.sum(t * t), np.sum(t * s), np.sum(s * s)
     step = max(1, _BLOCK_CELLS // v)
     sq_z = sq_t = 0.0
     for i in range(0, u, step):
         z = z_rows[i:i + step]
-
-        def probe(n):
-            return element_voltages(z, t, geom, wave, y=geom.element_center(n))
-
-        res = _solve_as(kind, probe, geom, wave, alpha_idx=1, beta_idx=None,
-                        diagnostic=diagnostic)
-        shape = (len(z), v)
-        sq_z += np.sum(np.broadcast_to(np.asarray(res.z_hat) - z, shape) ** 2)
-        sq_t += np.sum(np.broadcast_to(np.asarray(res.t_hat) - t, shape) ** 2)
+        zs = z * s
+        c = {y: axis_factor(z, y, wave, scale) for y in (y_a, y_b)}
+        row = {y: decouple(cy) for y, cy in c.items()}
+        z_hat = _distance(kind, lambda y: _gain_phase(c[y], y * t + zs),
+                          y_a, y_b, wave, diagnostic)
+        z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
+                          diagnostic)
+        if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
+            # a real root is the complex one's real part bit for bit
+            z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
+        alpha = _tilt_from_amplitudes(row[y_a].psi * y_a, row[y_b].psi * y_b,
+                                      y_a, y_b, z_row, geom, wave)
+        beta = _tilt_from_amplitudes(row[y_a].psi * z, row[y_b].psi * z,
+                                     y_a, y_b, z_row, geom, wave)
+        sq_z += np.sum((z_hat - z) ** 2)
+        sq_t += np.sum((alpha - 1.0) ** 2 * tt
+                       + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
     rmse_z = np.sqrt(sq_z / (u * v))
     rmse_t = np.sqrt(sq_t / (u * v))
     if not diagnostic:

@@ -209,13 +209,15 @@ def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
     for the phase term, which is >= 0 on the strip, so they bound mu from
     below on every cell. The kernels' nearest singularities lie at
     y = +-i z, so panels at most a third of the least distance wide put the
-    quadrature error at rounding level; where that would take more than
-    _MAX_FAMILY_PANELS panels, all coefficients are 0, the bound mu >= 0."""
-    coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
+    quadrature error at rounding level. A count past _MAX_FAMILY_PANELS
+    raises before any evaluation: the nearest boxes' families would be
+    past it too."""
     n_panels = max(1, math.ceil(3.0 * geom.aperture
                                 / theta_z.min(initial=math.inf)))
     if n_panels > _MAX_FAMILY_PANELS:
-        return coef
+        raise QuadratureFailure(
+            f"amplitude screen integrals would need {n_panels} panels")
+    coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
     # rows in groups of at most 16 panels in all: the one evaluation of a
     # _families call has 16 panels at least, so the screen adds no larger
     # y-block

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nfepm.channel import (DEGENERATE_KINDS, AxialPose, GeneralPose,
-                           axis_channel, degenerate_channel, general_channel,
+                           axis_channel, axis_factor, degenerate_channel,
+                           general_channel,
                            nf_channel, rerr, scalar_green,
                            scaling_factor, simp_channel, vector_field)
 from nfepm.errors import InvariantViolation, NonPositiveDistance
@@ -184,7 +185,8 @@ def test_channels_broadcast():
 
 def test_axis_channel_is_the_on_axis_voltage_kernel():
     # the channel at scale 1, the element voltages at amplitude * pitch,
-    # and the same values when broadcast over a pose grid
+    # and the same values when broadcast over a pose grid, where the
+    # kernel is its tilt-free factor times the attitude term
     wave, geom = Wave(0.1, amplitude=1.5), ArrayGeometry(1.0, 0.05)
     y = geom.element_centers
     z = np.linspace(0.5, 20.0, 5)[:, None]
@@ -192,6 +194,11 @@ def test_axis_channel_is_the_on_axis_voltage_kernel():
     grid = axis_channel(z, t, y[:, None, None], wave,
                         scale=wave.amplitude * geom.pitch)
     assert grid.shape == (geom.n_elements, 5, 4)
+    # the tilt-free factor times the attitude term, bit for bit
+    factor = axis_factor(z, y[:, None, None], wave, wave.amplitude * geom.pitch)
+    assert factor.shape == (geom.n_elements, 5, 1)
+    split = factor * (y[:, None, None] * t + z * np.sqrt(1.0 - t * t))
+    assert np.array_equal(grid.view(np.uint64), split.view(np.uint64))
     for i, j in ((0, 0), (2, 1), (4, 3)):
         pose = AxialPose(float(z[i, 0]), float(t[0, j]))
         np.testing.assert_allclose(axis_channel(pose.distance, pose.tilt, y, wave),

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from nfepm import solver as solver_module
-from nfepm.channel import AxialPose, axis_channel
+from nfepm.channel import AxialPose, axis_channel, axis_factor
 from nfepm.errors import (DegenerateElements, InvariantViolation,
                           NegativeRadicand, NonFinite, UnsupportedRegion)
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                             classify_region, probe_elements)
 from nfepm.observation import element_voltages, noiseless_voltages
-from nfepm.solver import (TABLE2_COLUMNS, _pow_five_quarters, _solve_as,
-                          _tilt_from_amplitudes, decouple, rmse_grid, solve,
-                          solve_case1, solve_case2_pa)
+from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
+                          _pow_five_quarters, _solve_as, _tilt_from_amplitudes,
+                          decouple, rmse_grid, solve, solve_case1,
+                          solve_case2_pa)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
@@ -367,17 +368,24 @@ def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
     return np.sqrt(np.mean(err_z ** 2)), np.sqrt(np.mean(err_t ** 2))
 
 
-def _recording_voltages(monkeypatch):
-    # every probe grid rmse_grid synthesizes, by shape
-    shapes = []
+def _recording_probes(monkeypatch):
+    # the distance rows of every probe factor rmse_grid forms (two a
+    # block), and the shape of every per-cell phase grid it reads
+    rows, cells = [], []
 
-    def recording(z, t, geom, wave, y=None):
-        out = element_voltages(z, t, geom, wave, y=y)
-        shapes.append(out.shape)
+    def factor(z, y, wave, scale=1.0):
+        out = axis_factor(z, y, wave, scale)
+        rows.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(solver_module, "element_voltages", recording)
-    return shapes
+    def phase(c, gain):
+        out = _gain_phase(c, gain)
+        cells.append(out.shape)
+        return out
+
+    monkeypatch.setattr(solver_module, "axis_factor", factor)
+    monkeypatch.setattr(solver_module, "_gain_phase", phase)
+    return rows, cells
 
 
 # (column, mismatch): Case II-SC data under its own solver (real RMSE) and
@@ -395,17 +403,47 @@ def test_blocked_rmse_grid_matches_one_array_pass(monkeypatch, column, mismatch,
     u, v = 37, 23
     ref = _one_array_rmse(region, prior, geom, wave, u, v, mismatch)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
-    shapes = _recording_voltages(monkeypatch)
+    rows, cells = _recording_probes(monkeypatch)
     got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
-    rows = [shape[0] for shape in shapes]
     assert sum(rows) == 2 * u and max(rows) == max(1, block // v)
-    assert all(shape[1] == v for shape in shapes)
+    assert cells and all(shape[1] == v for shape in cells)
     if mismatch is None:
         assert all(isinstance(x, float) for x in got)
     else:
         assert all(isinstance(x, complex) and x.imag != 0.0 for x in got)
     assert got[0] == pytest.approx(complex(ref[0]), rel=1e-12, abs=0.0)
     assert got[1] == pytest.approx(complex(ref[1]), rel=1e-12, abs=0.0)
+
+
+# every Table 2 pairing: each column under its own solver, then the
+# mismatch pairings
+TABLE2_PAIRINGS = ([(column, None) for column in range(len(TABLE2_COLUMNS))]
+                   + [(TABLE2_COLUMNS.index(col), kind)
+                      for col, kind in TABLE2_MISMATCH])
+
+
+@pytest.mark.parametrize("u, v, block", [(24, 24, solver_module._BLOCK_CELLS),
+                                         (37, 23, 5 * 23)])
+@pytest.mark.parametrize("column, mismatch", TABLE2_PAIRINGS)
+def test_rmse_grid_matches_the_per_cell_solve(monkeypatch, column, mismatch,
+                                              u, v, block):
+    # each cell's range comes from its own phase, as the solvers read it
+    # off the voltage, so in one block rmse_z is the one-array value bit
+    # for bit; more blocks only regroup its sum. The tilt is solved per
+    # row, at the range from the factor's phase, a few ulps off the
+    # cells' ranges; the tilt quotient magnifies that most on the
+    # lambda 0.01 phase-ambiguity column, whose rmse_t of 3.6e-6 moves by
+    # 4.3e-15 at 37 x 23. So rmse_t agrees to 1e-12 relative or 1e-14
+    # absolute; the exactly solved Case I columns read ~1e-16
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    ref = _one_array_rmse(region, prior, geom, wave, u, v, mismatch)
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
+    got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
+    if u * v <= block:
+        assert got[0] == complex(ref[0])
+    else:
+        assert got[0] == pytest.approx(complex(ref[0]), rel=1e-14, abs=0.0)
+    assert got[1] == pytest.approx(complex(ref[1]), rel=1e-12, abs=1e-14)
 
 
 def _peak_bytes(call):
@@ -441,13 +479,13 @@ def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
     with pytest.raises(NegativeRadicand):
         rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 16)
-    shapes = _recording_voltages(monkeypatch)
+    rows, cells = _recording_probes(monkeypatch)
     with pytest.raises(NegativeRadicand):
         rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
-    # one row a block, two probe grids a row: blocks before the failing
+    # one row a block, two probe factors a row: blocks before the failing
     # one were solved, and the rows after it never were
-    assert all(shape == (1, 16) for shape in shapes)
-    assert 4 <= len(shapes) < 2 * 45
+    assert all(n == 1 for n in rows) and all(shape == (1, 16) for shape in cells)
+    assert 4 <= len(rows) < 2 * 45
 
 
 def test_adjacent_pair_grid_converges_to_reference():

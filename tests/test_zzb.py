@@ -540,23 +540,18 @@ def test_amplitude_coefficients_bound_mu_from_below():
             assert np.all(_mu(screen, basis) <= _mu(exact, basis))
 
 
-def test_screen_past_the_panel_cap_keeps_only_mu_nonnegative(monkeypatch):
+def test_screen_past_the_panel_cap_raises():
     # so near the array that the screen would need more panels than the
-    # family cap: its coefficients are all 0 and the bound stays exact.
-    # Panels z/6 wide would put the nearest boxes' families past the cap
-    # too, so zzb_t raises once the search builds them; the comparison
-    # with a margin of 1, which builds every box, drops that width rule.
+    # family cap; panels z/6 wide would put the nearest boxes' families
+    # past it too. zzb_t raises at once, also at an SNR whose search would
+    # never build those boxes
     geom, wave = ArrayGeometry(2.0, 0.5), Wave(0.1)
     prior, grid = UniformPrior(1e-4, 0.0101), ZZBGrid(8, 6, 16, 6)
-    assert not _screened_line(geom, prior, grid)[2].any()
     with pytest.raises(QuadratureFailure):
-        zzb_t(prior, 1.0, geom, wave, grid)
-    monkeypatch.setattr(zzb_module, "_PANELS_PER_Z", 0.0)
-    results = []
-    for margin in (zzb_module._PRUNE_MARGIN, 1.0):
-        monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
-        results.append(zzb_t(prior, [1.0, 1e2, 1e4], geom, wave, grid).tolist())
-    assert results[0] == results[1]
+        _screened_line(geom, prior, grid)
+    for snr in (0.01, 1.0, [0.01, 1e4]):
+        with pytest.raises(QuadratureFailure):
+            zzb_t(prior, snr, geom, wave, grid)
 
 
 @pytest.mark.parametrize("geom, wave, prior", [
