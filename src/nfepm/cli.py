@@ -16,7 +16,7 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, make_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .errors import ConfigError, NumericalError, ParseError, ValidityViolation
 from .geometry import (ArrayGeometry, UniformPrior, Wave,
                        phase_ambiguity_distance, spacing_constraint_distance)
 from .mapest import MapGrid, MseReport, monte_carlo_mse
+from .numerics import EXPECT_GRID
 from .observation import (NoiseSpec, noiseless_voltages, observe,
                           sigma2_for_snr_db, snr_from_db)
 from .solver import TABLE2_COLUMNS, TABLE2_MISMATCH, rmse_grid, solve
@@ -42,9 +43,11 @@ from .zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
 # echoed as the noise.sigma2 it sets, [noise] seed as the `seed` line.
 # A section that feeds a field of its own name exists only when the
 # config names it, and then its keys without a default are required.
+# Defaults of library objects are read from the library; the Monte Carlo
+# trials and the Table 2 grid u x v are the CLI's own.
 _KEYS = (
     ("wave", "wavelength", float, None, "wave"),
-    ("wave", "amplitude", float, 1.0, "wave"),
+    ("wave", "amplitude", float, Wave.amplitude, "wave"),
     ("array", "aperture", float, None, "array"),
     ("array", "pitch", float, None, "array"),
     ("prior", "z_min", float, None, "prior"),
@@ -53,19 +56,19 @@ _KEYS = (
     ("pose", "t_z", float, 0.0, "pose"),
     ("noise", "sigma2", float, None, "sigma2"),
     ("noise", "snr_db", float, None, None),
-    ("noise", "seed", int, 0, None),
+    ("noise", "seed", int, NoiseSpec.seed, None),
     ("sweep", "snr_db", tuple, (), "snr_db"),
     ("elements", "alpha", int, 1, "alpha"),
     ("elements", "beta", int, None, "beta"),
-    ("grid", "n_delta", int, 64, "zzb_grid"),
-    ("grid", "n_theta_z", int, 64, "zzb_grid"),
-    ("grid", "n_theta_t", int, 64, "zzb_grid"),
-    ("grid", "n_max_search", int, 16, "zzb_grid"),
-    ("grid", "ecrb_n_z", int, 64, "ecrb_grid"),
-    ("grid", "ecrb_n_t", int, 64, "ecrb_grid"),
-    ("grid", "map_n_z", int, 256, "map_grid"),
-    ("grid", "map_n_t", int, 128, "map_grid"),
-    ("grid", "refine_levels", int, 2, "map_grid"),
+    ("grid", "n_delta", int, ZZBGrid.n_delta, "zzb_grid"),
+    ("grid", "n_theta_z", int, ZZBGrid.n_theta_z, "zzb_grid"),
+    ("grid", "n_theta_t", int, ZZBGrid.n_theta_t, "zzb_grid"),
+    ("grid", "n_max_search", int, ZZBGrid.n_max_search, "zzb_grid"),
+    ("grid", "ecrb_n_z", int, EXPECT_GRID[0], "ecrb_grid"),
+    ("grid", "ecrb_n_t", int, EXPECT_GRID[1], "ecrb_grid"),
+    ("grid", "map_n_z", int, MapGrid.n_z, "map_grid"),
+    ("grid", "map_n_t", int, MapGrid.n_t, "map_grid"),
+    ("grid", "refine_levels", int, MapGrid.refine_levels, "map_grid"),
     ("grid", "trials", int, 200, "trials"),
     ("grid", "u", int, 200, "u"),
     ("grid", "v", int, 200, "v"),
@@ -73,29 +76,14 @@ _KEYS = (
 _TYPES = {(section, key): kind for section, key, kind, *_ in _KEYS}
 _BUILDERS = {"wave": Wave, "array": ArrayGeometry, "prior": UniformPrior,
              "pose": AxialPose, "zzb_grid": ZZBGrid,
-             "ecrb_grid": lambda n_z, n_t: (n_z, n_t), "map_grid": MapGrid}
+             "ecrb_grid": lambda *grid: grid, "map_grid": MapGrid}
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A resolved config: its `#` echo lines and one field per _KEYS field."""
-    scenario: str
-    seed: int
-    echo: dict
-    sigma2: float | None
-    snr_db: tuple
-    alpha: int
-    beta: int | None
-    zzb_grid: ZZBGrid
-    ecrb_grid: tuple
-    map_grid: MapGrid
-    trials: int
-    u: int
-    v: int
-    wave: Wave | None = None
-    array: ArrayGeometry | None = None
-    prior: UniformPrior | None = None
-    pose: AxialPose | None = None
+# A resolved config: its `#` echo lines and one field per _KEYS field,
+# None for a section the config does not name.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig", ["scenario", "seed", "echo"]
+    + [(field, object, None) for field in dict.fromkeys(f for *_, f in _KEYS)
+       if field is not None], frozen=True)
 
 
 def _parse_value(section: str, key: str, raw: str):

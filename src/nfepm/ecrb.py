@@ -20,7 +20,7 @@ from .channel import AxialPose
 from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                      SingularFIM)
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import expect_uniform, require_snr, snr_sweep
+from .numerics import EXPECT_GRID, expect_uniform, require_snr, snr_sweep
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -172,7 +172,7 @@ def _over_sweep(snr, bounds):
 
 
 def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
-         grid=(64, 64)):
+         grid=EXPECT_GRID):
     """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior,
     averaged on an (n_z, n_t) midpoint grid.
 
@@ -224,7 +224,7 @@ def ecrb_asymptotic(prior: UniformPrior, snr, geom: ArrayGeometry,
     return _over_sweep(snr, bounds)
 
 
-def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=(64, 64)):
+def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
     """Expected CRB on the tilt when the distance is known per sample,
     taking `snr` and raising NonFinite as ecrb does.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AxialPose
+from .channel import AxialPose, axis_factor
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import TZ_EPS, require_cells, stream
@@ -76,14 +76,14 @@ def _coarse_scores(z, t, geom: ArrayGeometry, wave: Wave):
     the grid poses z x t, as a function from a block of rows to its
     (block, n_z * n_t) scores, distance-major.
 
-    A model voltage is c(z, e) (y_e t + z s) with s = sqrt(1 - t^2), so the
-    score is sum_k C_k(v, z) B_k(t) over the tilt basis
-    B = (t, s, t^2, t s, s^2), with C = (2 P_1, 2 z P_0, -Q_2, -2 z Q_1,
-    -z^2 Q_0), P_k = sum_e y_e^k Re(c v_e*) and Q_k = sum_e y_e^k |c|^2.
+    A model voltage is c(z, e) (y_e t + z s), with c the tilt-free factor
+    `axis_factor` and s = sqrt(1 - t^2), so the score is
+    sum_k C_k(v, z) B_k(t) over the tilt basis B = (t, s, t^2, t s, s^2),
+    with C = (2 P_1, 2 z P_0, -Q_2, -2 z Q_1, -z^2 Q_0),
+    P_k = sum_e y_e^k Re(c v_e*) and Q_k = sum_e y_e^k |c|^2.
     """
     y = geom.element_centers
-    # the tilt factor y t + z s is exactly z at t = 0
-    c = element_voltages(z[:, None], 0.0, geom, wave) / z[:, None]
+    c = axis_factor(z[:, None], y, wave, wave.amplitude * geom.pitch)
     c_ri = np.concatenate((c.real, c.imag), axis=1)
     # (2N, 2 n_z): the weights of 2 P_1, then of 2 z P_0, per distance
     factors = 2.0 * np.concatenate((np.concatenate((y, y)) * c_ri,

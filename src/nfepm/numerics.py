@@ -16,6 +16,9 @@ TZ_EPS = 1e-4
 # grid product. 2**24 complex cells take 256 MiB.
 MAX_CELLS = 1 << 24
 
+# Default (n_z, n_t) midpoint grid of expect_uniform and the expected CRBs.
+EXPECT_GRID = (64, 64)
+
 
 def require_cells(what: str, cells) -> None:
     """Raise InvariantViolation, before anything is allocated, when `what`
@@ -43,7 +46,8 @@ def midpoints(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
-def expect_uniform(f, prior, n_z: int = 64, n_t: int = 64):
+def expect_uniform(f, prior, n_z: int = EXPECT_GRID[0],
+                   n_t: int = EXPECT_GRID[1]):
     """Midpoint tensor-grid average of f(z, t) over the prior box.
 
     z runs over [z_min, z_max]; t over [0, 1 - TZ_EPS]. f must broadcast

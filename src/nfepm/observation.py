@@ -42,12 +42,12 @@ class Voltages:
         object.__setattr__(self, "values", vals)
 
 
-def element_voltages(z, t, geom: ArrayGeometry, wave: Wave, y=None):
-    """Voltages v = amplitude * pitch * channel(y) under the constant-field-
-    over-element rule, y the element centers by default; broadcasts over
-    poses z, t (a (k, 1) column gives k rows). No pose validation."""
-    y = geom.element_centers if y is None else y
-    return axis_channel(z, t, y, wave, scale=wave.amplitude * geom.pitch)
+def element_voltages(z, t, geom: ArrayGeometry, wave: Wave):
+    """Voltages v = amplitude * pitch * channel(y) at the element centers y,
+    under the constant-field-over-element rule; broadcasts over poses z, t
+    (a (k, 1) column gives k rows). No pose validation."""
+    return axis_channel(z, t, geom.element_centers, wave,
+                        scale=wave.amplitude * geom.pitch)
 
 
 def noiseless_voltages(pose: AxialPose, geom: ArrayGeometry, wave: Wave) -> Voltages:

@@ -26,7 +26,7 @@ ulps (the real quotient rounds once, numpy's complex one twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,16 +139,25 @@ def _distance(kind: Region, theta, y_alpha: float, y_beta: float, wave: Wave,
                                   y_beta, wave)
 
 
+def _solve_pair(kind: Region, v_alpha, v_beta, y_alpha: float, y_beta: float,
+                geom: ArrayGeometry, wave: Wave, diagnostic: bool) -> SolveResult:
+    """Regime `kind`'s range rule, then the tilt from the two amplitudes,
+    on the voltages of two distinct probe elements."""
+    da, db = decouple(v_alpha), decouple(v_beta)
+    theta = {y_alpha: da.theta, y_beta: db.theta}
+    z = _distance(kind, theta.get, y_alpha, y_beta, wave, diagnostic)
+    t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
+    return SolveResult(z[()], t, kind, diagnostic)
+
+
 def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
                 geom: ArrayGeometry, wave: Wave,
                 diagnostic: bool = False) -> SolveResult:
     """Reactive-regime solve: range read directly off the alpha phase."""
     if y_alpha == y_beta:
         raise DegenerateElements("probe elements coincide")
-    da, db = decouple(v_alpha), decouple(v_beta)
-    z = _reactive_distance(da.theta, y_alpha, wave, diagnostic)
-    t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
-    return SolveResult(z, t, Region.CASE1, diagnostic)
+    return _solve_pair(Region.CASE1, v_alpha, v_beta, y_alpha, y_beta, geom,
+                       wave, diagnostic)
 
 
 def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
@@ -159,22 +168,17 @@ def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
     when non-positive) determines the range."""
     if not y_beta > y_alpha:
         raise DegenerateElements("need y_beta > y_alpha")
-    da, db = decouple(v_alpha), decouple(v_beta)
-    z = _phase_period_distance(da.theta, db.theta, y_alpha, y_beta, wave)
-    t = _tilt_from_amplitudes(da.psi, db.psi, y_alpha, y_beta, z, geom, wave)
-    return SolveResult(z[()], t, Region.CASE2_PA, diagnostic)
+    return _solve_pair(Region.CASE2_PA, v_alpha, v_beta, y_alpha, y_beta, geom,
+                       wave, diagnostic)
 
 
 def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
               alpha_idx: int, beta_idx: int | None, diagnostic: bool):
     """Apply the solver of regime `kind` to probe(n), the voltage of
-    element n, at that regime's probe elements; the result carries `kind`."""
+    element n, at the probe elements `classify_region` checked."""
     a, b = probe_elements(geom, alpha_idx, beta_idx, kind)
-    va, vb = probe(a), probe(b)
-    ya, yb = geom.element_center(a), geom.element_center(b)
-    solver = solve_case1 if kind is Region.CASE1 else solve_case2_pa
-    res = solver(va, vb, ya, yb, geom, wave, diagnostic)
-    return replace(res, region=kind)
+    return _solve_pair(kind, probe(a), probe(b), geom.element_center(a),
+                       geom.element_center(b), geom, wave, diagnostic)
 
 
 def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
@@ -188,8 +192,7 @@ def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
 
 
 def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
-              wave: Wave, u: int = 200, v: int = 200,
-              mismatch: Region | None = None):
+              wave: Wave, u: int, v: int, mismatch: Region | None = None):
     """Forward-model a u-by-v grid over the prior box and solve each point,
     returning (rmse_z, rmse_t).
 

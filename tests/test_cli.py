@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfepm import errors
+from nfepm import cli, errors
 from nfepm.channel import AxialPose
 from nfepm.cli import main
 from nfepm.geometry import ArrayGeometry, Wave
+from nfepm.mapest import MapGrid
+from nfepm.numerics import EXPECT_GRID
 from nfepm.observation import noiseless_voltages
+from nfepm.zzb import ZZBGrid
 from test_cli_goldens import OVERRIDES, _number
 
 BASE_INI = """\
@@ -355,6 +358,45 @@ def test_ecrb_sweep_scaling(tmp_path):
     for col in (1, 2, 3):
         assert float(hi[col]) == pytest.approx(float(lo[col]) / 10.0,
                                                rel=1e-12)
+
+
+def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
+    # a config without [grid] keys echoes the library's default ZZB, ECRB
+    # and MAP grids and the CLI's 200 x 200 Table 2 grid, and hands those
+    # same grids to the bounds, the Monte Carlo and rmse_grid
+    grids, sizes = [], []
+
+    def spy(run):
+        def call(*args):
+            grids.append(args[-1])
+            return run(*args)
+        return call
+
+    def fake_rmse_grid(*args, u, v, mismatch):
+        sizes.append((u, v))
+        return 0.0, 0.0
+
+    for name in ("zzb_z", "zzb_t", "zzb_ao_t", "ecrb", "ecrb_ao",
+                 "monte_carlo_mse"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    monkeypatch.setattr(cli, "rmse_grid", fake_rmse_grid)
+    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30\n")
+    for command in ("zzb", "ecrb", "map-mc"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["preset", "table2", "--out", str(tmp_path)]) == 0
+    zzb, map_grid = ZZBGrid(), MapGrid()
+    assert grids == [zzb] * 3 + [EXPECT_GRID] * 2 + [map_grid]
+    assert sizes == [(200, 200)] * 16
+    echo = [f"# grid.{key} = {value}" for key, value in (
+        ("n_delta", zzb.n_delta), ("n_theta_z", zzb.n_theta_z),
+        ("n_theta_t", zzb.n_theta_t), ("n_max_search", zzb.n_max_search),
+        ("ecrb_n_z", EXPECT_GRID[0]), ("ecrb_n_t", EXPECT_GRID[1]),
+        ("map_n_z", map_grid.n_z), ("map_n_t", map_grid.n_t),
+        ("refine_levels", map_grid.refine_levels), ("trials", 200),
+        ("u", 200), ("v", 200))]
+    for name in ("zzb.csv", "ecrb.csv", "map_mc.csv", "table2.csv"):
+        comments, _, _ = read_result(tmp_path / name)
+        assert [ln for ln in comments if ln.startswith("# grid.")] == echo
 
 
 def test_map_mc_output(tmp_path):

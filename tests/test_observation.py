@@ -50,8 +50,8 @@ def test_voltages_match_surface_integral(pitch):
 
 def test_element_voltages_is_every_voltage_rule():
     # the pose-column rows of the Monte Carlo clean voltages and the
-    # per-element grids the rmse_grid probes read equal the per-pose
-    # voltage vectors exactly
+    # per-element axis_channel grids at scale amplitude * pitch equal the
+    # per-pose voltage vectors exactly
     z = np.linspace(0.3, 2.0, 5)
     t = np.linspace(0.0, 1.0 - TZ_EPS, 4)
     zz, tt = np.meshgrid(z, t, indexing="ij")
@@ -60,8 +60,8 @@ def test_element_voltages_is_every_voltage_rule():
         pose = AxialPose(float(z_i), float(t_i))
         assert np.array_equal(row, noiseless_voltages(pose, GEOM, WAVE).values)
     for n in range(1, GEOM.n_elements + 1):
-        probe = element_voltages(z[:, None], t[None, :], GEOM, WAVE,
-                                 y=GEOM.element_center(n))
+        probe = axis_channel(z[:, None], t[None, :], GEOM.element_center(n),
+                             WAVE, scale=WAVE.amplitude * GEOM.pitch)
         assert np.array_equal(probe, rows[:, n - 1].reshape(zz.shape))
 
 

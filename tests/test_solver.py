@@ -12,7 +12,7 @@ from nfepm.errors import (DegenerateElements, InvariantViolation,
                           NegativeRadicand, NonFinite, UnsupportedRegion)
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                             classify_region, probe_elements)
-from nfepm.observation import element_voltages, noiseless_voltages
+from nfepm.observation import noiseless_voltages
 from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
                           _pow_five_quarters, _solve_as, _tilt_from_amplitudes,
                           decouple, rmse_grid, solve, solve_case1,
@@ -282,8 +282,9 @@ def test_diagnostic_case1_goes_complex_only_with_a_negative_radicand():
     y_a, y_b = geom.element_center(1), geom.element_center(10)
     z = np.linspace(0.5, 0.9, 9)[:, None]
     t = np.linspace(0.0, 0.9, 5)[None, :]
-    v_a = element_voltages(z, t, geom, wave, y=y_a)
-    v_b = element_voltages(z, t, geom, wave, y=y_b)
+    scale = wave.amplitude * geom.pitch
+    v_a = axis_channel(z, t, y_a, wave, scale=scale)
+    v_b = axis_channel(z, t, y_b, wave, scale=scale)
     da, db = decouple(v_a), decouple(v_b)
     z_c = np.sqrt(((da.theta / wave.wavenumber) ** 2 - y_a ** 2).astype(complex))
     t_c = _tilt_from_amplitudes(da.psi, db.psi, y_a, y_b, z_c, geom, wave)
@@ -360,8 +361,8 @@ def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
     z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
     res = _solve_as(mismatch if diagnostic else case,
-                    lambda n: element_voltages(z, t, geom, wave,
-                                               y=geom.element_center(n)),
+                    lambda n: axis_channel(z, t, geom.element_center(n), wave,
+                                           scale=wave.amplitude * geom.pitch),
                     geom, wave, 1, None, diagnostic)
     err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
     err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
