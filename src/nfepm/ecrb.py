@@ -6,7 +6,9 @@ derivatives, computed here only in closed form: twelve coefficient
 functions of the aspect ratio tau = aperture/distance. They are the most
 transcription-sensitive code in the package, so the tests check each one,
 and the assembled information, against adaptive quadrature of the
-defining integrals.
+defining integrals. The expected bounds average the information on the
+prior's midpoint grid, whose distance and tilt axes arrive apart
+(`expect_uniform`), so each coefficient runs once per grid distance.
 """
 
 from __future__ import annotations
@@ -188,10 +190,11 @@ def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
         i_zz = i_zz1 + k * k * i_zz2
         det = i_zz * i_tt - i_zt * i_zt
         if np.any(det <= 0):
-            iz, it = np.argwhere(det <= 0)[0]
+            # z and t are the grid's (n_z, 1) and (1, n_t) axes
+            at = tuple(np.argwhere(det <= 0)[0])
+            z_at, t_at = (a[at] for a in np.broadcast_arrays(z, t))
             raise SingularFIM(
-                f"information matrix singular at z_t={z[iz, it]!r}, "
-                f"t_z={t[iz, it]!r}")
+                f"information matrix singular at z_t={z_at!r}, t_z={t_at!r}")
         return np.stack((i_tt / det, i_zz / det))
 
     def bounds(s):

@@ -24,8 +24,9 @@ from .numerics import TZ_EPS, require_cells, stream
 from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
                           sigma2_for_snr_db, unit_noise)
 
-# Trials scored per matrix product so the score block stays ~tens of MB.
-_TRIAL_BLOCK = 64
+# Trials scored per matrix product: a block's scores on the default grid
+# take 8 x 256 x 128 floats, 2 MiB.
+_TRIAL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     of shrinking cells."""
     # largest arrays: the (distance, element) factors (2N x 2 n_z), the
     # scores of a trial block (block x grid, or its block x n_z x 5
-    # coefficients) and the block's patches (block x 49 x N)
+    # coefficients) and the block's patches (block x 49 x N); on the
+    # default grid the factors bind, at 16384 elements
     n = geom.n_elements
     require_cells("the MAP search",
                   max(4 * grid.n_z * n,

@@ -50,17 +50,21 @@ def expect_uniform(f, prior, n_z: int = EXPECT_GRID[0],
                    n_t: int = EXPECT_GRID[1]):
     """Midpoint tensor-grid average of f(z, t) over the prior box.
 
-    z runs over [z_min, z_max]; t over [0, 1 - TZ_EPS]. f must broadcast
-    over numpy arrays. Axes of its result in front of the (z, t) grid axes
-    are kept, so a stacked (k, n_z, n_t) result gives k averages.
+    z runs over [z_min, z_max]; t over [0, 1 - TZ_EPS]. f receives the
+    midpoint axes as broadcastable z (n_z, 1) and t (1, n_t) arrays, so
+    work that depends on z alone runs n_z times, not n_z * n_t; its result
+    is broadcast to the (n_z, n_t) grid. Axes of the result in front of
+    the grid axes are kept, so a stacked (k, n_z, n_t) result gives k
+    averages.
     """
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
     require_cells("the expectation grid", n_z * n_t)
-    zz, tt = np.meshgrid(midpoints(prior.z_min, prior.z_max, n_z),
-                         midpoints(0.0, 1.0 - TZ_EPS, n_t), indexing="ij")
-    vals = np.asarray(f(zz, tt), dtype=float)
-    vals = np.broadcast_to(vals, vals.shape[:-2] + zz.shape)
+    z, t = np.meshgrid(midpoints(prior.z_min, prior.z_max, n_z),
+                       midpoints(0.0, 1.0 - TZ_EPS, n_t), indexing="ij",
+                       sparse=True)
+    vals = np.asarray(f(z, t), dtype=float)
+    vals = np.broadcast_to(vals, vals.shape[:-2] + (n_z, n_t))
     return vals.mean(axis=(-2, -1)).tolist()
 
 

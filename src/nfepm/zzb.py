@@ -117,6 +117,34 @@ def _panel_rule(edges: np.ndarray, order: int):
     return nodes, weights
 
 
+def _y_block(edges: np.ndarray):
+    """Nodes y, y^2 and the (nodes, 3) y^0..y^2 moment weights of the
+    8-point rule on the panels between edges."""
+    y, w = _panel_rule(edges, 8)
+    y2 = y * y
+    return y, y2, np.stack((w, y * w, y2 * w), axis=1)
+
+
+@lru_cache(maxsize=16)
+def _y_rule(aperture: float, n_panels: int):
+    """_y_block on n_panels equal panels over the aperture, for counts of
+    one block (at most _FAMILY_BLOCK panels, 40 KB); read-only, as shared."""
+    rule = _y_block(np.linspace(0.0, aperture, n_panels + 1))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _y_blocks(aperture: float, n_panels: int):
+    """The y-rule of n_panels equal panels over the aperture, in blocks of
+    _FAMILY_BLOCK panels; a one-block rule comes from the cache."""
+    if n_panels <= _FAMILY_BLOCK:
+        return (_y_rule(aperture, n_panels),)
+    edges = np.linspace(0.0, aperture, n_panels + 1)
+    return (_y_block(edges[i:i + _FAMILY_BLOCK + 1])
+            for i in range(0, n_panels, _FAMILY_BLOCK))
+
+
 def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
                  n_panels: int):
     """y^0, y^1 and y^2 moments (7, 3, ..., n_theta_z) of dG^2, dG G0, dG G1,
@@ -125,15 +153,13 @@ def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
     (a scalar, or one per row as (..., 1)): G_i = sqrt(z_i) / r_i^2.5,
     dG = G1 - G0, S = sin^2(k (r1 - r0) / 2), so S = 0 at k = 0. Taken in
     blocks of _FAMILY_BLOCK panels."""
-    edges = np.linspace(0.0, geom.aperture, n_panels + 1)
     z0 = theta_z[..., None]
     dz = np.asarray(delta_z)[..., None]
     z1 = z0 + dz
     half_phase = 0.5 * k * dz * (z0 + z1)
     moments = 0.0
-    for i in range(0, n_panels, _FAMILY_BLOCK):
-        y, w = _panel_rule(edges[i:i + _FAMILY_BLOCK + 1], 8)
-        rho0, rho1 = y * y + z0 * z0, y * y + z1 * z1
+    for y, y2, weights in _y_blocks(geom.aperture, n_panels):
+        rho0, rho1 = y2 + z0 * z0, y2 + z1 * z1
         r0, r1 = np.sqrt(rho0), np.sqrt(rho1)
         g0 = np.sqrt(z0) / (rho0 * np.sqrt(r0))
         g1 = np.sqrt(z1) / (rho1 * np.sqrt(r1))
@@ -145,7 +171,7 @@ def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
             np.multiply(a, b, out=out)
         np.multiply(kernels[4], np.sin(half_phase / (r0 + r1)) ** 2,
                     out=kernels[6])
-        moments = moments + kernels @ np.stack((w, y * w, y * y * w), axis=1)
+        moments = moments + kernels @ weights
     return np.moveaxis(moments, -1, 1)
 
 
@@ -387,31 +413,47 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
 
 
+def _ao_form(z, aperture: float):
+    """The closed form of the tilt-only statistic at distances z: a divisor
+    d and a function form(theta_t, delta_t) such that the statistic is
+    snr * pitch / d * form(theta_t, delta_t). The tau-moments m0, m1 and m2
+    depend on z alone and are taken here once; an infinite aperture uses
+    their limits, d = 3 z."""
+    if math.isinf(aperture):
+        d, moments = 3.0 * z, None
+    else:
+        tau = aperture / z
+        p32 = (1.0 + tau * tau) ** 1.5
+        d, moments = z, (tau ** 3 / (3.0 * p32), (1.0 - 1.0 / p32) / 3.0,
+                         tau * (2.0 * tau * tau + 3.0) / (3.0 * p32))
+
+    def form(t0, dt):
+        ft = np.sqrt(1.0 - t0 * t0) - np.sqrt(1.0 - (t0 + dt) ** 2)
+        if moments is None:
+            return (dt - ft) ** 2 + ft * ft
+        m2, m1, m0 = moments
+        return dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0
+
+    return d, form
+
+
 def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     """Closed-form detection statistic for tilt-only hypotheses (no
     distance offset). Wavelength-free because the phase cancels exactly.
 
     An infinite aperture evaluates the limiting form. Broadcasts over
-    array inputs.
+    array inputs; NaN inputs raise InvariantViolation.
     """
     require_snr(snr)
     z = np.asarray(z_t, dtype=float)
     t0 = np.asarray(theta_t, dtype=float)
     dt = np.asarray(delta_t, dtype=float)
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise InvariantViolation("z_t must be > 0")
-    if np.any(t0 < 0) or np.any(t0 + dt > 1) or np.any(dt < 0):
+    if not (np.all(t0 >= 0) and np.all(t0 + dt <= 1) and np.all(dt >= 0)):
         raise InvariantViolation("tilt hypotheses must stay inside [0, 1]")
-    ft = np.sqrt(1.0 - t0 * t0) - np.sqrt(1.0 - (t0 + dt) ** 2)
-    if math.isinf(geom.aperture):
-        return (snr * geom.pitch / (3.0 * z) * ((dt - ft) ** 2 + ft * ft))[()]
-    tau = geom.aperture / z
-    p32 = (1.0 + tau * tau) ** 1.5
-    m2 = tau ** 3 / (3.0 * p32)
-    m1 = (1.0 - 1.0 / p32) / 3.0
-    m0 = tau * (2.0 * tau * tau + 3.0) / (3.0 * p32)
-    return (snr * geom.pitch / z
-            * (dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0))[()]
+    d, form = _ao_form(z, geom.aperture)
+    return (snr * geom.pitch / d * form(t0, dt))[()]
 
 
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
@@ -420,16 +462,18 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
 
     Grids and the box integral are those of the joint zzb_t at zero
     distance offset, so the ordering zzb_t >= zzb_ao_t survives
-    discretization.
+    discretization. The statistic is mu_L_ao's, its tau-moments taken
+    once per call and its tilt factor once per outer node.
     """
     snrs, shape = snr_sweep(snr)
-    z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
+    d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
+                       geom.aperture)
 
     def bracket(dt, live):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
         cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        return _q_box(lambda rows: mu_L_ao(z_mid, theta_t, dt,
-                                           snrs[live[rows], None, None], geom),
+        f = form(theta_t, dt)
+        return _q_box(lambda rows: snrs[live[rows], None, None] * geom.pitch / d * f,
                       len(live), cell, grid)
 
     return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))

@@ -5,6 +5,11 @@ Fisher information from the tau closed forms (`ecrb._factors`); these
 integrate the defining expressions directly with adaptive quadrature.
 The MAP search scores its coarse grid in a separable form
 (`mapest._coarse_scores`); `coarse_model` is the dense model it replaces.
+The expected CRBs take their tau coefficients once per distance, on the
+sparse prior axes; `ecrb_dense` and its siblings take them on every cell
+of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
+full at every outer node, and `y_blocks_uncached` builds the family
+y-rule afresh on every call.
 """
 
 import math
@@ -15,11 +20,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from nfepm.channel import AxialPose, axis_channel
-from nfepm.ecrb import _TY_SQ_MIN, FisherInfo, _assemble
+from nfepm.ecrb import _TY_SQ_MIN, FisherInfo, _assemble, _factors
 from nfepm.errors import AttitudeSingularity, InvariantViolation, QuadratureFailure
-from nfepm.geometry import ArrayGeometry, Wave
-from nfepm.numerics import q_function, require_snr
+from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
+from nfepm.numerics import (EXPECT_GRID, TZ_EPS, midpoints, q_function,
+                            require_snr, snr_sweep)
 from nfepm.observation import element_voltages
+from nfepm.zzb import (_FAMILY_BLOCK, DEFAULT_GRID, ZZBGrid, _outer,
+                       _panel_rule, _q_box, mu_L_ao)
 
 
 @dataclass(frozen=True)
@@ -170,3 +178,78 @@ def coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
     broadcast over (distance, tilt, element)."""
     return element_voltages(z[:, None, None], t[None, :, None], geom,
                             wave).reshape(len(z) * len(t), geom.n_elements)
+
+
+def expect_dense(f, prior: UniformPrior, n_z: int = EXPECT_GRID[0],
+                 n_t: int = EXPECT_GRID[1]) -> float:
+    """The midpoint average of `numerics.expect_uniform`, with f evaluated
+    on the dense (n_z, n_t) meshgrids."""
+    zz, tt = np.meshgrid(midpoints(prior.z_min, prior.z_max, n_z),
+                         midpoints(0.0, 1.0 - TZ_EPS, n_t), indexing="ij")
+    vals = np.asarray(f(zz, tt), dtype=float)
+    return np.broadcast_to(vals, vals.shape[:-2] + zz.shape).mean(
+        axis=(-2, -1)).tolist()
+
+
+def ecrb_dense(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
+               grid=EXPECT_GRID):
+    """ecrb's two bounds, its Fisher factors taken on every grid cell."""
+    k = wave.wavenumber
+
+    def ratios(z, t):
+        i_zz1, i_zz2, i_tt, i_zt = _factors(z, t, geom)
+        i_zz = i_zz1 + k * k * i_zz2
+        det = i_zz * i_tt - i_zt * i_zt
+        return np.stack((i_tt / det, i_zz / det))
+
+    snrs, shape = snr_sweep(snr)
+    mean_z, mean_t = expect_dense(ratios, prior, *grid)
+    pref = 1.0 / (2.0 * snrs * geom.pitch)
+    return shape(pref * mean_z), shape(pref * mean_t)
+
+
+def ecrb_ao_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
+                  grid=EXPECT_GRID):
+    """ecrb_ao's bound, the tilt information taken on every grid cell."""
+    snrs, shape = snr_sweep(snr)
+    mean = expect_dense(lambda z, t: 1.0 / _factors(z, t, geom)[2], prior, *grid)
+    return shape(mean / (2.0 * snrs * geom.pitch))
+
+
+def ecrb_asymptotic_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
+                          wave: Wave):
+    """ecrb_asymptotic's two bounds (large_z off), the distance term
+    averaged over every grid cell."""
+    k = wave.wavenumber
+    snrs, shape = snr_sweep(snr)
+    pref = 1.0 / (2.0 * snrs * geom.pitch)
+    mean = expect_dense(
+        lambda z, t: 210.0 * z ** 3 / (112.0 * k * k * z * z + 75.0), prior)
+    mean_z = 0.5 * (prior.z_min + prior.z_max)
+    return shape(pref * mean), shape(3.0 * pref * mean_z)
+
+
+def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
+                      grid: ZZBGrid = DEFAULT_GRID):
+    """zzb_ao_t with the public mu_L_ao, inputs checked and tau-moments
+    formed, called at every outer node and SNR block."""
+    snrs, shape = snr_sweep(snr)
+    z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
+
+    def bracket(dt, live):
+        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
+        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
+        return _q_box(lambda rows: mu_L_ao(z_mid, theta_t, dt,
+                                           snrs[live[rows], None, None], geom),
+                      len(live), cell, grid)
+
+    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
+
+
+def y_blocks_uncached(aperture: float, n_panels: int):
+    """The y-rule of zzb._family_eval built afresh: per block of
+    _FAMILY_BLOCK panels, the nodes y, y^2 and the weights (w, y w, y^2 w)."""
+    edges = np.linspace(0.0, aperture, n_panels + 1)
+    for i in range(0, n_panels, _FAMILY_BLOCK):
+        y, w = _panel_rule(edges[i:i + _FAMILY_BLOCK + 1], 8)
+        yield y, y * y, np.stack((w, y * w, y * y * w), axis=1)

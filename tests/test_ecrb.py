@@ -16,8 +16,10 @@ from nfepm.ecrb import (ecrb, ecrb_ao, ecrb_asymptotic, fim_closed, ftau1,
 from nfepm.errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                           SingularFIM)
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.numerics import TZ_EPS
-from oracles import channel_deriv_t, channel_deriv_z, fim_quadrature, integrate
+from nfepm.numerics import TZ_EPS, midpoints
+from oracles import (channel_deriv_t, channel_deriv_z, ecrb_ao_dense,
+                     ecrb_asymptotic_dense, ecrb_dense, fim_quadrature,
+                     integrate)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 # the package root re-exports a function named like the module, so fetch
@@ -192,6 +194,72 @@ def test_singular_information_raise_and_skip(monkeypatch):
     monkeypatch.setattr(ecrb_module, "_factors", half_singular)
     with pytest.raises(SingularFIM, match="z_t="):
         ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE, grid=(8, 8))
+
+
+def test_singular_sample_named_with_full_shape_determinant(monkeypatch):
+    # the determinant is singular at one (z, t) cell of the full grid; the
+    # message names that cell's distance and tilt, read off the sparse axes
+    z_star = midpoints(THRESHOLD_PRIOR.z_min, THRESHOLD_PRIOR.z_max, 8)[3]
+    t_star = midpoints(0.0, 1.0 - TZ_EPS, 6)[5]
+
+    def one_singular(z, t, geom):
+        del geom
+        zz, tt = np.broadcast_arrays(z, t)
+        good = np.where((zz == z_star) & (tt == t_star), 0.0, 1.0)
+        return np.ones_like(zz), np.zeros_like(zz), good, np.zeros_like(zz)
+
+    monkeypatch.setattr(ecrb_module, "_factors", one_singular)
+    with pytest.raises(SingularFIM) as info:
+        ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE, grid=(8, 6))
+    assert str(info.value) == (
+        f"information matrix singular at z_t={z_star!r}, t_z={t_star!r}")
+
+
+# the threshold config and the geometry_scan bench geometry at aperture 7,
+# prior [4, 7], wavelength 0.01, pitch 0.5
+DENSE_CASES = (
+    (THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE),
+    (UniformPrior(4.0, 7.0), ArrayGeometry(7.0, 0.5), Wave(0.01)),
+)
+
+
+@pytest.mark.parametrize("snr", [1e4, [1.0, 100.0, 1e6]])
+@pytest.mark.parametrize("prior, geom, wave", DENSE_CASES)
+def test_expected_bounds_equal_the_dense_grid_reference(prior, geom, wave, snr):
+    # the tau coefficients run once per distance; every bound is
+    # bit-identical to taking them on every cell of the dense grid
+    for grid in ((64, 64), (7, 5)):
+        for got, want in zip(ecrb(prior, snr, geom, wave, grid=grid),
+                             ecrb_dense(prior, snr, geom, wave, grid)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(ecrb_ao(prior, snr, geom, grid=grid),
+                              ecrb_ao_dense(prior, snr, geom, grid))
+    unbounded = ArrayGeometry(math.inf, geom.pitch)
+    assert np.array_equal(ecrb_ao(prior, snr, unbounded),
+                          ecrb_ao_dense(prior, snr, unbounded))
+    for got, want in zip(ecrb_asymptotic(prior, snr, geom, wave),
+                         ecrb_asymptotic_dense(prior, snr, geom, wave)):
+        assert np.array_equal(got, want)
+
+
+def test_tau_coefficients_run_once_per_distance(monkeypatch):
+    # under ecrb and ecrb_ao each of the twelve coefficients sees the n_z
+    # distances of the grid, not its n_z * n_t cells
+    sizes = {}
+    for i in range(1, 13):
+        name = f"ftau{i}"
+
+        def counted(tau, name=name, real=getattr(ecrb_module, name)):
+            sizes.setdefault(name, []).append(np.size(tau))
+            return real(tau)
+
+        monkeypatch.setattr(ecrb_module, name, counted)
+    ecrb(THRESHOLD_PRIOR, [10.0, 100.0], THRESHOLD_GEOM, THRESHOLD_WAVE,
+         grid=(16, 8))
+    assert sizes == {f"ftau{i}": [16] for i in range(1, 13)}
+    sizes.clear()
+    ecrb_ao(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, grid=(16, 8))
+    assert sizes and all(seen == [16] for seen in sizes.values())
 
 
 def test_attitude_singularity_guards():

@@ -233,26 +233,27 @@ class _SearchBuilt(Exception):
 
 
 def test_map_cell_cap_edge(monkeypatch):
-    # the largest array of the default search is a trial block's
-    # refinement patches, 49 x 64 x N cells, so it takes at most
-    # 2^24 // 3136 = 5349 elements; one more is refused before anything
+    # the largest array of the default search is its (2N, 2 n_z)
+    # distance factors, 4 x 256 x N cells, so it takes at most
+    # 2^24 // 1024 = 16384 elements; one more is refused before anything
     # is allocated
     grid = DEFAULT_MAP_GRID
-    assert _TRIAL_BLOCK == 64
-    assert 49 * 64 * 5349 <= MAX_CELLS < 49 * 64 * 5350
-    # the (2N, 2 n_z) factors and the (64, grid) scores stay smaller
-    assert 4 * grid.n_z < 49 * 64 and 64 * grid.n_z * grid.n_t < MAX_CELLS
+    assert _TRIAL_BLOCK == 8
+    assert 4 * grid.n_z * 16384 <= MAX_CELLS < 4 * grid.n_z * 16385
+    # a trial block's refinement patches (49 x 8 x N) and its (8, grid)
+    # scores stay smaller
+    assert 49 * 8 < 4 * grid.n_z and 8 * grid.n_z * grid.n_t < MAX_CELLS
 
     def built(*args):
         raise _SearchBuilt
 
     monkeypatch.setattr(mapest_module, "_coarse_scores", built)
-    edge = ArrayGeometry(2674.5, 0.5)
-    assert edge.n_elements == 5349
+    edge = ArrayGeometry(8192.0, 0.5)
+    assert edge.n_elements == 16384
     with pytest.raises(_SearchBuilt):
         _map_search(PRIOR, edge, WAVE, grid)
-    past = ArrayGeometry(2675.0, 0.5)
-    assert past.n_elements == 5350
+    past = ArrayGeometry(8192.5, 0.5)
+    assert past.n_elements == 16385
     tracemalloc.start()
     try:
         with pytest.raises(InvariantViolation, match="array cells"):

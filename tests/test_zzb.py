@@ -6,6 +6,7 @@ import warnings
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 
 from nfepm.channel import axis_channel
@@ -13,10 +14,11 @@ from nfepm.errors import InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
 from nfepm.observation import snr_from_db
-from nfepm.zzb import (ZZBGrid, _amplitude_coefficients, _families, _mu,
-                       _search_max, _tilt_basis, mu_L_ao, zzb_ao_t, zzb_t,
-                       zzb_z)
-from oracles import HypothesisPair, ambiguity_function, integrate, mu_L, p_min
+from nfepm.zzb import (_FAMILY_BLOCK, ZZBGrid, _amplitude_coefficients,
+                       _families, _family_eval, _mu, _search_max, _tilt_basis,
+                       _y_rule, mu_L_ao, zzb_ao_t, zzb_t, zzb_z)
+from oracles import (HypothesisPair, ambiguity_function, integrate, mu_L,
+                     p_min, y_blocks_uncached, zzb_ao_t_per_node)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 zzb_module = importlib.import_module("nfepm.zzb")
@@ -151,6 +153,77 @@ def test_tilt_only_statistic_validation():
         mu_L_ao(-1.0, 0.2, 0.1, 10.0, geom)
     with pytest.raises(InvariantViolation):
         mu_L_ao(1.0, 0.8, 0.3, 10.0, geom)
+
+
+@pytest.mark.parametrize("arg", range(3))
+def test_tilt_only_statistic_rejects_nan(arg):
+    args = [2.0, 0.2, 0.1]
+    args[arg] = math.nan
+    with pytest.raises(InvariantViolation):
+        mu_L_ao(*args, 100.0, ArrayGeometry(2.0, 0.1))
+
+
+@pytest.mark.parametrize("aperture", [5.0, math.inf])
+@pytest.mark.parametrize("snr", [100.0, [0.0, 1.0, 100.0, 1e4, 1e8]])
+def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
+    # the tau-moments are taken once per call and the tilt factor once per
+    # outer node; the bounds, and every mu block handed to the box
+    # integral, are bit-identical to mu_L_ao at every node
+    geom = ArrayGeometry(aperture, 0.1)
+    seen = {zzb_module: [], oracles: []}
+    for module, log in seen.items():
+        def recorded(mu, n_pairs, cell, grid, real=module._q_box, log=log):
+            return real(lambda rows: log.append(mu(rows)) or log[-1],
+                        n_pairs, cell, grid)
+
+        monkeypatch.setattr(module, "_q_box", recorded)
+    for grid in (COARSE, ZZBGrid(24, 12)):
+        assert np.array_equal(zzb_ao_t(THRESHOLD_PRIOR, snr, geom, grid),
+                              zzb_ao_t_per_node(THRESHOLD_PRIOR, snr, geom, grid))
+    got, want = seen[zzb_module], seen[oracles]
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_tilt_only_bound_checks_no_inputs_per_node(monkeypatch):
+    # the sweep is checked once on entry; the grids are valid by
+    # construction, so no outer node checks them again
+    calls = []
+    real = zzb_module.require_snr
+    monkeypatch.setattr(zzb_module, "require_snr",
+                        lambda snr: calls.append(snr) or real(snr))
+    zzb_ao_t(THRESHOLD_PRIOR, [1.0, 100.0], THRESHOLD_GEOM, COARSE)
+    assert calls == []
+
+
+def test_cached_family_rule_equals_the_uncached_rule(monkeypatch):
+    # one-block rules come from a read-only cache, larger counts are built
+    # per call; the moments are bit-identical to building the rule afresh
+    theta_z = midpoints(3.0, 4.5, 6)
+    cases = [(2, 0.0), (16, 0.02), (_FAMILY_BLOCK, 0.5),
+             (_FAMILY_BLOCK + 1, 0.5), (3 * _FAMILY_BLOCK + 5, 0.1)]
+    _y_rule.cache_clear()
+    cached = [_family_eval(theta_z, 0.3, THRESHOLD_GEOM, k, n)
+              for n, k in cases * 2]
+    assert _y_rule.cache_info().currsize == 3
+    monkeypatch.setattr(zzb_module, "_y_blocks", y_blocks_uncached)
+    for got, (n, k) in zip(cached, cases * 2):
+        assert np.array_equal(got, _family_eval(theta_z, 0.3, THRESHOLD_GEOM,
+                                                k, n))
+    for a in _y_rule(THRESHOLD_GEOM.aperture, 16):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_family_rule_cache_takes_one_block_counts_only():
+    _y_rule.cache_clear()
+    _family_eval(np.array([3.0, 4.0]), 0.5, THRESHOLD_GEOM, 1.0,
+                 _FAMILY_BLOCK + 1)
+    assert _y_rule.cache_info().currsize == 0
+    _family_eval(np.array([3.0, 4.0]), 0.5, THRESHOLD_GEOM, 1.0, _FAMILY_BLOCK)
+    assert _y_rule.cache_info().currsize == 1
+    assert _y_rule.cache_info().maxsize <= 16
 
 
 def test_detection_error_range():
