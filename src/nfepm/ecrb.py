@@ -128,8 +128,8 @@ def _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave) -> FisherInfo:
                       f_zt=scale * float(i_zt))
 
 
-def _factors(z, t_z, geom: ArrayGeometry):
-    """The four information integrals per unit (2*SNR*pitch), vectorized."""
+def _axes(z, t_z, geom: ArrayGeometry):
+    """Checked z and t_z, and t_y^2, t_y and tau = aperture / z."""
     z = np.asarray(z, dtype=float)
     tz = np.asarray(t_z, dtype=float)
     if np.any(z <= 0):
@@ -137,17 +137,25 @@ def _factors(z, t_z, geom: ArrayGeometry):
     ty_sq = 1.0 - tz * tz
     if np.any(ty_sq < _TY_SQ_MIN):
         raise AttitudeSingularity("t_z too close to 1 for the tilt divisions")
-    ty = np.sqrt(ty_sq)
-    tau = geom.aperture / z
+    return z, tz, ty_sq, np.sqrt(ty_sq), geom.aperture / z
+
+
+def _i_tt(z, tz, ty_sq, ty, tau):
+    """The tilt information integral per unit (2*SNR*pitch), from _axes."""
+    return ((tz * tz / ty_sq) * ftau7(tau) + (tz / ty) * ftau8(tau)
+            + ftau9(tau) / ty_sq) / z
+
+
+def _factors(z, t_z, geom: ArrayGeometry):
+    """The four information integrals per unit (2*SNR*pitch), vectorized."""
+    z, tz, ty_sq, ty, tau = axes = _axes(z, t_z, geom)
     i_zz1 = (tz * ty * ftau1(tau) + tz * tz * ftau2(tau)
              + ty_sq * ftau3(tau)) / z ** 3
     i_zz2 = (tz * ty * ftau4(tau) + tz * tz * ftau5(tau)
              + ty_sq * ftau6(tau)) / z
-    i_tt = ((tz * tz / ty_sq) * ftau7(tau) + (tz / ty) * ftau8(tau)
-            + ftau9(tau) / ty_sq) / z
     i_zt = ((tz * tz / ty) * ftau10(tau) + tz * ftau11(tau)
             + ty * ftau12(tau)) / z ** 2
-    return i_zz1, i_zz2, i_tt, i_zt
+    return i_zz1, i_zz2, _i_tt(*axes), i_zt
 
 
 def fim_closed(pose: AxialPose, snr: float, geom: ArrayGeometry,
@@ -236,7 +244,7 @@ def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
     limiting coefficient values.
     """
     def inv_itt(z, t):
-        return 1.0 / _factors(z, t, geom)[2]
+        return 1.0 / _i_tt(*_axes(z, t, geom))
 
     return _over_sweep(snr, lambda s: (expect_uniform(inv_itt, prior, *grid)
                                        / (2.0 * s * geom.pitch),))[0]

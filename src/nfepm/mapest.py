@@ -13,14 +13,14 @@ no model over the whole grid is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .channel import AxialPose, axis_factor
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import TZ_EPS, require_cells, stream
+from .numerics import TZ_EPS, require_cells, require_sizes, stream
 from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
                           sigma2_for_snr_db, unit_noise)
 
@@ -36,6 +36,9 @@ class MapGrid:
     refine_levels: int = 2
 
     def __post_init__(self):
+        for field, size in zip(fields(self),
+                               require_sizes("the MAP grid", *astuple(self))):
+            object.__setattr__(self, field.name, size)
         if self.n_z < 2 or self.n_t < 2:
             raise InvariantViolation("grid sizes must be >= 2")
         if self.refine_levels < 0:

@@ -4,6 +4,8 @@ splittable RNG streams."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.special import erfc
 
@@ -26,6 +28,20 @@ def require_cells(what: str, cells) -> None:
     if not cells <= MAX_CELLS:
         raise InvariantViolation(
             f"{what} requests {cells} array cells, over the cap of {MAX_CELLS}")
+
+
+def require_sizes(what: str, *sizes) -> tuple:
+    """The sizes of `what` as Python ints, so products of them cannot wrap
+    around; InvariantViolation unless each is an integer, a Python or numpy
+    one, as operator.index takes it."""
+    ints = []
+    for size in sizes:
+        try:
+            ints.append(operator.index(size))
+        except TypeError:
+            raise InvariantViolation(
+                f"{what} sizes must be integers, got {size!r}") from None
+    return tuple(ints)
 
 
 def require_snr(snr) -> None:
@@ -57,6 +73,7 @@ def expect_uniform(f, prior, n_z: int = EXPECT_GRID[0],
     the grid axes are kept, so a stacked (k, n_z, n_t) result gives k
     averages.
     """
+    n_z, n_t = require_sizes("the expectation grid", n_z, n_t)
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
     require_cells("the expectation grid", n_z * n_t)

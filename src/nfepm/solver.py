@@ -35,7 +35,7 @@ from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
                      NonFinite)
 from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
-from .numerics import require_cells
+from .numerics import require_cells, require_sizes
 from .observation import Voltages
 
 _TWO_PI = 2.0 * np.pi
@@ -223,6 +223,7 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     diagnostic mode, a negative Case I radicand anywhere in a block, in a
     cell or in a row, makes the whole block's solve complex.
     """
+    u, v = require_sizes("the RMSE grid", u, v)
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
     require_cells("the RMSE grid", u * v)

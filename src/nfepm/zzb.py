@@ -35,21 +35,31 @@ of 0 would still reach a running maximum that underflowed to 0). The
 bounds are bit-identical to taking every pair, which a margin of 1 does.
 
 zzb_t's boxes sit at distance offsets of their own. Box 0 gets its exact
-coefficients at once, the others amplitude-only ones: at wavenumber 0 the
-phase term, which is >= 0 on the strip, drops out, so they bound mu from
-below on every cell. A screened box goes through the same bound as an
-exact one, its cell count times its cell area times Q at its least
-mu_amp. Where that reaches the running maximum less the margin and is not
-0 at some SNR of an outer node, its exact coefficients are built once and
-kept for the call, and it goes through the exact bound; otherwise it is
-skipped there. The screen's mu is within 1e-12 relative of the exact
-coefficients' amplitude part, which moves Q by a factor of at most
-exp((x^2 + 1) / 2 * 1e-12), under 7.1e-10 up to x = 37.68 where Q
-underflows to 0, inside the margin. Where the bound is 0, the exact least
-mu can sit at most 1e-12 lower, where Q is 0 or below 1e-310; only a
-running maximum below the box's cell count times that could notice.
-Short of that, the bounds are bit-identical to building every box, which
-a margin of 1 does.
+coefficients at once, the others screen coefficients, computed once per
+call: the amplitude-only ones, taken at wavenumber 0 where the phase term
+drops out, plus a floor under the phase term 4 G0 G1 S (y t0 + z0 s0)
+(y t1 + z1 s1). Its coefficients multiply t0 t1, t0 s1, s0 t1 and s0 s1,
+each >= 0 on the strip, and are 4 ph_2, 4 z1 ph_1, 4 z0 ph_1 and
+4 z0 z1 ph_0 with ph_k = int G0 G1 S y^k dy, so any 0 <= f_k <= ph_k keeps
+the screen's mu at or below the exact mu on every cell. `_phase_floor`
+takes f_k in closed form, panel by panel: G0 G1 and y^k at their least on
+the panel, and int sin^2 phi dy at least the integral of sin^2 over the
+panel's phase range divided by the peak of |phi'| there. It is scaled
+down by far more than the rounding and the quadrature error of the exact
+ph_k, so it stays below the exact coefficients themselves.
+A screened box goes through the same bound as an exact one, its cell
+count times its cell area times Q at its least screen mu. Where that
+reaches the running maximum less the margin and is not 0 at some SNR of
+an outer node, its exact coefficients are built once and kept for the
+call, and it goes through the exact bound; otherwise it is skipped there.
+The screen's amplitude part is within 1e-12 relative of the exact
+coefficients' amplitude part, so its mu exceeds the exact mu by at most
+that, which moves Q by a factor of at most exp((x^2 + 1) / 2 * 1e-12),
+under 7.1e-10 up to x = 37.68 where Q underflows to 0, inside the margin.
+Where the bound is 0, the exact least mu can sit at most 1e-12 lower,
+where Q is 0 or below 1e-310; only a running maximum below the box's cell
+count times that could notice. Short of that, the bounds are
+bit-identical to building every box, which a margin of 1 does.
 
 Valley-filling is omitted throughout, a known slackening that does not
 affect the asymptotic regimes.
@@ -58,15 +68,15 @@ affect the asymptotic regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (midpoints, q_function, require_cells, require_snr,
-                       snr_sweep)
+from .numerics import (midpoints, q_function, require_cells, require_sizes,
+                       require_snr, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
@@ -76,6 +86,8 @@ _PANELS_PER_CYCLE = 2.0
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
 _PRUNE_MARGIN = 1e-9
+_FLOOR_ROUNDING = 1e-12
+_FLOOR_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,9 @@ class ZZBGrid:
     n_max_search: int = 16
 
     def __post_init__(self):
+        for field, size in zip(fields(self),
+                               require_sizes("the ZZB grid", *astuple(self))):
+            object.__setattr__(self, field.name, size)
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")
         if self.n_max_search < 1:
@@ -178,17 +193,27 @@ def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
 def _coefficients(m, z0, dz):
     """The 14 coefficients of mu in the tilt basis of _tilt_basis.
     A1 - A0 = dG (y t1 + z0 s1) + G0 (y dt + z0 ds) + G1 dz s1, squared,
-    plus the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1)."""
+    plus the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1). The rows
+    are written into one array; the shared factors 2 z0, z0^2 and 4 z0 are
+    the leading products of their rows, so sharing them moves no bit."""
     dd, d0, d1, g00, g01, g11, ph = m
     z1 = z0 + dz
-    return np.stack((dd[2], 2.0 * (z0 * dd[1] + dz * d1[1]),
-                     z0 * z0 * dd[0] + dz * (2.0 * z0 * d1[0] + dz * g11[0]),
-                     g00[2], 2.0 * z0 * g00[1], z0 * z0 * g00[0],
-                     2.0 * d0[2], 2.0 * z0 * d0[1],
-                     2.0 * (z0 * d0[1] + dz * g01[1]),
-                     2.0 * z0 * (z0 * d0[0] + dz * g01[0]),
-                     4.0 * ph[2], 4.0 * z1 * ph[1], 4.0 * z0 * ph[1],
-                     4.0 * z0 * z1 * ph[0]))
+    two_z0, z0_sq, four_z0 = 2.0 * z0, z0 * z0, 4.0 * z0
+    out = np.empty((14,) + ph.shape[1:])
+    out[0], out[3] = dd[2], g00[2]
+    np.multiply(2.0, z0 * dd[1] + dz * d1[1], out=out[1])
+    np.add(z0_sq * dd[0], dz * (two_z0 * d1[0] + dz * g11[0]), out=out[2])
+    np.multiply(two_z0, g00[1], out=out[4])
+    np.multiply(z0_sq, g00[0], out=out[5])
+    np.multiply(2.0, d0[2], out=out[6])
+    np.multiply(two_z0, d0[1], out=out[7])
+    np.multiply(2.0, z0 * d0[1] + dz * g01[1], out=out[8])
+    np.multiply(two_z0, z0 * d0[0] + dz * g01[0], out=out[9])
+    np.multiply(4.0, ph[2], out=out[10])
+    np.multiply(4.0 * z1, ph[1], out=out[11])
+    np.multiply(four_z0, ph[1], out=out[12])
+    np.multiply(four_z0 * z1, ph[0], out=out[13])
+    return out
 
 
 def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
@@ -227,22 +252,28 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
         theta_z, delta_z)
 
 
+def _screen_panels(theta_z: np.ndarray, geom: ArrayGeometry) -> int:
+    """The screen's equal panels over the aperture, each at most a third of
+    the least hypothesis distance wide; the kernels' nearest singularities
+    lie at y = +-i z. A count past _MAX_FAMILY_PANELS raises: the nearest
+    boxes' families would be past it too."""
+    n_panels = max(1, math.ceil(3.0 * geom.aperture
+                                / theta_z.min(initial=math.inf)))
+    if n_panels > _MAX_FAMILY_PANELS:
+        raise QuadratureFailure(
+            f"amplitude screen integrals would need {n_panels} panels")
+    return n_panels
+
+
 def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
                             geom: ArrayGeometry):
     """Amplitude-only mu coefficients (rows, 14, n_theta_z) for hypothesis
     distances theta_z (rows, n_theta_z) and offsets delta_z (rows,): those
     of _coefficients at wavenumber 0, the ten of (A1 - A0)^2 and four zeros
     for the phase term, which is >= 0 on the strip, so they bound mu from
-    below on every cell. The kernels' nearest singularities lie at
-    y = +-i z, so panels at most a third of the least distance wide put the
-    quadrature error at rounding level. A count past _MAX_FAMILY_PANELS
-    raises before any evaluation: the nearest boxes' families would be
-    past it too."""
-    n_panels = max(1, math.ceil(3.0 * geom.aperture
-                                / theta_z.min(initial=math.inf)))
-    if n_panels > _MAX_FAMILY_PANELS:
-        raise QuadratureFailure(
-            f"amplitude screen integrals would need {n_panels} panels")
+    below on every cell. On the _screen_panels the quadrature error is at
+    rounding level."""
+    n_panels = _screen_panels(theta_z, geom)
     coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
     # rows in groups of at most 16 panels in all: the one evaluation of a
     # _families call has 16 panels at least, so the screen adds no larger
@@ -255,6 +286,47 @@ def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
     return coef
 
 
+def _phase_floor(theta_z: np.ndarray, delta_z: np.ndarray,
+                 geom: ArrayGeometry, wave: Wave):
+    """Lower bounds (rows, 4, n_theta_z) on the phase coefficients 10-13
+    for hypothesis distances theta_z (rows, n_theta_z) and offsets
+    delta_z (rows,) > 0: _coefficients' own products, so rounding keeps
+    their order, of floors f_k <= ph_k = int G0 G1 S y^k dy.
+
+    On a panel [a, b] of the _screen_panels, G0 G1 >= G0 G1 (b) and
+    y^k >= a^k, as r0 and r1 grow with y. The phase phi = k (r1 - r0) / 2
+    = k dz (z0 + z1) / (2 (r0 + r1)) falls with y, and |phi'| = k dz
+    (z0 + z1) y / (2 r0 r1 (r0 + r1)) has one peak, at y* = (z0 z1)^(2/3)
+    / sqrt(z0^(2/3) + z1^(2/3)), where z0^2 / r0^3 = z1^2 / r1^3; on the
+    panel it is at most M, its value at y* clipped to the panel. So
+    int_a^b sin^2 phi dy >= int sin^2 phi |phi'| dy / M, the integral of
+    sin^2 over [phi(b), phi(a)] over M. That integral gives up
+    _FLOOR_ROUNDING (1 + phi(a)), far above the rounding of the phases
+    and sines, and is clamped at 0, so panels where phi barely moves add
+    nothing. The floors are scaled by 1 - _FLOOR_SLACK, far more than the
+    rounding of the rest and the quadrature error of the exact ph_k."""
+    y = np.linspace(0.0, geom.aperture, _screen_panels(theta_z, geom) + 1)
+    z0, dz = theta_z[..., None], delta_z[:, None, None]
+    z1 = z0 + dz
+    half_phase = 0.5 * wave.wavenumber * dz * (z0 + z1)
+    r0, r1 = np.hypot(y, z0), np.hypot(y, z1)
+    phase = half_phase / (r0 + r1)
+    gain = np.sqrt(z0 * z1) / (r0 * r1) ** 2.5
+    p, q = z0 ** (2.0 / 3.0), z1 ** (2.0 / 3.0)
+    peak = np.clip(p * q / np.sqrt(p + q), y[:-1], y[1:])
+    r0, r1 = np.hypot(peak, z0), np.hypot(peak, z1)
+    rate = half_phase * peak / (r0 * r1 * (r0 + r1))
+    hi, lo = phase[..., :-1], phase[..., 1:]
+    swept = (0.5 * (hi - lo) - 0.25 * (np.sin(2.0 * hi) - np.sin(2.0 * lo))
+             - _FLOOR_ROUNDING * (1.0 + hi))
+    part = gain[..., 1:] * np.maximum(swept, 0.0) / rate
+    # times a^0, a^1 and a^2 at each panel's left end, summed
+    floor = (1.0 - _FLOOR_SLACK) * (part @ np.vander(y[:-1], 3, increasing=True))
+    m = np.zeros((7, 3) + theta_z.shape)
+    m[6] = np.moveaxis(floor, -1, 0)
+    return np.moveaxis(_coefficients(m, theta_z, delta_z[:, None])[10:], 0, 1)
+
+
 def _tilt_basis(theta_t: np.ndarray, delta_t):
     """The 14 tilt functions (..., 14, n_theta_t) that mu's coefficients
     multiply, theta_t and delta_t given against (..., 1, n_theta_t)."""
@@ -262,7 +334,7 @@ def _tilt_basis(theta_t: np.ndarray, delta_t):
     s0 = np.sqrt(1.0 - t0 * t0)
     t1 = t0 + delta_t
     s1 = np.sqrt(1.0 - t1 * t1)
-    dt = np.broadcast_to(delta_t, t1.shape)
+    dt = np.full_like(t1, delta_t)
     ds = -dt * (t0 + t1) / (s0 + s1)
     return np.concatenate((t1 * t1, t1 * s1, s1 * s1, dt * dt, dt * ds,
                            ds * ds, t1 * dt, t1 * ds, s1 * dt, s1 * ds,
@@ -295,8 +367,11 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     """Per SNR, the largest detection-error integral over the n_max_search
     boxes of a search line. Box b has coefficients coef[b] (14, n_theta_z),
     tilt basis basis[b] (14, n_theta_t), tilt offset delta_t[b] and distance
-    length z_len[b]; what the boxes share is given once. Where exact[b] is
-    false, coef[b] holds amplitude-only coefficients, below mu on every
+    length z_len[b]. coef and basis have a leading axis of n_max_search
+    boxes or of one entry that all boxes share (one of them per box), and
+    the matrix product broadcasts it; z_len and delta_t broadcast to one
+    cell area per box. Where exact[b] is false, coef[b] holds screen
+    coefficients, amplitude-only plus a phase floor, below mu on every
     cell; the first time they cannot rule the box out, coef[b] = build(b)
     replaces them with the exact ones and exact[b] is set. Box 0 (exact) is
     taken at every SNR, the other boxes' mu in blocks of at most
@@ -306,9 +381,11 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     running maximum less _PRUNE_MARGIN of it and is not 0. A margin of 1
     builds every box and takes every pair."""
     n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
-    basis = np.broadcast_to(basis, (n, 14, grid.n_theta_t))
-    cell = np.broadcast_to(
-        (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t), n)
+    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
+
+    def lines(a, rows):
+        return a[rows] if len(a) > 1 else a
+
     sp = snrs * pitch
     m = _mu(coef[:1], basis[:1])[0]
     peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell[0], grid)
@@ -324,7 +401,8 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
 
     step = max(1, _BLOCK_CELLS // box)
     for i in range(1, n, step):
-        m = _mu(coef[i:i + step], basis[i:i + step])
+        m = _mu(lines(coef, slice(i, i + step)),
+                lines(basis, slice(i, i + step)))
         c = cell[i:i + step]
         least = np.maximum(sp[:, None] * m.min(axis=(1, 2)), 0.0)
         screened = np.flatnonzero(~exact[i:i + step])
@@ -333,7 +411,7 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
             keep = taken(least[:, screened], c[screened]).any(axis=0)
             for j in screened[keep]:
                 coef[i + j], exact[i + j] = build(i + j), True
-                m[j] = _mu(coef[i + j], basis[i + j])
+                m[j] = _mu(coef[i + j], lines(basis, i + j))
                 least[:, j] = np.maximum(sp * m[j].min(), 0.0)
         done = np.flatnonzero(exact[i:i + step])
         if done.size == 0:
@@ -379,9 +457,8 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     def bracket(dz, live):
         coef = _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
                          dz, geom, wave)
-        return _search_max(
-            np.broadcast_to(coef, (grid.n_max_search,) + coef.shape), exact,
-            None, basis, prior.span - dz, search, snrs[live], geom.pitch, grid)
+        return _search_max(coef[None], exact, None, basis, prior.span - dz,
+                           search, snrs[live], geom.pitch, grid)
 
     return shape(_outer(prior, prior.span, grid.n_delta, len(snrs), bracket))
 
@@ -398,15 +475,18 @@ def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
         return _families(theta_z[b], search[b], geom, wave)
 
     # box 0 is exact from the start; the others keep amplitude-only
-    # coefficients until the search needs their exact ones
+    # coefficients and a phase floor until the search needs their exact ones
     coef = np.empty((grid.n_max_search, 14, grid.n_theta_z))
     coef[0] = build(0)
     coef[1:] = _amplitude_coefficients(theta_z[1:], search[1:], geom)
+    coef[1:, 10:] = _phase_floor(theta_z[1:], search[1:], geom, wave)
     exact = np.arange(grid.n_max_search) == 0
 
     def bracket(dt, live):
-        # one tilt grid for all boxes: one basis per outer node
-        basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
+        # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per
+        # outer node
+        basis = _tilt_basis(
+            midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, None, :], dt)
         return _search_max(coef, exact, build, basis, prior.span - search, dt,
                            snrs[live], geom.pitch, grid)
 

@@ -7,10 +7,11 @@ import pytest
 from nfepm.errors import ConfigError, InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, Region, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
+from nfepm.ecrb import ecrb
 from nfepm.numerics import (MAX_CELLS, expect_uniform, q_function,
                             require_cells, stream)
 from nfepm.solver import rmse_grid
-from nfepm.zzb import ZZBGrid
+from nfepm.zzb import ZZBGrid, zzb_z
 from oracles import QuadratureSpec, integrate
 
 
@@ -146,3 +147,37 @@ def test_every_array_request_is_capped():
     for request in requests:
         with pytest.raises(ConfigError, match="over the cap"):
             request()
+
+
+_PRIOR, _GEOM, _WAVE = UniformPrior(3.0, 5.0), ArrayGeometry(5.0, 0.1), Wave(0.1)
+
+
+@pytest.mark.parametrize("request_sizes", [
+    lambda: zzb_z(_PRIOR, 1e3, _GEOM, _WAVE, ZZBGrid(8.5, 4, 8, 4)),
+    lambda: ZZBGrid(n_theta_z=4.0),
+    lambda: ZZBGrid(n_theta_t=8.5),
+    lambda: ZZBGrid(n_max_search=np.float64(4.0)),
+    lambda: ecrb(_PRIOR, 1e3, _GEOM, _WAVE, grid=(8.5, 8)),
+    lambda: expect_uniform(lambda z, t: z, _PRIOR, 8, "8"),
+    lambda: MapGrid(32.5, 16),
+    lambda: MapGrid(32, 16, 1.5),
+    lambda: monte_carlo_mse(_PRIOR, _GEOM, _WAVE, 30.0, 2, 0, MapGrid(32.5, 16)),
+    lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10.5, 10),
+    lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10, None),
+], ids=["zzb_z", "n_theta_z", "n_theta_t", "n_max_search", "ecrb",
+        "expect_uniform", "map_n_z", "refine_levels", "monte_carlo_mse",
+        "rmse_grid_u", "rmse_grid_v"])
+def test_non_integer_grid_sizes_are_invariant_violations(request_sizes):
+    with pytest.raises(InvariantViolation, match="sizes must be integers"):
+        request_sizes()
+
+
+def test_numpy_integer_grid_sizes_are_python_ints():
+    # numpy integers are sizes too; the grids keep them as Python ints, so
+    # the cell caps' products of them cannot wrap around
+    for grid in (ZZBGrid(np.int64(8), np.int32(4), np.int16(8), np.uint8(4)),
+                 MapGrid(np.int32(32), np.int64(16), np.int8(1))):
+        assert all(type(size) is int for size in vars(grid).values())
+    assert ZZBGrid(np.int64(8), 4, 8, 4) == ZZBGrid(8, 4, 8, 4)
+    assert expect_uniform(lambda z, t: z, _PRIOR, np.int64(4), np.int32(2)) == \
+        expect_uniform(lambda z, t: z, _PRIOR, 4, 2)

@@ -15,8 +15,9 @@ from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
 from nfepm.observation import snr_from_db
 from nfepm.zzb import (_FAMILY_BLOCK, ZZBGrid, _amplitude_coefficients,
-                       _families, _family_eval, _mu, _search_max, _tilt_basis,
-                       _y_rule, mu_L_ao, zzb_ao_t, zzb_t, zzb_z)
+                       _families, _family_eval, _mu, _phase_floor,
+                       _search_max, _tilt_basis, _y_rule, mu_L_ao, zzb_ao_t,
+                       zzb_t, zzb_z)
 from oracles import (HypothesisPair, ambiguity_function, integrate, mu_L,
                      p_min, y_blocks_uncached, zzb_ao_t_per_node)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
@@ -563,10 +564,9 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
         assert seen[0] == [0, 1] and [0] in seen and [1] not in seen
 
 
-def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
-    # a geometry_scan benchmark geometry at 40 dB: box 0 and three of the
-    # other 15 search distances need their channel-mismatch families, each
-    # built once
+def _counting_families(monkeypatch):
+    """Route zzb's _families calls through a recorder of their distance
+    offsets; returns the list they are appended to."""
     calls = []
     families = zzb_module._families
 
@@ -575,18 +575,57 @@ def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
         return families(theta_z, delta_z, *args)
 
     monkeypatch.setattr(zzb_module, "_families", counted)
+    return calls
+
+
+def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
+    # a geometry_scan benchmark geometry at 40 dB: only box 0 needs its
+    # channel-mismatch families, built once; the amplitude-only screen
+    # built three more boxes, which the phase floor rules out
+    calls = _counting_families(monkeypatch)
     zzb_t(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
           Wave(0.01), ZZBGrid(24, 12))
-    assert calls == [0.0, 0.1875, 0.375, 0.5625]
+    assert calls == [0.0]
+
+
+def test_zzb_t_builds_only_box_0_on_geometry_scan(monkeypatch):
+    # the geometry_scan benchmark's 16 geometries at its 40 dB and grid:
+    # 16 family builds, one per call (110 with the amplitude-only screen);
+    # a margin of 1 builds every box and gives the same bits
+    calls = _counting_families(monkeypatch)
+    results = []
+    for margin in (zzb_module._PRUNE_MARGIN, 1.0):
+        monkeypatch.setattr(zzb_module, "_PRUNE_MARGIN", margin)
+        calls.clear()
+        results.append([zzb_t(UniformPrior(lo, hi), snr_from_db(40.0),
+                              ArrayGeometry(aperture, 0.5), Wave(lam),
+                              ZZBGrid(24, 12))
+                        for lam, aperture, lo, hi in GEOMETRY_SCAN])
+        results[-1].append(len(calls))
+    assert results[0][-1] == 16
+    assert results[1][-1] == 16 * 16
+    assert results[0][:-1] == results[1][:-1]
+
+
+def _line(prior, search, grid):
+    """The hypothesis distances (len(search), n_theta_z) of boxes at the
+    distance offsets search, as zzb_t lays them out."""
+    return midpoints(prior.z_min, prior.z_max - search[:, None], grid.n_theta_z)
 
 
 def _screened_line(geom, prior, grid):
     """Boxes 1..n-1 of a zzb_t search line: their hypothesis distances,
     distance offsets and the screen's amplitude-only coefficients."""
     search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)[1:]
-    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
-                        grid.n_theta_z)
+    theta_z = _line(prior, search, grid)
     return (theta_z, search, _amplitude_coefficients(theta_z, search, geom))
+
+
+def _floored(theta_z, search, geom, wave):
+    """zzb_t's screen coefficients: amplitude-only plus the phase floor."""
+    coef = _amplitude_coefficients(theta_z, search, geom)
+    coef[:, 10:] = _phase_floor(theta_z, search, geom, wave)
+    return coef
 
 
 # tilt offsets of zzb_t outer nodes, from the floor to near the top
@@ -611,6 +650,56 @@ def test_amplitude_coefficients_bound_mu_from_below():
             basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :],
                                 dt)
             assert np.all(_mu(screen, basis) <= _mu(exact, basis))
+
+
+def _floor_cases():
+    """(wave, geometry, prior, distance offsets, search line) of the
+    phase-floor property test: random geometries on zzb_t's search lines,
+    tiny offsets, and priors near the array."""
+    rng = np.random.default_rng(20)
+    grid = ZZBGrid(8, 6, 16, 6)
+    for _ in range(40):
+        z_min = rng.uniform(0.5, 8.0)
+        prior = UniformPrior(z_min, z_min + rng.uniform(0.05, 3.0))
+        yield (Wave(10.0 ** rng.uniform(-2.0, 0.0)),
+               ArrayGeometry(rng.uniform(0.5, 10.0), 0.5), prior,
+               np.linspace(0.0, prior.span, grid.n_max_search,
+                           endpoint=False)[1:], True)
+    for lam in (0.01, 0.1, 1.0):
+        yield (Wave(lam), THRESHOLD_GEOM, THRESHOLD_PRIOR,
+               np.array(SPAN_FRACTIONS) * THRESHOLD_PRIOR.span, False)
+    for lam, aperture, lo, hi in NEAR_ARRAY[:3]:
+        yield (Wave(lam), ArrayGeometry(aperture, 0.5), UniformPrior(lo, hi),
+               np.array(SPAN_FRACTIONS) * (hi - lo), False)
+
+
+def test_phase_floor_stays_below_the_exact_coefficients():
+    # each floor coefficient is at most the exact one, so the floored
+    # screen's mu is at most the exact mu on every cell of zzb_t's search
+    # lines. At offsets of 1e-9 of the span the phase term can sit below
+    # the rounding of the amplitude part, which is within 1e-12 of the
+    # exact one (test_screen_quadrature_error_is_at_rounding_level); there
+    # the floor adds at most that. On the search lines the floor keeps a
+    # good part of the phase term.
+    grid = ZZBGrid(8, 6, 16, 6)
+    kept = []
+    for wave, geom, prior, search, on_line in _floor_cases():
+        theta_z = _line(prior, search, grid)
+        floor = _phase_floor(theta_z, search, geom, wave)
+        exact = np.stack([_families(z, dz, geom, wave)
+                          for z, dz in zip(theta_z, search)])
+        assert np.all(floor >= 0.0)
+        assert np.all(floor <= exact[:, 10:])
+        if on_line:
+            kept.append(floor.sum() / exact[:, 10:].sum())
+        screen = _floored(theta_z, search, geom, wave)
+        for dt in OUTER_DT:
+            basis = _tilt_basis(midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :],
+                                dt)
+            mu = _mu(exact, basis)
+            assert np.all(_mu(screen, basis)
+                          <= mu + (0.0 if on_line else 1e-12) * np.abs(mu))
+    assert np.median(kept) > 0.3
 
 
 def test_screen_past_the_panel_cap_raises():
@@ -654,26 +743,30 @@ def test_q_screen_bounds_every_screened_box():
     # mu_amp, is at least its exact integral less the pruning margin, and
     # 0 only where that integral is 0 (the cell area is common to both);
     # on the threshold config, the geometry_scan geometries and a prior
-    # 0.1 apertures away, at every outer tilt offset and swept SNR
+    # 0.1 apertures away, at every outer tilt offset and swept SNR; the
+    # same holds for the screen zzb_t uses, with the phase floor added
     grid = ZZBGrid(24, 12)
     box = grid.n_theta_z * grid.n_theta_t
     for lam, aperture, lo, hi in ([(0.1, 5.0, 3.0, 5.0)] + GEOMETRY_SCAN
                                   + NEAR_ARRAY[:1]):
         geom, wave = ArrayGeometry(aperture, 0.5), Wave(lam)
-        theta_z, search, screen = _screened_line(
+        theta_z, search, amplitude = _screened_line(
             geom, UniformPrior(lo, hi), grid)
         exact = np.stack([_families(z, dz, geom, wave)
                           for z, dz in zip(theta_z, search)])
         sp = np.array(SWEEP)[:, None] * geom.pitch
-        for dt in OUTER_DT:
-            basis = _tilt_basis(
-                midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
-            least = np.maximum(sp * _mu(screen, basis).min(axis=(1, 2)), 0.0)
-            bound = box * q_function(np.sqrt(least / 2.0))
-            mu = np.maximum(sp[:, :, None, None] * _mu(exact, basis), 0.0)
-            integral = q_function(np.sqrt(mu / 2.0)).sum(axis=(2, 3))
-            assert np.all(bound >= (1.0 - zzb_module._PRUNE_MARGIN) * integral)
-            assert np.all(integral[bound == 0.0] == 0.0)
+        for screen in (amplitude, _floored(theta_z, search, geom, wave)):
+            for dt in OUTER_DT:
+                basis = _tilt_basis(
+                    midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :], dt)
+                least = np.maximum(
+                    sp * _mu(screen, basis).min(axis=(1, 2)), 0.0)
+                bound = box * q_function(np.sqrt(least / 2.0))
+                mu = np.maximum(sp[:, :, None, None] * _mu(exact, basis), 0.0)
+                integral = q_function(np.sqrt(mu / 2.0)).sum(axis=(2, 3))
+                assert np.all(
+                    bound >= (1.0 - zzb_module._PRUNE_MARGIN) * integral)
+                assert np.all(integral[bound == 0.0] == 0.0)
 
 
 RAMP = (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0)
