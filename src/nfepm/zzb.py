@@ -108,7 +108,8 @@ class ZZBGrid:
         # largest arrays: the offset nodes, a search line's 14 coefficients
         # per distance (zzb_t) or basis functions per tilt, a detection
         # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells, and the
-        # 7 family kernels on one y-block of 8 * _FAMILY_BLOCK nodes
+        # 7 family kernels on one y-block of 8 * _FAMILY_BLOCK nodes (the
+        # phase floor's blocks have at most 2 * _FAMILY_BLOCK panel edges)
         require_cells("the ZZB grid", max(
             self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
             14 * self.n_max_search * max(self.n_theta_z, self.n_theta_t),
@@ -304,26 +305,37 @@ def _phase_floor(theta_z: np.ndarray, delta_z: np.ndarray,
     _FLOOR_ROUNDING (1 + phi(a)), far above the rounding of the phases
     and sines, and is clamped at 0, so panels where phi barely moves add
     nothing. The floors are scaled by 1 - _FLOOR_SLACK, far more than the
-    rounding of the rest and the quadrature error of the exact ph_k."""
-    y = np.linspace(0.0, geom.aperture, _screen_panels(theta_z, geom) + 1)
-    z0, dz = theta_z[..., None], delta_z[:, None, None]
-    z1 = z0 + dz
-    half_phase = 0.5 * wave.wavenumber * dz * (z0 + z1)
-    r0, r1 = np.hypot(y, z0), np.hypot(y, z1)
-    phase = half_phase / (r0 + r1)
-    gain = np.sqrt(z0 * z1) / (r0 * r1) ** 2.5
-    p, q = z0 ** (2.0 / 3.0), z1 ** (2.0 / 3.0)
-    peak = np.clip(p * q / np.sqrt(p + q), y[:-1], y[1:])
-    r0, r1 = np.hypot(peak, z0), np.hypot(peak, z1)
-    rate = half_phase * peak / (r0 * r1 * (r0 + r1))
-    hi, lo = phase[..., :-1], phase[..., 1:]
-    swept = (0.5 * (hi - lo) - 0.25 * (np.sin(2.0 * hi) - np.sin(2.0 * lo))
-             - _FLOOR_ROUNDING * (1.0 + hi))
-    part = gain[..., 1:] * np.maximum(swept, 0.0) / rate
-    # times a^0, a^1 and a^2 at each panel's left end, summed
-    floor = (1.0 - _FLOOR_SLACK) * (part @ np.vander(y[:-1], 3, increasing=True))
-    m = np.zeros((7, 3) + theta_z.shape)
-    m[6] = np.moveaxis(floor, -1, 0)
+    rounding of the rest and the quadrature error of the exact ph_k.
+    Taken on rows in groups of at most _FAMILY_BLOCK panels in all (one
+    row at least) and on panels in blocks of _FAMILY_BLOCK, so no array
+    exceeds 2 _FAMILY_BLOCK cells per hypothesis distance."""
+    n_panels = _screen_panels(theta_z, geom)
+    edges = np.linspace(0.0, geom.aperture, n_panels + 1)
+    floor = np.zeros(theta_z.shape + (3,))
+    group = max(1, _FAMILY_BLOCK // n_panels)
+    for i in range(0, len(theta_z), group):
+        z0, dz = theta_z[i:i + group, :, None], delta_z[i:i + group, None, None]
+        z1 = z0 + dz
+        half_phase = 0.5 * wave.wavenumber * dz * (z0 + z1)
+        p, q = z0 ** (2.0 / 3.0), z1 ** (2.0 / 3.0)
+        y_peak = p * q / np.sqrt(p + q)
+        for j in range(0, n_panels, _FAMILY_BLOCK):
+            y = edges[j:j + _FAMILY_BLOCK + 1]
+            r0, r1 = np.hypot(y, z0), np.hypot(y, z1)
+            phase = half_phase / (r0 + r1)
+            gain = np.sqrt(z0 * z1) / (r0 * r1) ** 2.5
+            peak = np.clip(y_peak, y[:-1], y[1:])
+            r0, r1 = np.hypot(peak, z0), np.hypot(peak, z1)
+            rate = half_phase * peak / (r0 * r1 * (r0 + r1))
+            hi, lo = phase[..., :-1], phase[..., 1:]
+            swept = (0.5 * (hi - lo) - 0.25 * (np.sin(2.0 * hi) - np.sin(2.0 * lo))
+                     - _FLOOR_ROUNDING * (1.0 + hi))
+            part = gain[..., 1:] * np.maximum(swept, 0.0) / rate
+            # times a^0, a^1 and a^2 at each panel's left end, summed
+            floor[i:i + group] += part @ np.vander(y[:-1], 3, increasing=True)
+    # the other six families enter rows 0-9 only: zeros broadcast there
+    m = (np.zeros((3, 1, 1)),) * 6 + (np.moveaxis((1.0 - _FLOOR_SLACK) * floor,
+                                                 -1, 0),)
     return np.moveaxis(_coefficients(m, theta_z, delta_z[:, None])[10:], 0, 1)
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -700,6 +701,26 @@ def test_phase_floor_stays_below_the_exact_coefficients():
             assert np.all(_mu(screen, basis)
                           <= mu + (0.0 if on_line else 1e-12) * np.abs(mu))
     assert np.median(kept) > 0.3
+
+
+@pytest.mark.parametrize("lam, aperture, lo, hi", [NEAR_ARRAY[2], NEAR_ARRAY[4]],
+                         ids=["300-panels", "7486-panels"])
+def test_phase_floor_memory_is_bounded_by_the_block(lam, aperture, lo, hi):
+    # zzb_t's screened line at the default grid on priors near the array,
+    # where the screen needs 300 and 7486 panels: the floor works in blocks
+    # of at most 2 _FAMILY_BLOCK panel edges per hypothesis distance, so its
+    # peak stays under 16 such arrays (taken all at once, it had 23 MB and
+    # 575 MB)
+    prior, grid = UniformPrior(lo, hi), ZZBGrid()
+    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)[1:]
+    theta_z = _line(prior, search, grid)
+    tracemalloc.start()
+    try:
+        _phase_floor(theta_z, search, ArrayGeometry(aperture, 0.5), Wave(lam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 * _FAMILY_BLOCK * grid.n_theta_z * 8
 
 
 def test_screen_past_the_panel_cap_raises():
