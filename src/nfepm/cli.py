@@ -33,7 +33,7 @@ from .numerics import EXPECT_GRID
 from .observation import (NoiseSpec, noiseless_voltages, observe,
                           sigma2_for_snr_db, snr_from_db)
 from .solver import TABLE2_COLUMNS, TABLE2_MISMATCH, rmse_grid, solve
-from .zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
+from .zzb import ZZBGrid, zzb_ao_t, zzb_tilt, zzb_z
 
 # Every config key, one row each: (section, key, type, default, field).
 # The rows drive parsing, the unknown-key error, the defaults, the
@@ -208,8 +208,8 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
 _MAP = tuple(f.name for f in fields(MseReport))
 _BOUNDS = {
     ("zzb_z",): lambda cfg, p, s, g, w: (zzb_z(p, s, g, w, cfg.zzb_grid),),
-    ("zzb_t",): lambda cfg, p, s, g, w: (zzb_t(p, s, g, w, cfg.zzb_grid),),
-    ("zzb_ao_t",): lambda cfg, p, s, g, w: (zzb_ao_t(p, s, g, cfg.zzb_grid),),
+    ("zzb_t", "zzb_ao_t"): lambda cfg, p, s, g, w: zzb_tilt(p, s, g, w,
+                                                             cfg.zzb_grid),
     ("ecrb_z", "ecrb_t"): lambda cfg, p, s, g, w: ecrb(p, s, g, w, cfg.ecrb_grid),
     ("ecrb_ao_t",): lambda cfg, p, s, g, w: (ecrb_ao(p, s, g, cfg.ecrb_grid),),
     ("zzb_ao_t_inf",): lambda cfg, p, s, g, w: (

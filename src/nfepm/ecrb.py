@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AxialPose
-from .errors import (AttitudeSingularity, InvariantViolation, NonFinite,
-                     SingularFIM)
+from .errors import AttitudeSingularity, InvariantViolation, SingularFIM
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import EXPECT_GRID, expect_uniform, require_snr, snr_sweep
+from .numerics import (EXPECT_GRID, expect_uniform, require_finite,
+                       require_snr, snr_sweep)
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -175,9 +175,7 @@ def _over_sweep(snr, bounds):
         raise InvariantViolation("snr must be > 0, got 0.0")
     with np.errstate(divide="ignore", over="ignore"):
         values = bounds(snrs)
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        raise NonFinite(f"expected CRB not finite at snr {snrs[~finite][0]}")
+    require_finite("expected CRB", snrs, values)
     return tuple(map(shape, values))
 
 

@@ -1,6 +1,6 @@
 """Shared numeric kernels: the Gaussian tail function, deterministic
-tensor-grid expectations, SNR sweeps, array-size and SNR guards, and
-splittable RNG streams."""
+tensor-grid expectations, SNR sweeps, array-size, SNR and finite-bound
+guards, and splittable RNG streams."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import operator
 import numpy as np
 from scipy.special import erfc
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NonFinite
 
 # Upper cap applied to every t_z grid so 1/sqrt(1 - t_z^2) stays finite.
 TZ_EPS = 1e-4
@@ -50,6 +50,14 @@ def require_snr(snr) -> None:
     snrs = np.asarray(snr, dtype=float)
     if not np.all(snrs >= 0):
         raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+
+
+def require_finite(what: str, snrs: np.ndarray, values) -> None:
+    """Raise NonFinite naming the first SNR of snrs at which one of the
+    bounds `values`, per SNR along their last axis, is not finite."""
+    finite = np.isfinite(np.reshape(values, (-1, len(snrs)))).all(axis=0)
+    if not finite.all():
+        raise NonFinite(f"{what} not finite at snr {snrs[~finite][0]}")
 
 
 def q_function(x):

@@ -1,68 +1,38 @@
 """Ziv-Zakai MSE lower bounds for joint distance/tilt estimation.
 
-The detection statistic behind the bound needs, for every hypothesis
+The detection statistic mu behind the bound needs, for every hypothesis
 offset, an integral of |h1 - h0|^2 = (A1 - A0)^2 + 4 A0 A1 sin^2(k (r1 -
 r0) / 2) along the array, with the on-axis amplitude A_i = G_i (y t_i +
 z_i s_i) linear in (tilt, transverse) and G_i = sqrt(z_i) / r_i^2.5. The
 engine takes A1 - A0 and r1 - r0 as differences point by point, never
 subtracting channel energies, so mu stays accurate relative to itself at
-the smallest offsets: per distance offset, the y^0..y^2 moments of seven
-kernels in G, from one quadrature on a panel count fixed beforehand, give
-14 coefficients, and mu on a box's tilt grid is one product with a
-14-function tilt basis. Outer offset integrals run on log-spaced panels
-because the integrand support shrinks like 1/SNR.
+the smallest offsets.
+
+The engine, and where each argument lives. `_families` gives, per
+distance offset, 14 coefficients from the y^0..y^2 moments of seven
+kernels in G (`_family_eval`), on a panel count fixed beforehand; mu on a
+box's tilt grid is one product (`_mu`) of them with a 14-function tilt
+basis (`_tilt_basis`). `_q_box` integrates the detection error
+Q(sqrt(mu/2)) over boxes, in blocks of at most `_BLOCK_CELLS` grid cells,
+so memory grows with neither the sweep nor the search. `_search_max`
+raises a running maximum, started at box 0's integral, over a search
+line's other boxes, taking a box only where an upper bound says it can
+matter. `_outer` integrates over the offset on log-spaced panels, as the
+integrand's support shrinks like 1/SNR, and evaluates only the SNRs it
+has not cut.
+
+zzb_z searches boxes at tilt offsets, which share the families of the
+outer node's distance offset. zzb_t searches boxes at distance offsets.
+Its box 0 has none, so it is zzb_ao_t's box: the tilt-only statistic in
+closed form (`_ao_form`, integrated by `_tilt_only`), and zzb_tilt gives
+both tilt bounds from one outer pass. zzb_t's other boxes carry screen
+coefficients below mu (`_amplitude_coefficients`, `_phase_floor`) until
+the search needs their exact families.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
-array); the SNR-free work, the coefficients and tilt bases included, runs
-once per sweep, and the outer offset integral evaluates only the SNRs it
-has not cut yet. zzb_z forms its boxes' tilt basis once per call, zzb_t
-once per outer node (its boxes share one tilt grid).
-Each search line of boxes gets mu in blocks of at most `_BLOCK_CELLS`
-grid cells (one box at least), and its detection error in blocks of as
-many (SNR, box) pairs, so memory grows with neither the sweep nor the
-search. Box 0 is taken at every SNR and starts the running maximum.
-Since Q decreases, no other box's integral exceeds its cell count times
-its cell area times Q at its least mu, and a pair is evaluated only where
-that bound reaches the running maximum less `_PRUNE_MARGIN` (1e-9) of it
-and its Q at the least mu is not 0.
-The least mu of the bound is the least of the very products the cells
-use, so only the ulp-level non-monotonicity of `erfc` (below 1e-13
-relative) and the rounding of the cell sum and of the cell-area products
-(below 1e-14) can put a skipped pair above its bound, far inside the
-margin. scipy's `erfc` is exactly 0 from 26.64... on and positive below,
-so a pair whose Q at its least mu is 0 integrates to exactly 0 (a bound
-of 0 would still reach a running maximum that underflowed to 0). The
-bounds are bit-identical to taking every pair, which a margin of 1 does.
-
-zzb_t's boxes sit at distance offsets of their own. Box 0 gets its exact
-coefficients at once, the others screen coefficients, computed once per
-call: the amplitude-only ones, taken at wavenumber 0 where the phase term
-drops out, plus a floor under the phase term 4 G0 G1 S (y t0 + z0 s0)
-(y t1 + z1 s1). Its coefficients multiply t0 t1, t0 s1, s0 t1 and s0 s1,
-each >= 0 on the strip, and are 4 ph_2, 4 z1 ph_1, 4 z0 ph_1 and
-4 z0 z1 ph_0 with ph_k = int G0 G1 S y^k dy, so any 0 <= f_k <= ph_k keeps
-the screen's mu at or below the exact mu on every cell. `_phase_floor`
-takes f_k in closed form, panel by panel: G0 G1 and y^k at their least on
-the panel, and int sin^2 phi dy at least the integral of sin^2 over the
-panel's phase range divided by the peak of |phi'| there. It is scaled
-down by far more than the rounding and the quadrature error of the exact
-ph_k, so it stays below the exact coefficients themselves.
-A screened box goes through the same bound as an exact one, its cell
-count times its cell area times Q at its least screen mu. Where that
-reaches the running maximum less the margin and is not 0 at some SNR of
-an outer node, its exact coefficients are built once and kept for the
-call, and it goes through the exact bound; otherwise it is skipped there.
-The screen's amplitude part is within 1e-12 relative of the exact
-coefficients' amplitude part, so its mu exceeds the exact mu by at most
-that, which moves Q by a factor of at most exp((x^2 + 1) / 2 * 1e-12),
-under 7.1e-10 up to x = 37.68 where Q underflows to 0, inside the margin.
-Where the bound is 0, the exact least mu can sit at most 1e-12 lower,
-where Q is 0 or below 1e-310; only a running maximum below the box's cell
-count times that could notice. Short of that, the bounds are
-bit-identical to building every box, which a margin of 1 does.
-
-Valley-filling is omitted throughout, a known slackening that does not
-affect the asymptotic regimes.
+array); the SNR-free work runs once per sweep, and a bound that is not
+finite raises NonFinite. Valley-filling is omitted throughout, a known
+slackening that does not affect the asymptotic regimes.
 """
 
 from __future__ import annotations
@@ -75,8 +45,8 @@ import numpy as np
 
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (midpoints, q_function, require_cells, require_sizes,
-                       require_snr, snr_sweep)
+from .numerics import (midpoints, q_function, require_cells, require_finite,
+                       require_sizes, require_snr, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
@@ -258,12 +228,11 @@ def _screen_panels(theta_z: np.ndarray, geom: ArrayGeometry) -> int:
     the least hypothesis distance wide; the kernels' nearest singularities
     lie at y = +-i z. A count past _MAX_FAMILY_PANELS raises: the nearest
     boxes' families would be past it too."""
-    n_panels = max(1, math.ceil(3.0 * geom.aperture
-                                / theta_z.min(initial=math.inf)))
-    if n_panels > _MAX_FAMILY_PANELS:
+    n_panels = 3.0 * geom.aperture / theta_z.min(initial=math.inf)
+    if not n_panels <= _MAX_FAMILY_PANELS:
         raise QuadratureFailure(
-            f"amplitude screen integrals would need {n_panels} panels")
-    return n_panels
+            f"amplitude screen integrals would need {n_panels:.6g} panels")
+    return max(1, math.ceil(n_panels))
 
 
 def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
@@ -273,7 +242,13 @@ def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
     of _coefficients at wavenumber 0, the ten of (A1 - A0)^2 and four zeros
     for the phase term, which is >= 0 on the strip, so they bound mu from
     below on every cell. On the _screen_panels the quadrature error is at
-    rounding level."""
+    rounding level: within 1e-12 relative of the exact coefficients'
+    amplitude part, so the screen's mu exceeds the exact mu by at most
+    that. That moves Q by a factor of at most exp((x^2 + 1) / 2 * 1e-12),
+    under 7.1e-10 up to x = 37.68 where Q underflows to 0, inside
+    _PRUNE_MARGIN. Where the screen's bound is 0, the exact least mu can
+    sit at most 1e-12 lower, where Q is 0 or below 1e-310; only a running
+    maximum below the box's cell count times that could notice."""
     n_panels = _screen_panels(theta_z, geom)
     coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
     # rows in groups of at most 16 panels in all: the one evaluation of a
@@ -292,7 +267,10 @@ def _phase_floor(theta_z: np.ndarray, delta_z: np.ndarray,
     """Lower bounds (rows, 4, n_theta_z) on the phase coefficients 10-13
     for hypothesis distances theta_z (rows, n_theta_z) and offsets
     delta_z (rows,) > 0: _coefficients' own products, so rounding keeps
-    their order, of floors f_k <= ph_k = int G0 G1 S y^k dy.
+    their order, of floors f_k <= ph_k = int G0 G1 S y^k dy. Those rows,
+    4 ph_2, 4 z1 ph_1, 4 z0 ph_1 and 4 z0 z1 ph_0, multiply t0 t1, t0 s1,
+    s0 t1 and s0 s1, each >= 0 on the strip, so any 0 <= f_k <= ph_k keeps
+    the screen's mu at or below the exact mu on every cell.
 
     On a panel [a, b] of the _screen_panels, G0 G1 >= G0 G1 (b) and
     y^k >= a^k, as r0 and r1 grow with y. The phase phi = k (r1 - r0) / 2
@@ -374,33 +352,39 @@ def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
     return sums * cell
 
 
-def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
+def _search_max(peak, coef, exact, build, basis, z_len, delta_t, snrs, pitch,
                 grid: ZZBGrid):
-    """Per SNR, the largest detection-error integral over the n_max_search
-    boxes of a search line. Box b has coefficients coef[b] (14, n_theta_z),
-    tilt basis basis[b] (14, n_theta_t), tilt offset delta_t[b] and distance
-    length z_len[b]. coef and basis have a leading axis of n_max_search
-    boxes or of one entry that all boxes share (one of them per box), and
-    the matrix product broadcasts it; z_len and delta_t broadcast to one
-    cell area per box. Where exact[b] is false, coef[b] holds screen
-    coefficients, amplitude-only plus a phase floor, below mu on every
-    cell; the first time they cannot rule the box out, coef[b] = build(b)
-    replaces them with the exact ones and exact[b] is set. Box 0 (exact) is
-    taken at every SNR, the other boxes' mu in blocks of at most
-    _BLOCK_CELLS grid cells (one box at least). One upper bound, the cell
-    count times the cell area times Q at the box's least mu, decides both
-    the builds and the (SNR, box) pairs taken: only where it reaches the
-    running maximum less _PRUNE_MARGIN of it and is not 0. A margin of 1
-    builds every box and takes every pair."""
-    n, box = grid.n_max_search, grid.n_theta_z * grid.n_theta_t
+    """Per SNR, the running maximum peak, box 0's detection-error integral
+    over a search line, raised by the integrals of the line's other
+    n_max_search - 1 boxes; peak is updated in place and returned. Box j of
+    those has coefficients coef[j] (14, n_theta_z), tilt basis basis[j]
+    (14, n_theta_t), tilt offset delta_t[j] and distance length z_len[j].
+    coef and basis have a leading axis of n_max_search - 1 boxes or of one
+    entry that all boxes share (one of them per box), and the matrix
+    product broadcasts it; z_len and delta_t broadcast to one cell area per
+    box. Where exact[j] is false, coef[j] holds screen coefficients,
+    amplitude-only plus a phase floor, below mu on every cell; the first
+    time they cannot rule the box out, coef[j] = build(j) replaces them
+    with the exact ones and exact[j] is set. The boxes' mu is taken in
+    blocks of at most _BLOCK_CELLS grid cells (one box at least). One
+    upper bound, the cell count times the cell area times Q at the box's
+    least mu, decides both the builds and the (SNR, box) pairs taken: only
+    where it reaches the running maximum less _PRUNE_MARGIN of it and is
+    not 0. Q decreases, and the least mu is the least of the very products
+    the cells use, so a skipped pair's integral can exceed its bound only
+    by the ulp-level non-monotonicity of `erfc` (below 1e-13 relative) and
+    the rounding of the cell sum and the cell areas (below 1e-14), far
+    inside the margin. scipy's `erfc` is exactly 0 from 26.64... on, so a
+    pair whose Q at its least mu is 0 integrates to 0 (a bound of 0 would
+    still reach a running maximum that underflowed to 0). A margin of 1
+    builds every box and takes every pair, and gives the same bits."""
+    n, box = grid.n_max_search - 1, grid.n_theta_z * grid.n_theta_t
     cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
 
     def lines(a, rows):
         return a[rows] if len(a) > 1 else a
 
     sp = snrs * pitch
-    m = _mu(coef[:1], basis[:1])[0]
-    peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell[0], grid)
 
     def taken(least, c):
         # Q decreases, so no cell of a box exceeds Q at the box's least mu
@@ -412,7 +396,7 @@ def _search_max(coef, exact, build, basis, z_len, delta_t, snrs, pitch,
         return take
 
     step = max(1, _BLOCK_CELLS // box)
-    for i in range(1, n, step):
+    for i in range(0, n, step):
         m = _mu(lines(coef, slice(i, i + step)),
                 lines(basis, slice(i, i + step)))
         c = cell[i:i + step]
@@ -458,51 +442,29 @@ def _outer(prior, hi: float, n_delta: int, n_snr: int, bracket) -> np.ndarray:
 
 def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
           grid: ZZBGrid = DEFAULT_GRID):
-    """MSE lower bound on the source distance (m^2)."""
+    """MSE lower bound on the source distance (m^2); NonFinite names the
+    first SNR where it is not finite."""
     snrs, shape = snr_sweep(snr)
     search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
     # the boxes' tilt grids and offsets do not move with the outer node
     basis = _tilt_basis(midpoints(0.0, 1.0 - search[:, None, None],
                                   grid.n_theta_t), search[:, None, None])
-    exact = np.ones(grid.n_max_search, dtype=bool)
+    exact = np.ones(grid.n_max_search - 1, dtype=bool)
 
     def bracket(dz, live):
         coef = _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
-                         dz, geom, wave)
-        return _search_max(coef[None], exact, None, basis, prior.span - dz,
-                           search, snrs[live], geom.pitch, grid)
+                         dz, geom, wave)[None]
+        z_len, sp = prior.span - dz, snrs[live] * geom.pitch
+        # box 0, at tilt offset 0, is taken at every SNR
+        m = _mu(coef, basis[:1])[0]
+        cell = (z_len / grid.n_theta_z) * ((1.0 - 0.0) / grid.n_theta_t)
+        peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell, grid)
+        return _search_max(peak, coef, exact, None, basis[1:], z_len,
+                           search[1:], snrs[live], geom.pitch, grid)
 
-    return shape(_outer(prior, prior.span, grid.n_delta, len(snrs), bracket))
-
-
-def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
-          grid: ZZBGrid = DEFAULT_GRID):
-    """MSE lower bound on the tilt (dimensionless^2)."""
-    snrs, shape = snr_sweep(snr)
-    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)
-    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
-                        grid.n_theta_z)
-
-    def build(b):
-        return _families(theta_z[b], search[b], geom, wave)
-
-    # box 0 is exact from the start; the others keep amplitude-only
-    # coefficients and a phase floor until the search needs their exact ones
-    coef = np.empty((grid.n_max_search, 14, grid.n_theta_z))
-    coef[0] = build(0)
-    coef[1:] = _amplitude_coefficients(theta_z[1:], search[1:], geom)
-    coef[1:, 10:] = _phase_floor(theta_z[1:], search[1:], geom, wave)
-    exact = np.arange(grid.n_max_search) == 0
-
-    def bracket(dt, live):
-        # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per
-        # outer node
-        basis = _tilt_basis(
-            midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, None, :], dt)
-        return _search_max(coef, exact, build, basis, prior.span - search, dt,
-                           snrs[live], geom.pitch, grid)
-
-    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
+    out = _outer(prior, prior.span, grid.n_delta, len(snrs), bracket)
+    require_finite("ZZB", snrs, out)
+    return shape(out)
 
 
 def _ao_form(z, aperture: float):
@@ -529,6 +491,25 @@ def _ao_form(z, aperture: float):
     return d, form
 
 
+def _tilt_only(prior: UniformPrior, geom: ArrayGeometry, grid: ZZBGrid):
+    """The tilt-only box integral: box(dt, snrs) gives, for each SNR of
+    snrs, the midpoint integral of Q(sqrt(mu/2)) over the box of the
+    prior's distances and the tilts [0, 1 - dt], mu the statistic of
+    _ao_form at tilt offset dt. Its tau-moments are taken here once, its
+    tilt factor once per call of box."""
+    d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
+                       geom.aperture)
+
+    def box(dt, snrs):
+        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
+        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
+        f = form(theta_t, dt)
+        return _q_box(lambda rows: snrs[rows, None, None] * geom.pitch / d * f,
+                      len(snrs), cell, grid)
+
+    return box
+
+
 def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     """Closed-form detection statistic for tilt-only hypotheses (no
     distance offset). Wavelength-free because the phase cancels exactly.
@@ -548,24 +529,81 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     return (snr * geom.pitch / d * form(t0, dt))[()]
 
 
+def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
+             grid: ZZBGrid = DEFAULT_GRID):
+    """(zzb_t, zzb_ao_t) from one outer pass, each bit-identical to its own
+    call; NonFinite names the first SNR where either is not finite.
+
+    The pass runs 2 n channels for n SNRs, zzb_ao_t's at 0..n-1 and
+    zzb_t's at n..2n-1, each truncated on its own. Box 0 of zzb_t's search
+    line has no distance offset, so it is the tilt-only box: per outer
+    node, _tilt_only evaluates it once for the SNRs live in either
+    channel, and it starts zzb_t's running maximum. The other boxes sit at
+    distance offsets of their own; they keep amplitude-only coefficients
+    and a phase floor until _search_max needs their exact ones.
+    """
+    snrs, shape = snr_sweep(snr)
+    n = len(snrs)
+    tilt_only = _tilt_only(prior, geom, grid)
+    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)[1:]
+    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
+                        grid.n_theta_z)
+
+    def build(b):
+        return _families(theta_z[b], search[b], geom, wave)
+
+    coef = _amplitude_coefficients(theta_z, search, geom)
+    coef[:, 10:] = _phase_floor(theta_z, search, geom, wave)
+    exact = np.zeros(len(search), dtype=bool)
+
+    def bracket(dt, live):
+        ao, t = live[live < n], live[live >= n] - n
+        # the tilt-only box at the SNRs live in either channel
+        on = np.zeros(n, dtype=bool)
+        on[ao] = on[t] = True
+        box0 = np.empty(n)
+        box0[on] = tilt_only(dt, snrs[on])
+        peak = box0[t]
+        if t.size:
+            # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per
+            # outer node
+            basis = _tilt_basis(
+                midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, None, :], dt)
+            peak = _search_max(peak, coef, exact, build, basis,
+                               prior.span - search, dt, snrs[t], geom.pitch,
+                               grid)
+        return np.concatenate((box0[ao], peak))
+
+    out = _outer(prior, 1.0, grid.n_delta, 2 * n, bracket).reshape(2, n)
+    require_finite("ZZB", snrs, out)
+    return shape(out[1]), shape(out[0])
+
+
+def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
+          grid: ZZBGrid = DEFAULT_GRID):
+    """MSE lower bound on the tilt (dimensionless^2): zzb_tilt's first
+    bound."""
+    return zzb_tilt(prior, snr, geom, wave, grid)[0]
+
+
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
              grid: ZZBGrid = DEFAULT_GRID):
     """Tilt bound with the distance treated as a random nuisance.
 
-    Grids and the box integral are those of the joint zzb_t at zero
-    distance offset, so the ordering zzb_t >= zzb_ao_t survives
-    discretization. The statistic is mu_L_ao's, its tau-moments taken
-    once per call and its tilt factor once per outer node.
+    Its box integral is _tilt_only's, which is box 0 of the joint zzb_t's
+    search line, the running maximum's start. So zzb_t >= zzb_ao_t holds
+    exactly wherever both are truncated at the same outer node. The
+    statistic is mu_L_ao's, its tau-moments taken once per call and its
+    tilt factor once per outer node. It takes no wave, and an infinite
+    aperture evaluates the limiting form. NonFinite names the first SNR
+    where the bound is not finite.
     """
     snrs, shape = snr_sweep(snr)
-    d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
-                       geom.aperture)
+    tilt_only = _tilt_only(prior, geom, grid)
 
     def bracket(dt, live):
-        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
-        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        f = form(theta_t, dt)
-        return _q_box(lambda rows: snrs[live[rows], None, None] * geom.pitch / d * f,
-                      len(live), cell, grid)
+        return tilt_only(dt, snrs[live])
 
-    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
+    out = _outer(prior, 1.0, grid.n_delta, len(snrs), bracket)
+    require_finite("ZZB", snrs, out)
+    return shape(out)

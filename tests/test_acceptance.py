@@ -320,7 +320,8 @@ def test_criterion_07_attitude_only_consistency():
         snr = _db(float(db))
         joint = zzb_t(AO_PRIOR, snr, AO_GEOM, AO_WAVE, COARSE_GRID)
         ao = zzb_ao_t(AO_PRIOR, snr, AO_GEOM, COARSE_GRID)
-        if joint < ao * (1.0 - 1e-12):
+        # zzb_t's running maximum starts at zzb_ao_t's box integral
+        if joint < ao:
             fails.append(f"{db} dB: zzb_t {joint:.3e} < tilt-only {ao:.3e}")
         worst_zzb_gap = max(worst_zzb_gap, (joint - ao) / joint)
         et = ecrb(AO_PRIOR, snr, AO_GEOM, AO_WAVE)[1]

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, exit codes, CSV emission."""
 
 import csv
+import importlib
 import math
 import subprocess
 import sys
@@ -347,6 +348,43 @@ def test_zzb_sweep_output(tmp_path):
         assert 0.0 < float(row[2]) <= (1.0 / 12.0) * (1.0 + 1e-6)
 
 
+def test_zzb_rows_take_one_pass_per_tilt_pair(tmp_path, monkeypatch):
+    # per case, one outer pass for zzb_z and one for both tilt bounds
+    # (zzb_tilt, 2 channels per SNR); fig8 adds only the infinite-aperture
+    # zzb_ao_t's
+    zzb_module = importlib.import_module("nfepm.zzb")
+    outer, channels = zzb_module._outer, []
+    monkeypatch.setattr(zzb_module, "_outer",
+                        lambda *args: channels.append(args[3]) or outer(*args))
+    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 0,30,60\n")
+    assert main(["zzb", "--config", cfg, "--out", str(tmp_path)]
+                + list(OVERRIDES)) == 0
+    assert channels == [3, 6]
+    channels.clear()
+    assert main(["preset", "fig8", "--out", str(tmp_path)]
+                + list(OVERRIDES)) == 0
+    assert channels == [14, 7]
+
+
+# The threshold config: lambda 0.1, aperture 5, pitch 0.1, z_min 3.
+THRESHOLD = ("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
+             "prior.z_min=3")
+
+
+@pytest.mark.parametrize("z_max", ["1e153", "1e300"])
+def test_non_finite_zzb_exits_2(tmp_path, capsys, z_max):
+    # zzb_z leaves the float range (inf or nan) on a far prior: a
+    # numerical failure naming the first SNR, and no CSV
+    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")
+    overrides = THRESHOLD + (f"prior.z_max={z_max}",)
+    args = [arg for item in overrides for arg in ("--override", item)]
+    assert main(["zzb", "--config", cfg, "--out", str(tmp_path / "out")]
+                + args + list(OVERRIDES)) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: ZZB not finite at snr 1000.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ecrb_sweep_scaling(tmp_path):
     cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")
     assert main(["ecrb", "--config", cfg, "--out", str(tmp_path),
@@ -376,7 +414,7 @@ def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
         sizes.append((u, v))
         return 0.0, 0.0
 
-    for name in ("zzb_z", "zzb_t", "zzb_ao_t", "ecrb", "ecrb_ao",
+    for name in ("zzb_z", "zzb_tilt", "zzb_ao_t", "ecrb", "ecrb_ao",
                  "monte_carlo_mse"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
     monkeypatch.setattr(cli, "rmse_grid", fake_rmse_grid)
@@ -385,7 +423,7 @@ def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["preset", "table2", "--out", str(tmp_path)]) == 0
     zzb, map_grid = ZZBGrid(), MapGrid()
-    assert grids == [zzb] * 3 + [EXPECT_GRID] * 2 + [map_grid]
+    assert grids == [zzb] * 2 + [EXPECT_GRID] * 2 + [map_grid]
     assert sizes == [(200, 200)] * 16
     echo = [f"# grid.{key} = {value}" for key, value in (
         ("n_delta", zzb.n_delta), ("n_theta_z", zzb.n_theta_z),

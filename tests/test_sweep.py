@@ -2,7 +2,9 @@
 the values of their one-SNR calls."""
 
 import importlib
+import math
 
+import numpy as np
 import pytest
 
 from nfepm.ecrb import ecrb, ecrb_ao, ecrb_asymptotic
@@ -10,7 +12,7 @@ from nfepm.errors import InvariantViolation, NonFinite
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
 from nfepm.observation import snr_from_db
-from nfepm.zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
+from nfepm.zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_tilt, zzb_z
 
 zzb_module = importlib.import_module("nfepm.zzb")
 
@@ -71,7 +73,7 @@ def test_monte_carlo_sweep_equals_one_level_calls():
                        for db in DB]
 
 
-def test_sweep_errors_name_the_offending_snr():
+def test_sweep_errors_name_the_offending_snr(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"snr must be >= 0, got -1\.0$"):
         zzb_z(PRIOR, [1.0, -1.0, 2.0], GEOM, WAVE, GRID)
     with pytest.raises(InvariantViolation, match=r"snr must be > 0, got 0\.0$"):
@@ -79,6 +81,21 @@ def test_sweep_errors_name_the_offending_snr():
     # 1 / (2 snr pitch) overflows at 1e-310
     with pytest.raises(NonFinite, match=r"at snr 1e-310$"):
         ecrb(PRIOR, [1.0, 1e-310, 1e-311], GEOM, WAVE, ECRB_GRID)
+    # a ZZB that leaves the float range: zzb_z on a prior out to 1e300 m
+    # (the offset weights overflow), zzb_ao_t on one at subnormal
+    # distances (the statistic's moments do)
+    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+        zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
+    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+        zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
+    # zzb_tilt names the first SNR where either of its bounds is not
+    # finite, here zzb_t's search made NaN at 3
+    search_max = zzb_module._search_max
+    monkeypatch.setattr(zzb_module, "_search_max", lambda peak, *args: np.where(
+        args[6] == 3.0, math.nan, search_max(peak, *args)))
+    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
+        zzb_tilt(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
+    assert math.isfinite(zzb_ao_t(PRIOR, 3.0, GEOM, GRID))
     for bad in ([], [[1.0, 2.0]]):
         with pytest.raises(InvariantViolation, match="sequence"):
             zzb_ao_t(PRIOR, bad, GEOM, GRID)

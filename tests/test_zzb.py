@@ -18,7 +18,7 @@ from nfepm.observation import snr_from_db
 from nfepm.zzb import (_FAMILY_BLOCK, ZZBGrid, _amplitude_coefficients,
                        _families, _family_eval, _mu, _phase_floor,
                        _search_max, _tilt_basis, _y_rule, mu_L_ao, zzb_ao_t,
-                       zzb_t, zzb_z)
+                       zzb_t, zzb_tilt, zzb_z)
 from oracles import (HypothesisPair, ambiguity_function, integrate, mu_L,
                      p_min, y_blocks_uncached, zzb_ao_t_per_node)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
@@ -266,9 +266,9 @@ def test_joint_tilt_bound_dominates_tilt_only():
         joint = zzb_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE,
                       COARSE)
         ao = zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE)
-        # equality holds when the distance-offset search peaks at zero, up
-        # to the roundoff gap between the quadrature and closed-form paths
-        assert joint >= ao * (1.0 - 1e-12)
+        # the tilt-only box is box 0 of the joint search, the running
+        # maximum's start, so the ordering is exact
+        assert joint >= ao
 
 
 def test_snr_validation():
@@ -555,14 +555,19 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
 
     monkeypatch.setattr(zzb_module, "_outer", recording_outer)
     snrs = [snr_from_db(0.0), snr_from_db(60.0)]
-    for bound in (lambda s: zzb_z(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
-                                  THRESHOLD_WAVE, COARSE),
-                  lambda s: zzb_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
-                                  THRESHOLD_WAVE, COARSE),
-                  lambda s: zzb_ao_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, COARSE)):
+    # zzb_t runs zzb_tilt's pass of 2 n channels: zzb_ao_t's at 0 and 1,
+    # its own at 2 and 3; the 0 dB channels are 0 (and 2)
+    for bound, at_0db in (
+            (lambda s: zzb_z(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
+                             THRESHOLD_WAVE, COARSE), [0]),
+            (lambda s: zzb_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM,
+                             THRESHOLD_WAVE, COARSE), [0, 2]),
+            (lambda s: zzb_ao_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, COARSE),
+             [0])):
         seen.clear()
         bound(snrs)
-        assert seen[0] == [0, 1] and [0] in seen and [1] not in seen
+        assert seen[0] == list(range(2 * len(at_0db))) and at_0db in seen
+        assert all(set(at_0db) <= set(live) for live in seen)
 
 
 def _counting_families(monkeypatch):
@@ -580,19 +585,21 @@ def _counting_families(monkeypatch):
 
 
 def test_zzb_t_builds_families_only_for_boxes_the_screen_keeps(monkeypatch):
-    # a geometry_scan benchmark geometry at 40 dB: only box 0 needs its
-    # channel-mismatch families, built once; the amplitude-only screen
-    # built three more boxes, which the phase floor rules out
+    # a geometry_scan benchmark geometry at 40 dB: box 0 is the tilt-only
+    # box in closed form, and the phase floor rules out the three boxes
+    # the amplitude-only screen alone would build, so no box needs its
+    # channel-mismatch families
     calls = _counting_families(monkeypatch)
     zzb_t(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
           Wave(0.01), ZZBGrid(24, 12))
-    assert calls == [0.0]
+    assert calls == []
 
 
-def test_zzb_t_builds_only_box_0_on_geometry_scan(monkeypatch):
+def test_zzb_t_builds_no_families_on_geometry_scan(monkeypatch):
     # the geometry_scan benchmark's 16 geometries at its 40 dB and grid:
-    # 16 family builds, one per call (110 with the amplitude-only screen);
-    # a margin of 1 builds every box and gives the same bits
+    # no family build (16, one for box 0 per call, before box 0 took the
+    # tilt-only closed form; 110 with the amplitude-only screen alone); a
+    # margin of 1 builds the 15 boxes after box 0 and gives the same bits
     calls = _counting_families(monkeypatch)
     results = []
     for margin in (zzb_module._PRUNE_MARGIN, 1.0):
@@ -603,9 +610,75 @@ def test_zzb_t_builds_only_box_0_on_geometry_scan(monkeypatch):
                               ZZBGrid(24, 12))
                         for lam, aperture, lo, hi in GEOMETRY_SCAN])
         results[-1].append(len(calls))
-    assert results[0][-1] == 16
-    assert results[1][-1] == 16 * 16
+        assert 0.0 not in calls
+    assert results[0][-1] == 0
+    assert results[1][-1] == 16 * 15
     assert results[0][:-1] == results[1][:-1]
+
+
+def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
+    # the geometry_scan benchmark's 16 geometries and grid over 0-60 dB:
+    # zzb_t's running maximum starts at zzb_ao_t's box integral, bit for
+    # bit, so the ordering holds with no slack
+    for lam, aperture, lo, hi in GEOMETRY_SCAN:
+        prior, geom = UniformPrior(lo, hi), ArrayGeometry(aperture, 0.5)
+        joint = zzb_t(prior, SWEEP, geom, Wave(lam), ZZBGrid(24, 12))
+        ao = zzb_ao_t(prior, SWEEP, geom, ZZBGrid(24, 12))
+        assert np.all(joint >= ao), (lam, aperture, lo, hi)
+
+
+def _recording_outer(monkeypatch):
+    """Route zzb's outer integrals through a recorder of the live channels
+    of each bracket call; returns the list of calls, one list of live
+    sets per _outer call."""
+    calls = []
+    outer = zzb_module._outer
+
+    def recording(prior, hi, n_delta, n_snr, bracket):
+        calls.append([])
+
+        def recorded(d, live):
+            calls[-1].append(live.tolist())
+            return bracket(d, live)
+        return outer(prior, hi, n_delta, n_snr, recorded)
+
+    monkeypatch.setattr(zzb_module, "_outer", recording)
+    return calls
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e6])
+def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
+    # 0 and 60 dB: the 60 dB channels are cut before the 0 dB ones. A skew
+    # raises zzb_t's search result with the tilt offset, so its channels
+    # are cut later than zzb_ao_t's; both tilt bounds still come from one
+    # pass, each bit-identical to its own call
+    if skew:
+        search_max = zzb_module._search_max
+
+        def skewed(peak, *args):
+            dt = args[5]
+            return search_max(peak, *args) * (1.0 + skew * dt)
+
+        monkeypatch.setattr(zzb_module, "_search_max", skewed)
+    calls = _recording_outer(monkeypatch)
+    snrs = [snr_from_db(0.0), snr_from_db(60.0)]
+    args = (THRESHOLD_PRIOR, snrs, THRESHOLD_GEOM)
+    joint, ao = zzb_tilt(*args, THRESHOLD_WAVE, COARSE)
+    assert len(calls) == 1
+    lives = calls[0]
+    assert lives[0] == [0, 1, 2, 3] and [0, 2] in lives
+    # with the skew, some node has a channel of one bound live and the
+    # other's at the same SNR cut
+    split = [live for live in lives
+             if {c for c in live if c < 2} != {c - 2 for c in live if c >= 2}]
+    assert bool(split) == bool(skew)
+    assert np.array_equal(joint, zzb_t(*args, THRESHOLD_WAVE, COARSE))
+    assert np.array_equal(ao, zzb_ao_t(*args, COARSE))
+    for i, snr in enumerate(snrs):
+        scalar = zzb_tilt(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                          COARSE)
+        assert scalar == (joint[i], ao[i])
+        assert all(isinstance(b, float) for b in scalar)
 
 
 def _line(prior, search, grid):
@@ -737,6 +810,18 @@ def test_screen_past_the_panel_cap_raises():
             zzb_t(prior, snr, geom, wave, grid)
 
 
+def test_screen_panel_count_past_the_float_range_raises():
+    # at subnormal hypothesis distances the panel count overflows to inf,
+    # which is past the cap (and has no integer ceiling); zzb_t, whose
+    # box 0 builds no families, reaches the screen first
+    theta_z, search = np.array([[1e-320, 2e-320]]), np.array([1e-320])
+    with pytest.raises(QuadratureFailure, match="would need inf panels"):
+        _amplitude_coefficients(theta_z, search, THRESHOLD_GEOM)
+    with pytest.raises(QuadratureFailure, match="would need inf panels"):
+        zzb_t(UniformPrior(1e-320, 1e-310), 1.0, THRESHOLD_GEOM,
+              THRESHOLD_WAVE, COARSE)
+
+
 @pytest.mark.parametrize("geom, wave, prior", [
     (ArrayGeometry(a, 0.5), Wave(0.01), UniformPrior(*p))
     for p in ((4.0, 5.0), (4.0, 7.0), (6.0, 7.0), (9.0, 10.0))
@@ -822,13 +907,15 @@ def test_search_max_equals_brute_force(monkeypatch, block, profiles, winners):
         for b in range(4)])
     assert set(values.argmax(axis=0).tolist()) == winners
     cells = _counting_q(monkeypatch)
-    peak = _search_max(coef, np.ones(4, dtype=bool), None,
-                       _tilt_basis(theta_t, delta_t[:, None, None]), z_len,
-                       delta_t, snrs, pitch, grid)
+    # box 0's integral starts the running maximum; the search takes the
+    # other three boxes
+    peak = _search_max(values[0].copy(), coef[1:], np.ones(3, dtype=bool),
+                       None, _tilt_basis(theta_t[1:], delta_t[1:, None, None]),
+                       z_len, delta_t[1:], snrs, pitch, grid)
     assert peak.tolist() == values.max(axis=0).tolist()
     # the (SNR, box) upper bounds cost one cell each; fewer than every
-    # box's grid means some pair was skipped
-    assert box * len(snrs) <= cells[0] < box * values.size
+    # other box's grid means some pair was skipped
+    assert 3 * len(snrs) <= cells[0] < box * 3 * len(snrs)
 
 
 @pytest.mark.parametrize("snr", [0.0, 1e200])
