@@ -370,7 +370,8 @@ def _search_max(peak, coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     upper bound, the cell count times the cell area times Q at the box's
     least mu, decides both the builds and the (SNR, box) pairs taken: only
     where it reaches the running maximum less _PRUNE_MARGIN of it and is
-    not 0. Q decreases, and the least mu is the least of the very products
+    not 0, or where either is NaN, so that the NaN reaches the bound and
+    NonFinite raises. Q decreases, and the least mu is the least of the very products
     the cells use, so a skipped pair's integral can exceed its bound only
     by the ulp-level non-monotonicity of `erfc` (below 1e-13 relative) and
     the rounding of the cell sum and the cell areas (below 1e-14), far
@@ -389,10 +390,11 @@ def _search_max(peak, coef, exact, build, basis, z_len, delta_t, snrs, pitch,
     def taken(least, c):
         # Q decreases, so no cell of a box exceeds Q at the box's least mu
         bound = q_function(np.sqrt(least / 2.0))
-        take = box * c * bound >= (1.0 - _PRUNE_MARGIN) * peak[:, None]
+        # a NaN bound or peak takes the pair
+        take = ~(box * c * bound < (1.0 - _PRUNE_MARGIN) * peak[:, None])
         if _PRUNE_MARGIN < 1.0:
             # where the bound underflowed to 0, every cell's Q is 0
-            take &= bound > 0.0
+            take &= bound != 0.0
         return take
 
     step = max(1, _BLOCK_CELLS // box)

@@ -371,14 +371,19 @@ THRESHOLD = ("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
              "prior.z_min=3")
 
 
-@pytest.mark.parametrize("z_max", ["1e153", "1e300"])
-def test_non_finite_zzb_exits_2(tmp_path, capsys, z_max):
-    # zzb_z leaves the float range (inf or nan) on a far prior: a
-    # numerical failure naming the first SNR, and no CSV
-    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")
-    overrides = THRESHOLD + (f"prior.z_max={z_max}",)
+@pytest.mark.parametrize("command, z_max", [
+    (["zzb", "--config"], "1e153"), (["zzb", "--config"], "1e300"),
+    (["preset", "fig8"], "1e300")])
+def test_non_finite_zzb_exits_2(tmp_path, capsys, command, z_max):
+    # a ZZB leaves the float range (inf or nan) on a far prior: a
+    # numerical failure naming the first SNR, and no CSV. fig8 takes only
+    # the tilt bounds, whose search boxes overflow while the tilt-only box
+    # stays finite
+    if command[0] == "zzb":
+        command = command + [write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")]
+    overrides = THRESHOLD + (f"prior.z_max={z_max}", "sweep.snr_db=30,40")
     args = [arg for item in overrides for arg in ("--override", item)]
-    assert main(["zzb", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(command + ["--out", str(tmp_path / "out")]
                 + args + list(OVERRIDES)) == 2
     assert capsys.readouterr().err == (
         "numerical failure: ZZB not finite at snr 1000.0\n")

@@ -81,11 +81,13 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
     # 1 / (2 snr pitch) overflows at 1e-310
     with pytest.raises(NonFinite, match=r"at snr 1e-310$"):
         ecrb(PRIOR, [1.0, 1e-310, 1e-311], GEOM, WAVE, ECRB_GRID)
-    # a ZZB that leaves the float range: zzb_z on a prior out to 1e300 m
-    # (the offset weights overflow), zzb_ao_t on one at subnormal
-    # distances (the statistic's moments do)
-    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
-        zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
+    # a ZZB that leaves the float range: zzb_z and zzb_tilt on a prior out
+    # to 1e300 m (the offset weights overflow, and so do zzb_t's search
+    # boxes, while the tilt-only box stays finite), zzb_ao_t on one at
+    # subnormal distances (the statistic's moments do)
+    for bound in (zzb_z, zzb_tilt):
+        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+            bound(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
     with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
         zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
     # zzb_tilt names the first SNR where either of its bounds is not
