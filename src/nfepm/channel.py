@@ -10,7 +10,8 @@ general_channel and nf_channel; axis_channel is its signed on-axis
 (x_r = 0) hot-path form, which every element voltage uses. Its
 tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in
 axis_factor, which axis_channel multiplies by the attitude term and
-which rmse_grid reads once per distance row.
+which solver.rmse_grids forms once per probe element and block of
+distance rows, for every solver it scores in that pass.
 """
 
 from __future__ import annotations

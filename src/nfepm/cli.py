@@ -32,7 +32,7 @@ from .mapest import MapGrid, MseReport, monte_carlo_mse
 from .numerics import EXPECT_GRID
 from .observation import (NoiseSpec, noiseless_voltages, observe,
                           sigma2_for_snr_db, snr_from_db)
-from .solver import TABLE2_COLUMNS, TABLE2_MISMATCH, rmse_grid, solve
+from .solver import TABLE2_COLUMNS, TABLE2_MISMATCH, rmse_grids, solve
 from .zzb import ZZBGrid, zzb_ao_t, zzb_tilt, zzb_z
 
 # Every config key, one row each: (section, key, type, default, field).
@@ -270,31 +270,30 @@ _TABLE2_VALUES = ("wavelength", "aperture", "pitch", "z_min", "z_max", "d_pa",
                   "d_sc", "rmse_z_re", "rmse_z_im", "rmse_t_re", "rmse_t_im")
 
 
-def _table2_row(cfg: ExperimentConfig, column, solver):
-    """One Table 2 row; `solver` names a mismatched regime, or is None."""
+def _table2_rows(cfg: ExperimentConfig, column):
+    """A column's own-solver row, then its mismatch rows, from one pass."""
     region, lam, d_r, l_s, h1, h2 = column
-    wave = Wave(lam)
-    geom = ArrayGeometry(d_r, l_s)
+    wave, geom = Wave(lam), ArrayGeometry(d_r, l_s)
     try:
         d_pa = phase_ambiguity_distance(geom, wave)
     except ValidityViolation:
         d_pa = float("nan")
-    rmse_z, rmse_t = rmse_grid(region, UniformPrior(h1, h2), geom, wave,
-                               u=cfg.u, v=cfg.v, mismatch=solver)
-    z, t = complex(rmse_z), complex(rmse_t)
-    head = (region.value,) if solver is None else (region.value, solver.value)
-    return head + (lam, d_r, l_s, h1, h2, d_pa,
-                   spacing_constraint_distance(geom, wave),
-                   z.real, z.imag, t.real, t.imag)
+    values = (lam, d_r, l_s, h1, h2, d_pa, spacing_constraint_distance(geom, wave))
+    solvers = (None,) + tuple(s for c, s in TABLE2_MISMATCH if c == column)
+    rmse = rmse_grids(region, UniformPrior(h1, h2), geom, wave, u=cfg.u,
+                      v=cfg.v, solvers=solvers)
+    return [(region.value,) + (() if solver is None else (solver.value,)) + values
+            + (z.real, z.imag, t.real, t.imag)
+            for solver, (z, t) in zip(solvers, (map(complex, r) for r in rmse))]
 
 
 def _preset_table2(cfg: ExperimentConfig, out_dir: str):
+    rows = [_table2_rows(cfg, column) for column in TABLE2_COLUMNS]
     _write_csv(out_dir, "table2.csv", cfg, ("case",) + _TABLE2_VALUES,
-               [_table2_row(cfg, col, None) for col in TABLE2_COLUMNS])
+               [own for own, *_ in rows])
     _write_csv(out_dir, "table2_mismatch.csv", cfg,
                ("case", "solver") + _TABLE2_VALUES,
-               [_table2_row(cfg, col, solver)
-                for col, solver in TABLE2_MISMATCH])
+               [row for _, *mismatched in rows for row in mismatched])
 
 
 def _preset_fig3(cfg: ExperimentConfig, out_dir: str):
@@ -398,7 +397,8 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     args = _argparser().parse_args(argv)
     try:
-        _run(args)
+        with np.errstate(all="ignore"):  # non-finite results raise anyway
+            _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,10 @@ amplitudes. All solvers broadcast over array voltage inputs.
 forming voltages: per distance row it takes the tilt-free channel factor
 of each probe element, reads the range per cell off the cell's phase with
 the regime's own rule, and solves the tilt, linear in the amplitudes,
-once per row.
+once per row. `rmse_grids` scores several solvers on the same data in one
+pass, which `rmse_grid` is the one-solver call of: per block of rows it
+forms each probe element's factor, and each per-cell phase grid, once for
+every solver that reads that element.
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
 negative radicand is carried into the complex plane instead of raising.
@@ -63,8 +66,8 @@ class SolveResult:
 def _wrapped(phase):
     """phase in [-pi, pi] taken to [0, 2*pi), in place."""
     # on [-pi, pi] this is np.mod(phase, 2*pi) bit for bit: adding 0.0
-    # turns -0.0 into 0.0 as mod does, and only one temporary is made
-    phase += np.where(phase < 0, _TWO_PI, 0.0)
+    # turns -0.0 into 0.0 as mod does
+    phase += (phase < 0) * _TWO_PI
     return phase
 
 
@@ -76,13 +79,18 @@ def decouple(v) -> DecoupledVoltage:
 
 
 def _gain_phase(c, gain):
-    """decouple(c * gain).theta bit for bit, for complex c and real
-    gain > 0 broadcast against it, without forming the complex product:
-    np.angle(c * gain) is arctan2(c.imag * gain, c.real * gain)."""
-    re, im = c.real * gain, c.imag * gain
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+    """decouple(c * gain).theta bit for bit, for complex c of shape
+    (rows, 1) and real gain >= 0 of shape (rows, cols), without forming
+    the complex product: np.angle(c * gain) is arctan2(c.imag * gain,
+    c.real * gain). Correctly rounded multiplication is monotone, so a
+    row's products are all finite exactly when those at its largest gain
+    are, and the finiteness check runs once per row."""
+    top = gain.max(axis=1, keepdims=True)
+    if not (np.all(np.isfinite(c.real * top))
+            and np.all(np.isfinite(c.imag * top))):
         raise NonFinite("voltage is not finite")
-    return _wrapped(np.arctan2(im, re))
+    im = c.imag * gain
+    return _wrapped(np.arctan2(im, c.real * gain, out=im))
 
 
 def _pow_five_quarters(x):
@@ -123,10 +131,10 @@ def _phase_period_distance(theta_alpha, theta_beta, y_alpha: float,
     """The Case II range rule: the principal phase difference, shifted up
     by one period when non-positive, read as a range."""
     dtheta = theta_beta - theta_alpha
-    denom = np.where(np.asarray(dtheta) > 0, dtheta, dtheta + _TWO_PI)
-    if np.any(denom < 1e-12):
+    dtheta += (dtheta <= 0) * _TWO_PI
+    if np.any(dtheta < 1e-12):
         raise NonFinite("phase difference too small to resolve a distance")
-    return wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0) / denom
+    return wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0) / dtheta
 
 
 def _distance(kind: Region, theta, y_alpha: float, y_beta: float, wave: Wave,
@@ -199,7 +207,18 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     `case` names the regime the data belong to; `mismatch` optionally
     names a different regime whose solver is applied instead, in
     diagnostic mode, in which case the RMSEs may be complex (square root
-    of the complex mean of squared errors).
+    of the complex mean of squared errors). This is the one-solver call
+    of `rmse_grids`, which describes the method.
+    """
+    return rmse_grids(case, prior, geom, wave, u, v, (mismatch,))[0]
+
+
+def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
+               wave: Wave, u: int, v: int, solvers):
+    """`rmse_grid` for each of `solvers` on the same u-by-v grid of
+    `case` data, in one pass: a list of (rmse_z, rmse_t), one per solver,
+    each equal to that solver's own `rmse_grid` call bit for bit. A
+    solver is None for the regime's own solver or a mismatched `Region`.
 
     Nothing forms the probe voltages c (y t + z s), with c the
     tilt-free factor `axis_factor` of a distance row and s = sqrt(1 - t^2).
@@ -218,50 +237,64 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
 
     The grid is streamed in blocks of distance rows of at most
     `_BLOCK_CELLS` cells (one row at least), and the squared errors are
-    summed block by block, so memory does not grow with u * v. A check
-    failing in any block raises; no partial RMSE is returned. In
-    diagnostic mode, a negative Case I radicand anywhere in a block, in a
-    cell or in a row, makes the whole block's solve complex.
+    summed block by block, so memory does not grow with u * v. Per block,
+    each probe element's factor is formed and decoupled once, and each
+    element's per-cell phase grid at most once, for every solver that
+    reads it; nothing outlives the block. A check failing in any block,
+    for any solver, raises; no partial RMSE is returned. In diagnostic
+    mode, a negative Case I radicand anywhere in a block, in a cell or
+    in a row, makes the whole block's solve complex.
     """
     u, v = require_sizes("the RMSE grid", u, v)
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
     require_cells("the RMSE grid", u * v)
-    diagnostic = mismatch is not None
-    kind = mismatch if diagnostic else case
-    y_a, y_b = (geom.element_center(n)
-                for n in probe_elements(geom, 1, None, kind))
+    # per solver: its regime, diagnostic flag and probe element centres
+    plans = []
+    for mismatch in solvers:
+        kind = case if mismatch is None else mismatch
+        y_a, y_b = (geom.element_center(n)
+                    for n in probe_elements(geom, 1, None, kind))
+        plans.append((kind, mismatch is not None, y_a, y_b))
+    ys = dict.fromkeys(y for *_, y_a, y_b in plans for y in (y_a, y_b))
     scale = wave.amplitude * geom.pitch
     z_rows = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)
     s = np.sqrt(1.0 - t * t)
     tt, ts, ss = np.sum(t * t), np.sum(t * s), np.sum(s * s)
     step = max(1, _BLOCK_CELLS // v)
-    sq_z = sq_t = 0.0
+    sums = [[0.0, 0.0] for _ in plans]
     for i in range(0, u, step):
         z = z_rows[i:i + step]
         zs = z * s
-        c = {y: axis_factor(z, y, wave, scale) for y in (y_a, y_b)}
+        c = {y: axis_factor(z, y, wave, scale) for y in ys}
         row = {y: decouple(cy) for y, cy in c.items()}
-        z_hat = _distance(kind, lambda y: _gain_phase(c[y], y * t + zs),
-                          y_a, y_b, wave, diagnostic)
-        z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
-                          diagnostic)
-        if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
-            # a real root is the complex one's real part bit for bit
-            z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
-        alpha = _tilt_from_amplitudes(row[y_a].psi * y_a, row[y_b].psi * y_b,
-                                      y_a, y_b, z_row, geom, wave)
-        beta = _tilt_from_amplitudes(row[y_a].psi * z, row[y_b].psi * z,
-                                     y_a, y_b, z_row, geom, wave)
-        sq_z += np.sum((z_hat - z) ** 2)
-        sq_t += np.sum((alpha - 1.0) ** 2 * tt
-                       + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
-    rmse_z = np.sqrt(sq_z / (u * v))
-    rmse_t = np.sqrt(sq_t / (u * v))
-    if not diagnostic:
-        return float(rmse_z), float(rmse_t)
-    return complex(rmse_z), complex(rmse_t)
+        cells = {}
+
+        def theta(y):
+            if y not in cells:
+                cells[y] = _gain_phase(c[y], y * t + zs)
+            return cells[y]
+
+        for (kind, diagnostic, y_a, y_b), sq in zip(plans, sums):
+            z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
+            z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
+                              diagnostic)
+            if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
+                # a real root is the complex one's real part bit for bit
+                z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
+            alpha = _tilt_from_amplitudes(row[y_a].psi * y_a,
+                                          row[y_b].psi * y_b, y_a, y_b,
+                                          z_row, geom, wave)
+            beta = _tilt_from_amplitudes(row[y_a].psi * z, row[y_b].psi * z,
+                                         y_a, y_b, z_row, geom, wave)
+            z_hat -= z
+            sq[0] += np.sum(np.square(z_hat, out=z_hat))
+            sq[1] += np.sum((alpha - 1.0) ** 2 * tt
+                            + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
+    return [tuple((complex if diagnostic else float)(np.sqrt(x / (u * v)))
+                  for x in sq)
+            for (_, diagnostic, *_), sq in zip(plans, sums)]
 
 
 # Table 2 of the paper, one solver column each:

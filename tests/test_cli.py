@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.mapest import MapGrid
 from nfepm.numerics import EXPECT_GRID
 from nfepm.observation import noiseless_voltages
+from nfepm.solver import TABLE2_MISMATCH
 from nfepm.zzb import ZZBGrid
 from test_cli_goldens import OVERRIDES, _number
 
@@ -378,13 +380,15 @@ def test_non_finite_zzb_exits_2(tmp_path, capsys, command, z_max):
     # a ZZB leaves the float range (inf or nan) on a far prior: a
     # numerical failure naming the first SNR, and no CSV. fig8 takes only
     # the tilt bounds, whose search boxes overflow while the tilt-only box
-    # stays finite
+    # stays finite. numpy warns of none of the overflows on the way there
     if command[0] == "zzb":
         command = command + [write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")]
     overrides = THRESHOLD + (f"prior.z_max={z_max}", "sweep.snr_db=30,40")
     args = [arg for item in overrides for arg in ("--override", item)]
-    assert main(command + ["--out", str(tmp_path / "out")]
-                + args + list(OVERRIDES)) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(command + ["--out", str(tmp_path / "out")]
+                    + args + list(OVERRIDES)) == 2
     assert capsys.readouterr().err == (
         "numerical failure: ZZB not finite at snr 1000.0\n")
     assert not (tmp_path / "out").exists()
@@ -406,8 +410,9 @@ def test_ecrb_sweep_scaling(tmp_path):
 def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
     # a config without [grid] keys echoes the library's default ZZB, ECRB
     # and MAP grids and the CLI's 200 x 200 Table 2 grid, and hands those
-    # same grids to the bounds, the Monte Carlo and rmse_grid
-    grids, sizes = [], []
+    # same grids to the bounds, the Monte Carlo and rmse_grids, which
+    # scores Table 2's 16 solves in one pass per column
+    grids, sizes, solves = [], [], []
 
     def spy(run):
         def call(*args):
@@ -415,21 +420,25 @@ def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
             return run(*args)
         return call
 
-    def fake_rmse_grid(*args, u, v, mismatch):
+    def fake_rmse_grids(*args, u, v, solvers):
         sizes.append((u, v))
-        return 0.0, 0.0
+        solves.extend(solvers)
+        return [(0.0, 0.0)] * len(solvers)
 
     for name in ("zzb_z", "zzb_tilt", "zzb_ao_t", "ecrb", "ecrb_ao",
                  "monte_carlo_mse"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
-    monkeypatch.setattr(cli, "rmse_grid", fake_rmse_grid)
+    monkeypatch.setattr(cli, "rmse_grids", fake_rmse_grids)
     cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30\n")
     for command in ("zzb", "ecrb", "map-mc"):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["preset", "table2", "--out", str(tmp_path)]) == 0
     zzb, map_grid = ZZBGrid(), MapGrid()
     assert grids == [zzb] * 2 + [EXPECT_GRID] * 2 + [map_grid]
-    assert sizes == [(200, 200)] * 16
+    assert sizes == [(200, 200)] * 9
+    assert solves.count(None) == 9
+    assert [s for s in solves if s is not None] == [
+        solver for _, solver in TABLE2_MISMATCH]
     echo = [f"# grid.{key} = {value}" for key, value in (
         ("n_delta", zzb.n_delta), ("n_theta_z", zzb.n_theta_z),
         ("n_theta_t", zzb.n_theta_t), ("n_max_search", zzb.n_max_search),

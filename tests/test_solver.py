@@ -15,8 +15,8 @@ from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
 from nfepm.observation import noiseless_voltages
 from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
                           _pow_five_quarters, _solve_as, _tilt_from_amplitudes,
-                          decouple, rmse_grid, solve, solve_case1,
-                          solve_case2_pa)
+                          decouple, rmse_grid, rmse_grids, solve,
+                          solve_case1, solve_case2_pa)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
@@ -469,6 +469,68 @@ def test_rmse_grid_memory_does_not_grow_with_the_grid(column, mismatch):
     assert peak(800) < 8e6
     # four times the rows add only the u-long distance axis (8 bytes a row)
     assert peak(1600) <= peak(400) + 64 * 1024
+
+
+# each Table 2 column with its mismatched solvers, one pass each as the
+# table2 preset scores them, and the per-cell phase grids a block of that
+# pass forms: Case I reads element 1, Case II-PA data under their own and
+# the Case I solver read 1 and N/2, Case II-SC data under their own and
+# the Case II-PA solver read 1, 2 and N/2
+TABLE2_PASSES = [(column, (None,) + tuple(kind for col, kind in TABLE2_MISMATCH
+                                          if col == TABLE2_COLUMNS[column]))
+                 for column in range(len(TABLE2_COLUMNS))]
+PHASE_GRIDS = {Region.CASE1: 1, Region.CASE2_PA: 2, Region.CASE2_SC: 3}
+
+
+@pytest.mark.parametrize("u, v, block", [(24, 24, solver_module._BLOCK_CELLS),
+                                         (37, 23, 5 * 23)])
+@pytest.mark.parametrize("column, solvers", TABLE2_PASSES)
+def test_joint_pass_equals_each_solvers_own_call(monkeypatch, column, solvers,
+                                                 u, v, block):
+    # one pass over shared probe factors and phase grids gives every solver
+    # its own rmse_grid result bit for bit (repr tells -0.0, float and
+    # complex apart); at 37 x 23 the last of 8 blocks holds 2 rows
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
+    alone = [rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=kind)
+             for kind in solvers]
+    rows, cells = _recording_probes(monkeypatch)
+    joint = rmse_grids(region, prior, geom, wave, u, v, solvers)
+    assert repr(joint) == repr(alone)
+    blocks = -(-u // max(1, block // v))
+    elements = 3 if region is Region.CASE2_SC else 2
+    assert sum(rows) == elements * u and len(rows) == elements * blocks
+    assert len(cells) == PHASE_GRIDS[region] * blocks
+
+
+def test_joint_pass_memory_does_not_grow_with_the_grid():
+    # Case II-SC data under their own and the phase-ambiguity solver hold
+    # three phase grids a block, one more than rmse_grid
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[8])
+
+    def peak(u):
+        return _peak_bytes(lambda: rmse_grids(region, prior, geom, wave, u, 800,
+                                              (None, Region.CASE2_PA)))
+
+    assert peak(800) < 8e6
+    assert peak(1600) <= peak(400) + 64 * 1024
+
+
+def test_gain_phase_checks_each_row_at_its_largest_gain():
+    # multiplication rounds monotonically, so a row's products are finite
+    # when the one at its largest gain is, and the phase is decouple's
+    c = np.array([[1e300 + 1e300j], [3.0 - 4.0j]])
+    gain = np.array([[0.5, 1.0, 2.0], [0.0, 7.0, 1e-3]])
+    expected = decouple(c * gain).theta
+    assert np.array_equal(_gain_phase(c, gain).view(np.uint64),
+                          expected.view(np.uint64))
+    overflow = gain.copy()
+    overflow[0, 1] = 1e9  # 1e309: only the row's largest product overflows
+    nan = gain.copy()
+    nan[1, 2] = np.nan
+    for bad in (overflow, nan):
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            _gain_phase(c, bad)
 
 
 def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
