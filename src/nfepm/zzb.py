@@ -10,16 +10,19 @@ the smallest offsets.
 
 The engine, and where each argument lives. `_families` gives, per
 distance offset, 14 coefficients from the y^0..y^2 moments of seven
-kernels in G (`_family_eval`), on a panel count fixed beforehand; mu on a
-box's tilt grid is one product (`_mu`) of them with a 14-function tilt
-basis (`_tilt_basis`). `_q_box` integrates the detection error
-Q(sqrt(mu/2)) over boxes, in blocks of at most `_BLOCK_CELLS` grid cells,
-so memory grows with neither the sweep nor the search. `_search_max`
-raises a running maximum, started at box 0's integral, over a search
-line's other boxes, taking a box only where an upper bound says it can
-matter. `_outer` integrates over the offset on log-spaced panels, as the
-integrand's support shrinks like 1/SNR, and evaluates only the SNRs it
-has not cut.
+kernels in G (`_family_eval`), on a panel count fixed beforehand
+(`_family_panels`); `_family_rows` gives them for a batch of offsets, one
+evaluation per equal panel count. mu on a box's tilt grid is one product
+(`_mu`) of them with a 14-function tilt basis (`_tilt_basis`). `_q_box`
+integrates the detection error Q(sqrt(mu/2)) over boxes, in blocks of at
+most `_BLOCK_CELLS` grid cells, so memory grows with neither the sweep
+nor the search. `_search_max` raises a running maximum, started at box
+0's integral, over a search line's other boxes, taking a box only where
+an upper bound says it can matter. `_outer` integrates over the offset on
+log-spaced panels, as the integrand's support shrinks like 1/SNR: per
+panel it has the bound do the SNR-free work of the panel's nodes at once,
+then the SNR stage once per run, a stretch of nodes at which no SNR it
+has not cut can be cut, so it evaluates only those SNRs.
 
 zzb_z searches boxes at tilt offsets, which share the families of the
 outer node's distance offset. zzb_t searches boxes at distance offsets.
@@ -49,12 +52,15 @@ from .numerics import (midpoints, q_function, require_cells, require_finite,
                        require_sizes, require_snr, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
+_SURE_AREA = 1e-4
+_SURE_MU = 50.0
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
 _PANELS_PER_Z = 6.0
 _PANELS_PER_CYCLE = 2.0
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
+_FAMILY_BATCH = 1 << 10
 _PRUNE_MARGIN = 1e-9
 _FLOOR_ROUNDING = 1e-12
 _FLOOR_SLACK = 1e-6
@@ -62,6 +68,10 @@ _FLOOR_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class ZZBGrid:
+    """The ZZB grids: n_delta // 4 log panels of 4 offset nodes (one panel
+    at least, so n_delta 2-7 all give 4 nodes), boxes of n_theta_z
+    distances by n_theta_t tilts, and search lines of n_max_search
+    boxes."""
     n_delta: int = 64
     n_theta_z: int = 64
     n_theta_t: int = 64
@@ -77,9 +87,12 @@ class ZZBGrid:
             raise InvariantViolation("n_max_search must be >= 1")
         # largest arrays: the offset nodes, a search line's 14 coefficients
         # per distance (zzb_t) or basis functions per tilt, a detection
-        # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells, and the
-        # 7 family kernels on one y-block of 8 * _FAMILY_BLOCK nodes (the
-        # phase floor's blocks have at most 2 * _FAMILY_BLOCK panel edges)
+        # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells (a batch
+        # of offset nodes has that many box cells, a run's search mu at
+        # most 4 * _BLOCK_CELLS or one box), and the 7 family kernels on
+        # one y-block of 8 * _FAMILY_BLOCK nodes, summed over the offsets
+        # batched (the phase floor's blocks have at most 2 * _FAMILY_BLOCK
+        # panel edges)
         require_cells("the ZZB grid", max(
             self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
             14 * self.n_max_search * max(self.n_theta_z, self.n_theta_t),
@@ -187,19 +200,18 @@ def _coefficients(m, z0, dz):
     return out
 
 
-def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
-              wave: Wave):
-    """The 14 mu coefficients per hypothesis distance, from one evaluation
-    of the moments on a panel count fixed before it: the largest of
-    2 max(8, ceil(2 cycles)), cycles the turns of the phase k (r1 - r0)
-    along the array at the least distance z0; _PANELS_PER_Z per z0 of
-    aperture, as the kernels are singular at y = +-i z; and
+def _family_panels(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
+                   wave: Wave) -> int:
+    """The panel count of the one moment evaluation of _families: the
+    largest of 2 max(8, ceil(2 cycles)), cycles the turns of the phase
+    k (r1 - r0) along the array at the least distance z0; _PANELS_PER_Z per
+    z0 of aperture, as the kernels are singular at y = +-i z; and
     _PANELS_PER_CYCLE per turn at the phase's peak rate, which near the
     array lies far above its mean. Against 8x the panels, every coefficient
     is then within 2e-14 of the largest, down to a least distance of 0.0004
     apertures (tests/test_zzb.py). Up to an aperture of 2.5 z0, as in
     every preset, the first term is the largest. A count past
-    _MAX_FAMILY_PANELS raises before any evaluation."""
+    _MAX_FAMILY_PANELS raises QuadratureFailure."""
     z0 = float(theta_z.min())
     z1, aperture, k = z0 + delta_z, geom.aperture, wave.wavenumber
     cycles = (k * delta_z * (1.0 - z0 / math.hypot(z0, aperture))
@@ -218,9 +230,49 @@ def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
     if not n_panels <= _MAX_FAMILY_PANELS:
         raise QuadratureFailure(
             f"channel-mismatch integrals would need {n_panels:.6g} panels")
-    return _coefficients(
-        _family_eval(theta_z, delta_z, geom, k, math.ceil(n_panels)),
-        theta_z, delta_z)
+    return math.ceil(n_panels)
+
+
+def _family_rows(theta_z: np.ndarray, delta_z: np.ndarray,
+                 geom: ArrayGeometry, wave: Wave):
+    """The 14 mu coefficients per hypothesis distance (nodes, 14,
+    n_theta_z) at offsets delta_z (nodes,) on rows theta_z (nodes,
+    n_theta_z), each from one evaluation of the moments on _family_panels'
+    count: one _family_eval per equal count, on groups of at most
+    _FAMILY_BLOCK panels in all (one node at least), so no y-block is
+    larger than one of a single node's, and of at most _FAMILY_BATCH
+    hypothesis distances times panels: past that the y-block leaves the
+    cache, and a group costs more per node than one node alone (2.4x at
+    4 nodes of 64 distances and 16 panels). A node past
+    _MAX_FAMILY_PANELS is left out, and its QuadratureFailure is returned
+    in a dict by node, to be raised only if the pass reaches it."""
+    coef = np.zeros((len(delta_z), 14, theta_z.shape[1]))
+    groups, failures = {}, {}
+    for i, (z, dz) in enumerate(zip(theta_z, delta_z)):
+        try:
+            groups.setdefault(_family_panels(z, dz, geom, wave), []).append(i)
+        except QuadratureFailure as failure:
+            failures[i] = failure
+    batch = min(_FAMILY_BLOCK, _FAMILY_BATCH // theta_z.shape[1])
+    for n_panels, nodes in groups.items():
+        size = max(1, batch // n_panels)
+        for g in range(0, len(nodes), size):
+            rows = nodes[g:g + size]
+            z0, dz = theta_z[rows], delta_z[rows, None]
+            coef[rows] = np.moveaxis(_coefficients(_family_eval(
+                z0, dz, geom, wave.wavenumber, n_panels), z0, dz), 0, 1)
+    return coef, failures
+
+
+def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
+              wave: Wave):
+    """_family_rows at the one offset delta_z: (14, n_theta_z), or its
+    QuadratureFailure, raised before any evaluation."""
+    coef, failures = _family_rows(theta_z[None], np.array([delta_z]), geom,
+                                  wave)
+    if failures:
+        raise failures[0]
+    return coef[0]
 
 
 def _screen_panels(theta_z: np.ndarray, geom: ArrayGeometry) -> int:
@@ -339,10 +391,10 @@ def _mu(coef: np.ndarray, basis: np.ndarray):
 
 def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
     """Midpoint integrals of the detection error Q(sqrt(mu/2)) for n_pairs
-    (SNR, box) pairs, pair j over a box of grid cells of area cell[j] (or
-    one area cell for all): mu(rows) gives mu on the grids of the pairs in
-    the slice rows, taken in blocks of at most _BLOCK_CELLS grid cells (one
-    box at least), so memory grows with neither the sweep nor the search."""
+    pairs, pair j over a box of grid cells of area cell[j] (or one area
+    cell for all): mu(rows) gives mu on the grids of the pairs in the slice
+    rows, taken in blocks of at most _BLOCK_CELLS grid cells (one box at
+    least), so memory grows with neither the sweep nor the search."""
     k = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
     sums = np.empty(n_pairs)
     for i in range(0, n_pairs, k):
@@ -352,93 +404,177 @@ def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
     return sums * cell
 
 
-def _search_max(peak, coef, exact, build, basis, z_len, delta_t, snrs, pitch,
+def _q_nodes(mu, n_nodes: int, n_snr: int, cell, grid: ZZBGrid):
+    """_q_box over every (node, SNR) pair of n_nodes nodes and n_snr SNRs,
+    as (n_nodes, n_snr): mu(i, s) gives mu at the pairs of node indices i
+    (one index where they share it) and SNR indices s, and cell[i] is node
+    i's cell area."""
+    i, s = np.divmod(np.arange(n_nodes * n_snr), n_snr)
+
+    def block(rows):
+        nodes = i[rows]
+        # a block at one node takes that node's grid as it is, uncopied
+        return mu(nodes[0] if nodes[0] == nodes[-1] else nodes, s[rows])
+
+    return _q_box(block, len(i), cell[i], grid).reshape(n_nodes, n_snr)
+
+
+def _joined(parts):
+    """Index arrays given in parts, one tuple each, joined part after part."""
+    return parts[0] if len(parts) == 1 else [np.concatenate(a)
+                                             for a in zip(*parts)]
+
+
+def _search_max(peak, coef, exact, build, basis, cell, snrs, pitch,
                 grid: ZZBGrid):
-    """Per SNR, the running maximum peak, box 0's detection-error integral
-    over a search line, raised by the integrals of the line's other
-    n_max_search - 1 boxes; peak is updated in place and returned. Box j of
-    those has coefficients coef[j] (14, n_theta_z), tilt basis basis[j]
-    (14, n_theta_t), tilt offset delta_t[j] and distance length z_len[j].
-    coef and basis have a leading axis of n_max_search - 1 boxes or of one
-    entry that all boxes share (one of them per box), and the matrix
-    product broadcasts it; z_len and delta_t broadcast to one cell area per
-    box. Where exact[j] is false, coef[j] holds screen coefficients,
-    amplitude-only plus a phase floor, below mu on every cell; the first
-    time they cannot rule the box out, coef[j] = build(j) replaces them
-    with the exact ones and exact[j] is set. The boxes' mu is taken in
-    blocks of at most _BLOCK_CELLS grid cells (one box at least). One
-    upper bound, the cell count times the cell area times Q at the box's
-    least mu, decides both the builds and the (SNR, box) pairs taken: only
-    where it reaches the running maximum less _PRUNE_MARGIN of it and is
-    not 0, or where either is NaN, so that the NaN reaches the bound and
-    NonFinite raises. Q decreases, and the least mu is the least of the very products
+    """Per node and SNR, the running maximum peak (nodes, SNRs), box 0's
+    detection-error integral over a search line, raised by the integrals
+    of the line's other n_max_search - 1 boxes; peak is updated in place
+    and returned. At node i, box j of those has coefficients coef[i, j]
+    (14, n_theta_z), tilt basis basis[i, j] (14, n_theta_t) and cell area
+    cell[i, j]. coef and basis have a node axis and a box axis, each of
+    full length or of one entry that all share (the node axis of one of
+    them is full), and the matrix product broadcasts them. Where exact[j]
+    is false, coef[0, j] (coef then has one node entry) holds screen
+    coefficients, amplitude-only plus a phase floor, below mu on every
+    cell; at the first node where they cannot rule the box out,
+    coef[0, j] = build(j) replaces them with the exact ones and exact[j]
+    is set. The boxes' mu is taken in blocks of at most
+    _BLOCK_CELLS grid cells per node (one box at least), and the (node,
+    SNR, box) bounds in blocks of at most _BLOCK_CELLS (one SNR at least).
+
+    One upper bound, the cell count times the cell area times Q at the
+    box's least mu, decides both the builds and the pairs taken: only where
+    it reaches the running maximum less _PRUNE_MARGIN of it and is not 0,
+    or where either is NaN, so that the NaN reaches the bound and NonFinite
+    raises. Q decreases, and the least mu is the least of the very products
     the cells use, so a skipped pair's integral can exceed its bound only
     by the ulp-level non-monotonicity of `erfc` (below 1e-13 relative) and
     the rounding of the cell sum and the cell areas (below 1e-14), far
     inside the margin. scipy's `erfc` is exactly 0 from 26.64... on, so a
     pair whose Q at its least mu is 0 integrates to 0 (a bound of 0 would
     still reach a running maximum that underflowed to 0). A margin of 1
-    builds every box and takes every pair, and gives the same bits."""
+    builds every box and takes every pair, and gives the same bits. Each
+    node takes the pairs it would take alone; only a build before the last
+    node costs the later ones a screen bound per SNR more."""
     n, box = grid.n_max_search - 1, grid.n_theta_z * grid.n_theta_t
-    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t)
-
-    def lines(a, rows):
-        return a[rows] if len(a) > 1 else a
-
     sp = snrs * pitch
 
-    def taken(least, c):
-        # Q decreases, so no cell of a box exceeds Q at the box's least mu
-        bound = q_function(np.sqrt(least / 2.0))
-        # a NaN bound or peak takes the pair
-        take = ~(box * c * bound < (1.0 - _PRUNE_MARGIN) * peak[:, None])
-        if _PRUNE_MARGIN < 1.0:
-            # where the bound underflowed to 0, every cell's Q is 0
-            take &= bound != 0.0
-        return take
+    def lines(a, rows):
+        # the boxes rows of coef or basis, at every node
+        return a[:, rows] if a.shape[1] > 1 else a
+
+    def line(a, j, nodes):
+        # box j of coef or basis at the nodes
+        a = a[:, j] if a.shape[1] > 1 else a[:, 0]
+        return a[nodes] if len(a) > 1 else a
+
+    def taken(least, c, peak):
+        # (node, SNR, box) indices of the pairs taken, for boxes of least
+        # mu / (snr pitch) least and cell area c, both (nodes, boxes)
+        per = max(1, _BLOCK_CELLS // least.size)
+        found = []
+        for k in range(0, len(sp), per):
+            # Q decreases, so no cell of a box exceeds Q at the box's least mu
+            bound = q_function(np.sqrt(np.maximum(
+                sp[k:k + per, None] * least[:, None], 0.0) / 2.0))
+            # a NaN bound or peak takes the pair
+            take = ~(box * c[:, None] * bound
+                     < (1.0 - _PRUNE_MARGIN) * peak[:, k:k + per, None])
+            if _PRUNE_MARGIN < 1.0:
+                # where the bound underflowed to 0, every cell's Q is 0
+                take &= bound != 0.0
+            i, s, b = np.nonzero(take)
+            found.append((i, s + k, b))
+        return _joined(found)
 
     step = max(1, _BLOCK_CELLS // box)
     for i in range(0, n, step):
         m = _mu(lines(coef, slice(i, i + step)),
                 lines(basis, slice(i, i + step)))
-        c = cell[i:i + step]
-        least = np.maximum(sp[:, None] * m.min(axis=(1, 2)), 0.0)
+        least, c = m.min(axis=(2, 3)), cell[:, i:i + step]
+        done = np.flatnonzero(exact[i:i + step])
         screened = np.flatnonzero(~exact[i:i + step])
+        pairs = []
         if screened.size:
             # a screened box's least mu_amp is at most its least mu
-            keep = taken(least[:, screened], c[screened]).any(axis=0)
-            for j in screened[keep]:
-                coef[i + j], exact[i + j] = build(i + j), True
-                m[j] = _mu(coef[i + j], lines(basis, i + j))
-                least[:, j] = np.maximum(sp * m[j].min(), 0.0)
-        done = np.flatnonzero(exact[i:i + step])
-        if done.size == 0:
+            node, _, kept = taken(least[:, screened], c[:, screened], peak)
+            for k in np.unique(kept) if kept.size else ():
+                first, j = node[kept == k].min(), screened[k]
+                coef[0, i + j], exact[i + j] = build(i + j), True
+                m[first:, j] = _mu(coef[0, i + j],
+                                   line(basis, i + j, slice(first, None)))
+                least[first:, j] = m[first:, j].min(axis=(1, 2))
+                node_j, s, _ = taken(least[first:, j:j + 1], c[first:, j:j + 1],
+                                     peak[first:])
+                pairs.append((node_j + first, s, np.full_like(s, j)))
+        if done.size:
+            node, s, b = taken(least[:, done], c[:, done], peak)
+            pairs.append((node, s, done[b]))
+        if not pairs:
             continue
-        s, b = np.nonzero(taken(least[:, done], c[done]))
-        b = done[b]
-        np.maximum.at(peak, s, _q_box(
-            lambda rows: sp[s[rows], None, None] * m[b[rows]], len(s), c[b],
-            grid))
+        node, s, b = _joined(pairs)
+        np.maximum.at(peak, (node, s), _q_box(
+            lambda rows: sp[s[rows], None, None] * m[node[rows], b[rows]],
+            len(s), c[node, b], grid))
     return peak
 
 
-def _outer(prior, hi: float, n_delta: int, n_snr: int, bracket) -> np.ndarray:
-    """Offset integral of d * bracket(d, live) over [hi * _DELTA_FLOOR_REL,
-    hi] for each of n_snr SNRs, over the prior's span: log-spaced panels
-    with 4-point Gauss-Legendre each, each SNR truncated once its bracket
-    falls below _TRUNCATE_REL of its running peak. bracket(d, live) gives
-    the bracket at the still-live SNR indices live only."""
+def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
+           bracket) -> np.ndarray:
+    """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]
+    for each channel c, at snr * pitch = sp[c], over the prior's span:
+    n_delta // 4 log-spaced panels (one at least) with 4-point
+    Gauss-Legendre each, each channel truncated once its bracket falls
+    below _TRUNCATE_REL of its running peak.
+
+    The nodes come in batches of one panel, or fewer where a box holds
+    more than a quarter of _BLOCK_CELLS grid cells. bracket(d) does the
+    SNR-free work at a batch's nodes d and returns box 0's largest
+    mu / (snr pitch) at each, NaN where a node cannot be evaluated, and
+    run(rows, live): the brackets (len(rows), len(live)) at the nodes
+    d[rows] for the channels live. run is called once per run, the nodes
+    from the first not yet taken to the first at which a live channel
+    could be cut (or the batch's end), so the live sets, and every cell
+    evaluated, are those of a node-by-node pass.
+
+    A node cannot cut a live channel where d <= (1 - _SURE_AREA) hi and
+    sp * top <= _SURE_MU at the largest live sp. The bracket never falls
+    below box 0's integral, and box 0 spans 1 - d / hi of the prior box
+    (distance offsets run to hi = span, tilt offsets to hi = 1 over tilts
+    in [0, 1]), so at least _SURE_AREA span; Q(sqrt(mu / 2)) >= Q(5) >
+    2.86e-7 on each of its cells, so it integrates to more than
+    2.86e-11 span. Every bracket integrates Q <= 1/2 over a box inside the
+    prior box, so the running peak is at most span / 2, and a cut needs a
+    bracket below 5e-13 span. The rounding of the products and sums moves
+    these by relative amounts near 1e-13, far inside the factor 57 between
+    them."""
     lo = hi * _DELTA_FLOOR_REL
-    edges = np.exp(np.linspace(math.log(lo), math.log(hi), max(1, n_delta // 4) + 1))
-    total, peak = np.zeros(n_snr), np.zeros(n_snr)
-    live = np.arange(n_snr)
-    for d, w in zip(*_panel_rule(edges, 4)):
-        value = bracket(d, live)
-        total[live] = total[live] + w * d * value
-        peak[live] = np.maximum(peak[live], value)
-        live = live[~(value < _TRUNCATE_REL * peak[live])]
+    edges = np.exp(np.linspace(math.log(lo), math.log(hi),
+                               max(1, grid.n_delta // 4) + 1))
+    nodes, weights = _panel_rule(edges, 4)
+    per = min(4, max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t)))
+    sure, wd = nodes <= (1.0 - _SURE_AREA) * hi, weights * nodes
+    total, peak = np.zeros(len(sp)), np.zeros(len(sp))
+    live = np.arange(len(sp))
+    for a in range(0, len(nodes), per):
         if live.size == 0:
             break
+        top, run = bracket(nodes[a:a + per])
+        i, end = a, a + len(top)
+        while i < end and live.size:
+            unsure = np.flatnonzero(~(sure[i:end] & (
+                sp[live].max() * top[i - a:] <= _SURE_MU)))
+            j = i + unsure[0] + 1 if unsure.size else end
+            values = run(slice(i - a, j - a), live)
+            for k in range(i, j):
+                value = values[k - i]
+                total[live] = total[live] + wd[k] * value
+                peak[live] = running = np.maximum(peak[live], value)
+                keep = ~(value < _TRUNCATE_REL * running)
+                if not keep.all():
+                    live, values = live[keep], values[:, keep]
+            i = j
     return total / prior.span
 
 
@@ -452,19 +588,33 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     basis = _tilt_basis(midpoints(0.0, 1.0 - search[:, None, None],
                                   grid.n_theta_t), search[:, None, None])
     exact = np.ones(grid.n_max_search - 1, dtype=bool)
+    sp = snrs * geom.pitch
 
-    def bracket(dz, live):
-        coef = _families(midpoints(prior.z_min, prior.z_max - dz, grid.n_theta_z),
-                         dz, geom, wave)[None]
-        z_len, sp = prior.span - dz, snrs[live] * geom.pitch
+    def bracket(dz):
+        coef, failures = _family_rows(
+            midpoints(prior.z_min, prior.z_max - dz[:, None], grid.n_theta_z),
+            dz, geom, wave)
         # box 0, at tilt offset 0, is taken at every SNR
-        m = _mu(coef, basis[:1])[0]
-        cell = (z_len / grid.n_theta_z) * ((1.0 - 0.0) / grid.n_theta_t)
-        peak = _q_box(lambda rows: sp[rows, None, None] * m, len(sp), cell, grid)
-        return _search_max(peak, coef, exact, None, basis[1:], z_len,
-                           search[1:], snrs[live], geom.pitch, grid)
+        m = _mu(coef, basis[0])
+        top = m.max(axis=(1, 2))
+        top[list(failures)] = math.nan
+        cell = ((prior.span - dz[:, None]) / grid.n_theta_z) * (
+            (1.0 - search) / grid.n_theta_t)
 
-    out = _outer(prior, prior.span, grid.n_delta, len(snrs), bracket)
+        def run(rows, live):
+            for node in range(rows.start, rows.stop):
+                if node in failures:
+                    raise failures[node]
+            peak = _q_nodes(lambda i, s: sp[live[s], None, None] * m[rows][i],
+                            rows.stop - rows.start, len(live), cell[rows, 0],
+                            grid)
+            return _search_max(peak, coef[rows, None], exact, None,
+                               basis[None, 1:], cell[rows, 1:], snrs[live],
+                               geom.pitch, grid)
+
+        return top, run
+
+    out = _outer(prior, prior.span, grid, sp, bracket)
     require_finite("ZZB", snrs, out)
     return shape(out)
 
@@ -494,20 +644,27 @@ def _ao_form(z, aperture: float):
 
 
 def _tilt_only(prior: UniformPrior, geom: ArrayGeometry, grid: ZZBGrid):
-    """The tilt-only box integral: box(dt, snrs) gives, for each SNR of
-    snrs, the midpoint integral of Q(sqrt(mu/2)) over the box of the
-    prior's distances and the tilts [0, 1 - dt], mu the statistic of
-    _ao_form at tilt offset dt. Its tau-moments are taken here once, its
-    tilt factor once per call of box."""
+    """The tilt-only box: box(dt) takes tilt offsets dt (nodes,) and
+    returns the statistic's largest mu / (snr pitch) at each and q(rows,
+    snrs), the midpoint integrals (len(rows), len(snrs)) of Q(sqrt(mu/2))
+    over the boxes of the prior's distances and the tilts [0, 1 - dt] at
+    the nodes rows, mu the statistic of _ao_form. Its tau-moments are taken
+    here once, its tilt factor once per call of box."""
     d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
                        geom.aperture)
 
-    def box(dt, snrs):
-        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
+    def box(dt):
+        theta_t = midpoints(0.0, 1.0 - dt[:, None, None], grid.n_theta_t)
         cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        f = form(theta_t, dt)
-        return _q_box(lambda rows: snrs[rows, None, None] * geom.pitch / d * f,
-                      len(snrs), cell, grid)
+        f = form(theta_t, dt[:, None, None])
+
+        def q(rows, snrs):
+            return _q_nodes(lambda i, s: snrs[s, None, None] * geom.pitch / d
+                            * f[rows][i], len(f[rows]), len(snrs), cell[rows],
+                            grid)
+
+        # a row's largest f / d is its largest f over d, as d > 0
+        return (f.max(axis=2, keepdims=True) / d).max(axis=(1, 2)), q
 
     return box
 
@@ -538,11 +695,11 @@ def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
 
     The pass runs 2 n channels for n SNRs, zzb_ao_t's at 0..n-1 and
     zzb_t's at n..2n-1, each truncated on its own. Box 0 of zzb_t's search
-    line has no distance offset, so it is the tilt-only box: per outer
-    node, _tilt_only evaluates it once for the SNRs live in either
-    channel, and it starts zzb_t's running maximum. The other boxes sit at
-    distance offsets of their own; they keep amplitude-only coefficients
-    and a phase floor until _search_max needs their exact ones.
+    line has no distance offset, so it is the tilt-only box: per run,
+    _tilt_only evaluates it once for the SNRs live in either channel, and
+    it starts zzb_t's running maximum. The other boxes sit at distance
+    offsets of their own; they keep amplitude-only coefficients and a
+    phase floor until _search_max needs their exact ones.
     """
     snrs, shape = snr_sweep(snr)
     n = len(snrs)
@@ -554,29 +711,37 @@ def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     def build(b):
         return _families(theta_z[b], search[b], geom, wave)
 
-    coef = _amplitude_coefficients(theta_z, search, geom)
-    coef[:, 10:] = _phase_floor(theta_z, search, geom, wave)
+    # one node entry: a box's coefficients serve every node
+    coef = _amplitude_coefficients(theta_z, search, geom)[None]
+    coef[0, :, 10:] = _phase_floor(theta_z, search, geom, wave)
     exact = np.zeros(len(search), dtype=bool)
 
-    def bracket(dt, live):
-        ao, t = live[live < n], live[live >= n] - n
-        # the tilt-only box at the SNRs live in either channel
-        on = np.zeros(n, dtype=bool)
-        on[ao] = on[t] = True
-        box0 = np.empty(n)
-        box0[on] = tilt_only(dt, snrs[on])
-        peak = box0[t]
-        if t.size:
-            # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per
-            # outer node
-            basis = _tilt_basis(
-                midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, None, :], dt)
-            peak = _search_max(peak, coef, exact, build, basis,
-                               prior.span - search, dt, snrs[t], geom.pitch,
-                               grid)
-        return np.concatenate((box0[ao], peak))
+    def bracket(dt):
+        top, box0 = tilt_only(dt)
+        # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per node
+        basis = _tilt_basis(midpoints(0.0, 1.0 - dt[:, None, None, None],
+                                      grid.n_theta_t), dt[:, None, None, None])
+        cell = ((prior.span - search) / grid.n_theta_z) * (
+            (1.0 - dt[:, None]) / grid.n_theta_t)
 
-    out = _outer(prior, 1.0, grid.n_delta, 2 * n, bracket).reshape(2, n)
+        def run(rows, live):
+            ao, t = live[live < n], live[live >= n] - n
+            # the tilt-only box at the SNRs live in either channel
+            on = np.zeros(n, dtype=bool)
+            on[ao] = on[t] = True
+            q = np.empty((rows.stop - rows.start, n))
+            q[:, on] = box0(rows, snrs[on])
+            peak = q[:, t]
+            if t.size:
+                peak = _search_max(peak, coef, exact, build, basis[rows],
+                                   cell[rows], snrs[t], geom.pitch, grid)
+            return np.concatenate((q[:, ao], peak), axis=1)
+
+        return top, run
+
+    sp = snrs * geom.pitch
+    out = _outer(prior, 1.0, grid, np.concatenate((sp, sp)),
+                 bracket).reshape(2, n)
     require_finite("ZZB", snrs, out)
     return shape(out[1]), shape(out[0])
 
@@ -596,16 +761,17 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     search line, the running maximum's start. So zzb_t >= zzb_ao_t holds
     exactly wherever both are truncated at the same outer node. The
     statistic is mu_L_ao's, its tau-moments taken once per call and its
-    tilt factor once per outer node. It takes no wave, and an infinite
-    aperture evaluates the limiting form. NonFinite names the first SNR
-    where the bound is not finite.
+    tilt factor once per batch of outer nodes. It takes no wave, and an
+    infinite aperture evaluates the limiting form. NonFinite names the
+    first SNR where the bound is not finite.
     """
     snrs, shape = snr_sweep(snr)
     tilt_only = _tilt_only(prior, geom, grid)
 
-    def bracket(dt, live):
-        return tilt_only(dt, snrs[live])
+    def bracket(dt):
+        top, box0 = tilt_only(dt)
+        return top, lambda rows, live: box0(rows, snrs[live])
 
-    out = _outer(prior, 1.0, grid.n_delta, len(snrs), bracket)
+    out = _outer(prior, 1.0, grid, snrs * geom.pitch, bracket)
     require_finite("ZZB", snrs, out)
     return shape(out)

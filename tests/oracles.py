@@ -8,8 +8,9 @@ The MAP search scores its coarse grid in a separable form
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
-full at every outer node, and `y_blocks_uncached` builds the family
-y-rule afresh on every call.
+full at every outer node, in an offset integral of its own that runs node
+by node, and `y_blocks_uncached` builds the family y-rule afresh on every
+call.
 """
 
 import math
@@ -26,8 +27,8 @@ from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import (EXPECT_GRID, TZ_EPS, midpoints, q_function,
                             require_snr, snr_sweep)
 from nfepm.observation import element_voltages
-from nfepm.zzb import (_FAMILY_BLOCK, DEFAULT_GRID, ZZBGrid, _outer,
-                       _panel_rule, _q_box, mu_L_ao)
+from nfepm.zzb import (_DELTA_FLOOR_REL, _FAMILY_BLOCK, _TRUNCATE_REL,
+                       DEFAULT_GRID, ZZBGrid, _panel_rule, _q_box, mu_L_ao)
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,20 @@ def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
                                            snrs[live[rows], None, None], geom),
                       len(live), cell, grid)
 
-    return shape(_outer(prior, 1.0, grid.n_delta, len(snrs), bracket))
+    # the offset integral node by node, each SNR cut once its bracket falls
+    # below _TRUNCATE_REL of its running peak
+    edges = np.exp(np.linspace(math.log(_DELTA_FLOOR_REL), 0.0,
+                               max(1, grid.n_delta // 4) + 1))
+    total, peak = np.zeros(len(snrs)), np.zeros(len(snrs))
+    live = np.arange(len(snrs))
+    for d, w in zip(*_panel_rule(edges, 4)):
+        value = bracket(d, live)
+        total[live] = total[live] + w * d * value
+        peak[live] = np.maximum(peak[live], value)
+        live = live[~(value < _TRUNCATE_REL * peak[live])]
+        if live.size == 0:
+            break
+    return shape(total / prior.span)
 
 
 def y_blocks_uncached(aperture: float, n_panels: int):

@@ -357,7 +357,7 @@ def test_zzb_rows_take_one_pass_per_tilt_pair(tmp_path, monkeypatch):
     zzb_module = importlib.import_module("nfepm.zzb")
     outer, channels = zzb_module._outer, []
     monkeypatch.setattr(zzb_module, "_outer",
-                        lambda *args: channels.append(args[3]) or outer(*args))
+                        lambda *args: channels.append(len(args[3])) or outer(*args))
     cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 0,30,60\n")
     assert main(["zzb", "--config", cfg, "--out", str(tmp_path)]
                 + list(OVERRIDES)) == 0

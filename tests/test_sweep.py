@@ -45,12 +45,15 @@ def test_zzb_sweep_equals_one_snr_calls(monkeypatch):
         # no Q array holds more than one block of cells, or one box if
         # a box is larger, whatever the sweep length
         assert max(cells) <= max(zzb_module._BLOCK_CELLS, box)
-        nodes = []
+        # the Q cells of each one-SNR call: the outer integral evaluates
+        # runs of nodes at once, so the count of Q arrays no longer follows
+        # the nodes reached; the cells still fall with them
+        q_cells = []
         for snr in SNR:
             cells.clear()
-            assert sweep[len(nodes)] == bound(PRIOR, snr, *args, GRID)
-            nodes.append(len(cells))
-        assert nodes[0] > nodes[-1], bound.__name__
+            assert sweep[len(q_cells)] == bound(PRIOR, snr, *args, GRID)
+            q_cells.append(sum(cells))
+        assert q_cells[0] > q_cells[-1], bound.__name__
     assert isinstance(zzb_z(PRIOR, SNR[0], GEOM, WAVE, GRID), float)
 
 
@@ -94,7 +97,7 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
     # finite, here zzb_t's search made NaN at 3
     search_max = zzb_module._search_max
     monkeypatch.setattr(zzb_module, "_search_max", lambda peak, *args: np.where(
-        args[6] == 3.0, math.nan, search_max(peak, *args)))
+        args[5] == 3.0, math.nan, search_max(peak, *args)))
     with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
         zzb_tilt(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
     assert math.isfinite(zzb_ao_t(PRIOR, 3.0, GEOM, GRID))

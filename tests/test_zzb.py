@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -169,8 +170,10 @@ def test_tilt_only_statistic_rejects_nan(arg):
 @pytest.mark.parametrize("snr", [100.0, [0.0, 1.0, 100.0, 1e4, 1e8]])
 def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     # the tau-moments are taken once per call and the tilt factor once per
-    # outer node; the bounds, and every mu block handed to the box
-    # integral, are bit-identical to mu_L_ao at every node
+    # batch of outer nodes; the bounds, and the mu cells handed to the box
+    # integral, in order, are bit-identical to mu_L_ao at every node (the
+    # library hands them over in blocks of (node, SNR) pairs, the
+    # reference node by node)
     geom = ArrayGeometry(aperture, 0.1)
     seen = {zzb_module: [], oracles: []}
     for module, log in seen.items():
@@ -183,8 +186,9 @@ def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
         assert np.array_equal(zzb_ao_t(THRESHOLD_PRIOR, snr, geom, grid),
                               zzb_ao_t_per_node(THRESHOLD_PRIOR, snr, geom, grid))
     got, want = seen[zzb_module], seen[oracles]
-    assert len(got) == len(want) > 0
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got) > 0 and len(want) > 0
+    assert np.array_equal(np.concatenate([a.ravel() for a in got]),
+                          np.concatenate([b.ravel() for b in want]))
 
 
 def test_tilt_only_bound_checks_no_inputs_per_node(monkeypatch):
@@ -519,21 +523,16 @@ def test_search_pruning_leaves_the_bounds_bit_identical(
 
 def test_search_skips_pairs_whose_q_underflowed(monkeypatch):
     # the snr_sweep benchmark config. Q sees the grid cells _q_box
-    # integrates, in blocks (k, n_theta_z, n_theta_t), and one cell per
-    # (SNR, box) bound, in (SNR, box) arrays. The bound alone left
+    # integrates and one cell per (SNR, box) bound at each outer node,
+    # which _search_max takes; _counting_q_by_site tells them apart by
+    # caller, as both come in 3-D arrays. The bound alone left
     # 1 592 976 cells of both kinds; skipping the pairs whose Q at the
     # least mu is 0 dropped 276 480, and screening zzb_t's boxes and
     # evaluating only the SNRs the outer integral has not cut 56 990 more.
     # 4 594 of the 1 259 506 left were bounds; the grid cells stay under
     # the rest. Screening with Q takes one bound per (SNR, screened box)
     # and outer node, and one more per box built.
-    cells = {"grid": 0, "bound": 0}
-
-    def counted(x):
-        cells["grid" if np.ndim(x) == 3 else "bound"] += np.size(x)
-        return q_function(x)
-
-    monkeypatch.setattr(zzb_module, "q_function", counted)
+    cells = _counting_q_by_site(monkeypatch)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
     zzb_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
@@ -542,18 +541,9 @@ def test_search_skips_pairs_whose_q_underflowed(monkeypatch):
 
 
 def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
-    # every bracket call gets only the SNRs not yet cut; 60 dB is cut
+    # every node a run evaluates gets only the SNRs not yet cut; 60 dB is cut
     # before 0 dB (tests/test_sweep.py pins the values against one-SNR calls)
-    seen = []
-    outer = zzb_module._outer
-
-    def recording_outer(prior, hi, n_delta, n_snr, bracket):
-        def recorded(d, live):
-            seen.append(live.tolist())
-            return bracket(d, live)
-        return outer(prior, hi, n_delta, n_snr, recorded)
-
-    monkeypatch.setattr(zzb_module, "_outer", recording_outer)
+    seen = _recording_outer(monkeypatch)
     snrs = [snr_from_db(0.0), snr_from_db(60.0)]
     # zzb_t runs zzb_tilt's pass of 2 n channels: zzb_ao_t's at 0 and 1,
     # its own at 2 and 3; the 0 dB channels are 0 (and 2)
@@ -566,8 +556,10 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
              [0])):
         seen.clear()
         bound(snrs)
-        assert seen[0] == list(range(2 * len(at_0db))) and at_0db in seen
-        assert all(set(at_0db) <= set(live) for live in seen)
+        assert len(seen) == 1
+        lives = _lives(seen[0])
+        assert lives[0] == list(range(2 * len(at_0db))) and at_0db in lives
+        assert all(set(at_0db) <= set(live) for live in lives)
 
 
 def _counting_families(monkeypatch):
@@ -628,22 +620,31 @@ def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
 
 
 def _recording_outer(monkeypatch):
-    """Route zzb's outer integrals through a recorder of the live channels
-    of each bracket call; returns the list of calls, one list of live
-    sets per _outer call."""
+    """Route zzb's outer integrals through a recorder of their runs;
+    returns the list of calls, one list of runs per _outer call, each run
+    a list of (offset, live channels) per node it evaluates."""
     calls = []
     outer = zzb_module._outer
 
-    def recording(prior, hi, n_delta, n_snr, bracket):
+    def recording(prior, hi, grid, sp, bracket):
         calls.append([])
 
-        def recorded(d, live):
-            calls[-1].append(live.tolist())
-            return bracket(d, live)
-        return outer(prior, hi, n_delta, n_snr, recorded)
+        def prepared(d):
+            top, run = bracket(d)
+
+            def recorded(rows, live):
+                calls[-1].append([(x, live.tolist()) for x in d[rows].tolist()])
+                return run(rows, live)
+            return top, recorded
+        return outer(prior, hi, grid, sp, prepared)
 
     monkeypatch.setattr(zzb_module, "_outer", recording)
     return calls
+
+
+def _lives(runs):
+    """The live channels at each node of runs, in order."""
+    return [live for run in runs for _, live in run]
 
 
 @pytest.mark.parametrize("skew", [0.0, 1e6])
@@ -656,7 +657,8 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
         search_max = zzb_module._search_max
 
         def skewed(peak, *args):
-            dt = args[5]
+            # row 3 of each node's tilt basis is dt^2
+            dt = np.sqrt(args[3][:, 0, 3, :1])
             return search_max(peak, *args) * (1.0 + skew * dt)
 
         monkeypatch.setattr(zzb_module, "_search_max", skewed)
@@ -665,7 +667,7 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
     args = (THRESHOLD_PRIOR, snrs, THRESHOLD_GEOM)
     joint, ao = zzb_tilt(*args, THRESHOLD_WAVE, COARSE)
     assert len(calls) == 1
-    lives = calls[0]
+    lives = _lives(calls[0])
     assert lives[0] == [0, 1, 2, 3] and [0, 2] in lives
     # with the skew, some node has a channel of one bound live and the
     # other's at the same SNR cut
@@ -679,6 +681,117 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
                           COARSE)
         assert scalar == (joint[i], ao[i])
         assert all(isinstance(b, float) for b in scalar)
+
+
+def _counting_q_by_site(monkeypatch):
+    """Route zzb's Q evaluations through a counter of cells, the grid cells
+    _q_box integrates apart from the (node, SNR, box) bounds _search_max
+    takes; both come in 3-D arrays, so the caller tells them apart."""
+    cells = {"grid": 0, "bound": 0}
+
+    def counted(x):
+        caller = sys._getframe(1).f_code.co_name
+        cells["grid" if caller == "_q_box" else "bound"] += np.size(x)
+        return q_function(x)
+
+    monkeypatch.setattr(zzb_module, "q_function", counted)
+    return cells
+
+
+def _outer_nodes(hi, grid):
+    """The offset nodes of _outer, in order."""
+    edges = np.exp(np.linspace(math.log(hi * zzb_module._DELTA_FLOOR_REL),
+                               math.log(hi), max(1, grid.n_delta // 4) + 1))
+    return zzb_module._panel_rule(edges, 4)[0]
+
+
+def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
+    # the threshold geometry at pitch 0.5 and 30 dB on the coarse grid:
+    # zzb_z is cut after node 15 of 16, inside the last panel, whose last
+    # node needs more family panels than any node reached. With the cap
+    # at the largest count reached, that node is prepared with its panel
+    # but left out of the family evaluation, so the bound keeps its
+    # uncapped value; at 0 dB the pass reaches the node and raises
+    prior, geom, wave = THRESHOLD_PRIOR, ArrayGeometry(5.0, 0.5), THRESHOLD_WAVE
+    snr = snr_from_db(30.0)
+    calls = _recording_outer(monkeypatch)
+    uncapped = zzb_z(prior, snr, geom, wave, COARSE)
+    nodes = _outer_nodes(prior.span, COARSE)
+    assert [x for run in calls[0] for x, _ in run] == nodes[:15].tolist()
+
+    def panels(dz):
+        return zzb_module._family_panels(
+            midpoints(prior.z_min, prior.z_max - dz, COARSE.n_theta_z), dz,
+            geom, wave)
+
+    cap = max(panels(dz) for dz in nodes[:15])
+    assert panels(nodes[15]) > cap
+    monkeypatch.setattr(zzb_module, "_MAX_FAMILY_PANELS", cap)
+    assert zzb_z(prior, snr, geom, wave, COARSE) == uncapped
+    with pytest.raises(QuadratureFailure):
+        zzb_z(prior, snr_from_db(0.0), geom, wave, COARSE)
+
+
+@pytest.mark.parametrize("cases", [
+    [(UniformPrior(lo, hi), snr_from_db(40.0), ArrayGeometry(aperture, 0.5),
+      Wave(lam), ZZBGrid(24, 12)) for lam, aperture, lo, hi in GEOMETRY_SCAN],
+    [(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, ZZBGrid(24, 24))],
+    [(UniformPrior(5.0, 6.0), SWEEP, ArrayGeometry(5.0, 0.1), Wave(0.001),
+      ZZBGrid())]], ids=["geometry-scan", "threshold-sweep", "fig6-1mm"])
+def test_runs_equal_the_node_by_node_pass(monkeypatch, cases):
+    # a _SURE_MU below 0 ends every run at its first node, so the pass goes
+    # node by node. The batched runs give the same bits, reach the same
+    # nodes with the same live channels and evaluate the same grid and
+    # bound Q cells, in fewer runs
+    cells = _counting_q_by_site(monkeypatch)
+    calls = _recording_outer(monkeypatch)
+    results = []
+    for sure_mu in (zzb_module._SURE_MU, -1.0):
+        monkeypatch.setattr(zzb_module, "_SURE_MU", sure_mu)
+        cells.update(grid=0, bound=0)
+        calls.clear()
+        values = [np.array([zzb_z(prior, snr, geom, wave, grid),
+                            *zzb_tilt(prior, snr, geom, wave, grid),
+                            zzb_ao_t(prior, snr, geom, grid)]).tolist()
+                  for prior, snr, geom, wave, grid in cases]
+        runs = [run for call in calls for run in call]
+        results.append((values, dict(cells),
+                        [node for run in runs for node in run], len(runs)))
+    (values, q_cells, nodes, n_runs), (one_values, one_cells, one_nodes,
+                                       one_runs) = results
+    assert values == one_values
+    assert q_cells == one_cells
+    assert nodes == one_nodes
+    assert one_runs == len(one_nodes) > n_runs
+
+
+def test_family_batches_stay_within_one_y_block(monkeypatch):
+    # zzb_z evaluates the families of a batch's nodes with equal panel
+    # counts together, at most _FAMILY_BLOCK panels in all (one node at
+    # least), so no y-block holds more than 8 _FAMILY_BLOCK nodes per
+    # hypothesis distance, and at most _FAMILY_BATCH hypothesis distances
+    # times panels; on the geometry_scan geometries and near the array,
+    # where single nodes need more than one block, and at the default
+    # grid, whose 64 distances at 16 panels leave one node per evaluation
+    batches = []
+    real_eval = zzb_module._family_eval
+
+    def recorded(theta_z, delta_z, geom, k, n_panels):
+        batches.append((np.size(delta_z), n_panels, theta_z.shape[-1]))
+        return real_eval(theta_z, delta_z, geom, k, n_panels)
+
+    monkeypatch.setattr(zzb_module, "_family_eval", recorded)
+    for lam, aperture, lo, hi in GEOMETRY_SCAN + NEAR_ARRAY[:2]:
+        zzb_z(UniformPrior(lo, hi), SWEEP, ArrayGeometry(aperture, 0.5),
+              Wave(lam), ZZBGrid(24, 12))
+    assert max(rows for rows, _, _ in batches) > 1
+    assert max(n for _, n, _ in batches) > _FAMILY_BLOCK
+    assert all(rows == 1 or (rows * n <= _FAMILY_BLOCK and rows * n * n_z
+                             <= zzb_module._FAMILY_BATCH)
+               for rows, n, n_z in batches)
+    batches.clear()
+    zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE)
+    assert {rows for rows, _, _ in batches} == {1}
 
 
 def _line(prior, search, grid):
@@ -908,14 +1021,55 @@ def test_search_max_equals_brute_force(monkeypatch, block, profiles, winners):
     assert set(values.argmax(axis=0).tolist()) == winners
     cells = _counting_q(monkeypatch)
     # box 0's integral starts the running maximum; the search takes the
-    # other three boxes
-    peak = _search_max(values[0].copy(), coef[1:], np.ones(3, dtype=bool),
-                       None, _tilt_basis(theta_t[1:], delta_t[1:, None, None]),
-                       z_len, delta_t[1:], snrs, pitch, grid)
-    assert peak.tolist() == values.max(axis=0).tolist()
+    # other three boxes, at one outer node
+    cell = (z_len / grid.n_theta_z) * ((1.0 - delta_t[1:]) / grid.n_theta_t)
+    peak = _search_max(values[None, 0].copy(), coef[None, 1:],
+                       np.ones(3, dtype=bool), None,
+                       _tilt_basis(theta_t[1:], delta_t[1:, None, None])[None],
+                       cell[None], snrs, pitch, grid)
+    assert peak[0].tolist() == values.max(axis=0).tolist()
     # the (SNR, box) upper bounds cost one cell each; fewer than every
     # other box's grid means some pair was skipped
     assert 3 * len(snrs) <= cells[0] < box * 3 * len(snrs)
+
+
+def test_search_max_over_a_run_equals_its_nodes_one_at_a_time(monkeypatch):
+    # four nodes share three screened boxes whose screen is half their mu;
+    # a low running maximum from node 2 on keeps box 2, which is built
+    # there. The run gives each node's maximum and the one build of a
+    # node-by-node search, with the same grid cells; as the build comes
+    # before the run's last node, node 3 pays one screen bound per SNR
+    grid = ZZBGrid(2, 4, 8, 4)
+    delta_t = np.array([0.1, 0.2, 0.3])
+    exact_coef = np.zeros((3, 14, grid.n_theta_z))
+    exact_coef[:, 2] = [[b * r for r in RAMP] for b in (1e4, 2e4, 0.1)]
+    # a tilt basis per node and box
+    basis = np.tile(_tilt_basis(midpoints(0.0, 1.0 - delta_t[:, None, None],
+                                          grid.n_theta_t),
+                                delta_t[:, None, None]), (4, 1, 1, 1))
+    cell = np.tile((2.0 / grid.n_theta_z) * ((1.0 - delta_t) / grid.n_theta_t),
+                   (4, 1))
+    snrs, pitch = np.array([10.0, 30.0]), 0.1
+    start = np.array([[1.0, 1.0], [1.0, 1.0], [1e-9, 1e-9], [1e-9, 1e-9]])
+    cells = _counting_q_by_site(monkeypatch)
+    results = []
+    for nodes in ([slice(0, 4)], [slice(i, i + 1) for i in range(4)]):
+        cells.update(grid=0, bound=0)
+        coef, exact, built = 0.5 * exact_coef[None], np.zeros(3, bool), []
+
+        def build(j):
+            built.append(j)
+            return exact_coef[j]
+
+        peaks = [_search_max(start[rows].copy(), coef, exact, build,
+                             basis[rows], cell[rows], snrs, pitch, grid)
+                 for rows in nodes]
+        results.append((np.concatenate(peaks).tolist(), built, dict(cells)))
+    (run, run_built, run_cells), (alone, alone_built, alone_cells) = results
+    assert run == alone and run_built == alone_built == [2]
+    assert run[:2] == start[:2].tolist() and run[2][0] > start[2][0]
+    assert run_cells["grid"] == alone_cells["grid"] > 0
+    assert run_cells["bound"] == alone_cells["bound"] + len(snrs)
 
 
 @pytest.mark.parametrize("snr", [0.0, 1e200])
