@@ -15,9 +15,11 @@ forming voltages: per distance row it takes the tilt-free channel factor
 of each probe element, reads the range per cell off the cell's phase with
 the regime's own rule, and solves the tilt, linear in the amplitudes,
 once per row. `rmse_grids` scores several solvers on the same data in one
-pass, which `rmse_grid` is the one-solver call of: per block of rows it
-forms each probe element's factor, and each per-cell phase grid, once for
-every solver that reads that element.
+pass, which `rmse_grid` is the one-solver call of. Its work per row (each
+probe element's factor, the row ranges and the tilt solves) runs once per
+chunk of a few hundred rows, and its work per cell (each per-cell phase
+grid, formed once for every solver that reads that element, and the cell
+ranges) once per block of rows within the chunk.
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
 negative radicand is carried into the complex plane instead of raising.
@@ -45,6 +47,9 @@ _TWO_PI = 2.0 * np.pi
 # rmse_grid evaluates the grid in blocks of distance rows of at most this
 # many cells (one row at least)
 _BLOCK_CELLS = 1 << 14
+# and does its per-row work once per chunk of whole blocks of at most this
+# many rows (one block at least)
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,15 @@ def _gain_phase(c, gain):
     the complex product: np.angle(c * gain) is arctan2(c.imag * gain,
     c.real * gain). Correctly rounded multiplication is monotone, so a
     row's products are all finite exactly when those at its largest gain
-    are, and the finiteness check runs once per row."""
+    are, and the finiteness check runs once per row. gain is overwritten:
+    its buffer takes the real product."""
     top = gain.max(axis=1, keepdims=True)
     if not (np.all(np.isfinite(c.real * top))
             and np.all(np.isfinite(c.imag * top))):
         raise NonFinite("voltage is not finite")
     im = c.imag * gain
-    return _wrapped(np.arctan2(im, c.real * gain, out=im))
+    return _wrapped(np.arctan2(im, np.multiply(c.real, gain, out=gain),
+                               out=im))
 
 
 def _pow_five_quarters(x):
@@ -118,23 +125,30 @@ def _reactive_distance(theta_alpha, y_alpha: float, wave: Wave,
                        diagnostic: bool):
     """The Case I range rule: the alpha phase read as a range. A negative
     radicand raises, or in diagnostic mode makes the whole result complex."""
-    radicand = np.asarray((theta_alpha / wave.wavenumber) ** 2 - y_alpha ** 2)
-    negative = np.any(radicand < 0)
+    # in place on its own temporaries (a scalar phase rebinds instead)
+    radicand = theta_alpha / wave.wavenumber
+    radicand **= 2
+    radicand -= y_alpha ** 2
+    radicand = np.asarray(radicand)
+    negative = np.min(radicand, initial=np.inf) < 0
     if negative and not diagnostic:
         raise NegativeRadicand(
             "phase range below element offset; data not from this regime")
-    return np.sqrt(radicand.astype(complex) if negative else radicand)[()]
+    if negative:
+        return np.sqrt(radicand.astype(complex))[()]
+    return np.sqrt(radicand, out=radicand)[()]
 
 
 def _phase_period_distance(theta_alpha, theta_beta, y_alpha: float,
                            y_beta: float, wave: Wave):
     """The Case II range rule: the principal phase difference, shifted up
     by one period when non-positive, read as a range."""
-    dtheta = theta_beta - theta_alpha
+    dtheta = np.asarray(theta_beta - theta_alpha)
     dtheta += (dtheta <= 0) * _TWO_PI
-    if np.any(dtheta < 1e-12):
+    if np.min(dtheta, initial=np.inf) < 1e-12:
         raise NonFinite("phase difference too small to resolve a distance")
-    return wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0) / dtheta
+    return np.divide(wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0),
+                     dtheta, out=dtheta)[()]
 
 
 def _distance(kind: Region, theta, y_alpha: float, y_beta: float, wave: Wave,
@@ -237,13 +251,19 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
 
     The grid is streamed in blocks of distance rows of at most
     `_BLOCK_CELLS` cells (one row at least), and the squared errors are
-    summed block by block, so memory does not grow with u * v. Per block,
-    each probe element's factor is formed and decoupled once, and each
-    element's per-cell phase grid at most once, for every solver that
-    reads it; nothing outlives the block. A check failing in any block,
-    for any solver, raises; no partial RMSE is returned. In diagnostic
-    mode, a negative Case I radicand anywhere in a block, in a cell or
-    in a row, makes the whole block's solve complex.
+    summed block by block, so memory does not grow with u * v. The work
+    per row runs once per chunk of whole blocks of at most `_CHUNK_ROWS`
+    rows (one block at least): each probe element's factor is formed and
+    decoupled once, and each solver's row ranges and per-row tilt errors
+    are solved once, on the chunk's rows. The work per cell runs per
+    block, on the block's slice of the chunk: each element's phase grid
+    at most once, for every solver that reads it, then each solver's
+    cell ranges; the row tilt errors are summed over the same slice.
+    Nothing outlives its chunk. A check failing in any row or block, for
+    any solver, raises; no partial RMSE is returned. In diagnostic mode,
+    a negative Case I radicand anywhere in a block, in a cell or in a
+    row, makes the whole block's solve complex, block by block, whatever
+    the rest of its chunk does.
     """
     u, v = require_sizes("the RMSE grid", u, v)
     if u < 2 or v < 2:
@@ -263,35 +283,58 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     s = np.sqrt(1.0 - t * t)
     tt, ts, ss = np.sum(t * t), np.sum(t * s), np.sum(s * s)
     step = max(1, _BLOCK_CELLS // v)
+    chunk = step * max(1, _CHUNK_ROWS // step)
     sums = [[0.0, 0.0] for _ in plans]
-    for i in range(0, u, step):
-        z = z_rows[i:i + step]
-        zs = z * s
-        c = {y: axis_factor(z, y, wave, scale) for y in ys}
+    for lo in range(0, u, chunk):
+        zc = z_rows[lo:lo + chunk]
+        c = {y: axis_factor(zc, y, wave, scale) for y in ys}
         row = {y: decouple(cy) for y, cy in c.items()}
-        cells = {}
 
-        def theta(y):
-            if y not in cells:
-                cells[y] = _gain_phase(c[y], y * t + zs)
-            return cells[y]
+        def tilt_errors(y_a, y_b, z_row, rows):
+            # per row of zc[rows], the sum of the squared tilt errors when
+            # the tilt is solved at the ranges z_row
+            z, psi_a, psi_b = zc[rows], row[y_a].psi[rows], row[y_b].psi[rows]
+            alpha = _tilt_from_amplitudes(psi_a * y_a, psi_b * y_b, y_a, y_b,
+                                          z_row, geom, wave)
+            beta = _tilt_from_amplitudes(psi_a * z, psi_b * z, y_a, y_b,
+                                         z_row, geom, wave)
+            return ((alpha - 1.0) ** 2 * tt + 2.0 * (alpha - 1.0) * beta * ts
+                    + beta ** 2 * ss)
 
-        for (kind, diagnostic, y_a, y_b), sq in zip(plans, sums):
-            z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
+        solved = []
+        for kind, diagnostic, y_a, y_b in plans:
             z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
                               diagnostic)
-            if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
-                # a real root is the complex one's real part bit for bit
-                z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
-            alpha = _tilt_from_amplitudes(row[y_a].psi * y_a,
-                                          row[y_b].psi * y_b, y_a, y_b,
-                                          z_row, geom, wave)
-            beta = _tilt_from_amplitudes(row[y_a].psi * z, row[y_b].psi * z,
-                                         y_a, y_b, z_row, geom, wave)
-            z_hat -= z
-            sq[0] += np.sum(np.square(z_hat, out=z_hat))
-            sq[1] += np.sum((alpha - 1.0) ** 2 * tt
-                            + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
+            solved.append((z_row, tilt_errors(y_a, y_b, z_row, slice(None))))
+        for i in range(0, len(zc), step):
+            block = slice(i, i + step)
+            z = zc[block]
+            zs = z * s
+            cells = {}
+
+            def theta(y):
+                if y not in cells:
+                    cells[y] = _gain_phase(c[y][block], y * t + zs)
+                return cells[y]
+
+            for (kind, diagnostic, y_a, y_b), (z_row, err_t), sq in zip(
+                    plans, solved, sums):
+                z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
+                z_row, err_t = z_row[block], err_t[block]
+                # a diagnostic Case I solve is complex in a whole block when
+                # a radicand of the block is negative, in a cell or in a row
+                # (whose complex root then has a nonzero imaginary part)
+                negative = np.iscomplexobj(z_hat) or (
+                    np.iscomplexobj(z_row) and np.any(z_row.imag))
+                if negative != np.iscomplexobj(z_row):
+                    # a real root is the complex one's real part bit for bit
+                    z_row = z_row.astype(complex) if negative else z_row.real
+                    err_t = tilt_errors(y_a, y_b, z_row, block)
+                if negative:
+                    z_hat = z_hat.astype(complex, copy=False)
+                z_hat -= z
+                sq[0] += np.sum(np.square(z_hat, out=z_hat))
+                sq[1] += np.sum(err_t)
     return [tuple((complex if diagnostic else float)(np.sqrt(x / (u * v)))
                   for x in sq)
             for (_, diagnostic, *_), sq in zip(plans, sums)]

@@ -10,7 +10,9 @@ sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
 full at every outer node, in an offset integral of its own that runs node
 by node, and `y_blocks_uncached` builds the family y-rule afresh on every
-call.
+call. `rmse_grids_per_block` scores the solvers as `solver.rmse_grids`
+once did, forming every probe factor and solving every row's tilt anew
+in each block of rows.
 """
 
 import math
@@ -20,13 +22,16 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from nfepm.channel import AxialPose, axis_channel
+from nfepm import solver
+from nfepm.channel import AxialPose, axis_channel, axis_factor
 from nfepm.ecrb import _TY_SQ_MIN, FisherInfo, _assemble, _factors
 from nfepm.errors import AttitudeSingularity, InvariantViolation, QuadratureFailure
-from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
+from nfepm.geometry import ArrayGeometry, UniformPrior, Wave, probe_elements
 from nfepm.numerics import (EXPECT_GRID, TZ_EPS, midpoints, q_function,
                             require_snr, snr_sweep)
 from nfepm.observation import element_voltages
+from nfepm.solver import (_distance, _gain_phase, _tilt_from_amplitudes,
+                          decouple)
 from nfepm.zzb import (_DELTA_FLOOR_REL, _FAMILY_BLOCK, _TRUNCATE_REL,
                        DEFAULT_GRID, ZZBGrid, _panel_rule, _q_box, mu_L_ao)
 
@@ -267,3 +272,55 @@ def y_blocks_uncached(aperture: float, n_panels: int):
     for i in range(0, n_panels, _FAMILY_BLOCK):
         y, w = _panel_rule(edges[i:i + _FAMILY_BLOCK + 1], 8)
         yield y, y * y, np.stack((w, y * w, y * y * w), axis=1)
+
+
+def rmse_grids_per_block(case, prior: UniformPrior, geom: ArrayGeometry,
+                         wave: Wave, u: int, v: int, solvers):
+    """solver.rmse_grids with all its work done block by block: each
+    block of at most solver._BLOCK_CELLS cells forms its own probe
+    factors and row solves, and decides real or complex on its own."""
+    plans = []
+    for mismatch in solvers:
+        kind = case if mismatch is None else mismatch
+        y_a, y_b = (geom.element_center(n)
+                    for n in probe_elements(geom, 1, None, kind))
+        plans.append((kind, mismatch is not None, y_a, y_b))
+    ys = dict.fromkeys(y for *_, y_a, y_b in plans for y in (y_a, y_b))
+    scale = wave.amplitude * geom.pitch
+    z_rows = np.linspace(prior.z_min, prior.z_max, u)[:, None]
+    t = np.linspace(0.0, 1.0, v, endpoint=False)
+    s = np.sqrt(1.0 - t * t)
+    tt, ts, ss = np.sum(t * t), np.sum(t * s), np.sum(s * s)
+    step = max(1, solver._BLOCK_CELLS // v)
+    sums = [[0.0, 0.0] for _ in plans]
+    for i in range(0, u, step):
+        z = z_rows[i:i + step]
+        zs = z * s
+        c = {y: axis_factor(z, y, wave, scale) for y in ys}
+        row = {y: decouple(cy) for y, cy in c.items()}
+        cells = {}
+
+        def theta(y):
+            if y not in cells:
+                cells[y] = _gain_phase(c[y], y * t + zs)
+            return cells[y]
+
+        for (kind, diagnostic, y_a, y_b), sq in zip(plans, sums):
+            z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
+            z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
+                              diagnostic)
+            if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
+                # a real root is the complex one's real part bit for bit
+                z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
+            alpha = _tilt_from_amplitudes(row[y_a].psi * y_a,
+                                          row[y_b].psi * y_b, y_a, y_b,
+                                          z_row, geom, wave)
+            beta = _tilt_from_amplitudes(row[y_a].psi * z, row[y_b].psi * z,
+                                         y_a, y_b, z_row, geom, wave)
+            z_hat -= z
+            sq[0] += np.sum(np.square(z_hat, out=z_hat))
+            sq[1] += np.sum((alpha - 1.0) ** 2 * tt
+                            + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
+    return [tuple((complex if diagnostic else float)(np.sqrt(x / (u * v)))
+                  for x in sq)
+            for (_, diagnostic, *_), sq in zip(plans, sums)]

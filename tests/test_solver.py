@@ -17,6 +17,7 @@ from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
                           _pow_five_quarters, _solve_as, _tilt_from_amplitudes,
                           decouple, rmse_grid, rmse_grids, solve,
                           solve_case1, solve_case2_pa)
+from oracles import rmse_grids_per_block
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
@@ -371,7 +372,7 @@ def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
 
 def _recording_probes(monkeypatch):
     # the distance rows of every probe factor rmse_grid forms (two a
-    # block), and the shape of every per-cell phase grid it reads
+    # chunk), and the shape of every per-cell phase grid it reads
     rows, cells = [], []
 
     def factor(z, y, wave, scale=1.0):
@@ -389,6 +390,12 @@ def _recording_probes(monkeypatch):
     return rows, cells
 
 
+def _block_and_chunk_rows(v):
+    # the rows of one block and of one chunk of whole blocks at v columns
+    step = max(1, solver_module._BLOCK_CELLS // v)
+    return step, step * max(1, solver_module._CHUNK_ROWS // step)
+
+
 # (column, mismatch): Case II-SC data under its own solver (real RMSE) and
 # Case II-PA data under the Case I solver (diagnostic, complex RMSE)
 BLOCKED_CASES = ((5, None), (2, Region.CASE1))
@@ -398,16 +405,23 @@ BLOCKED_CASES = ((5, None), (2, Region.CASE1))
 @pytest.mark.parametrize("column, mismatch", BLOCKED_CASES)
 def test_blocked_rmse_grid_matches_one_array_pass(monkeypatch, column, mismatch,
                                                   block):
-    # 37 rows of 23 cells: blocks of 5 and 8 rows leave a ragged last
-    # block, and a block smaller than a row takes one row at a time
+    # 37 rows of 23 cells in chunks of at most 12 rows: blocks of 5 rows
+    # make chunks of 10 and blocks of 8 chunks of 8, both with a ragged
+    # last chunk and block, and a block smaller than a row takes one row
+    # at a time, 12 to a chunk
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
     u, v = 37, 23
     ref = _one_array_rmse(region, prior, geom, wave, u, v, mismatch)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
+    step, chunk = _block_and_chunk_rows(v)
     rows, cells = _recording_probes(monkeypatch)
     got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
-    assert sum(rows) == 2 * u and max(rows) == max(1, block // v)
+    # each probe row formed once, one factor call per element and chunk
+    assert sum(rows) == 2 * u and max(rows) == chunk
+    assert len(rows) == 2 * -(-u // chunk)
     assert cells and all(shape[1] == v for shape in cells)
+    assert max(shape[0] for shape in cells) == step
     if mismatch is None:
         assert all(isinstance(x, float) for x in got)
     else:
@@ -489,18 +503,58 @@ def test_joint_pass_equals_each_solvers_own_call(monkeypatch, column, solvers,
                                                  u, v, block):
     # one pass over shared probe factors and phase grids gives every solver
     # its own rmse_grid result bit for bit (repr tells -0.0, float and
-    # complex apart); at 37 x 23 the last of 8 blocks holds 2 rows
+    # complex apart); at 37 x 23 the last of 8 blocks holds 2 rows, and
+    # chunks of at most 12 rows hold 2 blocks (10 rows), the last 7 rows
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
     alone = [rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=kind)
              for kind in solvers]
     rows, cells = _recording_probes(monkeypatch)
     joint = rmse_grids(region, prior, geom, wave, u, v, solvers)
     assert repr(joint) == repr(alone)
-    blocks = -(-u // max(1, block // v))
+    step, chunk = _block_and_chunk_rows(v)
+    blocks, chunks = -(-u // step), -(-u // chunk)
     elements = 3 if region is Region.CASE2_SC else 2
-    assert sum(rows) == elements * u and len(rows) == elements * blocks
+    assert sum(rows) == elements * u and len(rows) == elements * chunks
     assert len(cells) == PHASE_GRIDS[region] * blocks
+
+
+@pytest.mark.parametrize("column, solvers", TABLE2_PASSES)
+def test_rmse_grids_equal_the_per_block_oracle(monkeypatch, column, solvers):
+    # row work per chunk and cell work per block give the block-by-block
+    # pass bit for bit: 37 x 23 in blocks of 5 rows, the last of 2
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 5 * 23)
+    assert (repr(rmse_grids(region, prior, geom, wave, 37, 23, solvers))
+            == repr(rmse_grids_per_block(region, prior, geom, wave, 37, 23,
+                                         solvers)))
+
+
+@pytest.mark.parametrize("data, solvers, setup, u", [
+    # Case II-SC data under their own and the phase-ambiguity solver, and
+    # Case II-PA data under their own and the Case I solver: at 400
+    # columns, chunks of 6 blocks of 40 rows, the last chunk of 2 blocks,
+    # the last block of 10 rows
+    (5, (None, Region.CASE2_PA), None, 530),
+    (2, (None, Region.CASE1), None, 530),
+    # Case II-PA data under the Case I solver on a narrow prior: some
+    # blocks of a chunk solve real and some complex, each decided per
+    # block as the oracle does (a per-chunk decision moves rmse_t by 1 ulp)
+    (2, (Region.CASE1,), (0.1, 1.0, 0.05, 5.05, 5.1), 600),
+    # the first row's radicand is > 0 but 14 of its cells' are < 0: the
+    # first block solves complex in a chunk whose rows all solve real (a
+    # real tilt solve there moves rmse_t by 1 ulp)
+    (2, (Region.CASE1,), (0.07, 1.0, 0.05, 1.074709263010234, 1.0967), 300),
+])
+def test_rmse_grids_equal_the_per_block_oracle_over_chunks(data, solvers,
+                                                           setup, u):
+    region, wave, geom, prior = benchmark_setup(
+        SOLVER_BENCHMARK[data][:1] + (setup or SOLVER_BENCHMARK[data][1:6]))
+    assert u > _block_and_chunk_rows(400)[1]
+    assert (repr(rmse_grids(region, prior, geom, wave, u, 400, solvers))
+            == repr(rmse_grids_per_block(region, prior, geom, wave, u, 400,
+                                         solvers)))
 
 
 def test_joint_pass_memory_does_not_grow_with_the_grid():
@@ -522,7 +576,8 @@ def test_gain_phase_checks_each_row_at_its_largest_gain():
     c = np.array([[1e300 + 1e300j], [3.0 - 4.0j]])
     gain = np.array([[0.5, 1.0, 2.0], [0.0, 7.0, 1e-3]])
     expected = decouple(c * gain).theta
-    assert np.array_equal(_gain_phase(c, gain).view(np.uint64),
+    # _gain_phase overwrites its gain, so it gets a copy
+    assert np.array_equal(_gain_phase(c, gain.copy()).view(np.uint64),
                           expected.view(np.uint64))
     overflow = gain.copy()
     overflow[0, 1] = 1e9  # 1e309: only the row's largest product overflows
@@ -542,13 +597,25 @@ def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
     with pytest.raises(NegativeRadicand):
         rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 16)
-    rows, cells = _recording_probes(monkeypatch)
+    monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 4)
+    events = []
+    monkeypatch.setattr(solver_module, "axis_factor",
+                        lambda z, *args: events.append(len(z))
+                        or axis_factor(z, *args))
+    monkeypatch.setattr(solver_module, "_gain_phase",
+                        lambda c, gain: events.append(gain.shape)
+                        or _gain_phase(c, gain))
     with pytest.raises(NegativeRadicand):
         rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
-    # one row a block, two probe factors a row: blocks before the failing
-    # one were solved, and the rows after it never were
-    assert all(n == 1 for n in rows) and all(shape == (1, 16) for shape in cells)
-    assert 4 <= len(rows) < 2 * 45
+    # one row a block and four a chunk, two probe factors a chunk and one
+    # phase grid a block: the chunks before the failing one were solved
+    # whole, the failing chunk stopped before its last block, and no rows
+    # after it were formed
+    starts = [n for n, event in enumerate(events) if event == 4][::2]
+    assert len(starts) >= 2 and len(starts) * 4 < 45
+    grids = [events[a + 2:b] for a, b in zip(starts, starts[1:] + [None])]
+    assert all(grid == [(1, 16)] * 4 for grid in grids[:-1])
+    assert all(shape == (1, 16) for shape in grids[-1]) and len(grids[-1]) < 4
 
 
 def test_adjacent_pair_grid_converges_to_reference():
