@@ -50,7 +50,9 @@ class ArrayGeometry:
             raise ValidityViolation("infinite aperture has no element grid")
         n = self.aperture / self.pitch
         require_cells("the element grid", n)
-        return int(math.floor(n))
+        # a relative slack, as in classify_region, so that a whole number
+        # of pitches is not floored one short by rounding (0.3 / 0.1 < 3)
+        return int(math.floor(n * (1.0 + 1e-12)))
 
     def element_center(self, n: int) -> float:
         """Center of element n, 1-based."""

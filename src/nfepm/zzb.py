@@ -19,10 +19,9 @@ most `_BLOCK_CELLS` grid cells, so memory grows with neither the sweep
 nor the search. `_search_max` raises a running maximum, started at box
 0's integral, over a search line's other boxes, taking a box only where
 an upper bound says it can matter. `_outer` integrates over the offset on
-log-spaced panels, as the integrand's support shrinks like 1/SNR: per
-panel it has the bound do the SNR-free work of the panel's nodes at once,
-then the SNR stage once per run, a stretch of nodes at which no SNR it
-has not cut can be cut, so it evaluates only those SNRs.
+log-spaced panels, as the integrand's support shrinks like 1/SNR, one
+batch of a panel's nodes at a time: the bound evaluates the batch at the
+SNRs not cut when it starts, and `_outer` then cuts them node by node.
 
 zzb_z searches boxes at tilt offsets, which share the families of the
 outer node's distance offset. zzb_t searches boxes at distance offsets.
@@ -52,8 +51,6 @@ from .numerics import (midpoints, q_function, require_cells, require_finite,
                        require_sizes, require_snr, snr_sweep)
 
 _TRUNCATE_REL = 1e-12
-_SURE_AREA = 1e-4
-_SURE_MU = 50.0
 _DELTA_FLOOR_REL = 1e-9
 _MAX_FAMILY_PANELS = 1 << 14
 _PANELS_PER_Z = 6.0
@@ -88,7 +85,7 @@ class ZZBGrid:
         # largest arrays: the offset nodes, a search line's 14 coefficients
         # per distance (zzb_t) or basis functions per tilt, a detection
         # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells (a batch
-        # of offset nodes has that many box cells, a run's search mu at
+        # of offset nodes has that many box cells, and its search mu at
         # most 4 * _BLOCK_CELLS or one box), and the 7 family kernels on
         # one y-block of 8 * _FAMILY_BLOCK nodes, summed over the offsets
         # batched (the phase floor's blocks have at most 2 * _FAMILY_BLOCK
@@ -439,7 +436,9 @@ def _search_max(peak, coef, exact, build, basis, cell, snrs, pitch,
     coefficients, amplitude-only plus a phase floor, below mu on every
     cell; at the first node where they cannot rule the box out,
     coef[0, j] = build(j) replaces them with the exact ones and exact[j]
-    is set. The boxes' mu is taken in blocks of at most
+    is set, or, where build(j) is None, the running maximum of every
+    (node, SNR) pair that needs the box is NaN. The boxes' mu is taken in
+    blocks of at most
     _BLOCK_CELLS grid cells per node (one box at least), and the (node,
     SNR, box) bounds in blocks of at most _BLOCK_CELLS (one SNR at least).
 
@@ -498,10 +497,14 @@ def _search_max(peak, coef, exact, build, basis, cell, snrs, pitch,
         pairs = []
         if screened.size:
             # a screened box's least mu_amp is at most its least mu
-            node, _, kept = taken(least[:, screened], c[:, screened], peak)
+            node, s, kept = taken(least[:, screened], c[:, screened], peak)
             for k in np.unique(kept) if kept.size else ():
                 first, j = node[kept == k].min(), screened[k]
-                coef[0, i + j], exact[i + j] = build(i + j), True
+                built = build(i + j)
+                if built is None:
+                    peak[node[kept == k], s[kept == k]] = math.nan
+                    continue
+                coef[0, i + j], exact[i + j] = built, True
                 m[first:, j] = _mu(coef[0, i + j],
                                    line(basis, i + j, slice(first, None)))
                 least[first:, j] = m[first:, j].min(axis=(1, 2))
@@ -529,52 +532,41 @@ def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
     below _TRUNCATE_REL of its running peak.
 
     The nodes come in batches of one panel, or fewer where a box holds
-    more than a quarter of _BLOCK_CELLS grid cells. bracket(d) does the
-    SNR-free work at a batch's nodes d and returns box 0's largest
-    mu / (snr pitch) at each, NaN where a node cannot be evaluated, and
-    run(rows, live): the brackets (len(rows), len(live)) at the nodes
-    d[rows] for the channels live. run is called once per run, the nodes
-    from the first not yet taken to the first at which a live channel
-    could be cut (or the batch's end), so the live sets, and every cell
-    evaluated, are those of a node-by-node pass.
-
-    A node cannot cut a live channel where d <= (1 - _SURE_AREA) hi and
-    sp * top <= _SURE_MU at the largest live sp. The bracket never falls
-    below box 0's integral, and box 0 spans 1 - d / hi of the prior box
-    (distance offsets run to hi = span, tilt offsets to hi = 1 over tilts
-    in [0, 1]), so at least _SURE_AREA span; Q(sqrt(mu / 2)) >= Q(5) >
-    2.86e-7 on each of its cells, so it integrates to more than
-    2.86e-11 span. Every bracket integrates Q <= 1/2 over a box inside the
-    prior box, so the running peak is at most span / 2, and a cut needs a
-    bracket below 5e-13 span. The rounding of the products and sums moves
-    these by relative amounts near 1e-13, far inside the factor 57 between
-    them."""
+    more than a quarter of _BLOCK_CELLS grid cells. bracket(d, live)
+    returns the brackets (len(d), len(live)) at a batch's nodes d for the
+    channels live when the batch starts, NaN where they cannot be
+    evaluated, and the QuadratureFailure behind those, or None. The
+    batch's nodes are then taken in order: each adds its bracket to the
+    channels still live and cuts those that fall, and the failure is
+    raised at the first node where a channel live there has a NaN bracket
+    (a NaN is never cut). A channel cut inside a batch is evaluated at the
+    batch's later nodes and dropped; each (node, channel) bracket is
+    independent of the others, so the sums, and the nodes where a failure
+    is raised, are those of a node-by-node pass."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi),
                                max(1, grid.n_delta // 4) + 1))
     nodes, weights = _panel_rule(edges, 4)
     per = min(4, max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t)))
-    sure, wd = nodes <= (1.0 - _SURE_AREA) * hi, weights * nodes
+    wd = weights * nodes
     total, peak = np.zeros(len(sp)), np.zeros(len(sp))
     live = np.arange(len(sp))
     for a in range(0, len(nodes), per):
         if live.size == 0:
             break
-        top, run = bracket(nodes[a:a + per])
-        i, end = a, a + len(top)
-        while i < end and live.size:
-            unsure = np.flatnonzero(~(sure[i:end] & (
-                sp[live].max() * top[i - a:] <= _SURE_MU)))
-            j = i + unsure[0] + 1 if unsure.size else end
-            values = run(slice(i - a, j - a), live)
-            for k in range(i, j):
-                value = values[k - i]
-                total[live] = total[live] + wd[k] * value
-                peak[live] = running = np.maximum(peak[live], value)
-                keep = ~(value < _TRUNCATE_REL * running)
-                if not keep.all():
-                    live, values = live[keep], values[:, keep]
-            i = j
+        values, failure = bracket(nodes[a:a + per], live)
+        # the columns of values still live
+        cols = np.arange(len(live))
+        for k, row in enumerate(values):
+            if live.size == 0:
+                break
+            value = row[cols]
+            if failure is not None and np.isnan(value).any():
+                raise failure
+            total[live] = total[live] + wd[a + k] * value
+            peak[live] = running = np.maximum(peak[live], value)
+            keep = ~(value < _TRUNCATE_REL * running)
+            live, cols = live[keep], cols[keep]
     return total / prior.span
 
 
@@ -590,29 +582,20 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     exact = np.ones(grid.n_max_search - 1, dtype=bool)
     sp = snrs * geom.pitch
 
-    def bracket(dz):
+    def bracket(dz, live):
         coef, failures = _family_rows(
             midpoints(prior.z_min, prior.z_max - dz[:, None], grid.n_theta_z),
             dz, geom, wave)
-        # box 0, at tilt offset 0, is taken at every SNR
-        m = _mu(coef, basis[0])
-        top = m.max(axis=(1, 2))
-        top[list(failures)] = math.nan
         cell = ((prior.span - dz[:, None]) / grid.n_theta_z) * (
             (1.0 - search) / grid.n_theta_t)
-
-        def run(rows, live):
-            for node in range(rows.start, rows.stop):
-                if node in failures:
-                    raise failures[node]
-            peak = _q_nodes(lambda i, s: sp[live[s], None, None] * m[rows][i],
-                            rows.stop - rows.start, len(live), cell[rows, 0],
-                            grid)
-            return _search_max(peak, coef[rows, None], exact, None,
-                               basis[None, 1:], cell[rows, 1:], snrs[live],
-                               geom.pitch, grid)
-
-        return top, run
+        # box 0, at tilt offset 0, is taken at every SNR
+        m = _mu(coef, basis[0])
+        peak = _q_nodes(lambda i, s: sp[live[s], None, None] * m[i], len(dz),
+                        len(live), cell[:, 0], grid)
+        peak = _search_max(peak, coef[:, None], exact, None, basis[None, 1:],
+                           cell[:, 1:], snrs[live], geom.pitch, grid)
+        peak[list(failures)] = math.nan
+        return peak, next(iter(failures.values()), None)
 
     out = _outer(prior, prior.span, grid, sp, bracket)
     require_finite("ZZB", snrs, out)
@@ -644,27 +627,21 @@ def _ao_form(z, aperture: float):
 
 
 def _tilt_only(prior: UniformPrior, geom: ArrayGeometry, grid: ZZBGrid):
-    """The tilt-only box: box(dt) takes tilt offsets dt (nodes,) and
-    returns the statistic's largest mu / (snr pitch) at each and q(rows,
-    snrs), the midpoint integrals (len(rows), len(snrs)) of Q(sqrt(mu/2))
-    over the boxes of the prior's distances and the tilts [0, 1 - dt] at
-    the nodes rows, mu the statistic of _ao_form. Its tau-moments are taken
-    here once, its tilt factor once per call of box."""
+    """The tilt-only box: box(dt, snrs) gives the midpoint integrals
+    (len(dt), len(snrs)) of Q(sqrt(mu/2)) over the boxes of the prior's
+    distances and the tilts [0, 1 - dt] at tilt offsets dt, mu the
+    statistic of _ao_form. Its tau-moments are taken here once, its tilt
+    factor once per call of box."""
     d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
                        geom.aperture)
 
-    def box(dt):
+    def box(dt, snrs):
         theta_t = midpoints(0.0, 1.0 - dt[:, None, None], grid.n_theta_t)
         cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
         f = form(theta_t, dt[:, None, None])
-
-        def q(rows, snrs):
-            return _q_nodes(lambda i, s: snrs[s, None, None] * geom.pitch / d
-                            * f[rows][i], len(f[rows]), len(snrs), cell[rows],
-                            grid)
-
-        # a row's largest f / d is its largest f over d, as d > 0
-        return (f.max(axis=2, keepdims=True) / d).max(axis=(1, 2)), q
+        return _q_nodes(
+            lambda i, s: snrs[s, None, None] * geom.pitch / d * f[i], len(dt),
+            len(snrs), cell, grid)
 
     return box
 
@@ -695,7 +672,7 @@ def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
 
     The pass runs 2 n channels for n SNRs, zzb_ao_t's at 0..n-1 and
     zzb_t's at n..2n-1, each truncated on its own. Box 0 of zzb_t's search
-    line has no distance offset, so it is the tilt-only box: per run,
+    line has no distance offset, so it is the tilt-only box: per batch,
     _tilt_only evaluates it once for the SNRs live in either channel, and
     it starts zzb_t's running maximum. The other boxes sit at distance
     offsets of their own; they keep amplitude-only coefficients and a
@@ -708,36 +685,41 @@ def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
                         grid.n_theta_z)
 
+    failed = []
+
     def build(b):
-        return _families(theta_z[b], search[b], geom, wave)
+        # None where the box's families are past the panel cap: the search
+        # then fails only the (node, SNR) pairs that need the box
+        try:
+            return _families(theta_z[b], search[b], geom, wave)
+        except QuadratureFailure as failure:
+            failed.append(failure)
+            return None
 
     # one node entry: a box's coefficients serve every node
     coef = _amplitude_coefficients(theta_z, search, geom)[None]
     coef[0, :, 10:] = _phase_floor(theta_z, search, geom, wave)
     exact = np.zeros(len(search), dtype=bool)
 
-    def bracket(dt):
-        top, box0 = tilt_only(dt)
-        # one tilt grid for all boxes: one basis (1, 14, n_theta_t) per node
-        basis = _tilt_basis(midpoints(0.0, 1.0 - dt[:, None, None, None],
-                                      grid.n_theta_t), dt[:, None, None, None])
-        cell = ((prior.span - search) / grid.n_theta_z) * (
-            (1.0 - dt[:, None]) / grid.n_theta_t)
-
-        def run(rows, live):
-            ao, t = live[live < n], live[live >= n] - n
-            # the tilt-only box at the SNRs live in either channel
-            on = np.zeros(n, dtype=bool)
-            on[ao] = on[t] = True
-            q = np.empty((rows.stop - rows.start, n))
-            q[:, on] = box0(rows, snrs[on])
-            peak = q[:, t]
-            if t.size:
-                peak = _search_max(peak, coef, exact, build, basis[rows],
-                                   cell[rows], snrs[t], geom.pitch, grid)
-            return np.concatenate((q[:, ao], peak), axis=1)
-
-        return top, run
+    def bracket(dt, live):
+        ao, t = live[live < n], live[live >= n] - n
+        # the tilt-only box at the SNRs live in either channel
+        on = np.zeros(n, dtype=bool)
+        on[ao] = on[t] = True
+        q = np.empty((len(dt), n))
+        q[:, on] = tilt_only(dt, snrs[on])
+        peak = q[:, t]
+        if t.size:
+            # one tilt grid for all boxes: a basis (1, 14, n_theta_t) per node
+            basis = _tilt_basis(
+                midpoints(0.0, 1.0 - dt[:, None, None, None], grid.n_theta_t),
+                dt[:, None, None, None])
+            cell = ((prior.span - search) / grid.n_theta_z) * (
+                (1.0 - dt[:, None]) / grid.n_theta_t)
+            peak = _search_max(peak, coef, exact, build, basis, cell, snrs[t],
+                               geom.pitch, grid)
+        return (np.concatenate((q[:, ao], peak), axis=1),
+                failed[0] if failed else None)
 
     sp = snrs * geom.pitch
     out = _outer(prior, 1.0, grid, np.concatenate((sp, sp)),
@@ -768,10 +750,7 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     snrs, shape = snr_sweep(snr)
     tilt_only = _tilt_only(prior, geom, grid)
 
-    def bracket(dt):
-        top, box0 = tilt_only(dt)
-        return top, lambda rows, live: box0(rows, snrs[live])
-
-    out = _outer(prior, 1.0, grid, snrs * geom.pitch, bracket)
+    out = _outer(prior, 1.0, grid, snrs * geom.pitch,
+                 lambda dt, live: (tilt_only(dt, snrs[live]), None))
     require_finite("ZZB", snrs, out)
     return shape(out)

@@ -26,6 +26,10 @@ def test_element_grid():
 
 def test_element_count_floors():
     assert ArrayGeometry(1.0, 0.3).n_elements == 3
+    # whole numbers of pitches whose float ratio falls just short
+    assert 0.3 / 0.1 < 3.0 and 0.7 / 0.1 < 7.0
+    assert ArrayGeometry(0.3, 0.1).n_elements == 3
+    assert ArrayGeometry(0.7, 0.1).n_elements == 7
 
 
 def test_element_index_bounds():

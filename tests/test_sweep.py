@@ -46,8 +46,8 @@ def test_zzb_sweep_equals_one_snr_calls(monkeypatch):
         # a box is larger, whatever the sweep length
         assert max(cells) <= max(zzb_module._BLOCK_CELLS, box)
         # the Q cells of each one-SNR call: the outer integral evaluates
-        # runs of nodes at once, so the count of Q arrays no longer follows
-        # the nodes reached; the cells still fall with them
+        # batches of nodes at once, so the count of Q arrays no longer
+        # follows the nodes reached; the cells still fall with them
         q_cells = []
         for snr in SNR:
             cells.clear()

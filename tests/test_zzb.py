@@ -170,10 +170,11 @@ def test_tilt_only_statistic_rejects_nan(arg):
 @pytest.mark.parametrize("snr", [100.0, [0.0, 1.0, 100.0, 1e4, 1e8]])
 def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     # the tau-moments are taken once per call and the tilt factor once per
-    # batch of outer nodes; the bounds, and the mu cells handed to the box
-    # integral, in order, are bit-identical to mu_L_ao at every node (the
-    # library hands them over in blocks of (node, SNR) pairs, the
-    # reference node by node)
+    # batch of outer nodes; the bounds are bit-identical to mu_L_ao's node
+    # by node, and so is every (node, SNR) grid of mu cells the reference
+    # hands to the box integral: each is among the library's. The library
+    # hands them over in blocks of (node, SNR) pairs and evaluates a batch
+    # at the SNRs live when it starts, so it has more grids
     geom = ArrayGeometry(aperture, 0.1)
     seen = {zzb_module: [], oracles: []}
     for module, log in seen.items():
@@ -185,10 +186,9 @@ def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     for grid in (COARSE, ZZBGrid(24, 12)):
         assert np.array_equal(zzb_ao_t(THRESHOLD_PRIOR, snr, geom, grid),
                               zzb_ao_t_per_node(THRESHOLD_PRIOR, snr, geom, grid))
-    got, want = seen[zzb_module], seen[oracles]
-    assert len(got) > 0 and len(want) > 0
-    assert np.array_equal(np.concatenate([a.ravel() for a in got]),
-                          np.concatenate([b.ravel() for b in want]))
+    got, want = ({g.tobytes() for block in seen[m] for g in block}
+                 for m in (zzb_module, oracles))
+    assert len(want) > 0 and want <= got
 
 
 def test_tilt_only_bound_checks_no_inputs_per_node(monkeypatch):
@@ -528,21 +528,26 @@ def test_search_skips_pairs_whose_q_underflowed(monkeypatch):
     # caller, as both come in 3-D arrays. The bound alone left
     # 1 592 976 cells of both kinds; skipping the pairs whose Q at the
     # least mu is 0 dropped 276 480, and screening zzb_t's boxes and
-    # evaluating only the SNRs the outer integral has not cut 56 990 more.
-    # 4 594 of the 1 259 506 left were bounds; the grid cells stay under
-    # the rest. Screening with Q takes one bound per (SNR, screened box)
-    # and outer node, and one more per box built.
+    # evaluating each batch of outer nodes only at the SNRs not cut when it
+    # starts left 1 276 416 grid cells and 9 060 bounds. An SNR cut inside
+    # a batch is evaluated at the batch's later nodes and dropped. Screening
+    # with Q takes one bound per (SNR, screened box) and outer node, and one
+    # more per box built.
     cells = _counting_q_by_site(monkeypatch)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
     zzb_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
-    assert cells["grid"] <= 1_592_976 - 276_480 - 56_990 - 4_594
-    assert cells["bound"] <= 8_914
+    assert cells["grid"] <= 1_276_416 < 1_592_976 - 276_480
+    assert cells["bound"] <= 9_060
 
 
 def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
-    # every node a run evaluates gets only the SNRs not yet cut; 60 dB is cut
-    # before 0 dB (tests/test_sweep.py pins the values against one-SNR calls)
+    # every batch of outer nodes gets only the SNRs not cut when it starts;
+    # 60 dB is cut before 0 dB (tests/test_sweep.py pins the values against
+    # one-SNR calls). Blocks of two boxes make batches of two nodes, so the
+    # cuts inside the tilt bounds' last panel show at a batch's start
+    monkeypatch.setattr(zzb_module, "_BLOCK_CELLS",
+                        2 * COARSE.n_theta_z * COARSE.n_theta_t)
     seen = _recording_outer(monkeypatch)
     snrs = [snr_from_db(0.0), snr_from_db(60.0)]
     # zzb_t runs zzb_tilt's pass of 2 n channels: zzb_ao_t's at 0 and 1,
@@ -620,31 +625,27 @@ def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
 
 
 def _recording_outer(monkeypatch):
-    """Route zzb's outer integrals through a recorder of their runs;
-    returns the list of calls, one list of runs per _outer call, each run
-    a list of (offset, live channels) per node it evaluates."""
+    """Route zzb's outer integrals through a recorder of their batches;
+    returns the list of calls, one list of batches per _outer call, each
+    batch its offsets and the channels live when it starts."""
     calls = []
     outer = zzb_module._outer
 
     def recording(prior, hi, grid, sp, bracket):
         calls.append([])
 
-        def prepared(d):
-            top, run = bracket(d)
-
-            def recorded(rows, live):
-                calls[-1].append([(x, live.tolist()) for x in d[rows].tolist()])
-                return run(rows, live)
-            return top, recorded
-        return outer(prior, hi, grid, sp, prepared)
+        def recorded(d, live):
+            calls[-1].append((d.tolist(), live.tolist()))
+            return bracket(d, live)
+        return outer(prior, hi, grid, sp, recorded)
 
     monkeypatch.setattr(zzb_module, "_outer", recording)
     return calls
 
 
-def _lives(runs):
-    """The live channels at each node of runs, in order."""
-    return [live for run in runs for _, live in run]
+def _lives(batches):
+    """The live channels at the start of each of batches, in order."""
+    return [live for _, live in batches]
 
 
 @pytest.mark.parametrize("skew", [0.0, 1e6])
@@ -652,7 +653,11 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
     # 0 and 60 dB: the 60 dB channels are cut before the 0 dB ones. A skew
     # raises zzb_t's search result with the tilt offset, so its channels
     # are cut later than zzb_ao_t's; both tilt bounds still come from one
-    # pass, each bit-identical to its own call
+    # pass, each bit-identical to its own call. The live sets are taken at
+    # the starts of the batches of outer nodes; blocks of one box make
+    # batches of one node, so every cut shows at a batch's start
+    monkeypatch.setattr(zzb_module, "_BLOCK_CELLS",
+                        COARSE.n_theta_z * COARSE.n_theta_t)
     if skew:
         search_max = zzb_module._search_max
 
@@ -669,8 +674,8 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
     assert len(calls) == 1
     lives = _lives(calls[0])
     assert lives[0] == [0, 1, 2, 3] and [0, 2] in lives
-    # with the skew, some node has a channel of one bound live and the
-    # other's at the same SNR cut
+    # with the skew, some batch starts with a channel of one bound live and
+    # the other's at the same SNR cut
     split = [live for live in lives
              if {c for c in live if c < 2} != {c - 2 for c in live if c >= 2}]
     assert bool(split) == bool(skew)
@@ -698,26 +703,32 @@ def _counting_q_by_site(monkeypatch):
     return cells
 
 
+def _outer_edges(hi, grid):
+    """The log panel edges of _outer's offset integral."""
+    return np.exp(np.linspace(math.log(hi * zzb_module._DELTA_FLOOR_REL),
+                              math.log(hi), max(1, grid.n_delta // 4) + 1))
+
+
 def _outer_nodes(hi, grid):
     """The offset nodes of _outer, in order."""
-    edges = np.exp(np.linspace(math.log(hi * zzb_module._DELTA_FLOOR_REL),
-                               math.log(hi), max(1, grid.n_delta // 4) + 1))
-    return zzb_module._panel_rule(edges, 4)[0]
+    return zzb_module._panel_rule(_outer_edges(hi, grid), 4)[0]
 
 
 def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
     # the threshold geometry at pitch 0.5 and 30 dB on the coarse grid:
-    # zzb_z is cut after node 15 of 16, inside the last panel, whose last
+    # zzb_z is cut after node 15 of 16, inside the last batch, whose last
     # node needs more family panels than any node reached. With the cap
-    # at the largest count reached, that node is prepared with its panel
-    # but left out of the family evaluation, so the bound keeps its
-    # uncapped value; at 0 dB the pass reaches the node and raises
+    # at the largest count reached, the batch is evaluated with that node
+    # left out of the family evaluation and its failure handed back, never
+    # raised, so the bound keeps its uncapped value; at 0 dB the pass
+    # reaches the node and raises
     prior, geom, wave = THRESHOLD_PRIOR, ArrayGeometry(5.0, 0.5), THRESHOLD_WAVE
     snr = snr_from_db(30.0)
     calls = _recording_outer(monkeypatch)
     uncapped = zzb_z(prior, snr, geom, wave, COARSE)
     nodes = _outer_nodes(prior.span, COARSE)
-    assert [x for run in calls[0] for x, _ in run] == nodes[:15].tolist()
+    assert [x for batch, _ in calls[0] for x in batch] == nodes.tolist()
+    assert calls[0][-1][1] == [0]
 
     def panels(dz):
         return zzb_module._family_panels(
@@ -732,6 +743,50 @@ def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
         zzb_z(prior, snr_from_db(0.0), geom, wave, COARSE)
 
 
+def test_search_does_not_raise_for_a_box_needed_only_past_the_cut(
+        monkeypatch):
+    # cut at 1e-3 of its running peak, zzb_t's 50 dB channel is cut inside
+    # a batch of outer nodes whose later nodes need box 1 of the search
+    # line, while the 20 dB channels are still live; a node-by-node pass
+    # never needs the box. With the family panel cap below every box's 16
+    # panels, it cannot be built: the batch fails only the (node, SNR)
+    # pairs that need it, all past the cut, so the bounds keep their
+    # uncapped values. At 45 dB a live channel needs the box, and the
+    # bound raises
+    prior, geom, wave, grid = (UniformPrior(4.0, 5.0), ArrayGeometry(1.0, 0.1),
+                               Wave(0.03), ZZBGrid(24, 12))
+    snrs = [snr_from_db(20.0), snr_from_db(50.0)]
+    monkeypatch.setattr(zzb_module, "_TRUNCATE_REL", 1e-3)
+    calls = _counting_families(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(zzb_module, "_outer", _node_by_node_outer)
+        uncapped = zzb_t(prior, snrs, geom, wave, grid).tolist()
+    assert calls == []
+    assert zzb_t(prior, snrs, geom, wave, grid).tolist() == uncapped
+    assert calls == [0.0625]
+    monkeypatch.setattr(zzb_module, "_MAX_FAMILY_PANELS", 15)
+    assert zzb_t(prior, snrs, geom, wave, grid).tolist() == uncapped
+    with pytest.raises(QuadratureFailure):
+        zzb_t(prior, snr_from_db(45.0), geom, wave, grid)
+
+
+def _node_by_node_outer(prior, hi, grid, sp, bracket):
+    """_outer's offset integral node by node: one bracket call per node, at
+    the channels live at that node."""
+    total, peak = np.zeros(len(sp)), np.zeros(len(sp))
+    live = np.arange(len(sp))
+    for d, w in zip(*zzb_module._panel_rule(_outer_edges(hi, grid), 4)):
+        value, failure = bracket(np.array([d]), live)
+        if failure is not None and np.isnan(value).any():
+            raise failure
+        total[live] = total[live] + w * d * value[0]
+        peak[live] = np.maximum(peak[live], value[0])
+        live = live[~(value[0] < zzb_module._TRUNCATE_REL * peak[live])]
+        if live.size == 0:
+            break
+    return total / prior.span
+
+
 @pytest.mark.parametrize("cases", [
     [(UniformPrior(lo, hi), snr_from_db(40.0), ArrayGeometry(aperture, 0.5),
       Wave(lam), ZZBGrid(24, 12)) for lam, aperture, lo, hi in GEOMETRY_SCAN],
@@ -739,30 +794,18 @@ def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
     [(UniformPrior(5.0, 6.0), SWEEP, ArrayGeometry(5.0, 0.1), Wave(0.001),
       ZZBGrid())]], ids=["geometry-scan", "threshold-sweep", "fig6-1mm"])
 def test_runs_equal_the_node_by_node_pass(monkeypatch, cases):
-    # a _SURE_MU below 0 ends every run at its first node, so the pass goes
-    # node by node. The batched runs give the same bits, reach the same
-    # nodes with the same live channels and evaluate the same grid and
-    # bound Q cells, in fewer runs
-    cells = _counting_q_by_site(monkeypatch)
-    calls = _recording_outer(monkeypatch)
-    results = []
-    for sure_mu in (zzb_module._SURE_MU, -1.0):
-        monkeypatch.setattr(zzb_module, "_SURE_MU", sure_mu)
-        cells.update(grid=0, bound=0)
-        calls.clear()
-        values = [np.array([zzb_z(prior, snr, geom, wave, grid),
-                            *zzb_tilt(prior, snr, geom, wave, grid),
-                            zzb_ao_t(prior, snr, geom, grid)]).tolist()
-                  for prior, snr, geom, wave, grid in cases]
-        runs = [run for call in calls for run in call]
-        results.append((values, dict(cells),
-                        [node for run in runs for node in run], len(runs)))
-    (values, q_cells, nodes, n_runs), (one_values, one_cells, one_nodes,
-                                       one_runs) = results
-    assert values == one_values
-    assert q_cells == one_cells
-    assert nodes == one_nodes
-    assert one_runs == len(one_nodes) > n_runs
+    # the batches of outer nodes, each evaluated at the channels live when
+    # it starts and cut node by node after, give the bits of a pass that
+    # evaluates one node per bracket call at the channels live there
+    def values():
+        return [np.array([zzb_z(prior, snr, geom, wave, grid),
+                          *zzb_tilt(prior, snr, geom, wave, grid),
+                          zzb_ao_t(prior, snr, geom, grid)]).tolist()
+                for prior, snr, geom, wave, grid in cases]
+
+    batched = values()
+    monkeypatch.setattr(zzb_module, "_outer", _node_by_node_outer)
+    assert batched == values()
 
 
 def test_family_batches_stay_within_one_y_block(monkeypatch):
@@ -1036,9 +1079,9 @@ def test_search_max_equals_brute_force(monkeypatch, block, profiles, winners):
 def test_search_max_over_a_run_equals_its_nodes_one_at_a_time(monkeypatch):
     # four nodes share three screened boxes whose screen is half their mu;
     # a low running maximum from node 2 on keeps box 2, which is built
-    # there. The run gives each node's maximum and the one build of a
-    # node-by-node search, with the same grid cells; as the build comes
-    # before the run's last node, node 3 pays one screen bound per SNR
+    # there. The four nodes at once give each node's maximum and the one
+    # build of a node-by-node search, with the same grid cells; as the
+    # build comes before the last node, node 3 pays one screen bound per SNR
     grid = ZZBGrid(2, 4, 8, 4)
     delta_t = np.array([0.1, 0.2, 0.3])
     exact_coef = np.zeros((3, 14, grid.n_theta_z))
