@@ -8,28 +8,29 @@ engine takes A1 - A0 and r1 - r0 as differences point by point, never
 subtracting channel energies, so mu stays accurate relative to itself at
 the smallest offsets.
 
-The engine, and where each argument lives. `_families` gives, per
-distance offset, 14 coefficients from the y^0..y^2 moments of seven
-kernels in G (`_family_eval`), on a panel count fixed beforehand
-(`_family_panels`); `_family_rows` gives them for a batch of offsets, one
-evaluation per equal panel count. mu on a box's tilt grid is one product
-(`_mu`) of them with a 14-function tilt basis (`_tilt_basis`). `_q_box`
-integrates the detection error Q(sqrt(mu/2)) over boxes, in blocks of at
-most `_BLOCK_CELLS` grid cells, so memory grows with neither the sweep
-nor the search. `_search_max` raises a running maximum, started at box
-0's integral, over a search line's other boxes, taking a box only where
-an upper bound says it can matter. `_outer` integrates over the offset on
+The engine, and where each argument lives. `_family_rows` gives, per
+distance offset of a batch, 14 coefficients from the y^0..y^2 moments of
+seven kernels in G (`_family_eval`), on a panel count fixed beforehand
+(`_family_panels`), one evaluation per equal panel count. mu on a box's
+tilt grid is one product (`_mu`) of them with a 14-function tilt basis
+(`_tilt_basis`). `_q_box` integrates the detection error Q(sqrt(mu/2))
+over boxes, in blocks of at most `_BLOCK_CELLS` grid cells, so memory
+does not grow with the sweep. `_outer` integrates over the offset on
 log-spaced panels, as the integrand's support shrinks like 1/SNR, one
 batch of a panel's nodes at a time: the bound evaluates the batch at the
 SNRs not cut when it starts, and `_outer` then cuts them node by node.
 
-zzb_z searches boxes at tilt offsets, which share the families of the
-outer node's distance offset. zzb_t searches boxes at distance offsets.
-Its box 0 has none, so it is zzb_ao_t's box: the tilt-only statistic in
-closed form (`_ao_form`, integrated by `_tilt_only`), and zzb_tilt gives
-both tilt bounds from one outer pass. zzb_t's other boxes carry screen
-coefficients below mu (`_amplitude_coefficients`, `_phase_floor`) until
-the search needs their exact families.
+Each bound integrates one box per outer offset, with no offset in the
+other parameter (box 0 of the vector bound's search line): zzb_z's box
+sits at tilt offset 0, zzb_t's at distance offset 0. Any offset direction
+gives a valid bound, and a maximum over directions only tightens it
+(Bell, Steinberg, Ephraim and Van Trees, "Extended Ziv-Zakai lower bound
+for vector parameter estimation", IEEE Trans. IT 43(2), 1997); a search
+over 15 more boxes per line raised no bound on any preset. zzb_t's box
+is the tilt-only statistic in closed form (`_ao_form`, integrated by
+`_tilt_only`), so zzb_t equals zzb_ao_t. A geometry with strong
+distance-tilt coupling would need one more box, along the local optimum
+delta_t = -(J_zt / J_tt) delta_z; it is not built.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work runs once per sweep, and a bound that is not
@@ -58,21 +59,16 @@ _PANELS_PER_CYCLE = 2.0
 _BLOCK_CELLS = 1 << 14
 _FAMILY_BLOCK = 1 << 7
 _FAMILY_BATCH = 1 << 10
-_PRUNE_MARGIN = 1e-9
-_FLOOR_ROUNDING = 1e-12
-_FLOOR_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
 class ZZBGrid:
     """The ZZB grids: n_delta // 4 log panels of 4 offset nodes (one panel
-    at least, so n_delta 2-7 all give 4 nodes), boxes of n_theta_z
-    distances by n_theta_t tilts, and search lines of n_max_search
-    boxes."""
+    at least, so n_delta 2-7 all give 4 nodes), and boxes of n_theta_z
+    distances by n_theta_t tilts."""
     n_delta: int = 64
     n_theta_z: int = 64
     n_theta_t: int = 64
-    n_max_search: int = 16
 
     def __post_init__(self):
         for field, size in zip(fields(self),
@@ -80,20 +76,14 @@ class ZZBGrid:
             object.__setattr__(self, field.name, size)
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")
-        if self.n_max_search < 1:
-            raise InvariantViolation("n_max_search must be >= 1")
-        # largest arrays: the offset nodes, a search line's 14 coefficients
-        # per distance (zzb_t) or basis functions per tilt, a detection
-        # block of max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells (a batch
-        # of offset nodes has that many box cells, and its search mu at
-        # most 4 * _BLOCK_CELLS or one box), and the 7 family kernels on
-        # one y-block of 8 * _FAMILY_BLOCK nodes, summed over the offsets
-        # batched (the phase floor's blocks have at most 2 * _FAMILY_BLOCK
-        # panel edges)
+        # largest arrays: the offset nodes, zzb_z's 14 tilt basis functions
+        # per tilt, a detection block of max(_BLOCK_CELLS, n_theta_z *
+        # n_theta_t) cells (a batch of offset nodes has that many box
+        # cells), and the 7 family kernels on one y-block of 8 *
+        # _FAMILY_BLOCK nodes, summed over the offsets batched
         require_cells("the ZZB grid", max(
             self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
-            14 * self.n_max_search * max(self.n_theta_z, self.n_theta_t),
-            7 * self.n_theta_z * 8 * _FAMILY_BLOCK))
+            14 * self.n_theta_t, 7 * self.n_theta_z * 8 * _FAMILY_BLOCK))
 
 
 DEFAULT_GRID = ZZBGrid()
@@ -199,15 +189,15 @@ def _coefficients(m, z0, dz):
 
 def _family_panels(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
                    wave: Wave) -> int:
-    """The panel count of the one moment evaluation of _families: the
-    largest of 2 max(8, ceil(2 cycles)), cycles the turns of the phase
-    k (r1 - r0) along the array at the least distance z0; _PANELS_PER_Z per
-    z0 of aperture, as the kernels are singular at y = +-i z; and
-    _PANELS_PER_CYCLE per turn at the phase's peak rate, which near the
-    array lies far above its mean. Against 8x the panels, every coefficient
-    is then within 2e-14 of the largest, down to a least distance of 0.0004
-    apertures (tests/test_zzb.py). Up to an aperture of 2.5 z0, as in
-    every preset, the first term is the largest. A count past
+    """The panel count of an offset's one moment evaluation in
+    _family_rows: the largest of 2 max(8, ceil(2 cycles)), cycles the turns
+    of the phase k (r1 - r0) along the array at the least distance z0;
+    _PANELS_PER_Z per z0 of aperture, as the kernels are singular at
+    y = +-i z; and _PANELS_PER_CYCLE per turn at the phase's peak rate,
+    which near the array lies far above its mean. Against 8x the panels,
+    every coefficient is then within 2e-14 of the largest, down to a least
+    distance of 0.0004 apertures (tests/test_zzb.py). Up to an aperture of
+    2.5 z0, as in every preset, the first term is the largest. A count past
     _MAX_FAMILY_PANELS raises QuadratureFailure."""
     z0 = float(theta_z.min())
     z1, aperture, k = z0 + delta_z, geom.aperture, wave.wavenumber
@@ -261,111 +251,6 @@ def _family_rows(theta_z: np.ndarray, delta_z: np.ndarray,
     return coef, failures
 
 
-def _families(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
-              wave: Wave):
-    """_family_rows at the one offset delta_z: (14, n_theta_z), or its
-    QuadratureFailure, raised before any evaluation."""
-    coef, failures = _family_rows(theta_z[None], np.array([delta_z]), geom,
-                                  wave)
-    if failures:
-        raise failures[0]
-    return coef[0]
-
-
-def _screen_panels(theta_z: np.ndarray, geom: ArrayGeometry) -> int:
-    """The screen's equal panels over the aperture, each at most a third of
-    the least hypothesis distance wide; the kernels' nearest singularities
-    lie at y = +-i z. A count past _MAX_FAMILY_PANELS raises: the nearest
-    boxes' families would be past it too."""
-    n_panels = 3.0 * geom.aperture / theta_z.min(initial=math.inf)
-    if not n_panels <= _MAX_FAMILY_PANELS:
-        raise QuadratureFailure(
-            f"amplitude screen integrals would need {n_panels:.6g} panels")
-    return max(1, math.ceil(n_panels))
-
-
-def _amplitude_coefficients(theta_z: np.ndarray, delta_z: np.ndarray,
-                            geom: ArrayGeometry):
-    """Amplitude-only mu coefficients (rows, 14, n_theta_z) for hypothesis
-    distances theta_z (rows, n_theta_z) and offsets delta_z (rows,): those
-    of _coefficients at wavenumber 0, the ten of (A1 - A0)^2 and four zeros
-    for the phase term, which is >= 0 on the strip, so they bound mu from
-    below on every cell. On the _screen_panels the quadrature error is at
-    rounding level: within 1e-12 relative of the exact coefficients'
-    amplitude part, so the screen's mu exceeds the exact mu by at most
-    that. That moves Q by a factor of at most exp((x^2 + 1) / 2 * 1e-12),
-    under 7.1e-10 up to x = 37.68 where Q underflows to 0, inside
-    _PRUNE_MARGIN. Where the screen's bound is 0, the exact least mu can
-    sit at most 1e-12 lower, where Q is 0 or below 1e-310; only a running
-    maximum below the box's cell count times that could notice."""
-    n_panels = _screen_panels(theta_z, geom)
-    coef = np.zeros((len(theta_z), 14, theta_z.shape[1]))
-    # rows in groups of at most 16 panels in all: the one evaluation of a
-    # _families call has 16 panels at least, so the screen adds no larger
-    # y-block
-    group = max(1, 16 // n_panels)
-    for i in range(0, len(coef), group):
-        z0, dz = theta_z[i:i + group], delta_z[i:i + group, None]
-        coef[i:i + group] = np.moveaxis(_coefficients(
-            _family_eval(z0, dz, geom, 0.0, n_panels), z0, dz), 0, 1)
-    return coef
-
-
-def _phase_floor(theta_z: np.ndarray, delta_z: np.ndarray,
-                 geom: ArrayGeometry, wave: Wave):
-    """Lower bounds (rows, 4, n_theta_z) on the phase coefficients 10-13
-    for hypothesis distances theta_z (rows, n_theta_z) and offsets
-    delta_z (rows,) > 0: _coefficients' own products, so rounding keeps
-    their order, of floors f_k <= ph_k = int G0 G1 S y^k dy. Those rows,
-    4 ph_2, 4 z1 ph_1, 4 z0 ph_1 and 4 z0 z1 ph_0, multiply t0 t1, t0 s1,
-    s0 t1 and s0 s1, each >= 0 on the strip, so any 0 <= f_k <= ph_k keeps
-    the screen's mu at or below the exact mu on every cell.
-
-    On a panel [a, b] of the _screen_panels, G0 G1 >= G0 G1 (b) and
-    y^k >= a^k, as r0 and r1 grow with y. The phase phi = k (r1 - r0) / 2
-    = k dz (z0 + z1) / (2 (r0 + r1)) falls with y, and |phi'| = k dz
-    (z0 + z1) y / (2 r0 r1 (r0 + r1)) has one peak, at y* = (z0 z1)^(2/3)
-    / sqrt(z0^(2/3) + z1^(2/3)), where z0^2 / r0^3 = z1^2 / r1^3; on the
-    panel it is at most M, its value at y* clipped to the panel. So
-    int_a^b sin^2 phi dy >= int sin^2 phi |phi'| dy / M, the integral of
-    sin^2 over [phi(b), phi(a)] over M. That integral gives up
-    _FLOOR_ROUNDING (1 + phi(a)), far above the rounding of the phases
-    and sines, and is clamped at 0, so panels where phi barely moves add
-    nothing. The floors are scaled by 1 - _FLOOR_SLACK, far more than the
-    rounding of the rest and the quadrature error of the exact ph_k.
-    Taken on rows in groups of at most _FAMILY_BLOCK panels in all (one
-    row at least) and on panels in blocks of _FAMILY_BLOCK, so no array
-    exceeds 2 _FAMILY_BLOCK cells per hypothesis distance."""
-    n_panels = _screen_panels(theta_z, geom)
-    edges = np.linspace(0.0, geom.aperture, n_panels + 1)
-    floor = np.zeros(theta_z.shape + (3,))
-    group = max(1, _FAMILY_BLOCK // n_panels)
-    for i in range(0, len(theta_z), group):
-        z0, dz = theta_z[i:i + group, :, None], delta_z[i:i + group, None, None]
-        z1 = z0 + dz
-        half_phase = 0.5 * wave.wavenumber * dz * (z0 + z1)
-        p, q = z0 ** (2.0 / 3.0), z1 ** (2.0 / 3.0)
-        y_peak = p * q / np.sqrt(p + q)
-        for j in range(0, n_panels, _FAMILY_BLOCK):
-            y = edges[j:j + _FAMILY_BLOCK + 1]
-            r0, r1 = np.hypot(y, z0), np.hypot(y, z1)
-            phase = half_phase / (r0 + r1)
-            gain = np.sqrt(z0 * z1) / (r0 * r1) ** 2.5
-            peak = np.clip(y_peak, y[:-1], y[1:])
-            r0, r1 = np.hypot(peak, z0), np.hypot(peak, z1)
-            rate = half_phase * peak / (r0 * r1 * (r0 + r1))
-            hi, lo = phase[..., :-1], phase[..., 1:]
-            swept = (0.5 * (hi - lo) - 0.25 * (np.sin(2.0 * hi) - np.sin(2.0 * lo))
-                     - _FLOOR_ROUNDING * (1.0 + hi))
-            part = gain[..., 1:] * np.maximum(swept, 0.0) / rate
-            # times a^0, a^1 and a^2 at each panel's left end, summed
-            floor[i:i + group] += part @ np.vander(y[:-1], 3, increasing=True)
-    # the other six families enter rows 0-9 only: zeros broadcast there
-    m = (np.zeros((3, 1, 1)),) * 6 + (np.moveaxis((1.0 - _FLOOR_SLACK) * floor,
-                                                 -1, 0),)
-    return np.moveaxis(_coefficients(m, theta_z, delta_z[:, None])[10:], 0, 1)
-
-
 def _tilt_basis(theta_t: np.ndarray, delta_t):
     """The 14 tilt functions (..., 14, n_theta_t) that mu's coefficients
     multiply, theta_t and delta_t given against (..., 1, n_theta_t)."""
@@ -391,7 +276,7 @@ def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
     pairs, pair j over a box of grid cells of area cell[j] (or one area
     cell for all): mu(rows) gives mu on the grids of the pairs in the slice
     rows, taken in blocks of at most _BLOCK_CELLS grid cells (one box at
-    least), so memory grows with neither the sweep nor the search."""
+    least), so memory does not grow with the sweep."""
     k = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
     sums = np.empty(n_pairs)
     for i in range(0, n_pairs, k):
@@ -414,113 +299,6 @@ def _q_nodes(mu, n_nodes: int, n_snr: int, cell, grid: ZZBGrid):
         return mu(nodes[0] if nodes[0] == nodes[-1] else nodes, s[rows])
 
     return _q_box(block, len(i), cell[i], grid).reshape(n_nodes, n_snr)
-
-
-def _joined(parts):
-    """Index arrays given in parts, one tuple each, joined part after part."""
-    return parts[0] if len(parts) == 1 else [np.concatenate(a)
-                                             for a in zip(*parts)]
-
-
-def _search_max(peak, coef, exact, build, basis, cell, snrs, pitch,
-                grid: ZZBGrid):
-    """Per node and SNR, the running maximum peak (nodes, SNRs), box 0's
-    detection-error integral over a search line, raised by the integrals
-    of the line's other n_max_search - 1 boxes; peak is updated in place
-    and returned. At node i, box j of those has coefficients coef[i, j]
-    (14, n_theta_z), tilt basis basis[i, j] (14, n_theta_t) and cell area
-    cell[i, j]. coef and basis have a node axis and a box axis, each of
-    full length or of one entry that all share (the node axis of one of
-    them is full), and the matrix product broadcasts them. Where exact[j]
-    is false, coef[0, j] (coef then has one node entry) holds screen
-    coefficients, amplitude-only plus a phase floor, below mu on every
-    cell; at the first node where they cannot rule the box out,
-    coef[0, j] = build(j) replaces them with the exact ones and exact[j]
-    is set, or, where build(j) is None, the running maximum of every
-    (node, SNR) pair that needs the box is NaN. The boxes' mu is taken in
-    blocks of at most
-    _BLOCK_CELLS grid cells per node (one box at least), and the (node,
-    SNR, box) bounds in blocks of at most _BLOCK_CELLS (one SNR at least).
-
-    One upper bound, the cell count times the cell area times Q at the
-    box's least mu, decides both the builds and the pairs taken: only where
-    it reaches the running maximum less _PRUNE_MARGIN of it and is not 0,
-    or where either is NaN, so that the NaN reaches the bound and NonFinite
-    raises. Q decreases, and the least mu is the least of the very products
-    the cells use, so a skipped pair's integral can exceed its bound only
-    by the ulp-level non-monotonicity of `erfc` (below 1e-13 relative) and
-    the rounding of the cell sum and the cell areas (below 1e-14), far
-    inside the margin. scipy's `erfc` is exactly 0 from 26.64... on, so a
-    pair whose Q at its least mu is 0 integrates to 0 (a bound of 0 would
-    still reach a running maximum that underflowed to 0). A margin of 1
-    builds every box and takes every pair, and gives the same bits. Each
-    node takes the pairs it would take alone; only a build before the last
-    node costs the later ones a screen bound per SNR more."""
-    n, box = grid.n_max_search - 1, grid.n_theta_z * grid.n_theta_t
-    sp = snrs * pitch
-
-    def lines(a, rows):
-        # the boxes rows of coef or basis, at every node
-        return a[:, rows] if a.shape[1] > 1 else a
-
-    def line(a, j, nodes):
-        # box j of coef or basis at the nodes
-        a = a[:, j] if a.shape[1] > 1 else a[:, 0]
-        return a[nodes] if len(a) > 1 else a
-
-    def taken(least, c, peak):
-        # (node, SNR, box) indices of the pairs taken, for boxes of least
-        # mu / (snr pitch) least and cell area c, both (nodes, boxes)
-        per = max(1, _BLOCK_CELLS // least.size)
-        found = []
-        for k in range(0, len(sp), per):
-            # Q decreases, so no cell of a box exceeds Q at the box's least mu
-            bound = q_function(np.sqrt(np.maximum(
-                sp[k:k + per, None] * least[:, None], 0.0) / 2.0))
-            # a NaN bound or peak takes the pair
-            take = ~(box * c[:, None] * bound
-                     < (1.0 - _PRUNE_MARGIN) * peak[:, k:k + per, None])
-            if _PRUNE_MARGIN < 1.0:
-                # where the bound underflowed to 0, every cell's Q is 0
-                take &= bound != 0.0
-            i, s, b = np.nonzero(take)
-            found.append((i, s + k, b))
-        return _joined(found)
-
-    step = max(1, _BLOCK_CELLS // box)
-    for i in range(0, n, step):
-        m = _mu(lines(coef, slice(i, i + step)),
-                lines(basis, slice(i, i + step)))
-        least, c = m.min(axis=(2, 3)), cell[:, i:i + step]
-        done = np.flatnonzero(exact[i:i + step])
-        screened = np.flatnonzero(~exact[i:i + step])
-        pairs = []
-        if screened.size:
-            # a screened box's least mu_amp is at most its least mu
-            node, s, kept = taken(least[:, screened], c[:, screened], peak)
-            for k in np.unique(kept) if kept.size else ():
-                first, j = node[kept == k].min(), screened[k]
-                built = build(i + j)
-                if built is None:
-                    peak[node[kept == k], s[kept == k]] = math.nan
-                    continue
-                coef[0, i + j], exact[i + j] = built, True
-                m[first:, j] = _mu(coef[0, i + j],
-                                   line(basis, i + j, slice(first, None)))
-                least[first:, j] = m[first:, j].min(axis=(1, 2))
-                node_j, s, _ = taken(least[first:, j:j + 1], c[first:, j:j + 1],
-                                     peak[first:])
-                pairs.append((node_j + first, s, np.full_like(s, j)))
-        if done.size:
-            node, s, b = taken(least[:, done], c[:, done], peak)
-            pairs.append((node, s, done[b]))
-        if not pairs:
-            continue
-        node, s, b = _joined(pairs)
-        np.maximum.at(peak, (node, s), _q_box(
-            lambda rows: sp[s[rows], None, None] * m[node[rows], b[rows]],
-            len(s), c[node, b], grid))
-    return peak
 
 
 def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
@@ -572,28 +350,23 @@ def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
 
 def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
           grid: ZZBGrid = DEFAULT_GRID):
-    """MSE lower bound on the source distance (m^2); NonFinite names the
-    first SNR where it is not finite."""
+    """MSE lower bound on the source distance (m^2), from one box per
+    distance offset at tilt offset 0, a valid bound by itself (Bell et al.
+    1997, see the module docstring); NonFinite names the first SNR where it
+    is not finite."""
     snrs, shape = snr_sweep(snr)
-    search = np.linspace(0.0, 1.0, grid.n_max_search, endpoint=False)
-    # the boxes' tilt grids and offsets do not move with the outer node
-    basis = _tilt_basis(midpoints(0.0, 1.0 - search[:, None, None],
-                                  grid.n_theta_t), search[:, None, None])
-    exact = np.ones(grid.n_max_search - 1, dtype=bool)
+    # the box's tilt grid does not move with the outer node
+    basis = _tilt_basis(midpoints(0.0, 1.0, grid.n_theta_t)[None], 0.0)
     sp = snrs * geom.pitch
 
     def bracket(dz, live):
         coef, failures = _family_rows(
             midpoints(prior.z_min, prior.z_max - dz[:, None], grid.n_theta_z),
             dz, geom, wave)
-        cell = ((prior.span - dz[:, None]) / grid.n_theta_z) * (
-            (1.0 - search) / grid.n_theta_t)
-        # box 0, at tilt offset 0, is taken at every SNR
-        m = _mu(coef, basis[0])
+        cell = ((prior.span - dz) / grid.n_theta_z) * (1.0 / grid.n_theta_t)
+        m = _mu(coef, basis)
         peak = _q_nodes(lambda i, s: sp[live[s], None, None] * m[i], len(dz),
-                        len(live), cell[:, 0], grid)
-        peak = _search_max(peak, coef[:, None], exact, None, basis[None, 1:],
-                           cell[:, 1:], snrs[live], geom.pitch, grid)
+                        len(live), cell, grid)
         peak[list(failures)] = math.nan
         return peak, next(iter(failures.values()), None)
 
@@ -665,87 +438,27 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     return (snr * geom.pitch / d * form(t0, dt))[()]
 
 
-def zzb_tilt(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
-             grid: ZZBGrid = DEFAULT_GRID):
-    """(zzb_t, zzb_ao_t) from one outer pass, each bit-identical to its own
-    call; NonFinite names the first SNR where either is not finite.
-
-    The pass runs 2 n channels for n SNRs, zzb_ao_t's at 0..n-1 and
-    zzb_t's at n..2n-1, each truncated on its own. Box 0 of zzb_t's search
-    line has no distance offset, so it is the tilt-only box: per batch,
-    _tilt_only evaluates it once for the SNRs live in either channel, and
-    it starts zzb_t's running maximum. The other boxes sit at distance
-    offsets of their own; they keep amplitude-only coefficients and a
-    phase floor until _search_max needs their exact ones.
-    """
-    snrs, shape = snr_sweep(snr)
-    n = len(snrs)
-    tilt_only = _tilt_only(prior, geom, grid)
-    search = np.linspace(0.0, prior.span, grid.n_max_search, endpoint=False)[1:]
-    theta_z = midpoints(prior.z_min, prior.z_max - search[:, None],
-                        grid.n_theta_z)
-
-    failed = []
-
-    def build(b):
-        # None where the box's families are past the panel cap: the search
-        # then fails only the (node, SNR) pairs that need the box
-        try:
-            return _families(theta_z[b], search[b], geom, wave)
-        except QuadratureFailure as failure:
-            failed.append(failure)
-            return None
-
-    # one node entry: a box's coefficients serve every node
-    coef = _amplitude_coefficients(theta_z, search, geom)[None]
-    coef[0, :, 10:] = _phase_floor(theta_z, search, geom, wave)
-    exact = np.zeros(len(search), dtype=bool)
-
-    def bracket(dt, live):
-        ao, t = live[live < n], live[live >= n] - n
-        # the tilt-only box at the SNRs live in either channel
-        on = np.zeros(n, dtype=bool)
-        on[ao] = on[t] = True
-        q = np.empty((len(dt), n))
-        q[:, on] = tilt_only(dt, snrs[on])
-        peak = q[:, t]
-        if t.size:
-            # one tilt grid for all boxes: a basis (1, 14, n_theta_t) per node
-            basis = _tilt_basis(
-                midpoints(0.0, 1.0 - dt[:, None, None, None], grid.n_theta_t),
-                dt[:, None, None, None])
-            cell = ((prior.span - search) / grid.n_theta_z) * (
-                (1.0 - dt[:, None]) / grid.n_theta_t)
-            peak = _search_max(peak, coef, exact, build, basis, cell, snrs[t],
-                               geom.pitch, grid)
-        return (np.concatenate((q[:, ao], peak), axis=1),
-                failed[0] if failed else None)
-
-    sp = snrs * geom.pitch
-    out = _outer(prior, 1.0, grid, np.concatenate((sp, sp)),
-                 bracket).reshape(2, n)
-    require_finite("ZZB", snrs, out)
-    return shape(out[1]), shape(out[0])
-
-
 def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
           grid: ZZBGrid = DEFAULT_GRID):
-    """MSE lower bound on the tilt (dimensionless^2): zzb_tilt's first
-    bound."""
-    return zzb_tilt(prior, snr, geom, wave, grid)[0]
+    """MSE lower bound on the tilt (dimensionless^2): zzb_ao_t, which takes
+    no wave. Its box at each tilt offset has distance offset 0, where the
+    joint statistic is the tilt-only one; that box alone gives a valid
+    bound (Bell et al. 1997, see the module docstring)."""
+    del wave
+    return zzb_ao_t(prior, snr, geom, grid)
 
 
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
              grid: ZZBGrid = DEFAULT_GRID):
-    """Tilt bound with the distance treated as a random nuisance.
+    """Tilt bound with the distance treated as a random nuisance; zzb_t
+    equals it, as the box at distance offset 0 gives a valid joint bound
+    (Bell et al. 1997, see the module docstring).
 
-    Its box integral is _tilt_only's, which is box 0 of the joint zzb_t's
-    search line, the running maximum's start. So zzb_t >= zzb_ao_t holds
-    exactly wherever both are truncated at the same outer node. The
-    statistic is mu_L_ao's, its tau-moments taken once per call and its
-    tilt factor once per batch of outer nodes. It takes no wave, and an
-    infinite aperture evaluates the limiting form. NonFinite names the
-    first SNR where the bound is not finite.
+    Its box integral is _tilt_only's: the statistic is mu_L_ao's, its
+    tau-moments taken once per call and its tilt factor once per batch of
+    outer nodes. It takes no wave, and an infinite aperture evaluates the
+    limiting form. NonFinite names the first SNR where the bound is not
+    finite.
     """
     snrs, shape = snr_sweep(snr)
     tilt_only = _tilt_only(prior, geom, grid)

@@ -1,6 +1,6 @@
 """Reference implementations the tests check the library against.
 
-The library computes mu from moment integrals (`zzb._families`) and the
+The library computes mu from moment integrals (`zzb._family_rows`) and the
 Fisher information from the tau closed forms (`ecrb._factors`); these
 integrate the defining expressions directly with adaptive quadrature.
 The MAP search scores its coarse grid in a separable form

@@ -43,7 +43,7 @@ from scenarios import (SOLVER_BENCHMARK, THRESHOLD_GEOM, THRESHOLD_PRIOR,
 # converged inside the 30-37 dB threshold band: at 34 dB zzb_z/ecrb_z is
 # 1.24 on this grid and 3.83 on the default grid, so no check reads the
 # bound there.
-COARSE_GRID = ZZBGrid(48, 48, 48, 12)
+COARSE_GRID = ZZBGrid(48, 48, 48)
 
 # Detection error that every hypothesis pair must keep for the bounds to
 # sit within 5% of the prior variances (0.95 of the coin-flip 1/2).

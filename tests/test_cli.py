@@ -341,7 +341,9 @@ def test_zzb_sweep_output(tmp_path):
                  "--override", "grid.n_theta_z=8",
                  "--override", "grid.n_theta_t=8",
                  "--override", "grid.n_max_search=4"]) == 0
-    _, header, rows = read_result(tmp_path / "zzb.csv")
+    comments, header, rows = read_result(tmp_path / "zzb.csv")
+    # the retired key is accepted and echoed, and feeds nothing
+    assert "# grid.n_max_search = 4" in comments
     assert header == ["snr_db", "zzb_z", "zzb_t", "zzb_ao_t"]
     assert len(rows) == 2
     span_var = 0.4 ** 2 / 12.0
@@ -352,8 +354,8 @@ def test_zzb_sweep_output(tmp_path):
 
 def test_zzb_rows_take_one_pass_per_tilt_pair(tmp_path, monkeypatch):
     # per case, one outer pass for zzb_z and one for both tilt bounds
-    # (zzb_tilt, 2 channels per SNR); fig8 adds only the infinite-aperture
-    # zzb_ao_t's
+    # (zzb_ao_t, whose values are zzb_t's too); fig8 adds only the
+    # infinite-aperture zzb_ao_t's
     zzb_module = importlib.import_module("nfepm.zzb")
     outer, channels = zzb_module._outer, []
     monkeypatch.setattr(zzb_module, "_outer",
@@ -361,11 +363,11 @@ def test_zzb_rows_take_one_pass_per_tilt_pair(tmp_path, monkeypatch):
     cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 0,30,60\n")
     assert main(["zzb", "--config", cfg, "--out", str(tmp_path)]
                 + list(OVERRIDES)) == 0
-    assert channels == [3, 6]
+    assert channels == [3, 3]
     channels.clear()
     assert main(["preset", "fig8", "--out", str(tmp_path)]
                 + list(OVERRIDES)) == 0
-    assert channels == [14, 7]
+    assert channels == [7, 7]
 
 
 # The threshold config: lambda 0.1, aperture 5, pitch 0.1, z_min 3.
@@ -375,15 +377,20 @@ THRESHOLD = ("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
 
 @pytest.mark.parametrize("command, z_max", [
     (["zzb", "--config"], "1e153"), (["zzb", "--config"], "1e300"),
-    (["preset", "fig8"], "1e300")])
+    (["preset", "fig8"], "1e-310")])
 def test_non_finite_zzb_exits_2(tmp_path, capsys, command, z_max):
-    # a ZZB leaves the float range (inf or nan) on a far prior: a
-    # numerical failure naming the first SNR, and no CSV. fig8 takes only
-    # the tilt bounds, whose search boxes overflow while the tilt-only box
-    # stays finite. numpy warns of none of the overflows on the way there
+    # a ZZB leaves the float range (inf or nan): a numerical failure naming
+    # the first SNR, and no CSV. zzb_z overflows on a far prior; fig8 takes
+    # only the tilt bounds, finite there, whose statistic's moments
+    # overflow on a prior at subnormal distances. numpy warns of none of
+    # the overflows on the way there
+    z_min = "3"
     if command[0] == "zzb":
         command = command + [write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")]
-    overrides = THRESHOLD + (f"prior.z_max={z_max}", "sweep.snr_db=30,40")
+    else:
+        z_min = "1e-320"
+    overrides = THRESHOLD + (f"prior.z_min={z_min}", f"prior.z_max={z_max}",
+                             "sweep.snr_db=30,40")
     args = [arg for item in overrides for arg in ("--override", item)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -425,7 +432,7 @@ def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
         solves.extend(solvers)
         return [(0.0, 0.0)] * len(solvers)
 
-    for name in ("zzb_z", "zzb_tilt", "zzb_ao_t", "ecrb", "ecrb_ao",
+    for name in ("zzb_z", "zzb_ao_t", "ecrb", "ecrb_ao",
                  "monte_carlo_mse"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
     monkeypatch.setattr(cli, "rmse_grids", fake_rmse_grids)
@@ -441,8 +448,8 @@ def test_default_grids_are_the_library_defaults(tmp_path, monkeypatch):
         solver for _, solver in TABLE2_MISMATCH]
     echo = [f"# grid.{key} = {value}" for key, value in (
         ("n_delta", zzb.n_delta), ("n_theta_z", zzb.n_theta_z),
-        ("n_theta_t", zzb.n_theta_t), ("n_max_search", zzb.n_max_search),
-        ("ecrb_n_z", EXPECT_GRID[0]), ("ecrb_n_t", EXPECT_GRID[1]),
+        ("n_theta_t", zzb.n_theta_t), ("ecrb_n_z", EXPECT_GRID[0]),
+        ("ecrb_n_t", EXPECT_GRID[1]),
         ("map_n_z", map_grid.n_z), ("map_n_t", map_grid.n_t),
         ("refine_levels", map_grid.refine_levels), ("trials", 200),
         ("u", 200), ("v", 200))]

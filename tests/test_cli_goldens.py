@@ -28,9 +28,8 @@ TABLE2_ATOL_SHARE = 1e-12
 
 # Grids cut down from the CLI defaults so that all cases run in seconds.
 REDUCED_GRID = (("n_delta", 8), ("n_theta_z", 4), ("n_theta_t", 8),
-                ("n_max_search", 4), ("ecrb_n_z", 8), ("ecrb_n_t", 8),
-                ("trials", 4), ("map_n_z", 32), ("map_n_t", 16),
-                ("u", 24), ("v", 24))
+                ("ecrb_n_z", 8), ("ecrb_n_t", 8), ("trials", 4),
+                ("map_n_z", 32), ("map_n_t", 16), ("u", 24), ("v", 24))
 OVERRIDES = tuple(arg for key, val in REDUCED_GRID
                   for arg in ("--override", f"grid.{key}={val}"))
 

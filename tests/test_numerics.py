@@ -125,6 +125,10 @@ def test_every_array_request_is_capped():
     # each raises before it allocates: the over-cap requests here would
     # take tens of GiB
     require_cells("a grid at the cap", MAX_CELLS)
+    # the ZZB grid at each of its caps: the offset nodes, one detection
+    # grid at the default 64 distances, and the family block
+    ZZBGrid(n_delta=MAX_CELLS)
+    ZZBGrid(n_theta_t=MAX_CELLS // 64)
     ZZBGrid(n_theta_z=2340)
     prior, wave = UniformPrior(3.0, 5.0), Wave(0.1)
     fine = ArrayGeometry(5.0, 1e-9)
@@ -133,9 +137,8 @@ def test_every_array_request_is_capped():
         lambda: fine.n_elements,
         lambda: ArrayGeometry(1e300, 1e-300).n_elements,
         lambda: ZZBGrid(n_delta=MAX_CELLS + 1),
-        lambda: ZZBGrid(n_max_search=MAX_CELLS),
+        lambda: ZZBGrid(n_theta_t=MAX_CELLS // 64 + 1),
         lambda: ZZBGrid(n_theta_z=2341),
-        lambda: ZZBGrid(n_theta_t=MAX_CELLS),
         lambda: expect_uniform(lambda z, t: z, prior, MAX_CELLS, 2),
         lambda: rmse_grid(Region.CASE2_PA, UniformPrior(5.0, 20.0),
                           ArrayGeometry(1.0, 0.05), wave, u=MAX_CELLS, v=2),
@@ -153,10 +156,9 @@ _PRIOR, _GEOM, _WAVE = UniformPrior(3.0, 5.0), ArrayGeometry(5.0, 0.1), Wave(0.1
 
 
 @pytest.mark.parametrize("request_sizes", [
-    lambda: zzb_z(_PRIOR, 1e3, _GEOM, _WAVE, ZZBGrid(8.5, 4, 8, 4)),
+    lambda: zzb_z(_PRIOR, 1e3, _GEOM, _WAVE, ZZBGrid(8.5, 4, 8)),
     lambda: ZZBGrid(n_theta_z=4.0),
     lambda: ZZBGrid(n_theta_t=8.5),
-    lambda: ZZBGrid(n_max_search=np.float64(4.0)),
     lambda: ecrb(_PRIOR, 1e3, _GEOM, _WAVE, grid=(8.5, 8)),
     lambda: expect_uniform(lambda z, t: z, _PRIOR, 8, "8"),
     lambda: MapGrid(32.5, 16),
@@ -164,7 +166,7 @@ _PRIOR, _GEOM, _WAVE = UniformPrior(3.0, 5.0), ArrayGeometry(5.0, 0.1), Wave(0.1
     lambda: monte_carlo_mse(_PRIOR, _GEOM, _WAVE, 30.0, 2, 0, MapGrid(32.5, 16)),
     lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10.5, 10),
     lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10, None),
-], ids=["zzb_z", "n_theta_z", "n_theta_t", "n_max_search", "ecrb",
+], ids=["zzb_z", "n_theta_z", "n_theta_t", "ecrb",
         "expect_uniform", "map_n_z", "refine_levels", "monte_carlo_mse",
         "rmse_grid_u", "rmse_grid_v"])
 def test_non_integer_grid_sizes_are_invariant_violations(request_sizes):
@@ -175,9 +177,9 @@ def test_non_integer_grid_sizes_are_invariant_violations(request_sizes):
 def test_numpy_integer_grid_sizes_are_python_ints():
     # numpy integers are sizes too; the grids keep them as Python ints, so
     # the cell caps' products of them cannot wrap around
-    for grid in (ZZBGrid(np.int64(8), np.int32(4), np.int16(8), np.uint8(4)),
+    for grid in (ZZBGrid(np.int64(8), np.int32(4), np.int16(8)),
                  MapGrid(np.int32(32), np.int64(16), np.int8(1))):
         assert all(type(size) is int for size in vars(grid).values())
-    assert ZZBGrid(np.int64(8), 4, 8, 4) == ZZBGrid(8, 4, 8, 4)
+    assert ZZBGrid(np.int64(8), 4, 8) == ZZBGrid(8, 4, 8)
     assert expect_uniform(lambda z, t: z, _PRIOR, np.int64(4), np.int32(2)) == \
         expect_uniform(lambda z, t: z, _PRIOR, 4, 2)

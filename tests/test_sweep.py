@@ -12,7 +12,7 @@ from nfepm.errors import InvariantViolation, NonFinite
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
 from nfepm.observation import snr_from_db
-from nfepm.zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_tilt, zzb_z
+from nfepm.zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
 
 zzb_module = importlib.import_module("nfepm.zzb")
 
@@ -21,7 +21,7 @@ zzb_module = importlib.import_module("nfepm.zzb")
 GEOM, WAVE, PRIOR = ArrayGeometry(5.0, 0.1), Wave(0.1), UniformPrior(3.0, 5.0)
 DB = tuple(float(db) for db in range(-20, 61, 5))
 SNR = [snr_from_db(db) for db in DB]
-GRID = ZZBGrid(16, 8, 8, 4)
+GRID = ZZBGrid(16, 8, 8)
 ECRB_GRID = (16, 12)
 
 
@@ -84,22 +84,27 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
     # 1 / (2 snr pitch) overflows at 1e-310
     with pytest.raises(NonFinite, match=r"at snr 1e-310$"):
         ecrb(PRIOR, [1.0, 1e-310, 1e-311], GEOM, WAVE, ECRB_GRID)
-    # a ZZB that leaves the float range: zzb_z and zzb_tilt on a prior out
-    # to 1e300 m (the offset weights overflow, and so do zzb_t's search
-    # boxes, while the tilt-only box stays finite), zzb_ao_t on one at
-    # subnormal distances (the statistic's moments do)
-    for bound in (zzb_z, zzb_tilt):
-        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
-            bound(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
+    # a ZZB that leaves the float range: zzb_z on a prior out to 1e300 m
+    # (the offset weights overflow, while the tilt-only box stays finite),
+    # zzb_ao_t on one at subnormal distances (the statistic's moments do)
+    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+        zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
     with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
         zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
-    # zzb_tilt names the first SNR where either of its bounds is not
-    # finite, here zzb_t's search made NaN at 3
-    search_max = zzb_module._search_max
-    monkeypatch.setattr(zzb_module, "_search_max", lambda peak, *args: np.where(
-        args[5] == 3.0, math.nan, search_max(peak, *args)))
-    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
-        zzb_tilt(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
+    # the tilt bounds name the first SNR where they are not finite, here
+    # the tilt-only box made NaN at 3
+    tilt_only = zzb_module._tilt_only
+
+    def poisoned(*args):
+        box = tilt_only(*args)
+        return lambda dt, snrs: np.where(snrs == 3.0, math.nan, box(dt, snrs))
+
+    with monkeypatch.context() as m:
+        m.setattr(zzb_module, "_tilt_only", poisoned)
+        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
+            zzb_t(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
+        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
+            zzb_ao_t(PRIOR, [2.0, 3.0, 4.0], GEOM, GRID)
     assert math.isfinite(zzb_ao_t(PRIOR, 3.0, GEOM, GRID))
     for bad in ([], [[1.0, 2.0]]):
         with pytest.raises(InvariantViolation, match="sequence"):
