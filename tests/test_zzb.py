@@ -58,8 +58,9 @@ _FAMILY_NODES = 8 * zzb_module._FAMILY_BLOCK
 # most MAX_CELLS cells, and the sizes one step past it.
 CAP_EDGES = {
     "offset-nodes": (dict(n_delta=MAX_CELLS), dict(n_delta=MAX_CELLS + 1)),
-    "tilt-basis": (dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14),
-                   dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14 + 1)),
+    # zzb_z's box, box 0 of its search line, in the tilt basis
+    "search-tilt-basis": (dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14),
+                          dict(n_theta_z=2, n_theta_t=MAX_CELLS // 14 + 1)),
     "detection-grid": (dict(n_theta_z=2048, n_theta_t=MAX_CELLS // 2048),
                        dict(n_theta_z=2048, n_theta_t=MAX_CELLS // 2048 + 1)),
     "family-block": (
@@ -550,6 +551,30 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
         assert all(0 in live for live in lives)
 
 
+def test_zzb_t_builds_no_families_on_geometry_scan(monkeypatch):
+    # the geometry_scan benchmark's 16 geometries at its 40 dB and grid:
+    # zzb_t integrates the tilt-only box in closed form, so it builds no
+    # channel-mismatch families and gives zzb_ao_t's bits; zzb_z builds
+    # its rows at every batch of outer nodes
+    batches = []
+    family_rows = zzb_module._family_rows
+
+    def counted(theta_z, delta_z, geom, wave):
+        batches.append(len(delta_z))
+        return family_rows(theta_z, delta_z, geom, wave)
+
+    monkeypatch.setattr(zzb_module, "_family_rows", counted)
+    grid = ZZBGrid(24, 12)
+    for lam, aperture, lo, hi in GEOMETRY_SCAN:
+        args = (UniformPrior(lo, hi), snr_from_db(40.0),
+                ArrayGeometry(aperture, 0.5))
+        assert zzb_t(*args, Wave(lam), grid) == zzb_ao_t(*args, grid)
+    assert batches == []
+    zzb_z(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
+          Wave(0.01), grid)
+    assert batches and all(n >= 1 for n in batches)
+
+
 def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
     # the geometry_scan benchmark's 16 geometries and grid over 0-60 dB:
     # zzb_t integrates zzb_ao_t's box, bit for bit, so the ordering holds
@@ -583,6 +608,49 @@ def _recording_outer(monkeypatch):
 def _lives(batches):
     """The live channels at the start of each of batches, in order."""
     return [live for _, live in batches]
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e6])
+def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
+    # the CLI writes both tilt columns from one zzb_ao_t pass over the
+    # sweep; at 0 and 60 dB it equals zzb_t and zzb_ao_t taken one SNR at a
+    # time, bit for bit. A skew raises the box integral with the tilt
+    # offset, so the 60 dB channel is cut one node later, still before the
+    # 0 dB one. Blocks of one box make batches of one node, so every cut
+    # shows at a batch's start
+    monkeypatch.setattr(zzb_module, "_BLOCK_CELLS",
+                        COARSE.n_theta_z * COARSE.n_theta_t)
+    calls = _recording_outer(monkeypatch)
+    snrs = [snr_from_db(0.0), snr_from_db(60.0)]
+    args = (THRESHOLD_PRIOR, snrs, THRESHOLD_GEOM)
+
+    def first_cut():
+        """The batch where the 60 dB channel is first cut in one pass."""
+        calls.clear()
+        zzb_ao_t(*args, COARSE)
+        assert len(calls) == 1
+        lives = _lives(calls[0])
+        assert lives[0] == [0, 1]
+        return lives.index([0])
+
+    unskewed = first_cut()
+    if skew:
+        tilt_only = zzb_module._tilt_only
+
+        def skewed(*tilt_args):
+            box = tilt_only(*tilt_args)
+            return lambda dt, s: box(dt, s) * (1.0 + skew * dt[:, None])
+
+        monkeypatch.setattr(zzb_module, "_tilt_only", skewed)
+    assert first_cut() == unskewed + (1 if skew else 0)
+    ao = zzb_ao_t(*args, COARSE)
+    assert np.array_equal(zzb_t(*args, THRESHOLD_WAVE, COARSE), ao)
+    for i, snr in enumerate(snrs):
+        scalar = (zzb_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                        COARSE),
+                  zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE))
+        assert scalar == (ao[i], ao[i])
+        assert all(isinstance(b, float) for b in scalar)
 
 
 def _outer_edges(hi, grid):
