@@ -9,9 +9,12 @@ The scalar channel e^{jkr} sqrt(z) |n x d| / r^2.5 is coded once, behind
 general_channel and nf_channel; axis_channel is its signed on-axis
 (x_r = 0) hot-path form, which every element voltage uses. Its
 tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in
-axis_factor, which axis_channel multiplies by the attitude term and
-which solver.rmse_grids forms once per probe element and block of
-distance rows, for every solver it scores in that pass.
+axis_factor, which axis_channel multiplies by the attitude term. Two
+hot paths read the factor without the attitude term: solver.rmse_grids
+forms it once per probe element and chunk of distance rows, for every
+solver it scores in that pass, and the MAP search forms it per grid
+distance and element for its coarse scores and per patch distance and
+element for its refinement patches.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 The library computes mu from moment integrals (`zzb._family_rows`) and the
 Fisher information from the tau closed forms (`ecrb._factors`); these
 integrate the defining expressions directly with adaptive quadrature.
-The MAP search scores its coarse grid in a separable form
-(`mapest._coarse_scores`); `coarse_model` is the dense model it replaces.
+The MAP search scores its coarse grid and its refinement patches in
+separable forms (`mapest._coarse_scores`, `mapest._patch_scores`);
+`coarse_model` is the dense model of the first, and `patch_scores_dense`
+scores the patches as -sum |candidate - v|^2 from every candidate's
+voltages.
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
@@ -184,6 +187,13 @@ def coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
     broadcast over (distance, tilt, element)."""
     return element_voltages(z[:, None, None], t[None, :, None], geom,
                             wave).reshape(len(z) * len(t), geom.n_elements)
+
+
+def patch_scores_dense(zs, ts, noisy, geom: ArrayGeometry, wave: Wave):
+    """-sum_e |candidate_e - v_e|^2 of voltage rows v against the voltages
+    of their 7 x 7 patches zs[row, i] x ts[row, j], as (rows, 7, 7)."""
+    cand = element_voltages(zs[:, :, None, None], ts[:, None, :, None], geom, wave)
+    return -np.sum(np.abs(cand - noisy[:, None, None, :]) ** 2, axis=3)
 
 
 def expect_dense(f, prior: UniformPrior, n_z: int = EXPECT_GRID[0],

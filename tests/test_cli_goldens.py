@@ -10,6 +10,9 @@ their exactly solvable columns are rounding noise (about 1e-16).
 Re-capture the fixtures from the current code with
 
     PYTHONPATH=src python3 tests/test_cli_goldens.py
+
+which rewrites only the fixtures that fail the comparison, so fixtures
+within tolerance keep their bytes.
 """
 
 import math
@@ -136,14 +139,59 @@ def test_cli_matches_golden(name, tmp_path):
 
 
 def capture() -> None:
-    """Rewrite every fixture from the current code."""
+    """Bring the fixtures in line with the current code: write each CSV that
+    has no fixture or that `compare` flags, and delete each fixture, and
+    each case directory, that the code no longer writes. A fixture within
+    tolerance keeps its bytes, so a re-capture on another host, whose last
+    digits differ, moves only what changed."""
+    for stale in sorted(set(p.name for p in GOLDEN_DIR.iterdir()) - set(CASES)):
+        shutil.rmtree(GOLDEN_DIR / stale)
+        print(f"removed {stale}")
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             out = run_case(name, Path(tmp))
             dest = GOLDEN_DIR / name
-            shutil.rmtree(dest, ignore_errors=True)
-            shutil.copytree(out, dest)
-        print(f"captured {name}: {sorted(p.name for p in dest.iterdir())}")
+            dest.mkdir(exist_ok=True)
+            written = set(p.name for p in out.iterdir())
+            moved = []
+            for file in sorted(set(p.name for p in dest.iterdir()) - written):
+                (dest / file).unlink()
+                moved.append(f"removed {file}")
+            for file in sorted(written):
+                if not (dest / file).exists() or compare(out / file, dest / file):
+                    shutil.copyfile(out / file, dest / file)
+                    moved.append(f"wrote {file}")
+        print(f"{name}: {', '.join(moved) or 'unchanged'}")
+
+
+def test_capture_rewrites_only_flagged_fixtures(tmp_path, monkeypatch):
+    # a fixture within tolerance keeps its bytes, one out of tolerance or
+    # missing is written, and files and cases no case writes are deleted
+    source = GOLDEN_DIR / "channel"
+    shutil.copytree(source, tmp_path / "channel")
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    monkeypatch.setitem(globals(), "CASES", {"channel": CASES["channel"]})
+    fixture = tmp_path / "channel" / "channel.csv"
+    (tmp_path / "channel" / "extra.csv").write_text("x\n", encoding="utf-8")
+    (tmp_path / "gone").mkdir()
+    (tmp_path / "gone" / "gone.csv").write_text("x\n", encoding="utf-8")
+    committed = fixture.read_text(encoding="utf-8")
+    value = committed.splitlines()[-1].split(",")[1]
+    close = float(value) * (1.0 + 1e-12)
+    assert repr(close) != value
+    near = committed.replace(value, repr(close))
+    fixture.write_text(near, encoding="utf-8")
+    capture()
+    assert fixture.read_text(encoding="utf-8") == near
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["channel"]
+    assert sorted(p.name for p in (tmp_path / "channel").iterdir()) == ["channel.csv"]
+    fixture.write_text(committed.replace(value, repr(2.0 * float(value))),
+                       encoding="utf-8")
+    capture()
+    assert not compare(fixture, source / "channel.csv")
+    fixture.unlink()
+    capture()
+    assert not compare(fixture, source / "channel.csv")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ import pytest
 from nfepm.channel import AxialPose
 from nfepm.errors import InvariantViolation
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
-from nfepm.mapest import (_TRIAL_BLOCK, DEFAULT_MAP_GRID, MapGrid, MseReport,
-                          _coarse_scores, _map_search, log_likelihood,
-                          map_estimate, monte_carlo_mse)
+from nfepm.mapest import (_REFINE_CELLS, _TRIAL_BLOCK, DEFAULT_MAP_GRID,
+                          MapGrid, MseReport, _coarse_scores, _map_search,
+                          _patch_scores, log_likelihood, map_estimate,
+                          monte_carlo_mse)
 from nfepm.numerics import MAX_CELLS, TZ_EPS, stream
-from nfepm.observation import (NoiseSpec, Voltages, element_voltages,
-                               noiseless_voltages, observe, sigma2_for_snr_db)
-from oracles import coarse_model
+from nfepm.observation import (NoiseSpec, Voltages, add_noise, element_voltages,
+                               noiseless_voltages, observe, sigma2_for_snr_db,
+                               unit_noise)
+from oracles import coarse_model, patch_scores_dense
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 mapest_module = importlib.import_module("nfepm.mapest")
@@ -110,7 +112,7 @@ def test_monte_carlo_single_trial_and_validation():
     (ArrayGeometry(5.0, 0.1), Wave(0.1), UniformPrior(3.0, 5.0)),
 ])
 def test_monte_carlo_equals_per_trial_estimates(geom, wave, prior):
-    # 70 trials span two scoring blocks of the harness
+    # 70 trials span nine scoring blocks of the harness
     grid, trials, seed = MapGrid(32, 16, 2), 70, 11
     for db in (0.0, 20.0, 40.0, 60.0):
         report = monte_carlo_mse(prior, geom, wave, db, trials, seed, grid)
@@ -126,6 +128,18 @@ def test_monte_carlo_equals_per_trial_estimates(geom, wave, prior):
             sq_z[i] = (est.distance - z_true[i]) ** 2
             sq_t[i] = (est.tilt - t_true[i]) ** 2
         assert (report.mse_z, report.mse_t) == (sq_z.mean(), sq_t.mean())
+
+
+@pytest.mark.parametrize("geom, wave, prior", [
+    (GEOM, WAVE, PRIOR), (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR)])
+def test_refinement_chunks_leave_estimates_unchanged(geom, wave, prior,
+                                                     monkeypatch):
+    # 70 trials refined in one chunk, and in chunks of 16 rows, the last
+    # one short
+    levels, trials, seed = [0.0, 20.0, 40.0, 60.0], 70, 11
+    whole = monte_carlo_mse(prior, geom, wave, levels, trials, seed)
+    monkeypatch.setattr(mapest_module, "_REFINE_CELLS", 16 * 7 * geom.n_elements)
+    assert monte_carlo_mse(prior, geom, wave, levels, trials, seed) == whole
 
 
 def _coarse_axes(prior, grid):
@@ -195,22 +209,97 @@ def test_coarse_estimates_are_the_likelihood_argmax(seed):
         assert (report.mse_z, report.mse_t) == (sq_z.mean(), sq_t.mean())
 
 
+def _poses_with_corners(prior, rng, n):
+    """n poses drawn from the prior, then the four corners of the box."""
+    z_true = np.concatenate((rng.uniform(prior.z_min, prior.z_max, n),
+                             [prior.z_min, prior.z_min, prior.z_max, prior.z_max]))
+    t_true = np.concatenate((rng.uniform(0.0, 1.0, n), [0.0, 1.0 - TZ_EPS] * 2))
+    return z_true, t_true
+
+
+def _noisy_rows(clean, seed, wave):
+    """The rows at zero noise, at 0-60 dB and at 120 dB."""
+    unit = np.stack([unit_noise(seed, i, clean.shape[1]) for i in range(len(clean))])
+    yield clean
+    for db in (*range(0, 61, 10), 120):
+        yield add_noise(clean, unit, sigma2_for_snr_db(wave, db))
+
+
+@pytest.mark.parametrize("geom, wave, prior", [
+    (GEOM, WAVE, PRIOR), (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR)])
+def test_patch_scores_equal_dense_scores(geom, wave, prior):
+    # the separable patch scores against -sum |candidate - v|^2 over the
+    # candidates' voltages, on the cells of refinement levels 0-2, with
+    # each patch centred within a cell of its true pose and the corner
+    # poses' patches centred on the corners, so clipped: within 1e-12 of
+    # each patch's largest |score|, with the same first argmax (patch rows
+    # clipped to one distance tie in both forms)
+    z, t = _coarse_axes(prior, DEFAULT_MAP_GRID)
+    rng = stream(6)
+    z_true, t_true = _poses_with_corners(prior, rng, 28)
+    clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
+    offsets = np.linspace(-1.0, 1.0, 7)
+    jitter = np.concatenate((rng.uniform(-1.0, 1.0, (2, 28)), np.zeros((2, 4))), axis=1)
+    for level in range(3):
+        cell_z, cell_t = (z[1] - z[0]) / 3 ** level, (t[1] - t[0]) / 3 ** level
+        z_hat = np.clip(z_true + cell_z * jitter[0], prior.z_min, prior.z_max)
+        t_hat = np.clip(t_true + cell_t * jitter[1], 0.0, 1.0 - TZ_EPS)
+        zs = np.clip(z_hat[:, None] + cell_z * offsets, prior.z_min, prior.z_max)
+        ts = np.clip(t_hat[:, None] + cell_t * offsets, 0.0, 1.0 - TZ_EPS)
+        assert np.all(zs[-4:-2, :4] == prior.z_min)
+        assert np.all(zs[-2:, 3:] == prior.z_max)
+        assert np.all(ts[-4::2, :4] == 0.0)
+        assert np.all(ts[-3::2, 3:] == 1.0 - TZ_EPS)
+        for noisy in _noisy_rows(clean, 6, wave):
+            dense = patch_scores_dense(zs, ts, noisy, geom, wave).reshape(len(zs), -1)
+            separable = _patch_scores(zs, ts, noisy, geom, wave).reshape(len(zs), -1)
+            patch_max = np.max(np.abs(dense), axis=1, keepdims=True)
+            assert np.all(np.abs(separable - dense) <= 1e-12 * patch_max)
+            assert np.array_equal(np.argmax(separable, axis=1),
+                                  np.argmax(dense, axis=1))
+
+
+@pytest.mark.parametrize("refine_levels", [2, 6])
+@pytest.mark.parametrize("geom, wave, prior", [
+    (GEOM, WAVE, PRIOR), (THRESHOLD_GEOM, THRESHOLD_WAVE, THRESHOLD_PRIOR)])
+def test_search_equals_dense_refinement(geom, wave, prior, refine_levels,
+                                        monkeypatch):
+    # the search's estimates equal those of the same search refining with
+    # the dense patch scores, from zero noise to 120 dB, the box corners
+    # among the poses
+    estimate = _map_search(prior, geom, wave, MapGrid(refine_levels=refine_levels))
+    z_true, t_true = _poses_with_corners(prior, stream(8), 60)
+    clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
+    rows = list(_noisy_rows(clean, 8, wave))
+    separable = [estimate(noisy) for noisy in rows]
+    monkeypatch.setattr(mapest_module, "_patch_scores", patch_scores_dense)
+    for noisy, (z_hat, t_hat) in zip(rows, separable):
+        z_dense, t_dense = estimate(noisy)
+        assert np.array_equal(z_hat, z_dense) and np.array_equal(t_hat, t_dense)
+
+
 def test_trial_block_scoring_peak_memory():
-    # the scores of a 64-trial block against the default grid are one real
-    # (trial, grid) array; complex grid x block temporaries would take at
-    # least twice its size
-    estimate = _map_search(PRIOR, GEOM, WAVE, DEFAULT_MAP_GRID)
-    clean = noiseless_voltages(AxialPose(0.7, 0.4), GEOM, WAVE)
-    noise = NoiseSpec(sigma2_for_snr_db(WAVE, 20.0), 3)
-    noisy = np.stack([observe(clean, noise, trial=i).values for i in range(64)])
-    score_bytes = 64 * DEFAULT_MAP_GRID.n_z * DEFAULT_MAP_GRID.n_t * 8
+    # estimate scores one _TRIAL_BLOCK of rows at a time, as one real
+    # (trial, grid) array, and refines one chunk of rows at a time, whose
+    # (row, 7, N) arrays (the factors, the residuals and the temporaries
+    # of forming them) take at most 80 bytes, five complex values, per
+    # cell; four chunks of rows, scored or refined at once, take more
+    n = THRESHOLD_GEOM.n_elements
+    chunk_cells = _REFINE_CELLS // (7 * n) * 7 * n
+    rows = 4 * (chunk_cells // (7 * n))
+    estimate = _map_search(THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                           DEFAULT_MAP_GRID)
+    clean = noiseless_voltages(AxialPose(4.0, 0.4), THRESHOLD_GEOM, THRESHOLD_WAVE)
+    noise = NoiseSpec(sigma2_for_snr_db(THRESHOLD_WAVE, 20.0), 3)
+    noisy = np.stack([observe(clean, noise, trial=i).values for i in range(rows)])
+    score_bytes = _TRIAL_BLOCK * DEFAULT_MAP_GRID.n_z * DEFAULT_MAP_GRID.n_t * 8
     tracemalloc.start()
     try:
         estimate(noisy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * score_bytes
+    assert peak <= score_bytes + 5 * 16 * chunk_cells
 
 
 def test_search_build_allocates_less_than_one_score_block():
@@ -240,9 +329,10 @@ def test_map_cell_cap_edge(monkeypatch):
     grid = DEFAULT_MAP_GRID
     assert _TRIAL_BLOCK == 8
     assert 4 * grid.n_z * 16384 <= MAX_CELLS < 4 * grid.n_z * 16385
-    # a trial block's refinement patches (49 x 8 x N) and its (8, grid)
-    # scores stay smaller
-    assert 49 * 8 < 4 * grid.n_z and 8 * grid.n_z * grid.n_t < MAX_CELLS
+    # a refinement chunk there is one row, 7 x N cells, and a trial
+    # block's (8, grid) scores stay smaller
+    assert _REFINE_CELLS // (7 * 16384) == 0
+    assert 7 < 4 * grid.n_z and 8 * grid.n_z * grid.n_t < MAX_CELLS
 
     def built(*args):
         raise _SearchBuilt
