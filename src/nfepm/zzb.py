@@ -13,12 +13,16 @@ distance offset of a batch, 14 coefficients from the y^0..y^2 moments of
 seven kernels in G (`_family_eval`), on a panel count fixed beforehand
 (`_family_panels`), one evaluation per equal panel count. mu on a box's
 tilt grid is one product (`_mu`) of them with a 14-function tilt basis
-(`_tilt_basis`). `_q_box` integrates the detection error Q(sqrt(mu/2))
-over boxes, in blocks of at most `_BLOCK_CELLS` grid cells, so memory
-does not grow with the sweep. `_outer` integrates over the offset on
-log-spaced panels, as the integrand's support shrinks like 1/SNR, one
-batch of a panel's nodes at a time: the bound evaluates the batch at the
-SNRs not cut when it starts, and `_outer` then cuts them node by node.
+(`_tilt_basis`). `_outer` integrates over the offset on log-spaced
+panels, as the integrand's support shrinks like 1/SNR, one batch of a
+panel's nodes at a time. Each bound hands it box(d): for a batch of
+offset nodes d, the statistic per unit snr * pitch on each node's box,
+the boxes' cell areas, and the QuadratureFailure of each node it could
+not evaluate. `_outer` alone handles the SNRs and the cut: it scales the
+statistic by the SNRs not cut when the batch starts, integrates the
+detection error Q(sqrt(mu/2)) over the boxes in blocks of at most
+`_BLOCK_CELLS` grid cells, so memory does not grow with the sweep, and
+then cuts the SNRs node by node.
 
 Each bound integrates one box per outer offset, with no offset in the
 other parameter (box 0 of the vector bound's search line): zzb_z's box
@@ -27,10 +31,10 @@ gives a valid bound, and a maximum over directions only tightens it
 (Bell, Steinberg, Ephraim and Van Trees, "Extended Ziv-Zakai lower bound
 for vector parameter estimation", IEEE Trans. IT 43(2), 1997); a search
 over 15 more boxes per line raised no bound on any preset. zzb_t's box
-is the tilt-only statistic in closed form (`_ao_form`, integrated by
-`_tilt_only`), so zzb_t equals zzb_ao_t. A geometry with strong
-distance-tilt coupling would need one more box, along the local optimum
-delta_t = -(J_zt / J_tt) delta_z; it is not built.
+is the tilt-only statistic in closed form (`_ao_form`), so zzb_t equals
+zzb_ao_t. A geometry with strong distance-tilt coupling would need one
+more box, along the local optimum delta_t = -(J_zt / J_tt) delta_z; it
+is not built.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work runs once per sweep, and a bound that is not
@@ -77,10 +81,10 @@ class ZZBGrid:
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")
         # largest arrays: the offset nodes, zzb_z's 14 tilt basis functions
-        # per tilt, a detection block of max(_BLOCK_CELLS, n_theta_z *
-        # n_theta_t) cells (a batch of offset nodes has that many box
-        # cells), and the 7 family kernels on one y-block of 8 *
-        # _FAMILY_BLOCK nodes, summed over the offsets batched
+        # per tilt, a batch's box statistic and each detection block of
+        # max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells at most, and the 7
+        # family kernels on one y-block of 8 * _FAMILY_BLOCK nodes, summed
+        # over the offsets batched
         require_cells("the ZZB grid", max(
             self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
             14 * self.n_theta_t, 7 * self.n_theta_z * 8 * _FAMILY_BLOCK))
@@ -271,76 +275,61 @@ def _mu(coef: np.ndarray, basis: np.ndarray):
     return np.swapaxes(coef, -1, -2) @ basis
 
 
-def _q_box(mu, n_pairs: int, cell, grid: ZZBGrid):
-    """Midpoint integrals of the detection error Q(sqrt(mu/2)) for n_pairs
-    pairs, pair j over a box of grid cells of area cell[j] (or one area
-    cell for all): mu(rows) gives mu on the grids of the pairs in the slice
-    rows, taken in blocks of at most _BLOCK_CELLS grid cells (one box at
-    least), so memory does not grow with the sweep."""
-    k = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
-    sums = np.empty(n_pairs)
-    for i in range(0, n_pairs, k):
-        rows = slice(i, i + k)
-        sums[rows] = q_function(
-            np.sqrt(np.maximum(mu(rows), 0.0) / 2.0)).sum(axis=(-2, -1))
-    return sums * cell
-
-
-def _q_nodes(mu, n_nodes: int, n_snr: int, cell, grid: ZZBGrid):
-    """_q_box over every (node, SNR) pair of n_nodes nodes and n_snr SNRs,
-    as (n_nodes, n_snr): mu(i, s) gives mu at the pairs of node indices i
-    (one index where they share it) and SNR indices s, and cell[i] is node
-    i's cell area."""
-    i, s = np.divmod(np.arange(n_nodes * n_snr), n_snr)
-
-    def block(rows):
-        nodes = i[rows]
-        # a block at one node takes that node's grid as it is, uncopied
-        return mu(nodes[0] if nodes[0] == nodes[-1] else nodes, s[rows])
-
-    return _q_box(block, len(i), cell[i], grid).reshape(n_nodes, n_snr)
-
-
 def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
-           bracket) -> np.ndarray:
+           box) -> np.ndarray:
     """Offset integral of d * bracket(d) over [hi * _DELTA_FLOOR_REL, hi]
     for each channel c, at snr * pitch = sp[c], over the prior's span:
     n_delta // 4 log-spaced panels (one at least) with 4-point
     Gauss-Legendre each, each channel truncated once its bracket falls
     below _TRUNCATE_REL of its running peak.
 
-    The nodes come in batches of one panel, or fewer where a box holds
-    more than a quarter of _BLOCK_CELLS grid cells. bracket(d, live)
-    returns the brackets (len(d), len(live)) at a batch's nodes d for the
-    channels live when the batch starts, NaN where they cannot be
-    evaluated, and the QuadratureFailure behind those, or None. The
-    batch's nodes are then taken in order: each adds its bracket to the
-    channels still live and cuts those that fall, and the failure is
-    raised at the first node where a channel live there has a NaN bracket
-    (a NaN is never cut). A channel cut inside a batch is evaluated at the
-    batch's later nodes and dropped; each (node, channel) bracket is
-    independent of the others, so the sums, and the nodes where a failure
-    is raised, are those of a node-by-node pass."""
+    The bracket is the midpoint integral of the detection error
+    Q(sqrt(mu/2)) over a node's box, mu = sp[c] * stat. box(d) gives, at
+    a batch of offset nodes d, stat (len(d), n_theta_z, n_theta_t), the
+    cell areas (len(d),) and a {batch index: QuadratureFailure} dict of
+    the nodes it could not evaluate. A batch is one panel, or fewer nodes
+    where a box holds more than a quarter of _BLOCK_CELLS grid cells. It
+    is evaluated at the channels live when it starts, Q in blocks of at
+    most _BLOCK_CELLS grid cells (one box at least), so memory does not
+    grow with the sweep. Its nodes are then taken in order: each adds its
+    bracket to the channels still live and cuts those that fall, and a
+    node's failure is raised only if the pass reaches it with a channel
+    live. Each (node, channel) bracket is independent of the others, so
+    the sums, and the failures raised, are those of a node-by-node pass."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi),
                                max(1, grid.n_delta // 4) + 1))
     nodes, weights = _panel_rule(edges, 4)
-    per = min(4, max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t)))
+    # (node, channel) pairs per Q block, and nodes per batch
+    pairs = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
+    per = min(4, pairs)
     wd = weights * nodes
     total, peak = np.zeros(len(sp)), np.zeros(len(sp))
     live = np.arange(len(sp))
     for a in range(0, len(nodes), per):
         if live.size == 0:
             break
-        values, failure = bracket(nodes[a:a + per], live)
+        stat, cell, failures = box(nodes[a:a + per])
+        # the (node, channel) pairs of the batch, node by node
+        i, c = np.divmod(np.arange(len(stat) * len(live)), len(live))
+        sums = np.empty(len(i))
+        for b in range(0, len(i), pairs):
+            rows = slice(b, b + pairs)
+            n = i[rows]
+            # a block at one node takes that node's grid as it is, uncopied
+            grids = stat[n[0]] if n[0] == n[-1] else stat[n]
+            mu = sp[live[c[rows]], None, None] * grids
+            sums[rows] = q_function(
+                np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum(axis=(-2, -1))
+        values = (sums * cell[i]).reshape(len(stat), len(live))
         # the columns of values still live
         cols = np.arange(len(live))
         for k, row in enumerate(values):
             if live.size == 0:
                 break
+            if k in failures:
+                raise failures[k]
             value = row[cols]
-            if failure is not None and np.isnan(value).any():
-                raise failure
             total[live] = total[live] + wd[a + k] * value
             peak[live] = running = np.maximum(peak[live], value)
             keep = ~(value < _TRUNCATE_REL * running)
@@ -357,30 +346,26 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     snrs, shape = snr_sweep(snr)
     # the box's tilt grid does not move with the outer node
     basis = _tilt_basis(midpoints(0.0, 1.0, grid.n_theta_t)[None], 0.0)
-    sp = snrs * geom.pitch
 
-    def bracket(dz, live):
+    def box(dz):
         coef, failures = _family_rows(
             midpoints(prior.z_min, prior.z_max - dz[:, None], grid.n_theta_z),
             dz, geom, wave)
         cell = ((prior.span - dz) / grid.n_theta_z) * (1.0 / grid.n_theta_t)
-        m = _mu(coef, basis)
-        peak = _q_nodes(lambda i, s: sp[live[s], None, None] * m[i], len(dz),
-                        len(live), cell, grid)
-        peak[list(failures)] = math.nan
-        return peak, next(iter(failures.values()), None)
+        return _mu(coef, basis), cell, failures
 
-    out = _outer(prior, prior.span, grid, sp, bracket)
+    # a bound that leaves the float range raises NonFinite, not a warning
+    with np.errstate(all="ignore"):
+        out = _outer(prior, prior.span, grid, snrs * geom.pitch, box)
     require_finite("ZZB", snrs, out)
     return shape(out)
 
 
 def _ao_form(z, aperture: float):
-    """The closed form of the tilt-only statistic at distances z: a divisor
-    d and a function form(theta_t, delta_t) such that the statistic is
-    snr * pitch / d * form(theta_t, delta_t). The tau-moments m0, m1 and m2
-    depend on z alone and are taken here once; an infinite aperture uses
-    their limits, d = 3 z."""
+    """The closed form of the tilt-only statistic per unit snr * pitch at
+    distances z, as a function form(theta_t, delta_t). The tau-moments m0,
+    m1 and m2 depend on z alone and are taken here once; an infinite
+    aperture uses their limits."""
     if math.isinf(aperture):
         d, moments = 3.0 * z, None
     else:
@@ -392,31 +377,11 @@ def _ao_form(z, aperture: float):
     def form(t0, dt):
         ft = np.sqrt(1.0 - t0 * t0) - np.sqrt(1.0 - (t0 + dt) ** 2)
         if moments is None:
-            return (dt - ft) ** 2 + ft * ft
+            return ((dt - ft) ** 2 + ft * ft) / d
         m2, m1, m0 = moments
-        return dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0
+        return (dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0) / d
 
-    return d, form
-
-
-def _tilt_only(prior: UniformPrior, geom: ArrayGeometry, grid: ZZBGrid):
-    """The tilt-only box: box(dt, snrs) gives the midpoint integrals
-    (len(dt), len(snrs)) of Q(sqrt(mu/2)) over the boxes of the prior's
-    distances and the tilts [0, 1 - dt] at tilt offsets dt, mu the
-    statistic of _ao_form. Its tau-moments are taken here once, its tilt
-    factor once per call of box."""
-    d, form = _ao_form(midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None],
-                       geom.aperture)
-
-    def box(dt, snrs):
-        theta_t = midpoints(0.0, 1.0 - dt[:, None, None], grid.n_theta_t)
-        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        f = form(theta_t, dt[:, None, None])
-        return _q_nodes(
-            lambda i, s: snrs[s, None, None] * geom.pitch / d * f[i], len(dt),
-            len(snrs), cell, grid)
-
-    return box
+    return form
 
 
 def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
@@ -434,8 +399,7 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
         raise InvariantViolation("z_t must be > 0")
     if not (np.all(t0 >= 0) and np.all(t0 + dt <= 1) and np.all(dt >= 0)):
         raise InvariantViolation("tilt hypotheses must stay inside [0, 1]")
-    d, form = _ao_form(z, geom.aperture)
-    return (snr * geom.pitch / d * form(t0, dt))[()]
+    return (snr * geom.pitch * _ao_form(z, geom.aperture)(t0, dt))[()]
 
 
 def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
@@ -454,16 +418,22 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     equals it, as the box at distance offset 0 gives a valid joint bound
     (Bell et al. 1997, see the module docstring).
 
-    Its box integral is _tilt_only's: the statistic is mu_L_ao's, its
-    tau-moments taken once per call and its tilt factor once per batch of
-    outer nodes. It takes no wave, and an infinite aperture evaluates the
-    limiting form. NonFinite names the first SNR where the bound is not
-    finite.
+    Its box is mu_L_ao's statistic, its tau-moments taken once per call
+    and its tilt factor once per batch of outer nodes. It takes no wave,
+    and an infinite aperture evaluates the limiting form. NonFinite names
+    the first SNR where the bound is not finite.
     """
     snrs, shape = snr_sweep(snr)
-    tilt_only = _tilt_only(prior, geom, grid)
+    # a bound that leaves the float range raises NonFinite, not a warning
+    with np.errstate(all="ignore"):
+        form = _ao_form(midpoints(prior.z_min, prior.z_max,
+                                  grid.n_theta_z)[:, None], geom.aperture)
 
-    out = _outer(prior, 1.0, grid, snrs * geom.pitch,
-                 lambda dt, live: (tilt_only(dt, snrs[live]), None))
+        def box(dt):
+            theta_t = midpoints(0.0, 1.0 - dt[:, None, None], grid.n_theta_t)
+            cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
+            return form(theta_t, dt[:, None, None]), cell, {}
+
+        out = _outer(prior, 1.0, grid, snrs * geom.pitch, box)
     require_finite("ZZB", snrs, out)
     return shape(out)

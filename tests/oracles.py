@@ -11,11 +11,11 @@ voltages.
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
-full at every outer node, in an offset integral of its own that runs node
-by node, and `y_blocks_uncached` builds the family y-rule afresh on every
-call. `rmse_grids_per_block` scores the solvers as `solver.rmse_grids`
-once did, forming every probe factor and solving every row's tilt anew
-in each block of rows.
+full at every outer node, in a box sum and an offset integral of its own
+that runs node by node, and `y_blocks_uncached` builds the family y-rule
+afresh on every call. `rmse_grids_per_block` scores the solvers as
+`solver.rmse_grids` once did, forming every probe factor and solving
+every row's tilt anew in each block of rows.
 """
 
 import math
@@ -36,7 +36,7 @@ from nfepm.observation import element_voltages
 from nfepm.solver import (_distance, _gain_phase, _tilt_from_amplitudes,
                           decouple)
 from nfepm.zzb import (_DELTA_FLOOR_REL, _FAMILY_BLOCK, _TRUNCATE_REL,
-                       DEFAULT_GRID, ZZBGrid, _panel_rule, _q_box, mu_L_ao)
+                       DEFAULT_GRID, ZZBGrid, _panel_rule, mu_L_ao)
 
 
 @dataclass(frozen=True)
@@ -248,16 +248,17 @@ def ecrb_asymptotic_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
 def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
                       grid: ZZBGrid = DEFAULT_GRID):
     """zzb_ao_t with the public mu_L_ao, inputs checked and tau-moments
-    formed, called at every outer node and SNR block."""
+    formed, called at every outer node for the SNRs live there."""
     snrs, shape = snr_sweep(snr)
     z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
 
     def bracket(dt, live):
         theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
         cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        return _q_box(lambda rows: mu_L_ao(z_mid, theta_t, dt,
-                                           snrs[live[rows], None, None], geom),
-                      len(live), cell, grid)
+        mu = mu_L_ao(z_mid, theta_t, dt, snrs[live, None, None], geom)
+        # the midpoint rule of Q(sqrt(mu/2)) over each live SNR's box
+        return q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum(
+            axis=(-2, -1)) * cell
 
     # the offset integral node by node, each SNR cut once its bracket falls
     # below _TRUNCATE_REL of its running peak

@@ -3,6 +3,7 @@ the values of their one-SNR calls."""
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,21 +87,24 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
         ecrb(PRIOR, [1.0, 1e-310, 1e-311], GEOM, WAVE, ECRB_GRID)
     # a ZZB that leaves the float range: zzb_z on a prior out to 1e300 m
     # (the offset weights overflow, while the tilt-only box stays finite),
-    # zzb_ao_t on one at subnormal distances (the statistic's moments do)
-    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
-        zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
-    with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
-        zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
+    # zzb_ao_t on one at subnormal distances (the statistic's moments do);
+    # numpy warns of nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+            zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
+        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
+            zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
     # the tilt bounds name the first SNR where they are not finite, here
-    # the tilt-only box made NaN at 3
-    tilt_only = zzb_module._tilt_only
+    # the outer integral made NaN at 3
+    outer = zzb_module._outer
 
-    def poisoned(*args):
-        box = tilt_only(*args)
-        return lambda dt, snrs: np.where(snrs == 3.0, math.nan, box(dt, snrs))
+    def poisoned(prior, hi, grid, sp, box):
+        return np.where(sp == 3.0 * GEOM.pitch, math.nan,
+                        outer(prior, hi, grid, sp, box))
 
     with monkeypatch.context() as m:
-        m.setattr(zzb_module, "_tilt_only", poisoned)
+        m.setattr(zzb_module, "_outer", poisoned)
         with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
             zzb_t(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
         with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):

@@ -172,18 +172,15 @@ def test_tilt_only_statistic_rejects_nan(arg):
 def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     # the tau-moments are taken once per call and the tilt factor once per
     # batch of outer nodes; the bounds are bit-identical to mu_L_ao's node
-    # by node, and so is every (node, SNR) grid of mu cells the reference
-    # hands to the box integral: each is among the library's. The library
+    # by node, and so is every (node, SNR) grid of sqrt(mu/2) the
+    # reference hands to Q: each is among the library's. The library
     # hands them over in blocks of (node, SNR) pairs and evaluates a batch
     # at the SNRs live when it starts, so it has more grids
     geom = ArrayGeometry(aperture, 0.1)
     seen = {zzb_module: [], oracles: []}
     for module, log in seen.items():
-        def recorded(mu, n_pairs, cell, grid, real=module._q_box, log=log):
-            return real(lambda rows: log.append(mu(rows)) or log[-1],
-                        n_pairs, cell, grid)
-
-        monkeypatch.setattr(module, "_q_box", recorded)
+        monkeypatch.setattr(module, "q_function",
+                            lambda x, log=log: log.append(x) or q_function(x))
     for grid in (COARSE, ZZBGrid(24, 12)):
         assert np.array_equal(zzb_ao_t(THRESHOLD_PRIOR, snr, geom, grid),
                               zzb_ao_t_per_node(THRESHOLD_PRIOR, snr, geom, grid))
@@ -514,7 +511,7 @@ def _counting_q(monkeypatch):
 
 
 def test_bounds_take_one_box_per_node_and_snr(monkeypatch):
-    # the snr_sweep benchmark config. Q sees only the grid cells _q_box
+    # the snr_sweep benchmark config. Q sees only the grid cells _outer
     # integrates, one box of 24 x 64 cells per (outer node, SNR) pair a
     # batch evaluates: 292 pairs for zzb_z and 312 for zzb_t. An SNR cut
     # inside a batch is evaluated at the batch's later nodes and dropped
@@ -589,35 +586,46 @@ def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
 def _recording_outer(monkeypatch):
     """Route zzb's outer integrals through a recorder of their batches;
     returns the list of calls, one list of batches per _outer call, each
-    batch its offsets and the channels live when it starts."""
+    batch its offsets, a map from each (node, channel) box of sqrt(mu/2)
+    to its channel, and the set of channels whose boxes Q takes in the
+    batch: those live when it starts."""
     calls = []
     outer = zzb_module._outer
 
-    def recording(prior, hi, grid, sp, bracket):
+    def recording(prior, hi, grid, sp, box):
         calls.append([])
 
-        def recorded(d, live):
-            calls[-1].append((d.tolist(), live.tolist()))
-            return bracket(d, live)
+        def recorded(d):
+            stat, cell, failures = box(d)
+            channel = {np.sqrt(np.maximum(s * m, 0.0) / 2.0).tobytes(): c
+                       for c, s in enumerate(sp) for m in stat}
+            calls[-1].append((d.tolist(), channel, set()))
+            return stat, cell, failures
         return outer(prior, hi, grid, sp, recorded)
 
+    def recording_q(x):
+        _, channel, live = calls[-1][-1]
+        live.update(channel[g.tobytes()] for g in x)
+        return q_function(x)
+
     monkeypatch.setattr(zzb_module, "_outer", recording)
+    monkeypatch.setattr(zzb_module, "q_function", recording_q)
     return calls
 
 
 def _lives(batches):
     """The live channels at the start of each of batches, in order."""
-    return [live for _, live in batches]
+    return [sorted(live) for _, _, live in batches]
 
 
 @pytest.mark.parametrize("skew", [0.0, 1e6])
 def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
     # the CLI writes both tilt columns from one zzb_ao_t pass over the
     # sweep; at 0 and 60 dB it equals zzb_t and zzb_ao_t taken one SNR at a
-    # time, bit for bit. A skew raises the box integral with the tilt
-    # offset, so the 60 dB channel is cut one node later, still before the
-    # 0 dB one. Blocks of one box make batches of one node, so every cut
-    # shows at a batch's start
+    # time, bit for bit. A skew raises the box's cell area, and so its
+    # integral, with the tilt offset, so the 60 dB channel is cut one node
+    # later, still before the 0 dB one. Blocks of one box make batches of
+    # one node, so every cut shows at a batch's start
     monkeypatch.setattr(zzb_module, "_BLOCK_CELLS",
                         COARSE.n_theta_z * COARSE.n_theta_t)
     calls = _recording_outer(monkeypatch)
@@ -635,13 +643,15 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
 
     unskewed = first_cut()
     if skew:
-        tilt_only = zzb_module._tilt_only
+        outer = zzb_module._outer
 
-        def skewed(*tilt_args):
-            box = tilt_only(*tilt_args)
-            return lambda dt, s: box(dt, s) * (1.0 + skew * dt[:, None])
+        def skewed(prior, hi, grid, sp, box):
+            def skewed_box(dt):
+                stat, cell, failures = box(dt)
+                return stat, cell * (1.0 + skew * dt), failures
+            return outer(prior, hi, grid, sp, skewed_box)
 
-        monkeypatch.setattr(zzb_module, "_tilt_only", skewed)
+        monkeypatch.setattr(zzb_module, "_outer", skewed)
     assert first_cut() == unskewed + (1 if skew else 0)
     ao = zzb_ao_t(*args, COARSE)
     assert np.array_equal(zzb_t(*args, THRESHOLD_WAVE, COARSE), ao)
@@ -677,8 +687,8 @@ def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
     calls = _recording_outer(monkeypatch)
     uncapped = zzb_z(prior, snr, geom, wave, COARSE)
     nodes = _outer_nodes(prior.span, COARSE)
-    assert [x for batch, _ in calls[0] for x in batch] == nodes.tolist()
-    assert calls[0][-1][1] == [0]
+    assert [x for batch, *_ in calls[0] for x in batch] == nodes.tolist()
+    assert _lives(calls[0])[-1] == [0]
 
     def panels(dz):
         return zzb_module._family_panels(
@@ -693,18 +703,21 @@ def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
         zzb_z(prior, snr_from_db(0.0), geom, wave, COARSE)
 
 
-def _node_by_node_outer(prior, hi, grid, sp, bracket):
-    """_outer's offset integral node by node: one bracket call per node, at
-    the channels live at that node."""
+def _node_by_node_outer(prior, hi, grid, sp, box):
+    """_outer's offset integral node by node: one box call per node, its
+    detection error summed at the channels live at that node."""
     total, peak = np.zeros(len(sp)), np.zeros(len(sp))
     live = np.arange(len(sp))
     for d, w in zip(*zzb_module._panel_rule(_outer_edges(hi, grid), 4)):
-        value, failure = bracket(np.array([d]), live)
-        if failure is not None and np.isnan(value).any():
-            raise failure
-        total[live] = total[live] + w * d * value[0]
-        peak[live] = np.maximum(peak[live], value[0])
-        live = live[~(value[0] < zzb_module._TRUNCATE_REL * peak[live])]
+        stat, cell, failures = box(np.array([d]))
+        if failures:
+            raise failures[0]
+        mu = sp[live, None, None] * stat[0]
+        value = q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum(
+            axis=(-2, -1)) * cell[0]
+        total[live] = total[live] + w * d * value
+        peak[live] = np.maximum(peak[live], value)
+        live = live[~(value < zzb_module._TRUNCATE_REL * peak[live])]
         if live.size == 0:
             break
     return total / prior.span
@@ -719,7 +732,7 @@ def _node_by_node_outer(prior, hi, grid, sp, bracket):
 def test_runs_equal_the_node_by_node_pass(monkeypatch, cases):
     # the batches of outer nodes, each evaluated at the channels live when
     # it starts and cut node by node after, give the bits of a pass that
-    # evaluates one node per bracket call at the channels live there
+    # evaluates one node per box call at the channels live there
     def values():
         return [np.array([zzb_z(prior, snr, geom, wave, grid),
                           zzb_t(prior, snr, geom, wave, grid),
