@@ -8,12 +8,13 @@ engine takes A1 - A0 and r1 - r0 as differences point by point, never
 subtracting channel energies, so mu stays accurate relative to itself at
 the smallest offsets.
 
-The engine, and where each argument lives. `_family_rows` gives, per
-distance offset of a batch, 14 coefficients from the y^0..y^2 moments of
-seven kernels in G (`_family_eval`), on a panel count fixed beforehand
+The engine, and where each argument lives. It builds only the statistic
+zzb_z integrates, at tilt offset 0. `_family_rows` gives, per distance
+offset of a batch, 3 coefficients from the y^0..y^2 moments of four
+kernels in G (`_family_eval`), on a panel count fixed beforehand
 (`_family_panels`), one evaluation per equal panel count. mu on a box's
-tilt grid is one product (`_mu`) of them with a 14-function tilt basis
-(`_tilt_basis`). `_outer` integrates over the offset on log-spaced
+tilt grid is one product (`_mu`) of them with the tilt basis (t^2, t s,
+s^2) (`_tilt_basis`). `_outer` integrates over the offset on log-spaced
 panels, as the integrand's support shrinks like 1/SNR, one batch of a
 panel's nodes at a time. Each bound hands it box(d): for a batch of
 offset nodes d, the statistic per unit snr * pitch on each node's box,
@@ -34,7 +35,8 @@ over 15 more boxes per line raised no bound on any preset. zzb_t's box
 is the tilt-only statistic in closed form (`_ao_form`), so zzb_t equals
 zzb_ao_t. A geometry with strong distance-tilt coupling would need one
 more box, along the local optimum delta_t = -(J_zt / J_tt) delta_z; it
-is not built.
+is not built, and its statistic would need the tilt-offset terms of A1 -
+A0 back in the coefficients and the tilt basis.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work runs once per sweep, and a bound that is not
@@ -80,14 +82,14 @@ class ZZBGrid:
             object.__setattr__(self, field.name, size)
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")
-        # largest arrays: the offset nodes, zzb_z's 14 tilt basis functions
+        # largest arrays: the offset nodes, zzb_z's 3 tilt basis functions
         # per tilt, a batch's box statistic and each detection block of
-        # max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells at most, and the 7
+        # max(_BLOCK_CELLS, n_theta_z * n_theta_t) cells at most, and the 4
         # family kernels on one y-block of 8 * _FAMILY_BLOCK nodes, summed
         # over the offsets batched
         require_cells("the ZZB grid", max(
             self.n_delta, _BLOCK_CELLS, self.n_theta_z * self.n_theta_t,
-            14 * self.n_theta_t, 7 * self.n_theta_z * 8 * _FAMILY_BLOCK))
+            3 * self.n_theta_t, 4 * self.n_theta_z * 8 * _FAMILY_BLOCK))
 
 
 DEFAULT_GRID = ZZBGrid()
@@ -137,12 +139,12 @@ def _y_blocks(aperture: float, n_panels: int):
 
 def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
                  n_panels: int):
-    """y^0, y^1 and y^2 moments (7, 3, ..., n_theta_z) of dG^2, dG G0, dG G1,
-    G0^2, G0 G1, G1^2 and G0 G1 S at wavenumber k, for hypothesis distances
-    theta_z (..., n_theta_z) and offsets delta_z broadcasting against them
-    (a scalar, or one per row as (..., 1)): G_i = sqrt(z_i) / r_i^2.5,
-    dG = G1 - G0, S = sin^2(k (r1 - r0) / 2), so S = 0 at k = 0. Taken in
-    blocks of _FAMILY_BLOCK panels."""
+    """y^0, y^1 and y^2 moments (4, 3, ..., n_theta_z) of dG^2, dG G1, G1^2
+    and G0 G1 S at wavenumber k, for hypothesis distances theta_z (...,
+    n_theta_z) and offsets delta_z broadcasting against them (a scalar, or
+    one per row as (..., 1)): G_i = sqrt(z_i) / r_i^2.5, dG = G1 - G0,
+    S = sin^2(k (r1 - r0) / 2), so S = 0 at k = 0. Taken in blocks of
+    _FAMILY_BLOCK panels."""
     z0 = theta_z[..., None]
     dz = np.asarray(delta_z)[..., None]
     z1 = z0 + dz
@@ -155,40 +157,27 @@ def _family_eval(theta_z: np.ndarray, delta_z, geom: ArrayGeometry, k: float,
         g1 = np.sqrt(z1) / (rho1 * np.sqrt(r1))
         dg = g1 - g0
         # written in place: stacking the products would copy each once more
-        kernels = np.empty((7,) + dg.shape)
-        for out, (a, b) in zip(kernels, ((dg, dg), (dg, g0), (dg, g1), (g0, g0),
-                                         (g0, g1), (g1, g1))):
-            np.multiply(a, b, out=out)
-        np.multiply(kernels[4], np.sin(half_phase / (r0 + r1)) ** 2,
-                    out=kernels[6])
+        kernels = np.empty((4,) + dg.shape)
+        np.multiply(dg, dg, out=kernels[0])
+        np.multiply(dg, g1, out=kernels[1])
+        np.multiply(g1, g1, out=kernels[2])
+        np.multiply(g0 * g1, np.sin(half_phase / (r0 + r1)) ** 2,
+                    out=kernels[3])
         moments = moments + kernels @ weights
     return np.moveaxis(moments, -1, 1)
 
 
 def _coefficients(m, z0, dz):
-    """The 14 coefficients of mu in the tilt basis of _tilt_basis.
-    A1 - A0 = dG (y t1 + z0 s1) + G0 (y dt + z0 ds) + G1 dz s1, squared,
-    plus the phase term 4 G0 G1 S (y t0 + z0 s0)(y t1 + z1 s1). The rows
-    are written into one array; the shared factors 2 z0, z0^2 and 4 z0 are
-    the leading products of their rows, so sharing them moves no bit."""
-    dd, d0, d1, g00, g01, g11, ph = m
+    """The coefficients of mu in the tilt basis (t^2, t s, s^2) of
+    _tilt_basis, at tilt offset 0: A1 - A0 = dG (y t + z0 s) + G1 dz s,
+    squared, plus the phase term 4 G0 G1 S (y t + z0 s)(y t + z1 s)."""
+    dd, d1, g11, ph = m
     z1 = z0 + dz
-    two_z0, z0_sq, four_z0 = 2.0 * z0, z0 * z0, 4.0 * z0
-    out = np.empty((14,) + ph.shape[1:])
-    out[0], out[3] = dd[2], g00[2]
-    np.multiply(2.0, z0 * dd[1] + dz * d1[1], out=out[1])
-    np.add(z0_sq * dd[0], dz * (two_z0 * d1[0] + dz * g11[0]), out=out[2])
-    np.multiply(two_z0, g00[1], out=out[4])
-    np.multiply(z0_sq, g00[0], out=out[5])
-    np.multiply(2.0, d0[2], out=out[6])
-    np.multiply(two_z0, d0[1], out=out[7])
-    np.multiply(2.0, z0 * d0[1] + dz * g01[1], out=out[8])
-    np.multiply(two_z0, z0 * d0[0] + dz * g01[0], out=out[9])
-    np.multiply(4.0, ph[2], out=out[10])
-    np.multiply(4.0 * z1, ph[1], out=out[11])
-    np.multiply(four_z0, ph[1], out=out[12])
-    np.multiply(four_z0 * z1, ph[0], out=out[13])
-    return out
+    return np.stack((
+        dd[2] + 4.0 * ph[2],
+        2.0 * (z0 * dd[1] + dz * d1[1]) + 4.0 * (z0 + z1) * ph[1],
+        (z0 * z0 * dd[0] + dz * (2.0 * z0 * d1[0] + dz * g11[0])
+         + 4.0 * z0 * z1 * ph[0])))
 
 
 def _family_panels(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
@@ -199,10 +188,13 @@ def _family_panels(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
     _PANELS_PER_Z per z0 of aperture, as the kernels are singular at
     y = +-i z; and _PANELS_PER_CYCLE per turn at the phase's peak rate,
     which near the array lies far above its mean. Against 8x the panels,
-    every coefficient is then within 2e-14 of the largest, down to a least
-    distance of 0.0004 apertures (tests/test_zzb.py). Up to an aperture of
-    2.5 z0, as in every preset, the first term is the largest. A count past
-    _MAX_FAMILY_PANELS raises QuadratureFailure."""
+    every kernel moment is then within 2e-14 of the largest, down to a
+    least distance of 0.0004 apertures (tests/test_zzb.py). mu per cell is
+    as close at offsets of 1e-3 of the prior span or more, but not at the
+    smallest, where dG = G1 - G0 is a difference of nearly equal numbers
+    and the coefficients shrink as delta_z^2: 7e-9 at 1e-9 of the span on
+    a prior 0.002 apertures from the array. Up to an aperture of 2.5 z0,
+    as in every preset, the first term is the largest. A count past _MAX_FAMILY_PANELS raises QuadratureFailure."""
     z0 = float(theta_z.min())
     z1, aperture, k = z0 + delta_z, geom.aperture, wave.wavenumber
     cycles = (k * delta_z * (1.0 - z0 / math.hypot(z0, aperture))
@@ -226,18 +218,18 @@ def _family_panels(theta_z: np.ndarray, delta_z: float, geom: ArrayGeometry,
 
 def _family_rows(theta_z: np.ndarray, delta_z: np.ndarray,
                  geom: ArrayGeometry, wave: Wave):
-    """The 14 mu coefficients per hypothesis distance (nodes, 14,
-    n_theta_z) at offsets delta_z (nodes,) on rows theta_z (nodes,
-    n_theta_z), each from one evaluation of the moments on _family_panels'
-    count: one _family_eval per equal count, on groups of at most
-    _FAMILY_BLOCK panels in all (one node at least), so no y-block is
-    larger than one of a single node's, and of at most _FAMILY_BATCH
-    hypothesis distances times panels: past that the y-block leaves the
-    cache, and a group costs more per node than one node alone (2.4x at
-    4 nodes of 64 distances and 16 panels). A node past
-    _MAX_FAMILY_PANELS is left out, and its QuadratureFailure is returned
-    in a dict by node, to be raised only if the pass reaches it."""
-    coef = np.zeros((len(delta_z), 14, theta_z.shape[1]))
+    """The 3 mu coefficients per hypothesis distance (nodes, 3, n_theta_z)
+    at offsets delta_z (nodes,) on rows theta_z (nodes, n_theta_z), each
+    from one evaluation of the moments on _family_panels' count: one
+    _family_eval per equal count, on groups of at most _FAMILY_BLOCK
+    panels in all (one node at least), so no y-block is larger than one
+    of a single node's, and of at most _FAMILY_BATCH hypothesis distances
+    times panels: past that the y-block leaves the cache, and a group
+    costs more per node than one node alone (2.4x at 4 nodes of 64
+    distances and 16 panels). A node past _MAX_FAMILY_PANELS is left out,
+    and its QuadratureFailure is returned in a dict by node, to be raised
+    only if the pass reaches it."""
+    coef = np.zeros((len(delta_z), 3, theta_z.shape[1]))
     groups, failures = {}, {}
     for i, (z, dz) in enumerate(zip(theta_z, delta_z)):
         try:
@@ -255,23 +247,17 @@ def _family_rows(theta_z: np.ndarray, delta_z: np.ndarray,
     return coef, failures
 
 
-def _tilt_basis(theta_t: np.ndarray, delta_t):
-    """The 14 tilt functions (..., 14, n_theta_t) that mu's coefficients
-    multiply, theta_t and delta_t given against (..., 1, n_theta_t)."""
-    t0 = theta_t
-    s0 = np.sqrt(1.0 - t0 * t0)
-    t1 = t0 + delta_t
-    s1 = np.sqrt(1.0 - t1 * t1)
-    dt = np.full_like(t1, delta_t)
-    ds = -dt * (t0 + t1) / (s0 + s1)
-    return np.concatenate((t1 * t1, t1 * s1, s1 * s1, dt * dt, dt * ds,
-                           ds * ds, t1 * dt, t1 * ds, s1 * dt, s1 * ds,
-                           t0 * t1, t0 * s1, s0 * t1, s0 * s1), axis=-2)
+def _tilt_basis(theta_t: np.ndarray):
+    """The tilt functions (t^2, t s, s^2), s = sqrt(1 - t^2), that mu's
+    coefficients multiply, as (..., 3, n_theta_t) for theta_t given as
+    (..., 1, n_theta_t)."""
+    s = np.sqrt(1.0 - theta_t * theta_t)
+    return np.concatenate((theta_t * theta_t, theta_t * s, s * s), axis=-2)
 
 
 def _mu(coef: np.ndarray, basis: np.ndarray):
     """mu/(snr*pitch) on each box's (theta_z, theta_t) grid, one product of
-    the coefficients coef (..., 14, n_theta_z) with the tilt basis."""
+    the coefficients coef (..., 3, n_theta_z) with the tilt basis."""
     return np.swapaxes(coef, -1, -2) @ basis
 
 
@@ -345,7 +331,7 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     is not finite."""
     snrs, shape = snr_sweep(snr)
     # the box's tilt grid does not move with the outer node
-    basis = _tilt_basis(midpoints(0.0, 1.0, grid.n_theta_t)[None], 0.0)
+    basis = _tilt_basis(midpoints(0.0, 1.0, grid.n_theta_t)[None])
 
     def box(dz):
         coef, failures = _family_rows(

@@ -129,7 +129,7 @@ def test_every_array_request_is_capped():
     # grid at the default 64 distances, and the family block
     ZZBGrid(n_delta=MAX_CELLS)
     ZZBGrid(n_theta_t=MAX_CELLS // 64)
-    ZZBGrid(n_theta_z=2340)
+    ZZBGrid(n_theta_z=4096)
     prior, wave = UniformPrior(3.0, 5.0), Wave(0.1)
     fine = ArrayGeometry(5.0, 1e-9)
     requests = (
@@ -138,7 +138,7 @@ def test_every_array_request_is_capped():
         lambda: ArrayGeometry(1e300, 1e-300).n_elements,
         lambda: ZZBGrid(n_delta=MAX_CELLS + 1),
         lambda: ZZBGrid(n_theta_t=MAX_CELLS // 64 + 1),
-        lambda: ZZBGrid(n_theta_z=2341),
+        lambda: ZZBGrid(n_theta_z=4097),
         lambda: expect_uniform(lambda z, t: z, prior, MAX_CELLS, 2),
         lambda: rmse_grid(Region.CASE2_PA, UniformPrior(5.0, 20.0),
                           ArrayGeometry(1.0, 0.05), wave, u=MAX_CELLS, v=2),
