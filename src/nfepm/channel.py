@@ -8,8 +8,10 @@ inputs and return scalars for scalar inputs.
 The scalar channel e^{jkr} sqrt(z) |n x d| / r^2.5 is coded once, behind
 general_channel and nf_channel; axis_channel is its signed on-axis
 (x_r = 0) hot-path form, which every element voltage uses. Its
-tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in
-axis_factor, which axis_channel multiplies by the attitude term. Two
+tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in a helper
+that the scalar channel multiplies by |n x d| and axis_factor hands to
+axis_channel, which multiplies it by the attitude term. Poses and
+observation points that are not finite raise ValidityViolation. Two
 hot paths read the factor without the attitude term: solver.rmse_grids
 forms it once per probe element and chunk of distance rows, for every
 solver it scores in that pass, and the MAP search forms it per grid
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CoincidentPoints, DivisionByZero, InvariantViolation,
-                     NonPositiveDistance)
+                     NonPositiveDistance, ValidityViolation)
 from .geometry import Wave
 
 FREE_SPACE_IMPEDANCE = 376.73
@@ -41,6 +43,9 @@ class AxialPose:
     tilt: float
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.distance))
+                and np.all(np.isfinite(self.tilt))):
+            raise ValidityViolation("pose distance and tilt must be finite")
         if not np.all(np.asarray(self.distance) > 0):
             raise NonPositiveDistance("source distance must be > 0")
         t = np.asarray(self.tilt)
@@ -63,6 +68,8 @@ class GeneralPose:
         ori = np.asarray(self.orientation, dtype=float)
         if pos.shape != (3,) or ori.shape != (3,):
             raise InvariantViolation("position and orientation must be 3-vectors")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ori))):
+            raise ValidityViolation("position and orientation must be finite")
         if pos[2] <= 0:
             raise NonPositiveDistance("source must sit strictly above the array plane")
         if abs(ori @ ori - 1.0) > 1e-12:
@@ -78,14 +85,24 @@ def _ret(a):
 def _offsets(position, x_r, y_r):
     """(dx, dy, z, r) from a source at position (x_t, y_t, z) to points
     (x_r, y_r, 0)."""
+    x_r = np.asarray(x_r, dtype=float)
+    y_r = np.asarray(y_r, dtype=float)
+    if not (np.all(np.isfinite(x_r)) and np.all(np.isfinite(y_r))):
+        raise ValidityViolation("observation point must be finite")
     x_t, y_t, z = position
     z = np.asarray(z, dtype=float)
-    dx = np.asarray(x_r, dtype=float) - x_t
-    dy = np.asarray(y_r, dtype=float) - y_t
+    dx = x_r - x_t
+    dy = y_r - y_t
     rr = np.sqrt(dx * dx + dy * dy + z * z)
     if np.any(rr == 0):
         raise CoincidentPoints("observation point coincides with the source")
     return dx, dy, z, rr
+
+
+def _tilt_free(rr, z, wave: Wave, scale=1.0):
+    """scale * e^{jkr} / r^2.5 * sqrt(z) at range rr and source height z,
+    the factors applied in the order written."""
+    return scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z)
 
 
 def _scalar_channel(position, n, x_r, y_r, wave: Wave):
@@ -97,7 +114,7 @@ def _scalar_channel(position, n, x_r, y_r, wave: Wave):
     amp = np.sqrt((t_y * dx - t_x * dy) ** 2
                   + (t_z * dx + t_x * z) ** 2
                   + (t_z * dy + t_y * z) ** 2)
-    return _ret(np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z) * amp)
+    return _ret(_tilt_free(rr, z, wave) * amp)
 
 
 def scalar_green(r, wave: Wave):
@@ -147,8 +164,7 @@ def axis_factor(z, y, wave: Wave, scale=1.0):
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    rr = np.sqrt(y * y + z * z)
-    return scale * np.exp(1j * wave.wavenumber * rr) / rr ** 2.5 * np.sqrt(z)
+    return _tilt_free(np.sqrt(y * y + z * z), z, wave, scale)
 
 
 def axis_channel(z, t, y, wave: Wave, scale=1.0):

@@ -23,10 +23,11 @@ ranges) once per block of rows within the chunk.
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
 negative radicand is carried into the complex plane instead of raising.
-A Case I solve whose radicands include a negative one comes back complex
-as a whole. One whose radicands are all >= 0 stays real: its ranges equal
-the complex solve's real parts bit for bit, and its tilts to within two
-ulps (the real quotient rounds once, numpy's complex one twice).
+A diagnostic Case I solve takes the complex root always, so it comes back
+complex whatever its radicands. Where a radicand is >= 0 the root's
+imaginary part is 0 and its real part the plain root bit for bit; the
+tilt there matches the plain solve's to within two ulps (the real
+quotient rounds once, numpy's complex one twice).
 """
 
 from __future__ import annotations
@@ -124,18 +125,17 @@ def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: 
 def _reactive_distance(theta_alpha, y_alpha: float, wave: Wave,
                        diagnostic: bool):
     """The Case I range rule: the alpha phase read as a range. A negative
-    radicand raises, or in diagnostic mode makes the whole result complex."""
+    radicand raises; diagnostic mode takes the complex root throughout."""
     # in place on its own temporaries (a scalar phase rebinds instead)
     radicand = theta_alpha / wave.wavenumber
     radicand **= 2
     radicand -= y_alpha ** 2
     radicand = np.asarray(radicand)
-    negative = np.min(radicand, initial=np.inf) < 0
-    if negative and not diagnostic:
+    if diagnostic:
+        return np.sqrt(radicand.astype(complex))[()]
+    if np.min(radicand, initial=np.inf) < 0:
         raise NegativeRadicand(
             "phase range below element offset; data not from this regime")
-    if negative:
-        return np.sqrt(radicand.astype(complex))[()]
     return np.sqrt(radicand, out=radicand)[()]
 
 
@@ -220,7 +220,7 @@ def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
 
     `case` names the regime the data belong to; `mismatch` optionally
     names a different regime whose solver is applied instead, in
-    diagnostic mode, in which case the RMSEs may be complex (square root
+    diagnostic mode, in which case the RMSEs are complex (square root
     of the complex mean of squared errors). This is the one-solver call
     of `rmse_grids`, which describes the method.
     """
@@ -260,10 +260,8 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     at most once, for every solver that reads it, then each solver's
     cell ranges; the row tilt errors are summed over the same slice.
     Nothing outlives its chunk. A check failing in any row or block, for
-    any solver, raises; no partial RMSE is returned. In diagnostic mode,
-    a negative Case I radicand anywhere in a block, in a cell or in a
-    row, makes the whole block's solve complex, block by block, whatever
-    the rest of its chunk does.
+    any solver, raises; no partial RMSE is returned. The block and chunk
+    sizes regroup the sums and change nothing else.
     """
     u, v = require_sizes("the RMSE grid", u, v)
     if u < 2 or v < 2:
@@ -289,23 +287,18 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
         zc = z_rows[lo:lo + chunk]
         c = {y: axis_factor(zc, y, wave, scale) for y in ys}
         row = {y: decouple(cy) for y, cy in c.items()}
-
-        def tilt_errors(y_a, y_b, z_row, rows):
-            # per row of zc[rows], the sum of the squared tilt errors when
-            # the tilt is solved at the ranges z_row
-            z, psi_a, psi_b = zc[rows], row[y_a].psi[rows], row[y_b].psi[rows]
-            alpha = _tilt_from_amplitudes(psi_a * y_a, psi_b * y_b, y_a, y_b,
-                                          z_row, geom, wave)
-            beta = _tilt_from_amplitudes(psi_a * z, psi_b * z, y_a, y_b,
-                                         z_row, geom, wave)
-            return ((alpha - 1.0) ** 2 * tt + 2.0 * (alpha - 1.0) * beta * ts
-                    + beta ** 2 * ss)
-
+        # per solver, the sum of each row's squared tilt errors
         solved = []
         for kind, diagnostic, y_a, y_b in plans:
             z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
                               diagnostic)
-            solved.append((z_row, tilt_errors(y_a, y_b, z_row, slice(None))))
+            psi_a, psi_b = row[y_a].psi, row[y_b].psi
+            alpha = _tilt_from_amplitudes(psi_a * y_a, psi_b * y_b, y_a, y_b,
+                                          z_row, geom, wave)
+            beta = _tilt_from_amplitudes(psi_a * zc, psi_b * zc, y_a, y_b,
+                                         z_row, geom, wave)
+            solved.append((alpha - 1.0) ** 2 * tt
+                          + 2.0 * (alpha - 1.0) * beta * ts + beta ** 2 * ss)
         for i in range(0, len(zc), step):
             block = slice(i, i + step)
             z = zc[block]
@@ -317,24 +310,12 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
                     cells[y] = _gain_phase(c[y][block], y * t + zs)
                 return cells[y]
 
-            for (kind, diagnostic, y_a, y_b), (z_row, err_t), sq in zip(
+            for (kind, diagnostic, y_a, y_b), err_t, sq in zip(
                     plans, solved, sums):
                 z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
-                z_row, err_t = z_row[block], err_t[block]
-                # a diagnostic Case I solve is complex in a whole block when
-                # a radicand of the block is negative, in a cell or in a row
-                # (whose complex root then has a nonzero imaginary part)
-                negative = np.iscomplexobj(z_hat) or (
-                    np.iscomplexobj(z_row) and np.any(z_row.imag))
-                if negative != np.iscomplexobj(z_row):
-                    # a real root is the complex one's real part bit for bit
-                    z_row = z_row.astype(complex) if negative else z_row.real
-                    err_t = tilt_errors(y_a, y_b, z_row, block)
-                if negative:
-                    z_hat = z_hat.astype(complex, copy=False)
                 z_hat -= z
                 sq[0] += np.sum(np.square(z_hat, out=z_hat))
-                sq[1] += np.sum(err_t)
+                sq[1] += np.sum(err_t[block])
     return [tuple((complex if diagnostic else float)(np.sqrt(x / (u * v)))
                   for x in sq)
             for (_, diagnostic, *_), sq in zip(plans, sums)]

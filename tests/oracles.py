@@ -289,7 +289,7 @@ def rmse_grids_per_block(case, prior: UniformPrior, geom: ArrayGeometry,
                          wave: Wave, u: int, v: int, solvers):
     """solver.rmse_grids with all its work done block by block: each
     block of at most solver._BLOCK_CELLS cells forms its own probe
-    factors and row solves, and decides real or complex on its own."""
+    factors and row solves."""
     plans = []
     for mismatch in solvers:
         kind = case if mismatch is None else mismatch
@@ -320,9 +320,6 @@ def rmse_grids_per_block(case, prior: UniformPrior, geom: ArrayGeometry,
             z_hat = _distance(kind, theta, y_a, y_b, wave, diagnostic)
             z_row = _distance(kind, lambda y: row[y].theta, y_a, y_b, wave,
                               diagnostic)
-            if np.iscomplexobj(z_hat) != np.iscomplexobj(z_row):
-                # a real root is the complex one's real part bit for bit
-                z_hat, z_row = z_hat.astype(complex), z_row.astype(complex)
             alpha = _tilt_from_amplitudes(row[y_a].psi * y_a,
                                           row[y_b].psi * y_b, y_a, y_b,
                                           z_row, geom, wave)

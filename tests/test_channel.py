@@ -9,7 +9,8 @@ from nfepm.channel import (DEGENERATE_KINDS, AxialPose, GeneralPose,
                            general_channel,
                            nf_channel, rerr, scalar_green,
                            scaling_factor, simp_channel, vector_field)
-from nfepm.errors import InvariantViolation, NonPositiveDistance
+from nfepm.errors import (InvariantViolation, NonPositiveDistance,
+                          ValidityViolation)
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.observation import noiseless_voltages
 from scenarios import ACCURACY_WAVE, ACCURACY_Y
@@ -36,6 +37,33 @@ def test_pose_validation():
         GeneralPose((0.0, 0.0, 1.0), (0.0, 0.0, 1.1))
     with pytest.raises(NonPositiveDistance):
         GeneralPose((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+    # non-finite poses, scalar and array alike
+    for distance, tilt in ((np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan),
+                           (np.array([1.0, np.inf]), 0.5),
+                           (np.array([1.0, 2.0]), np.array([0.1, np.nan]))):
+        with pytest.raises(ValidityViolation):
+            AxialPose(distance, tilt)
+    for position, orientation in (((np.nan, 0.0, 1.0), (0.0, 0.0, 1.0)),
+                                  ((0.0, np.inf, 1.0), (0.0, 0.0, 1.0)),
+                                  ((0.0, 0.0, np.inf), (0.0, 0.0, 1.0)),
+                                  ((0.0, 0.0, 1.0), (0.0, np.nan, 1.0))):
+        with pytest.raises(ValidityViolation):
+            GeneralPose(position, orientation)
+
+
+def test_non_finite_observation_point_is_rejected():
+    wave = Wave(0.3)
+    axial, general = AxialPose(1.0, 0.4), GeneralPose((0.1, 0.2, 1.0))
+    for x_r, y_r in ((np.nan, 0.0), (0.0, np.inf),
+                     (np.array([0.0, -np.inf]), 0.5)):
+        for call in (lambda: nf_channel(axial, x_r, y_r, wave),
+                     lambda: general_channel(general, x_r, y_r, wave),
+                     lambda: vector_field(general, x_r, y_r, wave),
+                     lambda: simp_channel(axial, x_r, y_r, wave),
+                     lambda: degenerate_channel("usw", axial, x_r, y_r, wave),
+                     lambda: rerr("nfem", axial, x_r, y_r, wave)):
+            with pytest.raises(ValidityViolation):
+                call()
 
 
 def test_axial_pose_transverse():

@@ -153,6 +153,9 @@ NON_FINITE_PROBES = {
     "pitch-nan": (("preset", "fig4"), None, "array.pitch=nan"),
     "aperture-nan": (("preset", "fig4"), None, "array.aperture=nan"),
     "sweep-nan": (("zzb",), "\n[sweep]\nsnr_db = nan,30\n", None),
+    # source heights that are not finite
+    "pose-z-inf": (("channel",), "", "pose.z=inf"),
+    "pose-z-nan": (("solve",), "", "pose.z=nan"),
     # SNRs and noise variances with no finite positive float value
     "noise-snr_db-nan": (("solve",), "", "noise.snr_db=nan"),
     "noise-snr_db-inf": (("solve",), "", "noise.snr_db=inf"),

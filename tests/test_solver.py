@@ -274,11 +274,11 @@ def test_negative_radicand_and_diagnostic_mode():
     assert np.imag(res.z_hat) != 0.0
 
 
-def test_diagnostic_case1_goes_complex_only_with_a_negative_radicand():
-    # Case I data (column 1): every radicand is >= 0, so the diagnostic
-    # solve stays real; its ranges equal the complex path's real parts bit
-    # for bit, its tilts to two ulps (numpy divides complex numbers by
-    # multiplying with a rounded reciprocal)
+def test_diagnostic_case1_is_complex_throughout():
+    # Case I data (column 1): every radicand is >= 0, and the diagnostic
+    # solve is complex with zero imaginary parts; its ranges equal the
+    # plain solve's bit for bit, its tilts to two ulps (numpy divides
+    # complex numbers by multiplying with a rounded reciprocal)
     geom, wave = ArrayGeometry(0.5, 0.05), Wave(1.0)
     y_a, y_b = geom.element_center(1), geom.element_center(10)
     z = np.linspace(0.5, 0.9, 9)[:, None]
@@ -286,20 +286,21 @@ def test_diagnostic_case1_goes_complex_only_with_a_negative_radicand():
     scale = wave.amplitude * geom.pitch
     v_a = axis_channel(z, t, y_a, wave, scale=scale)
     v_b = axis_channel(z, t, y_b, wave, scale=scale)
-    da, db = decouple(v_a), decouple(v_b)
-    z_c = np.sqrt(((da.theta / wave.wavenumber) ** 2 - y_a ** 2).astype(complex))
-    t_c = _tilt_from_amplitudes(da.psi, db.psi, y_a, y_b, z_c, geom, wave)
-    assert np.all(z_c.imag == 0.0) and np.all(t_c.imag == 0.0)
+    plain = solve_case1(v_a, v_b, y_a, y_b, geom, wave)
     res = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
-    assert not np.iscomplexobj(res.z_hat) and not np.iscomplexobj(res.t_hat)
-    assert np.array_equal(res.z_hat, z_c.real)
-    np.testing.assert_array_max_ulp(res.t_hat, t_c.real, maxulp=2)
-    # one negative radicand turns the whole block complex
+    assert np.iscomplexobj(res.z_hat) and np.iscomplexobj(res.t_hat)
+    assert np.all(res.z_hat.imag == 0.0) and np.all(res.t_hat.imag == 0.0)
+    assert np.array_equal(res.z_hat.real, plain.z_hat)
+    np.testing.assert_array_max_ulp(res.t_hat.real, plain.t_hat, maxulp=2)
+    # one negative radicand makes only its own cell's imaginary parts nonzero
     v_a[0, 0] = 0.5 * np.exp(1j * 1e-3)
     mixed = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
-    assert np.iscomplexobj(mixed.z_hat) and np.iscomplexobj(mixed.t_hat)
-    assert mixed.z_hat[0, 0].imag != 0.0
-    assert np.array_equal(mixed.z_hat.ravel()[1:], z_c.ravel()[1:])
+    assert mixed.z_hat[0, 0].imag != 0.0 and mixed.t_hat[0, 0].imag != 0.0
+    rest = np.ones(mixed.z_hat.shape, dtype=bool)
+    rest[0, 0] = False
+    assert np.all(mixed.z_hat.imag[rest] == 0.0)
+    assert np.all(mixed.t_hat.imag[rest] == 0.0)
+    assert np.array_equal(mixed.z_hat[rest], res.z_hat[rest])
 
 
 def test_dispatch_matches_region():
@@ -538,13 +539,9 @@ def test_rmse_grids_equal_the_per_block_oracle(monkeypatch, column, solvers):
     # the last block of 10 rows
     (5, (None, Region.CASE2_PA), None, 530),
     (2, (None, Region.CASE1), None, 530),
-    # Case II-PA data under the Case I solver on a narrow prior: some
-    # blocks of a chunk solve real and some complex, each decided per
-    # block as the oracle does (a per-chunk decision moves rmse_t by 1 ulp)
+    # Case II-PA data under the Case I solver on narrow priors, where only
+    # some radicands are negative
     (2, (Region.CASE1,), (0.1, 1.0, 0.05, 5.05, 5.1), 600),
-    # the first row's radicand is > 0 but 14 of its cells' are < 0: the
-    # first block solves complex in a chunk whose rows all solve real (a
-    # real tilt solve there moves rmse_t by 1 ulp)
     (2, (Region.CASE1,), (0.07, 1.0, 0.05, 1.074709263010234, 1.0967), 300),
 ])
 def test_rmse_grids_equal_the_per_block_oracle_over_chunks(data, solvers,
