@@ -10,13 +10,13 @@ general_channel and nf_channel; axis_channel is its signed on-axis
 (x_r = 0) hot-path form, which every element voltage uses. Its
 tilt-free factor e^{jkr} sqrt(z) / r^2.5 is coded once too, in a helper
 that the scalar channel multiplies by |n x d| and axis_factor hands to
-axis_channel, which multiplies it by the attitude term. Poses and
-observation points that are not finite raise ValidityViolation. Two
-hot paths read the factor without the attitude term: solver.rmse_grids
-forms it once per probe element and chunk of distance rows, for every
-solver it scores in that pass, and the MAP search forms it per grid
-distance and element for its coarse scores and per patch distance and
-element for its refinement patches.
+axis_channel, which multiplies it by the attitude term. Poses,
+observation points and ranges that are not finite raise
+ValidityViolation. Two hot paths read the factor without the attitude
+term: solver.rmse_grids forms it once per probe element and chunk of
+distance rows, for every solver it scores in that pass, and the MAP
+search forms it per grid distance and element for its coarse scores and
+per patch distance and element for its refinement patches.
 """
 
 from __future__ import annotations
@@ -117,11 +117,19 @@ def _scalar_channel(position, n, x_r, y_r, wave: Wave):
     return _ret(_tilt_free(rr, z, wave) * amp)
 
 
-def scalar_green(r, wave: Wave):
-    """Spherical-wave field coefficient at range r."""
+def _range(r):
+    """r as a float array, checked finite and > 0."""
     r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValidityViolation("range must be finite")
     if np.any(r <= 0):
         raise NonPositiveDistance("range must be > 0")
+    return r
+
+
+def scalar_green(r, wave: Wave):
+    """Spherical-wave field coefficient at range r."""
+    r = _range(r)
     k = wave.wavenumber
     return _ret(1j * FREE_SPACE_IMPEDANCE / (2.0 * wave.wavelength * r)
                 * np.exp(1j * k * r))
@@ -186,9 +194,7 @@ def axis_channel(z, t, y, wave: Wave, scale=1.0):
 def scaling_factor(r, wave: Wave):
     """Full-field over propagating-field amplitude ratio at range r; >= 1,
     approaching 1 as k*r grows."""
-    kr = wave.wavenumber * np.asarray(r, dtype=float)
-    if np.any(kr <= 0):
-        raise NonPositiveDistance("range must be > 0")
+    kr = wave.wavenumber * _range(r)
     inv2 = 1.0 / (kr * kr)
     return _ret(np.sqrt(1.0 + 3.0 * inv2 + 9.0 * inv2 * inv2))
 

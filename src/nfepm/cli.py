@@ -305,11 +305,9 @@ def _preset_fig3(cfg: ExperimentConfig, out_dir: str):
     rows = []
     for t_sq in (0.1, 0.5, 0.9):
         t_z = math.sqrt(t_sq)
-        for z in z_grid:
-            pose = AxialPose(float(z), t_z)
-            rows.append((t_z, float(z))
-                        + tuple(rerr(kind, pose, 0.0, y_r, cfg.wave)
-                                for kind in RERR_KINDS))
+        pose = AxialPose(z_grid, t_z)
+        errs = [rerr(kind, pose, 0.0, y_r, cfg.wave) for kind in RERR_KINDS]
+        rows += [(t_z, float(z)) + row for z, row in zip(z_grid, zip(*errs))]
     _write_csv(out_dir, "fig3.csv", cfg,
                ("t_z", "z") + tuple(f"rerr_{k}" for k in RERR_KINDS), rows)
 

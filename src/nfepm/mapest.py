@@ -7,15 +7,19 @@ uniform prior the MAP estimate coincides with maximum likelihood
 restricted to the box.
 
 The coarse score is separable in distance and tilt (`_coarse_scores`), so
-a block of trials is scored by two small real products, trial-major, and
-no model over the whole grid is formed. The 7 x 7 refinement patches are
-scored in a separable form too (`_patch_scores`): per patch distance, one
-factor c and one residual at the patch's centre tilt, then each
+a block of trials is scored by one real product over the block and one
+small tilt-expansion product per trial, trial-major, and no model over the
+whole grid is formed. The per-trial products keep OpenBLAS's worker thread
+asleep, where one product over the block would wake it and leave it
+spin-waiting between blocks (`_TRIAL_BLOCK`). The 7 x 7 refinement patches
+are scored in a separable form too (`_patch_scores`): per patch distance,
+one factor c and one residual at the patch's centre tilt, then each
 candidate's score from six element sums, in terms that are each as small
-as the residual, so no cancellation costs resolution at high SNR. `estimate` takes any number
-of trials: it scores the coarse grid `_TRIAL_BLOCK` trials at a time and
-refines a chunk of trials per pass, at most `_REFINE_CELLS` patch cells,
-so `monte_carlo_mse` hands it a whole level.
+as the residual, so no cancellation costs resolution at high SNR.
+`estimate` takes any number of trials: it scores the coarse grid
+`_TRIAL_BLOCK` trials at a time and refines a chunk of trials per pass, at
+most `_REFINE_CELLS` patch cells, so `monte_carlo_mse` hands it a whole
+level.
 """
 
 from __future__ import annotations
@@ -31,8 +35,14 @@ from .numerics import TZ_EPS, require_cells, require_sizes, stream
 from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
                           sigma2_for_snr_db, unit_noise)
 
-# Trials scored per matrix product: a block's scores on the default grid
-# take 8 x 256 x 128 floats, 2 MiB.
+# Trials scored per pass: a block's scores on the default grid take
+# 8 x 256 x 128 floats, 2 MiB. The tilt expansion is one (n_z, 5) x
+# (5, n_t) product per trial, not one (block n_z, 5) x (5, n_t) product:
+# OpenBLAS hands the flat (2048, 5) x (5, 128) product to a worker
+# thread, which then spin-waits about 0.1 s after each call, so on a
+# Monte Carlo it never sleeps and doubles the CPU time at about the same
+# wall time. The per-trial products stay on the calling thread, bit for
+# bit the same scores.
 _TRIAL_BLOCK = 8
 # (row, patch distance, element) cells refined per pass: 93 rows on the
 # fig4 geometry's 50 elements, so a 60-trial level is one pass, and a full
@@ -95,7 +105,10 @@ def _coarse_scores(z, t, geom: ArrayGeometry, wave: Wave):
     `axis_factor` and s = sqrt(1 - t^2), so the score is
     sum_k C_k(v, z) B_k(t) over the tilt basis B = (t, s, t^2, t s, s^2),
     with C = (2 P_1, 2 z P_0, -Q_2, -2 z Q_1, -z^2 Q_0),
-    P_k = sum_e y_e^k Re(c v_e*) and Q_k = sum_e y_e^k |c|^2.
+    P_k = sum_e y_e^k Re(c v_e*) and Q_k = sum_e y_e^k |c|^2. A block's P
+    is one (block, 2N) x (2N, 2 n_z) product; its expansion over the basis
+    is one (n_z, 5) x (5, n_t) product per row, which stays on the calling
+    thread (`_TRIAL_BLOCK`).
     """
     y = geom.element_centers
     c = axis_factor(z[:, None], y, wave, wave.amplitude * geom.pitch)
@@ -113,7 +126,8 @@ def _coarse_scores(z, t, geom: ArrayGeometry, wave: Wave):
         coef = np.empty((len(noisy), len(z), 5))
         coef[:, :, :2] = p.reshape(len(noisy), 2, len(z)).transpose(0, 2, 1)
         coef[:, :, 2:] = fixed
-        return (coef.reshape(-1, 5) @ basis).reshape(len(noisy), -1)
+        # one product per trial, not one per block: see _TRIAL_BLOCK
+        return (coef @ basis).reshape(len(noisy), -1)
 
     return score
 

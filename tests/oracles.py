@@ -5,9 +5,10 @@ Fisher information from the tau closed forms (`ecrb._factors`); these
 integrate the defining expressions directly with adaptive quadrature.
 The MAP search scores its coarse grid and its refinement patches in
 separable forms (`mapest._coarse_scores`, `mapest._patch_scores`);
-`coarse_model` is the dense model of the first, and `patch_scores_dense`
-scores the patches as -sum |candidate - v|^2 from every candidate's
-voltages.
+`coarse_model` is the dense model of the first, `coarse_scores_flat` the
+first with one flat tilt-expansion product per block of trials, and
+`patch_scores_dense` scores the patches as -sum |candidate - v|^2 from
+every candidate's voltages.
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
@@ -187,6 +188,29 @@ def coarse_model(z, t, geom: ArrayGeometry, wave: Wave):
     broadcast over (distance, tilt, element)."""
     return element_voltages(z[:, None, None], t[None, :, None], geom,
                             wave).reshape(len(z) * len(t), geom.n_elements)
+
+
+def coarse_scores_flat(z, t, geom: ArrayGeometry, wave: Wave):
+    """`mapest._coarse_scores` with a block's tilt expansion formed as one
+    flat (block n_z, 5) x (5, n_t) product, as the search once did."""
+    y = geom.element_centers
+    c = axis_factor(z[:, None], y, wave, wave.amplitude * geom.pitch)
+    c_ri = np.concatenate((c.real, c.imag), axis=1)
+    factors = 2.0 * np.concatenate((np.concatenate((y, y)) * c_ri,
+                                    z[:, None] * c_ri)).T
+    q = (c.real ** 2 + c.imag ** 2) @ np.stack((y * y, y, np.ones_like(y)), axis=1)
+    fixed = -q * np.stack((np.ones_like(z), 2.0 * z, z * z), axis=1)
+    s = np.sqrt(1.0 - t * t)
+    basis = np.stack((t, s, t * t, t * s, s * s))
+
+    def score(noisy):
+        p = np.concatenate((noisy.real, noisy.imag), axis=1) @ factors
+        coef = np.empty((len(noisy), len(z), 5))
+        coef[:, :, :2] = p.reshape(len(noisy), 2, len(z)).transpose(0, 2, 1)
+        coef[:, :, 2:] = fixed
+        return (coef.reshape(-1, 5) @ basis).reshape(len(noisy), -1)
+
+    return score
 
 
 def patch_scores_dense(zs, ts, noisy, geom: ArrayGeometry, wave: Wave):

@@ -149,6 +149,16 @@ def test_scalar_green_value():
         scalar_green(0.0, wave)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+def test_non_finite_range_is_rejected(r):
+    # before the sign check, which NaN passes
+    wave = Wave(1.0)
+    with pytest.raises(ValidityViolation, match="finite"):
+        scalar_green(r, wave)
+    with pytest.raises(ValidityViolation, match="finite"):
+        scaling_factor(r, wave)
+
+
 def test_scaling_factor():
     wave = Wave(1.0)
     assert scaling_factor(1.0, wave) == pytest.approx(

@@ -2,7 +2,12 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from nfepm.numerics import MAX_CELLS, TZ_EPS, stream
 from nfepm.observation import (NoiseSpec, Voltages, add_noise, element_voltages,
                                noiseless_voltages, observe, sigma2_for_snr_db,
                                unit_noise)
-from oracles import coarse_model, patch_scores_dense
+from oracles import coarse_model, coarse_scores_flat, patch_scores_dense
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 
 mapest_module = importlib.import_module("nfepm.mapest")
@@ -183,6 +188,62 @@ def test_separable_scores_equal_dense_scores(geom, wave, prior):
         assert np.all(np.abs(separable - dense) <= 1e-13 * row_max)
         assert np.array_equal(np.argmax(separable, axis=1),
                               np.argmax(dense, axis=1))
+
+
+@pytest.mark.parametrize("rows", [_TRIAL_BLOCK, 3])
+def test_per_trial_expansion_equals_the_flat_product(rows):
+    # the tilt expansion, one (n_z, 5) x (5, n_t) product per trial,
+    # against one flat (rows n_z, 5) x (5, n_t) product, bit for bit, on a
+    # full trial block and a partial one
+    z, t = _coarse_axes(THRESHOLD_PRIOR, DEFAULT_MAP_GRID)
+    rng = stream(11)
+    z_true = rng.uniform(THRESHOLD_PRIOR.z_min, THRESHOLD_PRIOR.z_max, rows)
+    t_true = rng.uniform(0.0, 1.0, rows)
+    clean = element_voltages(z_true[:, None], t_true[:, None], THRESHOLD_GEOM,
+                             THRESHOLD_WAVE)
+    unit = np.stack([unit_noise(11, i, clean.shape[1]) for i in range(rows)])
+    noisy = add_noise(clean, unit, sigma2_for_snr_db(THRESHOLD_WAVE, 20.0))
+    args = (z, t, THRESHOLD_GEOM, THRESHOLD_WAVE)
+    scores = _coarse_scores(*args)(noisy)
+    assert scores.shape == (rows, z.size * t.size)
+    assert np.array_equal(scores, coarse_scores_flat(*args)(noisy))
+
+
+def _numpy_uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _numpy_uses_openblas()),
+                    reason="OpenBLAS worker threads on Linux only")
+def test_monte_carlo_leaves_the_blas_worker_asleep():
+    # with two OpenBLAS threads and the worker idle after a warm-up, a
+    # Monte Carlo on the fig4 geometry runs on the calling thread: the
+    # CPU time of every other thread stays under a quarter of the main
+    # thread's, where a product large enough to wake the worker leaves it
+    # spinning for the whole run (about as much CPU again)
+    code = textwrap.dedent("""
+        import time
+        from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
+        from nfepm.mapest import monte_carlo_mse
+        args = (UniformPrior(3.0, 5.0), ArrayGeometry(5.0, 0.1), Wave(0.1),
+                [0.0, 20.0, 40.0, 60.0], 60)
+        monte_carlo_mse(*args, 0)
+        time.sleep(0.5)
+        process, thread = time.process_time(), time.thread_time()
+        monte_carlo_mse(*args, 1)
+        print(time.process_time() - process, time.thread_time() - thread)
+    """)
+    src = Path(mapest_module.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    probe = subprocess.run([sys.executable, "-c", code], cwd=src, env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    process, thread = map(float, probe.stdout.split())
+    assert process - thread <= 0.25 * thread, (process, thread)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 17])
