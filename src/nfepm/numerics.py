@@ -45,11 +45,14 @@ def require_sizes(what: str, *sizes) -> tuple:
 
 
 def require_snr(snr) -> None:
-    """Raise InvariantViolation unless every SNR in `snr` is >= 0; NaN is
-    not."""
+    """Raise InvariantViolation unless every SNR in `snr` is finite and
+    >= 0; NaN is not >= 0, and +inf would make every bound 0 or its
+    information infinite."""
     snrs = np.asarray(snr, dtype=float)
     if not np.all(snrs >= 0):
         raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+    if np.isinf(snrs).any():
+        raise InvariantViolation("snr must be finite, got inf")
 
 
 def require_finite(what: str, snrs: np.ndarray, values) -> None:

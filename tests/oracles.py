@@ -11,10 +11,12 @@ first with one flat tilt-expansion product per block of trials, and
 every candidate's voltages.
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
-of the dense grid. `zzb_ao_t_per_node` evaluates the public `mu_L_ao` in
-full at every outer node, in a box sum and an offset integral of its own
-that runs node by node, and `y_blocks_uncached` builds the family y-rule
-afresh on every call. `rmse_grids_per_block` scores the solvers as
+of the dense grid. `outer_per_node` is the ZZB offset integral node by
+node, with `zzb._outer`'s detection argument sqrt(snr * pitch / 2) *
+sqrt(stat) (`q_argument`) or the direct sqrt(mu / 2) (`q_argument_direct`);
+`zzb_ao_t_per_node` evaluates the public `mu_L_ao` in full at every outer
+node of that pass, and `y_blocks_uncached` builds the family y-rule afresh
+on every call. `rmse_grids_per_block` scores the solvers as
 `solver.rmse_grids` once did, forming every probe factor and solving
 every row's tilt anew in each block of rows.
 """
@@ -269,35 +271,64 @@ def ecrb_asymptotic_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
     return shape(pref * mean), shape(3.0 * pref * mean_z)
 
 
-def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
-                      grid: ZZBGrid = DEFAULT_GRID):
-    """zzb_ao_t with the public mu_L_ao, inputs checked and tau-moments
-    formed, called at every outer node for the SNRs live there."""
-    snrs, shape = snr_sweep(snr)
-    z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
+def q_argument(sp, stat):
+    """sqrt(mu/2) on each cell of the statistic stat, mu = sp * stat, as
+    zzb._outer forms it: sqrt(sp/2), per SNR along sp's axes, times the
+    root of the statistic."""
+    return (np.sqrt(np.asarray(sp) / 2.0)[..., None, None]
+            * np.sqrt(np.maximum(stat, 0.0)))
 
-    def bracket(dt, live):
-        theta_t = midpoints(0.0, 1.0 - dt, grid.n_theta_t)[None, :]
-        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
-        mu = mu_L_ao(z_mid, theta_t, dt, snrs[live, None, None], geom)
-        # the midpoint rule of Q(sqrt(mu/2)) over each live SNR's box
-        return q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum(
-            axis=(-2, -1)) * cell
 
-    # the offset integral node by node, each SNR cut once its bracket falls
-    # below _TRUNCATE_REL of its running peak
-    edges = np.exp(np.linspace(math.log(_DELTA_FLOOR_REL), 0.0,
+def q_argument_direct(sp, stat):
+    """sqrt(mu/2) formed from mu itself, one multiply, clamp, divide and
+    root per SNR and cell: the rounding of the direct form, which
+    q_argument's root of the statistic departs from."""
+    mu = np.asarray(sp)[..., None, None] * stat
+    return np.sqrt(np.maximum(mu, 0.0) / 2.0)
+
+
+def outer_per_node(prior: UniformPrior, hi: float, grid: ZZBGrid,
+                   sp: np.ndarray, box, argument=q_argument):
+    """zzb._outer's offset integral node by node: one box call per node,
+    its detection error Q(argument(sp, stat)) summed at the channels live
+    at that node, each cut once its bracket falls below _TRUNCATE_REL of
+    its running peak."""
+    edges = np.exp(np.linspace(math.log(hi * _DELTA_FLOOR_REL), math.log(hi),
                                max(1, grid.n_delta // 4) + 1))
-    total, peak = np.zeros(len(snrs)), np.zeros(len(snrs))
-    live = np.arange(len(snrs))
+    total, peak = np.zeros(len(sp)), np.zeros(len(sp))
+    live = np.arange(len(sp))
     for d, w in zip(*_panel_rule(edges, 4)):
-        value = bracket(d, live)
+        stat, cell, failures = box(np.array([d]))
+        if failures:
+            raise failures[0]
+        value = q_function(argument(sp[live], stat[0])).sum(
+            axis=(-2, -1)) * cell[0]
         total[live] = total[live] + w * d * value
         peak[live] = np.maximum(peak[live], value)
         live = live[~(value < _TRUNCATE_REL * peak[live])]
         if live.size == 0:
             break
-    return shape(total / prior.span)
+    return total / prior.span
+
+
+def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
+                      grid: ZZBGrid = DEFAULT_GRID):
+    """zzb_ao_t with the public mu_L_ao, inputs checked and tau-moments
+    formed, called at every outer node, in outer_per_node's pass."""
+    snrs, shape = snr_sweep(snr)
+    z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
+    # at a power-of-two pitch the aperture holds and snr its inverse,
+    # snr * pitch is 1 exactly, and mu_L_ao the statistic per unit of it
+    pitch = math.ldexp(1.0, math.frexp(min(geom.aperture, 1.0))[1] - 1)
+    unit = ArrayGeometry(geom.aperture, pitch)
+
+    def box(dt):
+        theta_t = midpoints(0.0, 1.0 - dt[0], grid.n_theta_t)[None, :]
+        cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
+        stat = mu_L_ao(z_mid, theta_t, dt[0], 1.0 / pitch, unit)
+        return stat[None], cell, {}
+
+    return shape(outer_per_node(prior, 1.0, grid, snrs * geom.pitch, box))
 
 
 def y_blocks_uncached(aperture: float, n_panels: int):

@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from nfepm.ecrb import ecrb, ecrb_ao, ecrb_asymptotic
+from nfepm.channel import AxialPose
+from nfepm.ecrb import ecrb, ecrb_ao, ecrb_asymptotic, fim_closed
 from nfepm.errors import InvariantViolation, NonFinite
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
 from nfepm.observation import snr_from_db
-from nfepm.zzb import ZZBGrid, zzb_ao_t, zzb_t, zzb_z
+from nfepm.zzb import ZZBGrid, mu_L_ao, zzb_ao_t, zzb_t, zzb_z
 
 zzb_module = importlib.import_module("nfepm.zzb")
 
@@ -75,6 +76,29 @@ def test_monte_carlo_sweep_equals_one_level_calls():
     reports = monte_carlo_mse(PRIOR, GEOM, WAVE, DB, 6, 5, grid)
     assert reports == [monte_carlo_mse(PRIOR, GEOM, WAVE, db, 6, 5, grid)
                        for db in DB]
+
+
+@pytest.mark.parametrize("bound", [
+    lambda snr: fim_closed(AxialPose(4.0, 0.3), snr, GEOM, WAVE),
+    lambda snr: mu_L_ao(4.0, 0.3, 0.1, snr, GEOM),
+    lambda snr: zzb_z(PRIOR, snr, GEOM, WAVE, GRID),
+    lambda snr: zzb_t(PRIOR, snr, GEOM, WAVE, GRID),
+    lambda snr: zzb_ao_t(PRIOR, snr, GEOM, GRID),
+    lambda snr: ecrb(PRIOR, snr, GEOM, WAVE, ECRB_GRID),
+    lambda snr: ecrb_ao(PRIOR, snr, GEOM, ECRB_GRID),
+    lambda snr: ecrb_asymptotic(PRIOR, snr, GEOM, WAVE)],
+    ids=["fim_closed", "mu_L_ao", "zzb_z", "zzb_t", "zzb_ao_t", "ecrb",
+         "ecrb_ao", "ecrb_asymptotic"])
+def test_infinite_snr_is_rejected(bound):
+    # an infinite SNR made the information infinite and the bounds 0;
+    # NaN and negative SNRs keep their message
+    for snr in (math.inf, [1.0, math.inf]):
+        with pytest.raises(InvariantViolation,
+                           match=r"^snr must be finite, got inf$"):
+            bound(snr)
+    for snr in (math.nan, -1.0):
+        with pytest.raises(InvariantViolation, match="^snr must be >= 0"):
+            bound(snr)
 
 
 def test_sweep_errors_name_the_offending_snr(monkeypatch):

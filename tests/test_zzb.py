@@ -601,7 +601,7 @@ def _recording_outer(monkeypatch):
 
         def recorded(d):
             stat, cell, failures = box(d)
-            channel = {np.sqrt(np.maximum(s * m, 0.0) / 2.0).tobytes(): c
+            channel = {oracles.q_argument(s, m).tobytes(): c
                        for c, s in enumerate(sp) for m in stat}
             calls[-1].append((d.tolist(), channel, set()))
             return stat, cell, failures
@@ -667,15 +667,11 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
         assert all(isinstance(b, float) for b in scalar)
 
 
-def _outer_edges(hi, grid):
-    """The log panel edges of _outer's offset integral."""
-    return np.exp(np.linspace(math.log(hi * zzb_module._DELTA_FLOOR_REL),
-                              math.log(hi), max(1, grid.n_delta // 4) + 1))
-
-
 def _outer_nodes(hi, grid):
-    """The offset nodes of _outer, in order."""
-    return zzb_module._panel_rule(_outer_edges(hi, grid), 4)[0]
+    """The offset nodes of _outer, in order, on its log panels."""
+    edges = np.exp(np.linspace(math.log(hi * zzb_module._DELTA_FLOOR_REL),
+                               math.log(hi), max(1, grid.n_delta // 4) + 1))
+    return zzb_module._panel_rule(edges, 4)[0]
 
 
 def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
@@ -707,45 +703,47 @@ def test_bound_does_not_raise_at_nodes_the_pass_never_reaches(monkeypatch):
         zzb_z(prior, snr_from_db(0.0), geom, wave, COARSE)
 
 
-def _node_by_node_outer(prior, hi, grid, sp, box):
-    """_outer's offset integral node by node: one box call per node, its
-    detection error summed at the channels live at that node."""
-    total, peak = np.zeros(len(sp)), np.zeros(len(sp))
-    live = np.arange(len(sp))
-    for d, w in zip(*zzb_module._panel_rule(_outer_edges(hi, grid), 4)):
-        stat, cell, failures = box(np.array([d]))
-        if failures:
-            raise failures[0]
-        mu = sp[live, None, None] * stat[0]
-        value = q_function(np.sqrt(np.maximum(mu, 0.0) / 2.0)).sum(
-            axis=(-2, -1)) * cell[0]
-        total[live] = total[live] + w * d * value
-        peak[live] = np.maximum(peak[live], value)
-        live = live[~(value < zzb_module._TRUNCATE_REL * peak[live])]
-        if live.size == 0:
-            break
-    return total / prior.span
-
-
-@pytest.mark.parametrize("cases", [
+# the case sets of the node-by-node tests: the geometry_scan benchmark's
+# 16 geometries at one SNR, and two sweeps
+NODE_PASS_CASES = pytest.mark.parametrize("cases", [
     [(UniformPrior(lo, hi), snr_from_db(40.0), ArrayGeometry(aperture, 0.5),
       Wave(lam), ZZBGrid(24, 12)) for lam, aperture, lo, hi in GEOMETRY_SCAN],
     [(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, ZZBGrid(24, 24))],
     [(UniformPrior(5.0, 6.0), SWEEP, ArrayGeometry(5.0, 0.1), Wave(0.001),
       ZZBGrid())]], ids=["geometry-scan", "threshold-sweep", "fig6-1mm"])
+
+
+def _bounds(cases):
+    """zzb_z, zzb_t and zzb_ao_t on each case, as one array."""
+    return np.array([[zzb_z(prior, snr, geom, wave, grid),
+                      zzb_t(prior, snr, geom, wave, grid),
+                      zzb_ao_t(prior, snr, geom, grid)]
+                     for prior, snr, geom, wave, grid in cases])
+
+
+@NODE_PASS_CASES
 def test_runs_equal_the_node_by_node_pass(monkeypatch, cases):
     # the batches of outer nodes, each evaluated at the channels live when
     # it starts and cut node by node after, give the bits of a pass that
     # evaluates one node per box call at the channels live there
-    def values():
-        return [np.array([zzb_z(prior, snr, geom, wave, grid),
-                          zzb_t(prior, snr, geom, wave, grid),
-                          zzb_ao_t(prior, snr, geom, grid)]).tolist()
-                for prior, snr, geom, wave, grid in cases]
+    batched = _bounds(cases)
+    monkeypatch.setattr(zzb_module, "_outer", oracles.outer_per_node)
+    assert batched.tolist() == _bounds(cases).tolist()
 
-    batched = values()
-    monkeypatch.setattr(zzb_module, "_outer", _node_by_node_outer)
-    assert batched == values()
+
+@NODE_PASS_CASES
+def test_runs_match_the_direct_detection_argument(monkeypatch, cases):
+    # _outer takes sqrt(snr * pitch / 2) * sqrt(stat), the root once per
+    # node for the whole sweep; Q(sqrt(mu / 2)) formed from mu per (node,
+    # SNR) gives the same bounds up to rounding
+    got = _bounds(cases)
+
+    def direct(*args):
+        return oracles.outer_per_node(*args,
+                                      argument=oracles.q_argument_direct)
+
+    monkeypatch.setattr(zzb_module, "_outer", direct)
+    np.testing.assert_allclose(got, _bounds(cases), rtol=1e-14, atol=0.0)
 
 
 def test_family_batches_stay_within_one_y_block(monkeypatch):
@@ -798,19 +796,31 @@ def test_bounds_at_extreme_snrs(monkeypatch, snr):
     assert set(seen) == ({0.5} if snr == 0.0 else {0.0})
 
 
-@pytest.mark.parametrize("delta_z, delta_t", [
-    (1e-6, 0.0), (0.0, 1e-6), (1e-4, 0.0), (1e-2, 0.0), (0.1, 0.0),
-    (0.3, 0.0)])
-def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t):
+# lambda 0.01 at aperture 2: the half phase k dz (z0 + z1) / (2 (r0 + r1))
+# reaches about 31 and 314 rad at offsets 0.1 and 1
+LARGE_PHASE = (ArrayGeometry(2.0, 0.5), Wave(0.01))
+
+
+@pytest.mark.parametrize("delta_z, delta_t, config, panels", [
+    *[pytest.param(dz, dt, (THRESHOLD_GEOM, THRESHOLD_WAVE), 4,
+                   id=f"{dz!r}-{dt!r}") for dz, dt in [
+        (1e-6, 0.0), (0.0, 1e-6), (1e-4, 0.0), (1e-2, 0.0), (0.1, 0.0),
+        (0.3, 0.0)]],
+    *[pytest.param(dz, 0.0, LARGE_PHASE, 8, id=f"lambda-0.01-{dz!r}")
+      for dz in (0.1, 1.0)]])
+def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t,
+                                                           config, panels):
     # mu/(snr*pitch) = integral of |h1 - h0|^2 along the strip, here at
-    # 40 digits on the threshold config at z 4, t 0.3; each bound's box
-    # forms it without subtracting channel energies, so it stays accurate
-    # relative to mu itself down to offsets of 1e-6: zzb_z's engine at tilt
-    # offset 0, and the closed tilt-only form at distance offset 0. (At a
-    # distance offset of 1e-9 the engine reads 2.3e-12 off: dG = G1 - G0 is
-    # then a difference of nearly equal numbers.)
+    # 40 digits at z 4, t 0.3, on the threshold config and at phases of
+    # hundreds of rad; each bound's box forms it without subtracting
+    # channel energies, so it stays accurate relative to mu itself down to
+    # offsets of 1e-6: zzb_z's engine at tilt offset 0, and the closed
+    # tilt-only form at distance offset 0. (At a distance offset of 1e-9
+    # the engine reads 2.3e-12 off: dG = G1 - G0 is then a difference of
+    # nearly equal numbers.) The reference integrates over `panels` equal
+    # panels of the aperture
     mp = mpmath.mp
-    geom, wave = THRESHOLD_GEOM, THRESHOLD_WAVE
+    geom, wave = config
     z0, t0 = 4.0, 0.3
     if delta_z == 0.0:
         engine = mu_L_ao(z0, t0, delta_t, 1.0, geom) / geom.pitch
@@ -829,5 +839,20 @@ def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t):
         t1 = mp.mpf(t0) + mp.mpf(delta_t)
         reference = mp.quad(
             lambda y: abs(h(z1, t1, y) - h(mp.mpf(z0), mp.mpf(t0), y)) ** 2,
-            mp.linspace(0, geom.aperture, 5))
+            mp.linspace(0, geom.aperture, panels + 1))
     assert engine == pytest.approx(float(reference), rel=1e-12, abs=0.0)
+
+
+def test_sin_squared_matches_high_precision_reference():
+    # the phase kernel's sin^2 as tan^2 / (1 + tan^2), on log-uniform
+    # phases over [1e-12, 1e6] rad and at float multiples of pi/2, where
+    # tan is largest, against sin^2 at 40 digits
+    rng = np.random.default_rng(20)
+    phase = np.concatenate((10.0 ** rng.uniform(-12.0, 6.0, 2000),
+                            np.arange(1, 200) * (np.pi / 2.0),
+                            rng.integers(1, 600_000, 200) * (np.pi / 2.0)))
+    got = zzb_module._sin_squared(phase.copy())
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.sin(mpmath.mpf(x)) ** 2)
+                         for x in phase])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
