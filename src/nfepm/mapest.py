@@ -16,10 +16,12 @@ are scored in a separable form too (`_patch_scores`): per patch distance,
 one factor c and one residual at the patch's centre tilt, then each
 candidate's score from six element sums, in terms that are each as small
 as the residual, so no cancellation costs resolution at high SNR.
-`estimate` takes any number of trials: it scores the coarse grid
-`_TRIAL_BLOCK` trials at a time and refines a chunk of trials per pass, at
-most `_REFINE_CELLS` patch cells, so `monte_carlo_mse` hands it a whole
-level.
+`estimate` takes any number of trials, at one SNR level or at several: it
+scores the coarse grid one level and `_TRIAL_BLOCK` trials at a time, and
+refines every level's rows together, trial-major, a chunk of at most
+`_REFINE_CELLS` patch cells per pass, so `monte_carlo_mse` hands it a
+whole sweep. A chunk forms c and its sums once per distinct patch
+distance: at high SNR a trial's levels share their patches.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
 # bit the same scores.
 _TRIAL_BLOCK = 8
 # (row, patch distance, element) cells refined per pass: 93 rows on the
-# fig4 geometry's 50 elements, so a 60-trial level is one pass, and a full
-# chunk's arrays peak near the 2 MiB of a trial block's scores.
+# fig4 geometry's 50 elements, so a 60-trial sweep over 7 levels takes 5
+# passes, each of about 13 trials at every level, and a full chunk's arrays
+# peak near the 2 MiB of a trial block's scores.
 _REFINE_CELLS = 1 << 15
 
 
@@ -58,7 +61,7 @@ class MapGrid:
 
     def __post_init__(self):
         for field, size in zip(fields(self),
-                               require_sizes("the MAP grid", *astuple(self))):
+                               require_sizes("the MAP grid sizes", *astuple(self))):
             object.__setattr__(self, field.name, size)
         if self.n_z < 2 or self.n_t < 2:
             raise InvariantViolation("grid sizes must be >= 2")
@@ -147,18 +150,28 @@ def _patch_scores(zs, ts, noisy, geom: ArrayGeometry, wave: Wave):
     ds = s_j - s_0 = -dt (t_j + t_0) / (s_j + s_0). Every term is as
     small as the residual, so the scores keep their resolution at high
     SNR, where 2 Re(model . v*) - |model|^2 cancels.
+
+    c and Q_k depend on the patch distance alone, so they are formed once
+    per distinct distance of zs and gathered per row: rows of one trial
+    at several SNR levels often share their patches. Each is an
+    elementwise function of z or a sum over one distance's elements in a
+    fixed order, so a row's scores do not depend on the other rows.
     """
     y = geom.element_centers
     z_col = zs[:, :, None]
     t0 = ts[:, 3:4]
     s0 = np.sqrt(1.0 - t0 * t0)
-    c = axis_factor(z_col, y, wave, wave.amplitude * geom.pitch)
+    distances, at = np.unique(zs.ravel(), return_inverse=True)
+    at = at.reshape(zs.shape)
+    c = axis_factor(distances[:, None], y, wave, wave.amplitude * geom.pitch)
+    # every sum runs over a distance's or a row's elements in one fixed
+    # order, so patch rows clipped to one distance score alike and ties go
+    # to the first
+    cc = c.real * c.real + c.imag * c.imag
+    q0, q1, q2 = (np.sum(w * cc, axis=1)[at][:, :, None] for w in (1.0, y, y * y))
+    c = c[at]
     delta = c * (y * t0[:, :, None] + z_col * s0[:, :, None])
     delta -= noisy[:, None, :]
-    # every sum runs over a row's elements in one fixed order, so patch rows
-    # clipped to one distance score alike and ties go to the first
-    cc = c.real * c.real + c.imag * c.imag
-    q0, q1, q2 = (np.sum(w * cc, axis=2)[:, :, None] for w in (1.0, y, y * y))
     cd = c.real * delta.real + c.imag * delta.imag
     r0, r1 = (np.sum(w * cd, axis=2)[:, :, None] for w in (1.0, y))
     d = np.sum(delta.real * delta.real + delta.imag * delta.imag, axis=2)[:, :, None]
@@ -171,18 +184,23 @@ def _patch_scores(zs, ts, noisy, geom: ArrayGeometry, wave: Wave):
 
 def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
                 grid: MapGrid):
-    """MAP search over the prior box, as a function from voltage rows, any
-    number of them, to their (z, t) estimate arrays.
+    """MAP search over the prior box, as a function from voltage rows to
+    their (z, t) estimate arrays: (trials, N) rows at one SNR level, or
+    (trials, levels, N) rows of a sweep, any number of trials, give
+    (trials,) or (trials, levels) estimates.
 
     The coarse score 2 Re(model . v*) - |model|^2 is the log-likelihood up
-    to a pose-independent constant and a positive factor. It is taken in
-    blocks of `_TRIAL_BLOCK` rows, and its argmax along each row (ties to
-    the smallest grid index, distance-major) is refined on 7 x 7 patches
-    of shrinking cells, clipped to the box and scored by `_patch_scores`
-    in chunks of at most `_REFINE_CELLS` (row, patch distance, element)
-    cells, one row at least.
+    to a pose-independent constant and a positive factor. It is taken one
+    SNR level and `_TRIAL_BLOCK` trials at a time, as a sweep's one-level
+    calls take it, and its argmax along each row (ties to the smallest
+    grid index, distance-major) is refined on 7 x 7 patches of shrinking
+    cells, clipped to the box and scored by `_patch_scores` in trial-major
+    chunks of at most `_REFINE_CELLS` (row, patch distance, element)
+    cells, one row at least. A row's estimate depends on its own voltages
+    alone, so a sweep's estimates equal those of its one-level calls bit
+    for bit.
 
-    Each level shrinks the cell by 3, so the refinement moves at most
+    Each refinement level shrinks the cell by 3, so the search moves at most
     about 1.5 coarse cells from the coarse argmax. Tilt is weakly
     identified along a distance row, and the coarse argmax can sit several
     tilt cells from the truth. On the fig4 geometry at zero noise, 450 of
@@ -206,25 +224,31 @@ def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     offsets = np.linspace(-1.0, 1.0, 7)
 
     def estimate(noisy):
-        best = np.concatenate([
-            np.argmax(coarse_scores(noisy[start:start + _TRIAL_BLOCK]), axis=1)
-            for start in range(0, len(noisy), _TRIAL_BLOCK)])
+        sweep = noisy.reshape(len(noisy), -1, n)
+        # blocks never mix levels: a one-level call's last block may hold
+        # one row, whose product OpenBLAS hands to gemv, which rounds
+        # unlike gemm, so a sweep's blocks are the one-level calls' blocks
+        best = np.stack([np.concatenate([
+            np.argmax(coarse_scores(sweep[start:start + _TRIAL_BLOCK, level]), axis=1)
+            for start in range(0, len(sweep), _TRIAL_BLOCK)])
+            for level in range(sweep.shape[1])], axis=1).ravel()
+        rows = noisy.reshape(-1, n)
         z_hat, t_hat = z[best // grid.n_t], t[best % grid.n_t]
         cell_z, cell_t = float(z[1] - z[0]), float(t[1] - t[0])
         for _ in range(grid.refine_levels):
-            for start in range(0, len(noisy), chunk):
+            for start in range(0, len(rows), chunk):
                 part = slice(start, start + chunk)
                 zs = np.clip(z_hat[part, None] + cell_z * offsets,
                              prior.z_min, prior.z_max)
                 ts = np.clip(t_hat[part, None] + cell_t * offsets, 0.0, 1.0 - TZ_EPS)
-                score = _patch_scores(zs, ts, noisy[part], geom, wave)
+                score = _patch_scores(zs, ts, rows[part], geom, wave)
                 best = np.argmax(score.reshape(len(zs), -1), axis=1)
-                rows = np.arange(len(zs))
-                z_hat[part] = zs[rows, best // offsets.size]
-                t_hat[part] = ts[rows, best % offsets.size]
+                index = np.arange(len(zs))
+                z_hat[part] = zs[index, best // offsets.size]
+                t_hat[part] = ts[index, best % offsets.size]
             cell_z /= 3.0
             cell_t /= 3.0
-        return z_hat, t_hat
+        return z_hat.reshape(noisy.shape[:-1]), t_hat.reshape(noisy.shape[:-1])
 
     return estimate
 
@@ -250,8 +274,12 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     Deterministic given (seed, config): poses come from the base stream,
     the noise of trial i from the i-th substream, the same draws scaled to
     every level. The coarse factors, the clean voltages and the draws are
-    made once for the sweep.
+    made once for the sweep, and the noisy rows once, trial-major, so the
+    search refines every level together and forms each patch distance a
+    trial's levels share once. trials and seed are integers, Python or
+    numpy ones; else InvariantViolation, before anything is drawn.
     """
+    trials, seed = require_sizes("the Monte Carlo trials and seed", trials, seed)
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
     levels = np.asarray(snr_db, dtype=float)
@@ -259,7 +287,7 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
         raise InvariantViolation("snr_db is a scalar or a non-empty 1-D sequence")
     levels = levels.ravel().tolist()
     require_cells("the Monte Carlo trials",
-                  trials * (geom.n_elements + 2 * len(levels)))
+                  trials * len(levels) * (geom.n_elements + 2))
     noises = [NoiseSpec(sigma2_for_snr_db(wave, db), seed) for db in levels]
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
@@ -267,17 +295,18 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     estimate = _map_search(prior, geom, wave, grid)
     clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
     unit = np.stack([unit_noise(seed, i, geom.n_elements) for i in range(trials)])
+    noisy = np.empty((trials, len(levels), geom.n_elements), dtype=complex)
+    for level, noise in enumerate(noises):
+        noisy[:, level] = add_noise(clean, unit, noise.sigma2)
 
-    est = np.empty((len(levels), 2, trials))
-    for est_level, noise in zip(est, noises):
-        est_level[:] = estimate(add_noise(clean, unit, noise.sigma2))
-    sq = (est - np.stack((z_true, t_true))) ** 2
+    z_hat, t_hat = estimate(noisy)
+    sq = (np.stack((z_hat.T, t_hat.T), axis=1) - np.stack((z_true, t_true))) ** 2
 
     def se(x):
         return float(np.std(x, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")
 
     reports = [MseReport(snr_db=db, mse_z=float(sq_z.mean()),
                          mse_t=float(sq_t.mean()), se_z=se(sq_z), se_t=se(sq_t),
-                         trials=trials, seed=int(seed))
+                         trials=trials, seed=seed)
                for db, (sq_z, sq_t) in zip(levels, sq)]
     return reports if np.ndim(snr_db) else reports[0]

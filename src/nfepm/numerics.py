@@ -31,16 +31,17 @@ def require_cells(what: str, cells) -> None:
 
 
 def require_sizes(what: str, *sizes) -> tuple:
-    """The sizes of `what` as Python ints, so products of them cannot wrap
-    around; InvariantViolation unless each is an integer, a Python or numpy
-    one, as operator.index takes it."""
+    """`sizes`, the grid sizes, counts or seeds that `what` names, as
+    Python ints, so products of them cannot wrap around; InvariantViolation
+    unless each is an integer, a Python or numpy one, as operator.index
+    takes it."""
     ints = []
     for size in sizes:
         try:
             ints.append(operator.index(size))
         except TypeError:
             raise InvariantViolation(
-                f"{what} sizes must be integers, got {size!r}") from None
+                f"{what} must be integers, got {size!r}") from None
     return tuple(ints)
 
 
@@ -84,7 +85,7 @@ def expect_uniform(f, prior, n_z: int = EXPECT_GRID[0],
     the grid axes are kept, so a stacked (k, n_z, n_t) result gives k
     averages.
     """
-    n_z, n_t = require_sizes("the expectation grid", n_z, n_t)
+    n_z, n_t = require_sizes("the expectation grid sizes", n_z, n_t)
     if n_z < 1 or n_t < 1:
         raise InvariantViolation("expectation grid sizes must be >= 1")
     require_cells("the expectation grid", n_z * n_t)
@@ -109,8 +110,9 @@ def snr_sweep(snr):
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for (seed, indices), stable across runs. The
-    seed and the indices are integers >= 0; else InvariantViolation."""
-    key = (int(seed),) + tuple(int(i) for i in indices)
+    seed and the indices are integers >= 0, Python or numpy ones, as
+    operator.index takes them; else InvariantViolation."""
+    key = require_sizes("seed and stream indices", seed, *indices)
     if min(key) < 0:
         raise InvariantViolation(f"seed and stream indices must be >= 0, got {key}")
     return np.random.default_rng(np.random.SeedSequence(key[0], spawn_key=key[1:]))

@@ -263,7 +263,7 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     any solver, raises; no partial RMSE is returned. The block and chunk
     sizes regroup the sums and change nothing else.
     """
-    u, v = require_sizes("the RMSE grid", u, v)
+    u, v = require_sizes("the RMSE grid sizes", u, v)
     if u < 2 or v < 2:
         raise InvariantViolation("rmse grid needs u, v >= 2")
     require_cells("the RMSE grid", u * v)

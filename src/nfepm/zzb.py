@@ -80,7 +80,7 @@ class ZZBGrid:
 
     def __post_init__(self):
         for field, size in zip(fields(self),
-                               require_sizes("the ZZB grid", *astuple(self))):
+                               require_sizes("the ZZB grid sizes", *astuple(self))):
             object.__setattr__(self, field.name, size)
         if min(self.n_delta, self.n_theta_z, self.n_theta_t) < 2:
             raise InvariantViolation("grid sizes must be >= 2")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfepm.channel import AxialPose
+from nfepm.channel import AxialPose, axis_factor
 from nfepm.errors import InvariantViolation
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import (_REFINE_CELLS, _TRIAL_BLOCK, DEFAULT_MAP_GRID,
@@ -110,6 +110,12 @@ def test_monte_carlo_single_trial_and_validation():
     assert report.mse_z >= 0.0 and report.mse_t >= 0.0
     with pytest.raises(InvariantViolation):
         monte_carlo_mse(PRIOR, GEOM, WAVE, 20.0, trials=0, seed=0, grid=grid)
+
+
+@pytest.mark.parametrize("trials, seed", [(2.5, 0), ("3", 0), (2, 1.5), (2, "0")])
+def test_monte_carlo_non_integer_trials_and_seeds_are_invariant_violations(trials, seed):
+    with pytest.raises(InvariantViolation, match="trials and seed must be integers"):
+        monte_carlo_mse(PRIOR, GEOM, WAVE, 20.0, trials, seed)
 
 
 @pytest.mark.parametrize("geom, wave, prior", [
@@ -361,6 +367,81 @@ def test_trial_block_scoring_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= score_bytes + 5 * 16 * chunk_cells
+
+
+def test_sweep_scores_the_coarse_blocks_of_its_one_level_calls(monkeypatch):
+    # a one-level call's last block may hold one row, whose product
+    # OpenBLAS takes by gemv, rounding unlike gemm; so a sweep hands the
+    # coarse scores exactly its one-level calls' blocks, none mixing levels
+    blocks = []
+
+    def recording(*args):
+        score = _coarse_scores(*args)
+
+        def recorded(noisy):
+            blocks.append(noisy.copy())
+            return score(noisy)
+
+        return recorded
+
+    monkeypatch.setattr(mapest_module, "_coarse_scores", recording)
+    grid, levels, trials = MapGrid(16, 8, 1), [0.0, 30.0, 60.0], 17
+    monte_carlo_mse(PRIOR, GEOM, WAVE, levels, trials, 4, grid)
+    sweep, blocks[:] = blocks[:], []
+    for db in levels:
+        monte_carlo_mse(PRIOR, GEOM, WAVE, db, trials, 4, grid)
+    assert [len(block) for block in sweep] == [8, 8, 1] * len(levels)
+    assert len(blocks) == len(sweep)
+    assert all(np.array_equal(a, b) for a, b in zip(sweep, blocks))
+
+
+def test_sweep_scoring_peak_memory():
+    # a sweep's rows, (trial, level, element), are scored one level and one
+    # _TRIAL_BLOCK at a time and refined together, one chunk of rows at a
+    # time, in the bound of one level's rows: 53 trials at 7 levels, 371
+    # rows or four chunks
+    n = THRESHOLD_GEOM.n_elements
+    chunk_cells = _REFINE_CELLS // (7 * n) * 7 * n
+    levels = range(0, 61, 10)
+    trials = -(-4 * (chunk_cells // (7 * n)) // len(levels))
+    estimate = _map_search(THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                           DEFAULT_MAP_GRID)
+    rng = stream(3)
+    z_true = rng.uniform(THRESHOLD_PRIOR.z_min, THRESHOLD_PRIOR.z_max, trials)
+    t_true = rng.uniform(0.0, 1.0, trials)
+    clean = element_voltages(z_true[:, None], t_true[:, None], THRESHOLD_GEOM,
+                             THRESHOLD_WAVE)
+    unit = np.stack([unit_noise(3, i, n) for i in range(trials)])
+    noisy = np.stack([add_noise(clean, unit, sigma2_for_snr_db(THRESHOLD_WAVE, db))
+                      for db in levels], axis=1)
+    score_bytes = _TRIAL_BLOCK * DEFAULT_MAP_GRID.n_z * DEFAULT_MAP_GRID.n_t * 8
+    tracemalloc.start()
+    try:
+        z_hat, _ = estimate(noisy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z_hat.shape == (trials, len(levels))
+    assert peak <= score_bytes + 5 * 16 * chunk_cells
+
+
+def test_refinement_forms_each_distinct_patch_distance_once(monkeypatch):
+    # the fig4 Monte Carlo (60 trials at 0-60 dB, seed 0) refines 7 x 60
+    # rows twice, 5880 patch distances, in five chunks of at most 93
+    # rows, trial-major; it forms axis_factor at the distinct distances of
+    # each chunk, 2115 in all, and at the coarse grid's 256
+    distances = []
+
+    def counted(z, *args, **kwargs):
+        distances.append(np.size(z))
+        return axis_factor(z, *args, **kwargs)
+
+    monkeypatch.setattr(mapest_module, "axis_factor", counted)
+    monte_carlo_mse(THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                    list(range(0, 61, 10)), 60, 0)
+    assert distances[0] == DEFAULT_MAP_GRID.n_z
+    assert len(distances) == 1 + 2 * 5
+    assert sum(distances[1:]) == 2115
 
 
 def test_search_build_allocates_less_than_one_score_block():

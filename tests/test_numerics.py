@@ -121,6 +121,22 @@ def test_stream_rejects_negative_seed_and_indices():
             stream(*args)
 
 
+@pytest.mark.parametrize("args", [(1.7,), (-0.5,), ("3",), (3, 2.0), (3, 1, "0"),
+                                  (np.float64(2.0),), (None,)])
+def test_stream_rejects_non_integer_seed_and_indices(args):
+    # int() would take 1.7 as seed 1 and -0.5 as seed 0, past the >= 0 check
+    with pytest.raises(InvariantViolation,
+                       match="seed and stream indices must be integers"):
+        stream(*args)
+
+
+def test_stream_takes_numpy_integers():
+    assert np.array_equal(stream(np.int64(7), np.int32(3)).standard_normal(4),
+                          stream(7, 3).standard_normal(4))
+    with pytest.raises(InvariantViolation, match="must be >= 0"):
+        stream(np.int8(-1))
+
+
 def test_every_array_request_is_capped():
     # each raises before it allocates: the over-cap requests here would
     # take tens of GiB
@@ -183,3 +199,7 @@ def test_numpy_integer_grid_sizes_are_python_ints():
     assert ZZBGrid(np.int64(8), 4, 8) == ZZBGrid(8, 4, 8)
     assert expect_uniform(lambda z, t: z, _PRIOR, np.int64(4), np.int32(2)) == \
         expect_uniform(lambda z, t: z, _PRIOR, 4, 2)
+    grid = MapGrid(16, 8, 1)
+    report = monte_carlo_mse(_PRIOR, _GEOM, _WAVE, 30.0, np.int32(3), np.int64(2), grid)
+    assert type(report.trials) is int and type(report.seed) is int
+    assert report == monte_carlo_mse(_PRIOR, _GEOM, _WAVE, 30.0, 3, 2, grid)

@@ -13,9 +13,11 @@ from nfepm.ecrb import ecrb, ecrb_ao, ecrb_asymptotic, fim_closed
 from nfepm.errors import InvariantViolation, NonFinite
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
+from nfepm.numerics import TZ_EPS, stream
 from nfepm.observation import snr_from_db
 from nfepm.zzb import ZZBGrid, mu_L_ao, zzb_ao_t, zzb_t, zzb_z
 
+mapest_module = importlib.import_module("nfepm.mapest")
 zzb_module = importlib.import_module("nfepm.zzb")
 
 # The fig4 geometry of the paper's bound curves, over -20...60 dB: low
@@ -71,11 +73,35 @@ def test_ecrb_sweep_equals_one_snr_calls():
             ecrb_asymptotic(PRIOR, snr, GEOM, WAVE, large_z) for snr in SNR]
 
 
-def test_monte_carlo_sweep_equals_one_level_calls():
+class _CornerDraws:
+    """A base stream whose two pose draws end with the prior box's four
+    corners."""
+
+    def __init__(self, seed):
+        self.rng = stream(seed)
+        self.corners = iter(([PRIOR.z_min, PRIOR.z_min, PRIOR.z_max, PRIOR.z_max],
+                             [0.0, 1.0 - TZ_EPS] * 2))
+
+    def uniform(self, low, high, size):
+        draws = self.rng.uniform(low, high, size)
+        draws[-4:] = next(self.corners)
+        return draws
+
+
+def test_monte_carlo_sweep_equals_one_level_calls(monkeypatch):
+    # the sweep refines every level's rows together; 57 trials leave a last
+    # coarse block of one row, 64 fill every block, and both end with the
+    # box corners, whose patches are clipped
     grid = MapGrid(32, 16, 1)
     reports = monte_carlo_mse(PRIOR, GEOM, WAVE, DB, 6, 5, grid)
     assert reports == [monte_carlo_mse(PRIOR, GEOM, WAVE, db, 6, 5, grid)
                        for db in DB]
+    monkeypatch.setattr(mapest_module, "stream", _CornerDraws)
+    grid = MapGrid(32, 16, 2)
+    for trials in (57, 64):
+        reports = monte_carlo_mse(PRIOR, GEOM, WAVE, DB, trials, 5, grid)
+        assert reports == [monte_carlo_mse(PRIOR, GEOM, WAVE, db, trials, 5, grid)
+                           for db in DB]
 
 
 @pytest.mark.parametrize("bound", [
