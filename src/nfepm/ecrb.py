@@ -179,6 +179,17 @@ def _over_sweep(snr, bounds):
     return tuple(map(shape, values))
 
 
+def _expect_grid(grid) -> tuple:
+    """`grid` as its two sizes (n_z, n_t); InvariantViolation unless it
+    holds exactly two."""
+    try:
+        n_z, n_t = grid
+    except (TypeError, ValueError):
+        raise InvariantViolation(
+            f"an expectation grid is two sizes (n_z, n_t), got {grid!r}") from None
+    return n_z, n_t
+
+
 def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
          grid=EXPECT_GRID):
     """Expected CRBs (distance m^2, tilt dimensionless^2) over the prior,
@@ -189,6 +200,7 @@ def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     first prior sample whose information matrix is singular, and NonFinite
     when a bound leaves the float range.
     """
+    grid = _expect_grid(grid)
     k = wave.wavenumber
 
     def ratios(z, t):
@@ -241,6 +253,8 @@ def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
     term), so unlike ecrb it takes no wave. An infinite aperture uses the
     limiting coefficient values.
     """
+    grid = _expect_grid(grid)
+
     def inv_itt(z, t):
         return 1.0 / _i_tt(*_axes(z, t, geom))
 

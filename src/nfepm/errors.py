@@ -44,10 +44,6 @@ class NegativeRadicand(NumericalError):
     """Square root of a negative quantity in a real-valued path."""
 
 
-class DegenerateElements(ConfigError):
-    """Probe element pair unusable (coincident or out of band)."""
-
-
 class NonFinite(NumericalError):
     """A computed quantity is NaN or infinite."""
 
@@ -66,10 +62,6 @@ class AttitudeSingularity(NumericalError):
 
 class SingularFIM(NumericalError):
     """Fisher information matrix numerically singular."""
-
-
-class ZeroNoise(ConfigError):
-    """Operation requires sigma^2 > 0."""
 
 
 class ParseError(ConfigError):

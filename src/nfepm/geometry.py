@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (IndexOutOfRange, InvariantViolation, NonPositiveDistance,
                      UnsupportedRegion, ValidityViolation)
-from .numerics import require_cells
+from .numerics import require_cells, require_sizes
 
 
 def _require_finite(**values):
@@ -55,7 +55,9 @@ class ArrayGeometry:
         return int(math.floor(n * (1.0 + 1e-12)))
 
     def element_center(self, n: int) -> float:
-        """Center of element n, 1-based."""
+        """Center of element n, 1-based; n is an integer, a Python or numpy
+        one, else InvariantViolation."""
+        n, = require_sizes("element indices", n)
         if not 1 <= n <= self.n_elements:
             raise IndexOutOfRange(f"element {n} outside 1..{self.n_elements}")
         return (n - 0.5) * self.pitch
@@ -110,19 +112,11 @@ class Region(Enum):
     CASE2_SC = "case2_sc"
 
 
-def fraunhofer_distance(geom: ArrayGeometry, wave: Wave) -> float:
-    """Far-field boundary 2*D^2/lambda with D taken as the aperture."""
-    return 2.0 * geom.aperture ** 2 / wave.wavelength
-
-
-def fresnel_distance(geom: ArrayGeometry, wave: Wave) -> float:
-    return 0.5 * math.sqrt(geom.aperture ** 3 / wave.wavelength)
-
-
 def phase_ambiguity_distance(geom: ArrayGeometry, wave: Wave) -> float:
-    """Quarter Fraunhofer distance; beyond it the phase integer periods of
-    any two elements differ by at most one. Requires aperture >= 4.8
-    wavelengths, the validity condition of the underlying expansion."""
+    """D^2 / (2 lambda), a quarter of the Fraunhofer distance; beyond it
+    the phase integer periods of any two elements differ by at most one.
+    Requires aperture >= 4.8 wavelengths, the validity condition of the
+    underlying expansion."""
     if geom.aperture < 4.8 * wave.wavelength:
         raise ValidityViolation(
             f"aperture {geom.aperture} below 4.8 wavelengths "
@@ -141,7 +135,11 @@ def probe_elements(geom: ArrayGeometry, alpha_idx: int = 1,
                    region: Region | None = None) -> tuple[int, int]:
     """The 1-based element pair a regime solver reads: 1 and 2 in the
     spacing-constraint regime, else alpha and beta (max(alpha + 1, N // 2)
-    by default)."""
+    by default). The indices given are integers, Python or numpy ones,
+    else InvariantViolation, in every regime."""
+    alpha_idx, = require_sizes("element indices", alpha_idx)
+    if beta_idx is not None:
+        beta_idx, = require_sizes("element indices", beta_idx)
     if region is Region.CASE2_SC:
         return 1, 2
     if beta_idx is None:

@@ -4,7 +4,8 @@ The likelihood surface is multimodal in distance through the carrier
 phase, so the estimator scans the whole prior box on a coarse grid and
 then refines locally; gradient methods are not trustworthy here. With a
 uniform prior the MAP estimate coincides with maximum likelihood
-restricted to the box.
+restricted to the box. The estimator is `_map_search`; `monte_carlo_mse`
+is its entry point.
 
 The coarse score is separable in distance and tilt (`_coarse_scores`), so
 a block of trials is scored by one real product over the block and one
@@ -30,11 +31,11 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .channel import AxialPose, axis_factor
+from .channel import axis_factor
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import TZ_EPS, require_cells, require_sizes, stream
-from .observation import (NoiseSpec, Voltages, add_noise, element_voltages,
+from .observation import (NoiseSpec, add_noise, element_voltages,
                           sigma2_for_snr_db, unit_noise)
 
 # Trials scored per pass: a block's scores on the default grid take
@@ -87,16 +88,6 @@ class MseReport:
             raise InvariantViolation("mean squared errors must be >= 0")
         if self.trials < 1:
             raise InvariantViolation("trials must be >= 1")
-
-
-def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
-                   wave: Wave, noise: NoiseSpec) -> float:
-    """Gaussian log-likelihood up to its additive constant."""
-    resid = vtilde.values - element_voltages(pose.distance, pose.tilt, geom, wave)
-    total = float(np.sum(np.abs(resid) ** 2))
-    if noise.sigma2 == 0:
-        return 0.0 if total == 0 else -np.inf
-    return -total / noise.sigma2
 
 
 def _coarse_scores(z, t, geom: ArrayGeometry, wave: Wave):
@@ -251,18 +242,6 @@ def _map_search(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
         return z_hat.reshape(noisy.shape[:-1]), t_hat.reshape(noisy.shape[:-1])
 
     return estimate
-
-
-def map_estimate(vtilde: Voltages, prior: UniformPrior, geom: ArrayGeometry,
-                 wave: Wave, noise: NoiseSpec,
-                 grid: MapGrid = DEFAULT_MAP_GRID) -> AxialPose:
-    """Argmax of the posterior over the prior box.
-
-    The noise variance scales the likelihood uniformly and does not move
-    the argmax.
-    """
-    z_hat, t_hat = _map_search(prior, geom, wave, grid)(vtilde.values[None, :])
-    return AxialPose(float(z_hat[0]), float(t_hat[0]))
 
 
 def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,

@@ -31,10 +31,10 @@ def require_cells(what: str, cells) -> None:
 
 
 def require_sizes(what: str, *sizes) -> tuple:
-    """`sizes`, the grid sizes, counts or seeds that `what` names, as
-    Python ints, so products of them cannot wrap around; InvariantViolation
-    unless each is an integer, a Python or numpy one, as operator.index
-    takes it."""
+    """`sizes`, the grid sizes, counts, seeds or indices that `what` names,
+    as Python ints, so products of them cannot wrap around;
+    InvariantViolation unless each is an integer, a Python or numpy one, as
+    operator.index takes it."""
     ints = []
     for size in sizes:
         try:

@@ -1,5 +1,5 @@
 """Element voltages: noise-free synthesis, the complex Gaussian noise
-model, and SNR bookkeeping."""
+model, and the dB-to-noise-variance conversion."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AxialPose, axis_channel
-from .errors import InvariantViolation, NonFinite, ValidityViolation, ZeroNoise
+from .errors import InvariantViolation, NonFinite, ValidityViolation
 from .geometry import ArrayGeometry, Wave
 from .numerics import stream
 
@@ -84,17 +84,6 @@ def observe(v: Voltages, noise: NoiseSpec, trial: int = 0) -> Voltages:
         return v
     unit = unit_noise(noise.seed, trial, v.geom.n_elements)
     return Voltages(values=add_noise(v.values, unit, noise.sigma2), geom=v.geom)
-
-
-def snr(wave: Wave, noise: NoiseSpec) -> float:
-    """Drive-power to noise-power ratio."""
-    if noise.sigma2 <= 0:
-        raise ZeroNoise("snr undefined for sigma2 <= 0")
-    return wave.amplitude ** 2 / noise.sigma2
-
-
-def snr_db(wave: Wave, noise: NoiseSpec) -> float:
-    return 10.0 * math.log10(snr(wave, noise))
 
 
 def snr_from_db(db: float) -> float:

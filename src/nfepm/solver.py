@@ -5,17 +5,17 @@ a wavelength) the element phase is unambiguous and the solve is exact. In
 the propagating regime the integer phase periods of two elements differ by
 at most one once the source is far enough out, which pins the phase
 difference and yields a second-order-accurate distance. One phase-period
-rule (`solve_case2_pa`) serves both Case II regimes, at the pair that
-`geometry.probe_elements` names: a distant pair (phase ambiguity) or
-elements 1 and 2 (spacing constraint). The tilt then follows from the two
-amplitudes. All solvers broadcast over array voltage inputs.
+rule serves both Case II regimes, at the pair that `geometry.probe_elements`
+names: a distant pair (phase ambiguity) or elements 1 and 2 (spacing
+constraint). The tilt then follows from the two amplitudes
+(`_solve_pair`). `solve` classifies the prior box and applies its
+regime's rule; all solvers broadcast over array voltage inputs.
 
-`rmse_grid` scores a regime's solver on a grid over the prior without
-forming voltages: per distance row it takes the tilt-free channel factor
-of each probe element, reads the range per cell off the cell's phase with
-the regime's own rule, and solves the tilt, linear in the amplitudes,
-once per row. `rmse_grids` scores several solvers on the same data in one
-pass, which `rmse_grid` is the one-solver call of. Its work per row (each
+`rmse_grids` scores one or several solvers on a grid over the prior, in
+one pass on the same data, without forming voltages: per distance row it
+takes the tilt-free channel factor of each probe element, reads the range
+per cell off the cell's phase with each solver's own rule, and solves the
+tilt, linear in the amplitudes, once per row. Its work per row (each
 probe element's factor, the row ranges and the tilt solves) runs once per
 chunk of a few hundred rows, and its work per cell (each per-cell phase
 grid, formed once for every solver that reads that element, and the cell
@@ -37,15 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import axis_factor
-from .errors import (DegenerateElements, InvariantViolation, NegativeRadicand,
-                     NonFinite)
+from .errors import InvariantViolation, NegativeRadicand, NonFinite
 from .geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                        classify_region, probe_elements)
 from .numerics import require_cells, require_sizes
 from .observation import Voltages
 
 _TWO_PI = 2.0 * np.pi
-# rmse_grid evaluates the grid in blocks of distance rows of at most this
+# rmse_grids evaluates the grid in blocks of distance rows of at most this
 # many cells (one row at least)
 _BLOCK_CELLS = 1 << 14
 # and does its per-row work once per chunk of whole blocks of at most this
@@ -172,28 +171,6 @@ def _solve_pair(kind: Region, v_alpha, v_beta, y_alpha: float, y_beta: float,
     return SolveResult(z[()], t, kind, diagnostic)
 
 
-def solve_case1(v_alpha, v_beta, y_alpha: float, y_beta: float,
-                geom: ArrayGeometry, wave: Wave,
-                diagnostic: bool = False) -> SolveResult:
-    """Reactive-regime solve: range read directly off the alpha phase."""
-    if y_alpha == y_beta:
-        raise DegenerateElements("probe elements coincide")
-    return _solve_pair(Region.CASE1, v_alpha, v_beta, y_alpha, y_beta, geom,
-                       wave, diagnostic)
-
-
-def solve_case2_pa(v_alpha, v_beta, y_alpha: float, y_beta: float,
-                   geom: ArrayGeometry, wave: Wave,
-                   diagnostic: bool = False) -> SolveResult:
-    """Case II phase-period rule: the two probe phases differ by less than
-    a full period, so their principal difference (shifted up by one period
-    when non-positive) determines the range."""
-    if not y_beta > y_alpha:
-        raise DegenerateElements("need y_beta > y_alpha")
-    return _solve_pair(Region.CASE2_PA, v_alpha, v_beta, y_alpha, y_beta, geom,
-                       wave, diagnostic)
-
-
 def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
               alpha_idx: int, beta_idx: int | None, diagnostic: bool):
     """Apply the solver of regime `kind` to probe(n), the voltage of
@@ -213,26 +190,15 @@ def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
                      alpha_idx, beta_idx, diagnostic)
 
 
-def rmse_grid(case: Region, prior: UniformPrior, geom: ArrayGeometry,
-              wave: Wave, u: int, v: int, mismatch: Region | None = None):
-    """Forward-model a u-by-v grid over the prior box and solve each point,
-    returning (rmse_z, rmse_t).
-
-    `case` names the regime the data belong to; `mismatch` optionally
-    names a different regime whose solver is applied instead, in
-    diagnostic mode, in which case the RMSEs are complex (square root
-    of the complex mean of squared errors). This is the one-solver call
-    of `rmse_grids`, which describes the method.
-    """
-    return rmse_grids(case, prior, geom, wave, u, v, (mismatch,))[0]
-
-
 def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
                wave: Wave, u: int, v: int, solvers):
-    """`rmse_grid` for each of `solvers` on the same u-by-v grid of
-    `case` data, in one pass: a list of (rmse_z, rmse_t), one per solver,
-    each equal to that solver's own `rmse_grid` call bit for bit. A
-    solver is None for the regime's own solver or a mismatched `Region`.
+    """Forward-model a u-by-v grid over the prior box of `case` data and
+    solve each point with each of `solvers`, in one pass: a list of
+    (rmse_z, rmse_t), one per solver, each equal to that solver's own
+    one-solver pass bit for bit. A solver is None for the regime's own
+    solver, or a mismatched `Region` whose solver is applied instead, in
+    diagnostic mode; its RMSEs are then complex (square root of the
+    complex mean of squared errors).
 
     Nothing forms the probe voltages c (y t + z s), with c the
     tilt-free factor `axis_factor` of a distance row and s = sqrt(1 - t^2).

@@ -29,16 +29,18 @@ sin^2 through tan (`_sin_squared`), which numpy runs as a SIMD loop.
 
 Each bound integrates one box per outer offset, with no offset in the
 other parameter (box 0 of the vector bound's search line): zzb_z's box
-sits at tilt offset 0, zzb_t's at distance offset 0. Any offset direction
-gives a valid bound, and a maximum over directions only tightens it
-(Bell, Steinberg, Ephraim and Van Trees, "Extended Ziv-Zakai lower bound
-for vector parameter estimation", IEEE Trans. IT 43(2), 1997); a search
-over 15 more boxes per line raised no bound on any preset. zzb_t's box
-is the tilt-only statistic in closed form (`_ao_form`), so zzb_t equals
-zzb_ao_t. A geometry with strong distance-tilt coupling would need one
-more box, along the local optimum delta_t = -(J_zt / J_tt) delta_z; it
-is not built, and its statistic would need the tilt-offset terms of A1 -
-A0 back in the coefficients and the tilt basis.
+sits at tilt offset 0, zzb_ao_t's at distance offset 0. Any offset
+direction gives a valid bound, and a maximum over directions only
+tightens it (Bell, Steinberg, Ephraim and Van Trees, "Extended Ziv-Zakai
+lower bound for vector parameter estimation", IEEE Trans. IT 43(2),
+1997); a search over 15 more boxes per line raised no bound on any
+preset. At distance offset 0 the joint statistic is the tilt-only one in
+closed form (`_ao_form`), so zzb_ao_t is also the joint tilt bound: the
+CLI writes its values to both the zzb_t and the zzb_ao_t columns. A
+geometry with strong distance-tilt coupling would need one more box,
+along the local optimum delta_t = -(J_zt / J_tt) delta_z; it is not
+built, and its statistic would need the tilt-offset terms of A1 - A0
+back in the coefficients and the tilt basis.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work runs once per sweep, and a bound that is not
@@ -411,21 +413,12 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     return (snr * geom.pitch * _ao_form(z, geom.aperture)(t0, dt))[()]
 
 
-def zzb_t(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
-          grid: ZZBGrid = DEFAULT_GRID):
-    """MSE lower bound on the tilt (dimensionless^2): zzb_ao_t, which takes
-    no wave. Its box at each tilt offset has distance offset 0, where the
-    joint statistic is the tilt-only one; that box alone gives a valid
-    bound (Bell et al. 1997, see the module docstring)."""
-    del wave
-    return zzb_ao_t(prior, snr, geom, grid)
-
-
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
              grid: ZZBGrid = DEFAULT_GRID):
-    """Tilt bound with the distance treated as a random nuisance; zzb_t
-    equals it, as the box at distance offset 0 gives a valid joint bound
-    (Bell et al. 1997, see the module docstring).
+    """MSE lower bound on the tilt (dimensionless^2) with the distance a
+    random nuisance, and the joint tilt bound too: its box, at distance
+    offset 0, alone gives a valid one (Bell et al. 1997, see the module
+    docstring).
 
     Its box is mu_L_ao's statistic, its tau-moments taken once per call
     and its tilt factor once per batch of outer nodes. It takes no wave,

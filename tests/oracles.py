@@ -8,7 +8,8 @@ separable forms (`mapest._coarse_scores`, `mapest._patch_scores`);
 `coarse_model` is the dense model of the first, `coarse_scores_flat` the
 first with one flat tilt-expansion product per block of trials, and
 `patch_scores_dense` scores the patches as -sum |candidate - v|^2 from
-every candidate's voltages.
+every candidate's voltages. `log_likelihood` is the Gaussian
+log-likelihood of one pose, whose argmax the search must find.
 The expected CRBs take their tau coefficients once per distance, on the
 sparse prior axes; `ecrb_dense` and its siblings take them on every cell
 of the dense grid. `outer_per_node` is the ZZB offset integral node by
@@ -35,7 +36,7 @@ from nfepm.errors import AttitudeSingularity, InvariantViolation, QuadratureFail
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave, probe_elements
 from nfepm.numerics import (EXPECT_GRID, TZ_EPS, midpoints, q_function,
                             require_snr, snr_sweep)
-from nfepm.observation import element_voltages
+from nfepm.observation import NoiseSpec, Voltages, element_voltages
 from nfepm.solver import (_distance, _gain_phase, _tilt_from_amplitudes,
                           decouple)
 from nfepm.zzb import (_DELTA_FLOOR_REL, _FAMILY_BLOCK, _TRUNCATE_REL,
@@ -183,6 +184,16 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
     i_zt = integrate(lambda y: num_z(y) * (y - z * c) / (2.0 * r2(y) ** 3.5),
                      0.0, geom.aperture, spec)
     return _assemble(i_zz1, i_zz2, i_tt, i_zt, snr, geom, wave)
+
+
+def log_likelihood(pose: AxialPose, vtilde: Voltages, geom: ArrayGeometry,
+                   wave: Wave, noise: NoiseSpec) -> float:
+    """Gaussian log-likelihood up to its additive constant."""
+    resid = vtilde.values - element_voltages(pose.distance, pose.tilt, geom, wave)
+    total = float(np.sum(np.abs(resid) ** 2))
+    if noise.sigma2 == 0:
+        return 0.0 if total == 0 else -np.inf
+    return -total / noise.sigma2
 
 
 def coarse_model(z, t, geom: ArrayGeometry, wave: Wave):

@@ -87,13 +87,11 @@ PUBLIC_NAMES = """
     NoiseSpec Region SolveResult UniformPrior Voltages Wave ZZBGrid
     axis_channel channel classify_region decouple degenerate_channel ecrb
     ecrb_ao ecrb_asymptotic element_voltages errors expect_uniform
-    fim_closed fraunhofer_distance fresnel_distance general_channel
-    geometry log_likelihood map_estimate mapest monte_carlo_mse mu_L_ao
+    fim_closed general_channel geometry mapest monte_carlo_mse mu_L_ao
     nf_channel noiseless_voltages numerics observation observe
-    phase_ambiguity_distance q_function rerr rmse_grid scalar_green
-    scaling_factor sigma2_for_snr_db simp_channel snr snr_db snr_from_db
-    solve solve_case1 solve_case2_pa solver spacing_constraint_distance
-    stream vector_field zzb zzb_ao_t zzb_t zzb_z
+    phase_ambiguity_distance q_function rerr scalar_green scaling_factor
+    sigma2_for_snr_db simp_channel snr_from_db solve solver
+    spacing_constraint_distance stream vector_field zzb zzb_ao_t zzb_z
 """.split()
 
 
@@ -280,7 +278,7 @@ def test_every_error_has_exactly_one_exit_category():
     leaves = [cls for cls in vars(errors).values()
               if isinstance(cls, type) and issubclass(cls, errors.NfepmError)
               and cls not in bases]
-    assert len(leaves) == 15
+    assert len(leaves) == 13
     for cls in leaves:
         assert (issubclass(cls, errors.ConfigError)
                 != issubclass(cls, errors.NumericalError)), cls
@@ -371,6 +369,22 @@ def test_zzb_rows_take_one_pass_per_tilt_pair(tmp_path, monkeypatch):
     assert main(["preset", "fig8", "--out", str(tmp_path)]
                 + list(OVERRIDES)) == 0
     assert channels == [7, 7]
+
+
+def test_zzb_t_column_is_the_zzb_ao_t_column(tmp_path):
+    # the joint tilt bound is the tilt-only one, so each CSV writing both
+    # tilt columns writes the same text in each, row by row
+    cfg = write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = -20,0,30,60\n")
+    assert main(["zzb", "--config", cfg, "--out", str(tmp_path)]
+                + list(OVERRIDES)) == 0
+    assert main(["preset", "fig8", "--out", str(tmp_path)]
+                + list(OVERRIDES)) == 0
+    for name, n_rows in (("zzb.csv", 4), ("fig8.csv", 7)):
+        _, header, rows = read_result(tmp_path / name)
+        t, ao = header.index("zzb_t"), header.index("zzb_ao_t")
+        assert len(rows) == n_rows
+        assert [row[t] for row in rows] == [row[ao] for row in rows]
+        assert len({row[ao] for row in rows}) == n_rows
 
 
 # The threshold config: lambda 0.1, aperture 5, pitch 0.1, z_min 3.

@@ -280,6 +280,23 @@ def test_bound_validation():
         ecrb_ao(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM)
 
 
+@pytest.mark.parametrize("grid", [(8,), (8, 8, 8), 8])
+def test_expected_bounds_take_a_grid_of_two_sizes(grid):
+    # (8,) averaged over 8 x 64 in silence; (8, 8, 8) and 8 raised a bare
+    # TypeError
+    for bound in (
+            lambda: ecrb(THRESHOLD_PRIOR, 1e3, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                         grid),
+            lambda: ecrb_ao(THRESHOLD_PRIOR, 1e3, THRESHOLD_GEOM, grid)):
+        with pytest.raises(InvariantViolation,
+                           match=r"^an expectation grid is two sizes"):
+            bound()
+    assert (ecrb(THRESHOLD_PRIOR, 1e3, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                 np.array([8, 8]))
+            == ecrb(THRESHOLD_PRIOR, 1e3, THRESHOLD_GEOM, THRESHOLD_WAVE,
+                    (8, 8)))
+
+
 @pytest.mark.parametrize("snr", [math.nan, -5.0])
 @pytest.mark.parametrize("fim", [fim_closed, fim_quadrature])
 def test_information_rejects_nan_and_negative_snr(fim, snr):

@@ -9,8 +9,7 @@ from nfepm.errors import (IndexOutOfRange, InvariantViolation,
                           NonPositiveDistance, UnsupportedRegion,
                           ValidityViolation)
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
-                            classify_region, fraunhofer_distance,
-                            fresnel_distance, phase_ambiguity_distance,
+                            classify_region, phase_ambiguity_distance,
                             spacing_constraint_distance)
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
@@ -38,6 +37,16 @@ def test_element_index_bounds():
         geom.element_center(0)
     with pytest.raises(IndexOutOfRange):
         geom.element_center(21)
+
+
+def test_element_index_must_be_an_integer():
+    # a fractional index named a point between two elements
+    geom = ArrayGeometry(1.0, 0.05)
+    for n in (1.5, 2.0, "2", None):
+        with pytest.raises(InvariantViolation,
+                           match="element indices must be integers"):
+            geom.element_center(n)
+    assert geom.element_center(np.int64(2)) == geom.element_center(2)
 
 
 def test_geometry_validation():
@@ -73,11 +82,8 @@ def test_prior_validation():
 
 def test_characteristic_distances():
     geom, wave = ArrayGeometry(1.0, 0.05), Wave(0.1)
-    assert fraunhofer_distance(geom, wave) == pytest.approx(20.0)
+    # D^2 / (2 lambda), a quarter of the Fraunhofer distance 2 D^2 / lambda = 20
     assert phase_ambiguity_distance(geom, wave) == pytest.approx(5.0)
-    # quarter-Fraunhofer identity
-    assert phase_ambiguity_distance(geom, wave) == pytest.approx(
-        fraunhofer_distance(geom, wave) / 4.0)
 
 
 def test_phase_ambiguity_needs_wide_aperture():
@@ -95,20 +101,6 @@ def test_spacing_constraint_two_regimes():
     # fine pitch: linear floor wins
     assert spacing_constraint_distance(ArrayGeometry(2.0, 0.05), wave) == \
         pytest.approx(3.6 * 0.05)
-
-
-def test_distance_ordering_sweep():
-    # fresnel < phase-ambiguity < fraunhofer whenever the aperture is wide
-    # enough for the phase-ambiguity distance to exist
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        lam = 10.0 ** rng.uniform(-3, 0)
-        d_r = lam * rng.uniform(4.8, 400.0)
-        geom = ArrayGeometry(d_r, d_r / rng.integers(5, 50))
-        wave = Wave(lam)
-        assert (fresnel_distance(geom, wave)
-                < phase_ambiguity_distance(geom, wave)
-                < fraunhofer_distance(geom, wave))
 
 
 def test_classify_benchmark_columns():
@@ -167,3 +159,10 @@ def test_classify_index_validation():
         classify_region(prior, geom, wave, alpha_idx=5, beta_idx=5)
     with pytest.raises(IndexOutOfRange):
         classify_region(prior, geom, wave, alpha_idx=1, beta_idx=21)
+    # fractional indices gave a region
+    for alpha, beta in ((1, 2.5), (1.5, None), (1.0, 10)):
+        with pytest.raises(InvariantViolation,
+                           match="element indices must be integers"):
+            classify_region(prior, geom, wave, alpha, beta)
+    assert (classify_region(prior, geom, wave, np.int64(1), np.int32(10))
+            is classify_region(prior, geom, wave, 1, 10) is Region.CASE2_PA)

@@ -10,7 +10,7 @@ from nfepm.mapest import MapGrid, monte_carlo_mse
 from nfepm.ecrb import ecrb
 from nfepm.numerics import (MAX_CELLS, expect_uniform, q_function,
                             require_cells, stream)
-from nfepm.solver import rmse_grid
+from nfepm.solver import rmse_grids
 from nfepm.zzb import ZZBGrid, zzb_z
 from oracles import QuadratureSpec, integrate
 
@@ -156,8 +156,8 @@ def test_every_array_request_is_capped():
         lambda: ZZBGrid(n_theta_t=MAX_CELLS // 64 + 1),
         lambda: ZZBGrid(n_theta_z=4097),
         lambda: expect_uniform(lambda z, t: z, prior, MAX_CELLS, 2),
-        lambda: rmse_grid(Region.CASE2_PA, UniformPrior(5.0, 20.0),
-                          ArrayGeometry(1.0, 0.05), wave, u=MAX_CELLS, v=2),
+        lambda: rmse_grids(Region.CASE2_PA, UniformPrior(5.0, 20.0),
+                           ArrayGeometry(1.0, 0.05), wave, MAX_CELLS, 2, (None,)),
         lambda: monte_carlo_mse(prior, ArrayGeometry(5.0, 0.1), wave, 30.0, 1, 0,
                                 MapGrid(MAX_CELLS, 2)),
         lambda: monte_carlo_mse(prior, ArrayGeometry(5.0, 0.1), wave, 30.0,
@@ -180,8 +180,8 @@ _PRIOR, _GEOM, _WAVE = UniformPrior(3.0, 5.0), ArrayGeometry(5.0, 0.1), Wave(0.1
     lambda: MapGrid(32.5, 16),
     lambda: MapGrid(32, 16, 1.5),
     lambda: monte_carlo_mse(_PRIOR, _GEOM, _WAVE, 30.0, 2, 0, MapGrid(32.5, 16)),
-    lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10.5, 10),
-    lambda: rmse_grid(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10, None),
+    lambda: rmse_grids(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10.5, 10, (None,)),
+    lambda: rmse_grids(Region.CASE2_PA, _PRIOR, _GEOM, _WAVE, 10, None, (None,)),
 ], ids=["zzb_z", "n_theta_z", "n_theta_t", "ecrb",
         "expect_uniform", "map_n_z", "refine_levels", "monte_carlo_mse",
         "rmse_grid_u", "rmse_grid_v"])

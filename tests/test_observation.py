@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nfepm.channel import AxialPose, axis_channel, nf_channel
-from nfepm.errors import InvariantViolation, NonFinite, ZeroNoise
+from nfepm.errors import InvariantViolation, NonFinite
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.numerics import TZ_EPS, stream
 from nfepm.observation import (NoiseSpec, Voltages, add_noise, element_voltages,
-                               noiseless_voltages, observe, sigma2_for_snr_db,
-                               snr, snr_db)
+                               noiseless_voltages, observe, sigma2_for_snr_db)
 
 GEOM = ArrayGeometry(1.0, 0.25)
 WAVE = Wave(1.0, amplitude=2.0)
@@ -131,9 +130,6 @@ def test_noise_spec_validation():
 
 
 def test_snr_bookkeeping():
-    assert snr(Wave(1.0, 1.0), NoiseSpec(1.0)) == 1.0
-    assert snr(Wave(1.0, 10.0), NoiseSpec(1.0)) == 100.0
-    assert snr_db(Wave(1.0, 1.0), NoiseSpec(1e-4)) == pytest.approx(40.0)
     assert sigma2_for_snr_db(Wave(1.0, 1.0), 40.0) == pytest.approx(1e-4)
-    with pytest.raises(ZeroNoise):
-        snr(Wave(1.0, 1.0), NoiseSpec(0.0))
+    # the SNR is drive power over noise power
+    assert sigma2_for_snr_db(Wave(1.0, 10.0), 20.0) == 1.0

@@ -8,19 +8,23 @@ import pytest
 
 from nfepm import solver as solver_module
 from nfepm.channel import AxialPose, axis_channel, axis_factor
-from nfepm.errors import (DegenerateElements, InvariantViolation,
-                          NegativeRadicand, NonFinite, UnsupportedRegion)
+from nfepm.errors import (InvariantViolation, NegativeRadicand, NonFinite,
+                          UnsupportedRegion)
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                             classify_region, probe_elements)
 from nfepm.observation import noiseless_voltages
 from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
-                          _pow_five_quarters, _solve_as, _tilt_from_amplitudes,
-                          decouple, rmse_grid, rmse_grids, solve,
-                          solve_case1, solve_case2_pa)
+                          _pow_five_quarters, _solve_as, _solve_pair,
+                          _tilt_from_amplitudes, decouple, rmse_grids, solve)
 from oracles import rmse_grids_per_block
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
 TWO_PI = 2.0 * np.pi
+
+
+def _rmse_grid(case, prior, geom, wave, u, v, mismatch=None):
+    # one solver's (rmse_z, rmse_t): a one-solver pass of rmse_grids
+    return rmse_grids(case, prior, geom, wave, u, v, (mismatch,))[0]
 
 
 def _relative_bias(geom, y_a, y_b, z):
@@ -130,7 +134,7 @@ def test_reactive_roundtrip_exact(column):
 @pytest.mark.parametrize("column", [0, 1])
 def test_reactive_grid_rmse_vanishes(column):
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
-    rmse_z, rmse_t = rmse_grid(region, prior, geom, wave, u=40, v=40)
+    rmse_z, rmse_t = _rmse_grid(region, prior, geom, wave, u=40, v=40)
     assert rmse_z < 1e-9
     assert rmse_t < 1e-9
 
@@ -150,7 +154,7 @@ def test_distant_pair_bias_envelope():
         t = rng.uniform(0.0, 0.95)
         va = axis_channel(z, t, y_a, wave, scale)
         vb = axis_channel(z, t, y_b, wave, scale)
-        res = solve_case2_pa(va, vb, y_a, y_b, geom, wave)
+        res = _solve_pair(Region.CASE2_PA, va, vb, y_a, y_b, geom, wave, False)
         eps = _relative_bias(geom, y_a, y_b, z)
         assert abs(res.z_hat - z) / z <= 1.05 * eps + 1e-12
         assert abs(res.t_hat - t) <= 2.5 * eps + 1e-12
@@ -170,7 +174,7 @@ def test_adjacent_pair_bias_envelope():
         t = rng.uniform(0.0, 0.95)
         v1 = axis_channel(z, t, y_1, wave, scale)
         v2 = axis_channel(z, t, y_2, wave, scale)
-        res = solve_case2_pa(v1, v2, y_1, y_2, geom, wave)
+        res = _solve_pair(Region.CASE2_PA, v1, v2, y_1, y_2, geom, wave, False)
         eps = _relative_bias(geom, y_1, y_2, z)
         assert abs(res.z_hat - z) / z <= 1.05 * eps + 1e-12
         assert abs(res.t_hat - t) <= 2.5 * eps + 1e-12
@@ -188,7 +192,7 @@ def test_distant_pair_benchmark_bias_small(column):
     scale = wave.amplitude * geom.pitch
     va = axis_channel(prior.z_min, 0.3, y_a, wave, scale)
     vb = axis_channel(prior.z_min, 0.3, y_b, wave, scale)
-    res = solve_case2_pa(va, vb, y_a, y_b, geom, wave)
+    res = _solve_pair(Region.CASE2_PA, va, vb, y_a, y_b, geom, wave, False)
     assert abs(res.z_hat - prior.z_min) / prior.z_min <= 3.5e-3
 
 
@@ -235,12 +239,12 @@ def test_wrapped_phase_difference_shift():
     wave = Wave(0.1)
     y_a, y_b = 0.5, 1.5
     scale = (y_b ** 2 - y_a ** 2) / 2.0
-    res = solve_case2_pa(np.exp(1j * 3.0), np.exp(1j * 1.0),
-                         y_a, y_b, geom, wave)
+    res = _solve_pair(Region.CASE2_PA, np.exp(1j * 3.0), np.exp(1j * 1.0),
+                      y_a, y_b, geom, wave, False)
     assert res.z_hat == pytest.approx(wave.wavenumber * scale
                                       / (1.0 - 3.0 + TWO_PI))
-    res = solve_case2_pa(np.exp(1j * 1.0), np.exp(1j * 2.0),
-                         y_a, y_b, geom, wave)
+    res = _solve_pair(Region.CASE2_PA, np.exp(1j * 1.0), np.exp(1j * 2.0),
+                      y_a, y_b, geom, wave, False)
     assert res.z_hat == pytest.approx(wave.wavenumber * scale)
 
 
@@ -248,17 +252,8 @@ def test_vanishing_phase_difference_rejected():
     geom = ArrayGeometry(4.0, 1.0)
     wave = Wave(0.1)
     with pytest.raises(NonFinite):
-        solve_case2_pa(np.exp(1j * (TWO_PI - 1e-13)), np.exp(1j * 1e-13),
-                       0.5, 1.5, geom, wave)
-
-
-def test_degenerate_probe_elements():
-    geom = ArrayGeometry(1.0, 0.05)
-    wave = Wave(1.0)
-    with pytest.raises(DegenerateElements):
-        solve_case1(1.0 + 0j, 1.0 + 0j, 0.025, 0.025, geom, wave)
-    with pytest.raises(DegenerateElements):
-        solve_case2_pa(1.0 + 0j, 1.0 + 0j, 0.475, 0.025, geom, wave)
+        _solve_pair(Region.CASE2_PA, np.exp(1j * (TWO_PI - 1e-13)),
+                    np.exp(1j * 1e-13), 0.5, 1.5, geom, wave, False)
 
 
 def test_negative_radicand_and_diagnostic_mode():
@@ -267,8 +262,8 @@ def test_negative_radicand_and_diagnostic_mode():
     v_a = 0.5 * np.exp(1j * 1e-3)
     v_b = 0.4 * np.exp(1j * 2e-3)
     with pytest.raises(NegativeRadicand):
-        solve_case1(v_a, v_b, 0.025, 0.475, geom, wave)
-    res = solve_case1(v_a, v_b, 0.025, 0.475, geom, wave, diagnostic=True)
+        _solve_pair(Region.CASE1, v_a, v_b, 0.025, 0.475, geom, wave, False)
+    res = _solve_pair(Region.CASE1, v_a, v_b, 0.025, 0.475, geom, wave, True)
     assert res.diagnostic
     assert np.iscomplexobj(np.asarray(res.z_hat))
     assert np.imag(res.z_hat) != 0.0
@@ -286,15 +281,15 @@ def test_diagnostic_case1_is_complex_throughout():
     scale = wave.amplitude * geom.pitch
     v_a = axis_channel(z, t, y_a, wave, scale=scale)
     v_b = axis_channel(z, t, y_b, wave, scale=scale)
-    plain = solve_case1(v_a, v_b, y_a, y_b, geom, wave)
-    res = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
+    plain = _solve_pair(Region.CASE1, v_a, v_b, y_a, y_b, geom, wave, False)
+    res = _solve_pair(Region.CASE1, v_a, v_b, y_a, y_b, geom, wave, True)
     assert np.iscomplexobj(res.z_hat) and np.iscomplexobj(res.t_hat)
     assert np.all(res.z_hat.imag == 0.0) and np.all(res.t_hat.imag == 0.0)
     assert np.array_equal(res.z_hat.real, plain.z_hat)
     np.testing.assert_array_max_ulp(res.t_hat.real, plain.t_hat, maxulp=2)
     # one negative radicand makes only its own cell's imaginary parts nonzero
     v_a[0, 0] = 0.5 * np.exp(1j * 1e-3)
-    mixed = solve_case1(v_a, v_b, y_a, y_b, geom, wave, diagnostic=True)
+    mixed = _solve_pair(Region.CASE1, v_a, v_b, y_a, y_b, geom, wave, True)
     assert mixed.z_hat[0, 0].imag != 0.0 and mixed.t_hat[0, 0].imag != 0.0
     rest = np.ones(mixed.z_hat.shape, dtype=bool)
     rest[0, 0] = False
@@ -327,11 +322,32 @@ def test_spacing_constraint_solve_is_phase_period_rule_at_elements_1_2(column):
                          rng.uniform(0.0, 1.0))
         v = noiseless_voltages(pose, geom, wave)
         res = solve(v, prior, geom, wave)
-        ref = solve_case2_pa(v.values[0], v.values[1], geom.element_center(1),
-                             geom.element_center(2), geom, wave)
+        ref = _solve_pair(Region.CASE2_PA, v.values[0], v.values[1],
+                          geom.element_center(1), geom.element_center(2), geom,
+                          wave, False)
         assert res.region is Region.CASE2_SC
         assert res.z_hat == pytest.approx(ref.z_hat, rel=1e-12, abs=0.0)
         assert res.t_hat == pytest.approx(ref.t_hat, abs=1e-10)
+
+
+def test_non_integer_probe_indices_are_invariant_violations():
+    # on the Case II-PA column (lambda 0.1, aperture 1, pitch 0.05, prior
+    # [5, 20]) a fractional index raised a bare IndexError, and on the
+    # Case II-SC column a fractional alpha was ignored; numpy integers pass
+    for column, alpha, beta in ((2, 1.5, None), (2, 1, 10.5), (5, 1.5, None)):
+        _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+        v = noiseless_voltages(AxialPose(prior.z_min, 0.4), geom, wave)
+        with pytest.raises(InvariantViolation,
+                           match="element indices must be integers"):
+            solve(v, prior, geom, wave, alpha_idx=alpha, beta_idx=beta)
+        with pytest.raises(InvariantViolation,
+                           match="element indices must be integers"):
+            probe_elements(geom, alpha, beta, Region.CASE2_SC)
+        plain = solve(v, prior, geom, wave, alpha_idx=1, beta_idx=10)
+        got = solve(v, prior, geom, wave, alpha_idx=np.int64(1),
+                    beta_idx=np.int32(10))
+        assert (got.z_hat, got.t_hat, got.region) == (plain.z_hat, plain.t_hat,
+                                                      plain.region)
 
 
 def test_dispatch_rejects_unsupported_prior():
@@ -346,13 +362,13 @@ def test_dispatch_rejects_unsupported_prior():
 def test_rmse_grid_validation():
     _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[2])
     with pytest.raises(InvariantViolation):
-        rmse_grid(Region.CASE2_PA, prior, geom, wave, u=1, v=8)
+        _rmse_grid(Region.CASE2_PA, prior, geom, wave, u=1, v=8)
 
 
 def test_rmse_grid_mismatch_is_complex():
     _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[2])
-    rmse_z, rmse_t = rmse_grid(Region.CASE2_PA, prior, geom, wave,
-                               u=8, v=8, mismatch=Region.CASE1)
+    rmse_z, rmse_t = _rmse_grid(Region.CASE2_PA, prior, geom, wave,
+                                u=8, v=8, mismatch=Region.CASE1)
     assert isinstance(rmse_z, complex) and isinstance(rmse_t, complex)
     assert abs(rmse_z) > 0.0
 
@@ -372,7 +388,7 @@ def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
 
 
 def _recording_probes(monkeypatch):
-    # the distance rows of every probe factor rmse_grid forms (two a
+    # the distance rows of every probe factor rmse_grids forms (two a
     # chunk), and the shape of every per-cell phase grid it reads
     rows, cells = [], []
 
@@ -417,7 +433,7 @@ def test_blocked_rmse_grid_matches_one_array_pass(monkeypatch, column, mismatch,
     monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
     step, chunk = _block_and_chunk_rows(v)
     rows, cells = _recording_probes(monkeypatch)
-    got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
+    got = _rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
     # each probe row formed once, one factor call per element and chunk
     assert sum(rows) == 2 * u and max(rows) == chunk
     assert len(rows) == 2 * -(-u // chunk)
@@ -454,7 +470,7 @@ def test_rmse_grid_matches_the_per_cell_solve(monkeypatch, column, mismatch,
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
     ref = _one_array_rmse(region, prior, geom, wave, u, v, mismatch)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
-    got = rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
+    got = _rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=mismatch)
     if u * v <= block:
         assert got[0] == complex(ref[0])
     else:
@@ -478,8 +494,8 @@ def test_rmse_grid_memory_does_not_grow_with_the_grid(column, mismatch):
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
 
     def peak(u):
-        return _peak_bytes(lambda: rmse_grid(region, prior, geom, wave, u=u,
-                                             v=800, mismatch=mismatch))
+        return _peak_bytes(lambda: _rmse_grid(region, prior, geom, wave, u=u,
+                                              v=800, mismatch=mismatch))
 
     assert peak(800) < 8e6
     # four times the rows add only the u-long distance axis (8 bytes a row)
@@ -503,13 +519,13 @@ PHASE_GRIDS = {Region.CASE1: 1, Region.CASE2_PA: 2, Region.CASE2_SC: 3}
 def test_joint_pass_equals_each_solvers_own_call(monkeypatch, column, solvers,
                                                  u, v, block):
     # one pass over shared probe factors and phase grids gives every solver
-    # its own rmse_grid result bit for bit (repr tells -0.0, float and
+    # its own one-solver result bit for bit (repr tells -0.0, float and
     # complex apart); at 37 x 23 the last of 8 blocks holds 2 rows, and
     # chunks of at most 12 rows hold 2 blocks (10 rows), the last 7 rows
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", block)
     monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
-    alone = [rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=kind)
+    alone = [_rmse_grid(region, prior, geom, wave, u=u, v=v, mismatch=kind)
              for kind in solvers]
     rows, cells = _recording_probes(monkeypatch)
     joint = rmse_grids(region, prior, geom, wave, u, v, solvers)
@@ -556,7 +572,7 @@ def test_rmse_grids_equal_the_per_block_oracle_over_chunks(data, solvers,
 
 def test_joint_pass_memory_does_not_grow_with_the_grid():
     # Case II-SC data under their own and the phase-ambiguity solver hold
-    # three phase grids a block, one more than rmse_grid
+    # three phase grids a block, one more than a one-solver pass
     region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[8])
 
     def peak(u):
@@ -592,7 +608,7 @@ def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
     _, wave, geom, _ = benchmark_setup(SOLVER_BENCHMARK[0])
     prior = UniformPrior(0.5, 1.6)
     with pytest.raises(NegativeRadicand):
-        rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
+        _rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
     monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 16)
     monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 4)
     events = []
@@ -603,7 +619,7 @@ def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
                         lambda c, gain: events.append(gain.shape)
                         or _gain_phase(c, gain))
     with pytest.raises(NegativeRadicand):
-        rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
+        _rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
     # one row a block and four a chunk, two probe factors a chunk and one
     # phase grid a block: the chunks before the failing one were solved
     # whole, the failing chunk stopped before its last block, and no rows
@@ -622,7 +638,7 @@ def test_adjacent_pair_grid_converges_to_reference():
     # 1.35e-5 / 1.89e-4 (acceptance criterion 1)
     region, wave, geom, prior, ref_z, ref_t = (
         benchmark_setup(SOLVER_BENCHMARK[8]) + SOLVER_BENCHMARK[8][6:])
-    rmse_z, rmse_t = rmse_grid(region, prior, geom, wave, u=2000, v=2000)
+    rmse_z, rmse_t = _rmse_grid(region, prior, geom, wave, u=2000, v=2000)
     assert rmse_z == pytest.approx(ref_z, rel=0.05)
     assert rmse_t == pytest.approx(ref_t, rel=0.05)
 
@@ -638,7 +654,7 @@ def test_rmse_grid_matches_pointwise_solve():
         if not matches:
             unsupported.append(column)
             continue
-        rmse_z, rmse_t = rmse_grid(region, prior, geom, wave, u=5, v=4)
+        rmse_z, rmse_t = _rmse_grid(region, prior, geom, wave, u=5, v=4)
         err_z, err_t = [], []
         for z in np.linspace(prior.z_min, prior.z_max, 5):
             for t in np.linspace(0.0, 1.0, 4, endpoint=False):

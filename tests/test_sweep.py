@@ -15,7 +15,7 @@ from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.mapest import MapGrid, monte_carlo_mse
 from nfepm.numerics import TZ_EPS, stream
 from nfepm.observation import snr_from_db
-from nfepm.zzb import ZZBGrid, mu_L_ao, zzb_ao_t, zzb_t, zzb_z
+from nfepm.zzb import ZZBGrid, mu_L_ao, zzb_ao_t, zzb_z
 
 mapest_module = importlib.import_module("nfepm.mapest")
 zzb_module = importlib.import_module("nfepm.zzb")
@@ -42,8 +42,7 @@ def test_zzb_sweep_equals_one_snr_calls(monkeypatch):
         return real_q(x)
 
     monkeypatch.setattr(zzb_module, "q_function", recording_q)
-    for bound, args in ((zzb_z, (GEOM, WAVE)), (zzb_t, (GEOM, WAVE)),
-                        (zzb_ao_t, (GEOM,))):
+    for bound, args in ((zzb_z, (GEOM, WAVE)), (zzb_ao_t, (GEOM,))):
         cells.clear()
         sweep = bound(PRIOR, SNR, *args, GRID)
         # no Q array holds more than one block of cells, or one box if
@@ -108,12 +107,11 @@ def test_monte_carlo_sweep_equals_one_level_calls(monkeypatch):
     lambda snr: fim_closed(AxialPose(4.0, 0.3), snr, GEOM, WAVE),
     lambda snr: mu_L_ao(4.0, 0.3, 0.1, snr, GEOM),
     lambda snr: zzb_z(PRIOR, snr, GEOM, WAVE, GRID),
-    lambda snr: zzb_t(PRIOR, snr, GEOM, WAVE, GRID),
     lambda snr: zzb_ao_t(PRIOR, snr, GEOM, GRID),
     lambda snr: ecrb(PRIOR, snr, GEOM, WAVE, ECRB_GRID),
     lambda snr: ecrb_ao(PRIOR, snr, GEOM, ECRB_GRID),
     lambda snr: ecrb_asymptotic(PRIOR, snr, GEOM, WAVE)],
-    ids=["fim_closed", "mu_L_ao", "zzb_z", "zzb_t", "zzb_ao_t", "ecrb",
+    ids=["fim_closed", "mu_L_ao", "zzb_z", "zzb_ao_t", "ecrb",
          "ecrb_ao", "ecrb_asymptotic"])
 def test_infinite_snr_is_rejected(bound):
     # an infinite SNR made the information infinite and the bounds 0;
@@ -145,7 +143,7 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
             zzb_z(UniformPrior(3.0, 1e300), [2.0, 3.0], GEOM, WAVE, GRID)
         with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 2\.0$"):
             zzb_ao_t(UniformPrior(1e-320, 1e-310), [2.0, 3.0], GEOM, GRID)
-    # the tilt bounds name the first SNR where they are not finite, here
+    # the tilt bound names the first SNR where it is not finite, here
     # the outer integral made NaN at 3
     outer = zzb_module._outer
 
@@ -155,8 +153,6 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(zzb_module, "_outer", poisoned)
-        with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
-            zzb_t(PRIOR, [2.0, 3.0, 4.0], GEOM, WAVE, GRID)
         with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
             zzb_ao_t(PRIOR, [2.0, 3.0, 4.0], GEOM, GRID)
     assert math.isfinite(zzb_ao_t(PRIOR, 3.0, GEOM, GRID))

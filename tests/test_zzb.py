@@ -15,8 +15,7 @@ from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
 from nfepm.observation import snr_from_db
 from nfepm.zzb import (_FAMILY_BLOCK, ZZBGrid, _family_eval, _family_rows,
-                       _mu, _tilt_basis, _y_rule, mu_L_ao, zzb_ao_t, zzb_t,
-                       zzb_z)
+                       _mu, _tilt_basis, _y_rule, mu_L_ao, zzb_ao_t, zzb_z)
 from oracles import (HypothesisPair, ambiguity_function, integrate, mu_L,
                      p_min, y_blocks_uncached, zzb_ao_t_per_node)
 from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
@@ -245,7 +244,7 @@ def test_bounds_reach_prior_variance_at_zero_snr():
     # the prior variances: span^2 / 12 for the distance, 1 / 12 for the tilt
     var_z, var_t = THRESHOLD_PRIOR.span ** 2 / 12.0, 1.0 / 12.0
     bz = zzb_z(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
-    bt = zzb_t(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
+    bt = zzb_ao_t(THRESHOLD_PRIOR, 0.0, THRESHOLD_GEOM, COARSE)
     assert bz == pytest.approx(var_z, rel=1e-9)
     assert bt == pytest.approx(var_t, rel=1e-9)
 
@@ -255,7 +254,7 @@ def test_bounds_monotone_and_capped():
     prev_z, prev_t = math.inf, math.inf
     for snr in (0.0, 1e2, 1e4, 1e6):
         bz = zzb_z(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
-        bt = zzb_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
+        bt = zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE)
         assert bz <= var_z * (1.0 + 1e-6)
         assert bt <= var_t * (1.0 + 1e-6)
         assert bz <= prev_z * (1.0 + 1e-12)
@@ -263,32 +262,9 @@ def test_bounds_monotone_and_capped():
         prev_z, prev_t = bz, bt
 
 
-def test_joint_tilt_bound_dominates_tilt_only():
-    for snr in (1e2, 1e4):
-        joint = zzb_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                      COARSE)
-        ao = zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE)
-        # zzb_t integrates the tilt-only box, so the ordering is exact
-        assert joint >= ao
-
-
-def test_tilt_bound_is_the_tilt_only_bound():
-    # zzb_t's box at distance offset 0 is the tilt-only one, so it equals
-    # zzb_ao_t bit for bit: on the threshold config and on fig6's prior at
-    # two of its wavelengths, over its 0-60 dB sweep at the default grid
-    snrs = [snr_from_db(db) for db in range(0, 61, 10)]
-    fig6 = (UniformPrior(5.0, 6.0), ArrayGeometry(5.0, 0.1))
-    for prior, geom, wave in ((THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE),
-                              (*fig6, Wave(0.01)), (*fig6, Wave(0.001))):
-        assert (zzb_t(prior, snrs, geom, wave).tobytes()
-                == zzb_ao_t(prior, snrs, geom).tobytes())
-
-
 def test_snr_validation():
     with pytest.raises(InvariantViolation):
         zzb_z(THRESHOLD_PRIOR, -1.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
-    with pytest.raises(InvariantViolation):
-        zzb_t(THRESHOLD_PRIOR, -1.0, THRESHOLD_GEOM, THRESHOLD_WAVE, COARSE)
     with pytest.raises(InvariantViolation):
         zzb_ao_t(THRESHOLD_PRIOR, -1.0, THRESHOLD_GEOM, COARSE)
 
@@ -492,7 +468,6 @@ def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
     for block in (zzb_module._BLOCK_CELLS, box, batch):
         monkeypatch.setattr(zzb_module, "_BLOCK_CELLS", block)
         results.append([zzb_z(prior, snrs, geom, wave, grid).tolist(),
-                        zzb_t(prior, snrs, geom, wave, grid).tolist(),
                         zzb_ao_t(prior, snrs, geom, grid).tolist()])
     assert results[0] == results[1] == results[2]
 
@@ -517,14 +492,14 @@ def _counting_q(monkeypatch):
 def test_bounds_take_one_box_per_node_and_snr(monkeypatch):
     # the snr_sweep benchmark config. Q sees only the grid cells _outer
     # integrates, one box of 24 x 64 cells per (outer node, SNR) pair a
-    # batch evaluates: 292 pairs for zzb_z and 312 for zzb_t. An SNR cut
+    # batch evaluates: 292 pairs for zzb_z and 312 for zzb_ao_t. An SNR cut
     # inside a batch is evaluated at the batch's later nodes and dropped
     cells = _counting_q(monkeypatch)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     box = grid.n_theta_z * grid.n_theta_t
     zzb_z(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
     assert cells[0] == 292 * box
-    zzb_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, THRESHOLD_WAVE, grid)
+    zzb_ao_t(THRESHOLD_PRIOR, SWEEP, THRESHOLD_GEOM, grid)
     assert cells[0] == (292 + 312) * box == 927_744
 
 
@@ -532,16 +507,13 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
     # every batch of outer nodes gets only the SNRs not cut when it starts;
     # 60 dB is cut before 0 dB (tests/test_sweep.py pins the values against
     # one-SNR calls). Blocks of two boxes make batches of two nodes, so the
-    # cuts inside the tilt bounds' last panel show at a batch's start;
-    # zzb_t is zzb_ao_t's pass
+    # cuts inside the tilt bound's last panel show at a batch's start
     monkeypatch.setattr(zzb_module, "_BLOCK_CELLS",
                         2 * COARSE.n_theta_z * COARSE.n_theta_t)
     seen = _recording_outer(monkeypatch)
     snrs = [snr_from_db(0.0), snr_from_db(60.0)]
     for bound in (
             lambda s: zzb_z(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                            COARSE),
-            lambda s: zzb_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, THRESHOLD_WAVE,
                             COARSE),
             lambda s: zzb_ao_t(THRESHOLD_PRIOR, s, THRESHOLD_GEOM, COARSE)):
         seen.clear()
@@ -554,8 +526,8 @@ def test_outer_integral_evaluates_only_live_snrs(monkeypatch):
 
 def test_zzb_t_builds_no_families_on_geometry_scan(monkeypatch):
     # the geometry_scan benchmark's 16 geometries at its 40 dB and grid:
-    # zzb_t integrates the tilt-only box in closed form, so it builds no
-    # channel-mismatch families and gives zzb_ao_t's bits; zzb_z builds
+    # the zzb_t column's bound, zzb_ao_t, integrates the tilt-only box in
+    # closed form, so it builds no channel-mismatch families; zzb_z builds
     # its rows at every batch of outer nodes
     batches = []
     family_rows = zzb_module._family_rows
@@ -566,25 +538,13 @@ def test_zzb_t_builds_no_families_on_geometry_scan(monkeypatch):
 
     monkeypatch.setattr(zzb_module, "_family_rows", counted)
     grid = ZZBGrid(24, 12)
-    for lam, aperture, lo, hi in GEOMETRY_SCAN:
-        args = (UniformPrior(lo, hi), snr_from_db(40.0),
-                ArrayGeometry(aperture, 0.5))
-        assert zzb_t(*args, Wave(lam), grid) == zzb_ao_t(*args, grid)
+    for _, aperture, lo, hi in GEOMETRY_SCAN:
+        zzb_ao_t(UniformPrior(lo, hi), snr_from_db(40.0),
+                 ArrayGeometry(aperture, 0.5), grid)
     assert batches == []
     zzb_z(UniformPrior(4.0, 7.0), snr_from_db(40.0), ArrayGeometry(10.0, 0.5),
           Wave(0.01), grid)
     assert batches and all(n >= 1 for n in batches)
-
-
-def test_joint_tilt_bound_dominates_tilt_only_on_geometry_scan():
-    # the geometry_scan benchmark's 16 geometries and grid over 0-60 dB:
-    # zzb_t integrates zzb_ao_t's box, bit for bit, so the ordering holds
-    # with no slack
-    for lam, aperture, lo, hi in GEOMETRY_SCAN:
-        prior, geom = UniformPrior(lo, hi), ArrayGeometry(aperture, 0.5)
-        joint = zzb_t(prior, SWEEP, geom, Wave(lam), ZZBGrid(24, 12))
-        ao = zzb_ao_t(prior, SWEEP, geom, ZZBGrid(24, 12))
-        assert np.all(joint >= ao), (lam, aperture, lo, hi)
 
 
 def _recording_outer(monkeypatch):
@@ -625,8 +585,8 @@ def _lives(batches):
 @pytest.mark.parametrize("skew", [0.0, 1e6])
 def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
     # the CLI writes both tilt columns from one zzb_ao_t pass over the
-    # sweep; at 0 and 60 dB it equals zzb_t and zzb_ao_t taken one SNR at a
-    # time, bit for bit. A skew raises the box's cell area, and so its
+    # sweep; at 0 and 60 dB it equals zzb_ao_t taken one SNR at a time,
+    # bit for bit. A skew raises the box's cell area, and so its
     # integral, with the tilt offset, so the 60 dB channel is cut one node
     # later, still before the 0 dB one. Blocks of one box make batches of
     # one node, so every cut shows at a batch's start
@@ -658,13 +618,10 @@ def test_tilt_pass_equals_the_separate_bounds(monkeypatch, skew):
         monkeypatch.setattr(zzb_module, "_outer", skewed)
     assert first_cut() == unskewed + (1 if skew else 0)
     ao = zzb_ao_t(*args, COARSE)
-    assert np.array_equal(zzb_t(*args, THRESHOLD_WAVE, COARSE), ao)
     for i, snr in enumerate(snrs):
-        scalar = (zzb_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, THRESHOLD_WAVE,
-                        COARSE),
-                  zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE))
-        assert scalar == (ao[i], ao[i])
-        assert all(isinstance(b, float) for b in scalar)
+        scalar = zzb_ao_t(THRESHOLD_PRIOR, snr, THRESHOLD_GEOM, COARSE)
+        assert scalar == ao[i]
+        assert isinstance(scalar, float)
 
 
 def _outer_nodes(hi, grid):
@@ -714,9 +671,8 @@ NODE_PASS_CASES = pytest.mark.parametrize("cases", [
 
 
 def _bounds(cases):
-    """zzb_z, zzb_t and zzb_ao_t on each case, as one array."""
+    """zzb_z and zzb_ao_t on each case, as one array."""
     return np.array([[zzb_z(prior, snr, geom, wave, grid),
-                      zzb_t(prior, snr, geom, wave, grid),
                       zzb_ao_t(prior, snr, geom, grid)]
                      for prior, snr, geom, wave, grid in cases])
 
@@ -791,7 +747,7 @@ def test_bounds_at_extreme_snrs(monkeypatch, snr):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         results = (zzb_z(prior, snr, geom, wave, COARSE),
-                   zzb_t(prior, snr, geom, wave, COARSE))
+                   zzb_ao_t(prior, snr, geom, COARSE))
     assert all(math.isfinite(v) for v in results)
     assert set(seen) == ({0.5} if snr == 0.0 else {0.0})
 
