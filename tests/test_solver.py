@@ -548,6 +548,49 @@ def test_rmse_grids_equal_the_per_block_oracle(monkeypatch, column, solvers):
                                          solvers)))
 
 
+def _bits(x):
+    # float.hex of a result, of both parts when complex
+    return (f"{x.real.hex()} {x.imag.hex()}j" if isinstance(x, complex)
+            else x.hex())
+
+
+# every result of the nine Table 2 passes on 61 x 47 in blocks of 5 rows
+# and chunks of 10 (the last chunk one row), as the cell pass formed them
+# when each phase grid was wrapped cell by cell and each diagnostic
+# Case I root was taken in the complex plane
+TABLE2_BITS = (
+    [("0x1.99794e9b8a747p-54", "0x1.66fcf65bbbc94p-51")],
+    [("0x1.2f8acc5e6b915p-55", "0x1.0ae99d89a7b54p-52")],
+    [("0x1.75ce8e82a58e7p-8", "0x1.9ca085282073ap-11"),
+     ("0x1.a76ec41d6654dp+3 -0x1.8946977a00af9p-7j",
+      "0x1.eb10abd6656ecp-2 0x1.1ae35799f6cd6p-5j")],
+    [("0x1.8934b8f1bbbb2p-8", "0x1.ca439b0f86519p-13"),
+     ("0x1.a813515505193p+5 -0x1.8258a88b97a33p-6j",
+      "0x1.02d5a04108337p-1 0x1.aa5ed67f41ce4p-5j")],
+    [("0x1.b9bcad561adf1p-11", "0x1.ea762009dc4e7p-19"),
+     ("0x1.31afd4c68544ep+8 -0x1.8c022becbd176p-6j",
+      "0x1.1e3d898a53100p-1 0x1.23e75f8da4f84p-7j")],
+    [("0x1.d95fe0e029b90p-10", "0x1.4b7652963bf72p-8"),
+     ("0x1.6e090a04af84bp+3 0x0.0p+0j", "0x1.23c88d60faf87p+8 0x0.0p+0j")],
+    [("0x1.3c72d04a183fap-8", "0x1.9c5cb5b0bbb75p-8"),
+     ("0x1.6b420cdad70cep+1 0x0.0p+0j", "0x1.0662fd8dc3aeep+5 0x0.0p+0j")],
+    [("0x1.9d17d807eeac6p-11", "0x1.1c5cb52df558fp-9"),
+     ("0x1.975979a4c0acfp+8 0x0.0p+0j", "0x1.bce1f8f77a01ap+11 0x0.0p+0j")],
+    [("0x1.c3ba94fed61c6p-14", "0x1.12d257aab9b02p-8"),
+     ("0x1.aa3a2df647377p+6 0x0.0p+0j", "0x1.07b2cc10a724bp+14 0x0.0p+0j")],
+)
+
+
+@pytest.mark.parametrize("column, solvers", TABLE2_PASSES)
+def test_table2_passes_are_frozen_bit_for_bit(monkeypatch, column, solvers):
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 5 * 47)
+    monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
+    got = rmse_grids(region, prior, geom, wave, 61, 47, solvers)
+    assert [tuple(_bits(x) for x in pair) for pair in got] == \
+        TABLE2_BITS[column]
+
+
 @pytest.mark.parametrize("data, solvers, setup, u", [
     # Case II-SC data under their own and the phase-ambiguity solver, and
     # Case II-PA data under their own and the Case I solver: at 400
