@@ -19,15 +19,19 @@ tilt, linear in the amplitudes, once per row. Its work per row (each
 probe element's factor, the row ranges and the tilt solves) runs once per
 chunk of a few hundred rows, and its work per cell (each per-cell phase
 grid, formed once for every solver that reads that element, and the cell
-ranges) once per block of rows within the chunk.
+ranges) once per block of rows within the chunk. A phase grid is wrapped
+by one offset per row, not a compare per cell: a row's raw phases share
+the sign of the factor's imaginary part, read once per row and chunk
+from bounds on the gains, as is the finiteness check (`_phase_offsets`).
 
 Diagnostic mode reproduces deliberate regime-mismatch experiments: a
 negative radicand is carried into the complex plane instead of raising.
 A diagnostic Case I solve takes the complex root always, so it comes back
-complex whatever its radicands. Where a radicand is >= 0 the root's
-imaginary part is 0 and its real part the plain root bit for bit; the
-tilt there matches the plain solve's to within two ulps (the real
-quotient rounds once, numpy's complex one twice).
+complex whatever its radicands; it forms numpy's root of r + 0j bit for
+bit from the real root of |r| (`_complex_root`). Where a radicand is
+>= 0 the root's imaginary part is 0 and its real part the plain root
+bit for bit; the tilt there matches the plain solve's to within two ulps
+(the real quotient rounds once, numpy's complex one twice).
 """
 
 from __future__ import annotations
@@ -83,21 +87,51 @@ def decouple(v) -> DecoupledVoltage:
     return DecoupledVoltage(psi=np.abs(v)[()], theta=_wrapped(np.angle(v))[()])
 
 
-def _gain_phase(c, gain):
+def _phase_offsets(c, lo, hi):
+    """The wrap of _gain_phase(c, gain) as one offset per row, for gains
+    bounded per row by lo <= gain <= hi (each of shape (rows, 1)); None
+    where a row's products may not be finite or its raw phases may not
+    share one sign.
+
+    Correctly rounded multiplication is monotone, so a row's products are
+    all finite when those at hi are (as the complex c hi is), and its raw
+    phase arctan2(Im c g, Re c g) is >= 0 throughout where Im c > 0.
+    Where Im c lo rounds below 0 and Re c hi is at most 2^1000 |Im c lo|,
+    every cell's Im c g is < 0 and at least 2^-1000 Re c g in size, so
+    its raw phase is < 0, not rounding to -0.0. The wrap to [0, 2*pi)
+    then adds 0 or 2*pi to the whole row. Rows where Im c is a signed
+    zero, or where Im c g or the phase may round to zero, take no
+    offset."""
+    im_lo = c.imag * lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = (im_lo < 0) & (c.real * hi <= im_lo * -2.0 ** 1000)
+        finite = np.all(np.isfinite(c * hi))
+    if not (finite and np.all(below | (c.imag > 0))):
+        return None
+    return np.where(below, _TWO_PI, 0.0)
+
+
+def _gain_phase(c, gain, offsets=None):
     """decouple(c * gain).theta bit for bit, for complex c of shape
-    (rows, 1) and real gain >= 0 of shape (rows, cols), without forming
-    the complex product: np.angle(c * gain) is arctan2(c.imag * gain,
-    c.real * gain). Correctly rounded multiplication is monotone, so a
-    row's products are all finite exactly when those at its largest gain
-    are, and the finiteness check runs once per row. gain is overwritten:
-    its buffer takes the real product."""
-    top = gain.max(axis=1, keepdims=True)
-    if not (np.all(np.isfinite(c.real * top))
-            and np.all(np.isfinite(c.imag * top))):
-        raise NonFinite("voltage is not finite")
+    (rows, 1) and real gain >= 0 of shape (rows, cols). offsets is
+    _phase_offsets(c, lo, hi) for bounds lo <= gain <= hi, else formed
+    from each row's least and largest gain.
+
+    With offsets, the complex product is not formed: np.angle(c * gain)
+    is arctan2(c.imag * gain, c.real * gain), wrapped by one add of the
+    per-row offsets. Without them (a product not finite, or a row with
+    no offset) the phase is decouple's, which raises NonFinite on a
+    product that is not finite. gain may be overwritten: its buffer
+    takes the real product."""
+    if offsets is None:
+        offsets = _phase_offsets(c, gain.min(axis=1, keepdims=True),
+                                 gain.max(axis=1, keepdims=True))
+    if offsets is None:
+        return decouple(c * gain).theta
     im = c.imag * gain
-    return _wrapped(np.arctan2(im, np.multiply(c.real, gain, out=gain),
-                               out=im))
+    phase = np.arctan2(im, np.multiply(c.real, gain, out=gain), out=im)
+    phase += offsets
+    return phase
 
 
 def _pow_five_quarters(x):
@@ -121,6 +155,18 @@ def _tilt_from_amplitudes(psi_a, psi_b, y_a, y_b, z, geom: ArrayGeometry, wave: 
     return t
 
 
+def _complex_root(r):
+    """np.sqrt(r + 0j) bit for bit, for a real array r, without the
+    complex root: the real root of |r| is its real part where r >= 0 and
+    its imaginary part where r < 0. r is overwritten."""
+    neg = r < 0
+    root = np.sqrt(np.abs(r, out=r), out=r)
+    out = np.zeros(r.shape, complex)
+    np.copyto(out.real, root, where=~neg)
+    np.copyto(out.imag, root, where=neg)
+    return out
+
+
 def _reactive_distance(theta_alpha, y_alpha: float, wave: Wave,
                        diagnostic: bool):
     """The Case I range rule: the alpha phase read as a range. A negative
@@ -131,7 +177,7 @@ def _reactive_distance(theta_alpha, y_alpha: float, wave: Wave,
     radicand -= y_alpha ** 2
     radicand = np.asarray(radicand)
     if diagnostic:
-        return np.sqrt(radicand.astype(complex))[()]
+        return _complex_root(radicand)[()]
     if np.min(radicand, initial=np.inf) < 0:
         raise NegativeRadicand(
             "phase range below element offset; data not from this regime")
@@ -143,7 +189,7 @@ def _phase_period_distance(theta_alpha, theta_beta, y_alpha: float,
     """The Case II range rule: the principal phase difference, shifted up
     by one period when non-positive, read as a range."""
     dtheta = np.asarray(theta_beta - theta_alpha)
-    dtheta += (dtheta <= 0) * _TWO_PI
+    np.add(dtheta, _TWO_PI, out=dtheta, where=dtheta <= 0)
     if np.min(dtheta, initial=np.inf) < 1e-12:
         raise NonFinite("phase difference too small to resolve a distance")
     return np.divide(wave.wavenumber * ((y_beta ** 2 - y_alpha ** 2) / 2.0),
@@ -215,6 +261,14 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     alpha t + beta s, and a row's squared tilt errors sum to
     (alpha - 1)^2 sum t^2 + 2 (alpha - 1) beta sum t s + beta^2 sum s^2.
 
+    A cell's phase is arctan2(Im c g, Re c g), g = y t + z s, wrapped to
+    [0, 2*pi) by one offset per row (`_phase_offsets`): g > 0, so a row's
+    raw phases share the sign of Im c. The gains' per-row bounds
+    z s_min <= g <= y + z give that sign and the finiteness check once
+    per row and chunk; a chunk where they do not forms its phases as
+    `_gain_phase` does without bounds. A diagnostic Case I solver roots
+    each cell's radicand with `_complex_root`.
+
     The grid is streamed in blocks of distance rows of at most
     `_BLOCK_CELLS` cells (one row at least), and the squared errors are
     summed block by block, so memory does not grow with u * v. The work
@@ -246,6 +300,8 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     t = np.linspace(0.0, 1.0, v, endpoint=False)
     s = np.sqrt(1.0 - t * t)
     tt, ts, ss = np.sum(t * t), np.sum(t * s), np.sum(s * s)
+    yt = {y: y * t for y in ys}
+    s_min = s.min()
     step = max(1, _BLOCK_CELLS // v)
     chunk = step * max(1, _CHUNK_ROWS // step)
     sums = [[0.0, 0.0] for _ in plans]
@@ -253,6 +309,9 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
         zc = z_rows[lo:lo + chunk]
         c = {y: axis_factor(zc, y, wave, scale) for y in ys}
         row = {y: decouple(cy) for y, cy in c.items()}
+        # each row's phase offsets, from bounds on its gains y t + z s
+        # (y > 0, t and s in [0, 1]): z s_min <= y t + z s <= y + z
+        offsets = {y: _phase_offsets(c[y], zc * s_min, y + zc) for y in ys}
         # per solver, the sum of each row's squared tilt errors
         solved = []
         for kind, diagnostic, y_a, y_b in plans:
@@ -273,7 +332,9 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
 
             def theta(y):
                 if y not in cells:
-                    cells[y] = _gain_phase(c[y][block], y * t + zs)
+                    w = offsets[y]
+                    cells[y] = _gain_phase(c[y][block], yt[y] + zs,
+                                           None if w is None else w[block])
                 return cells[y]
 
             for (kind, diagnostic, y_a, y_b), err_t, sq in zip(

@@ -13,9 +13,10 @@ from nfepm.errors import (InvariantViolation, NegativeRadicand, NonFinite,
 from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
                             classify_region, probe_elements)
 from nfepm.observation import noiseless_voltages
-from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _gain_phase,
-                          _pow_five_quarters, _solve_as, _solve_pair,
-                          _tilt_from_amplitudes, decouple, rmse_grids, solve)
+from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _complex_root,
+                          _gain_phase, _phase_offsets, _pow_five_quarters,
+                          _solve_as, _solve_pair, _tilt_from_amplitudes,
+                          decouple, rmse_grids, solve)
 from oracles import rmse_grids_per_block
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
 
@@ -397,8 +398,8 @@ def _recording_probes(monkeypatch):
         rows.append(out.shape[0])
         return out
 
-    def phase(c, gain):
-        out = _gain_phase(c, gain)
+    def phase(c, gain, *offsets):
+        out = _gain_phase(c, gain, *offsets)
         cells.append(out.shape)
         return out
 
@@ -555,9 +556,8 @@ def _bits(x):
 
 
 # every result of the nine Table 2 passes on 61 x 47 in blocks of 5 rows
-# and chunks of 10 (the last chunk one row), as the cell pass formed them
-# when each phase grid was wrapped cell by cell and each diagnostic
-# Case I root was taken in the complex plane
+# and chunks of 10 (the last chunk one row), bit for bit: neither the
+# per-row phase offsets nor the real diagnostic root may move them
 TABLE2_BITS = (
     [("0x1.99794e9b8a747p-54", "0x1.66fcf65bbbc94p-51")],
     [("0x1.2f8acc5e6b915p-55", "0x1.0ae99d89a7b54p-52")],
@@ -644,6 +644,112 @@ def test_gain_phase_checks_each_row_at_its_largest_gain():
             _gain_phase(c, bad)
 
 
+TINY = np.nextafter(0.0, 1.0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# factors whose imaginary part does not fix the sign of the raw phase: a
+# signed zero under a real part of either sign, or so small that its
+# product with a gain up to 1/2 rounds to zero; and two that do
+EDGE_FACTORS = [complex(re, im) for re in (3.0, -3.0, 0.0, -0.0)
+                for im in (0.0, -0.0, TINY, -TINY, 4.0, -4.0)]
+
+
+@pytest.mark.parametrize("gains", [[0.0, 0.25, 0.5, 0.75, 7.0],
+                                   [0.75, 1.0, 7.0], [0.0, 0.0]])
+def test_gain_phase_wraps_edge_rows_as_decouple(gains):
+    gain = np.array([gains] * len(EDGE_FACTORS))
+    c = np.array(EDGE_FACTORS)[:, None]
+    expected = decouple(c * gain).theta
+    # all rows at once, and each row alone, with offsets from its own
+    # gains and from looser bounds
+    assert _same_bits(_gain_phase(c, gain.copy()), expected)
+    for n in range(len(c)):
+        row, g = c[n:n + 1], gain[n:n + 1]
+        assert _same_bits(_gain_phase(row, g.copy()), expected[n:n + 1])
+        offsets = _phase_offsets(row, 0.5 * g.min(axis=1, keepdims=True),
+                                 2.0 * g.max(axis=1, keepdims=True))
+        assert _same_bits(_gain_phase(row, g.copy(), offsets),
+                          expected[n:n + 1]), c[n, 0]
+
+
+def test_phase_offsets_hold_only_where_the_sign_is_known():
+    def offsets(c, lo):
+        return _phase_offsets(np.array([[c]]), np.array([[lo]]),
+                              np.array([[7.0]]))
+
+    assert offsets(3.0 + 4.0j, 0.0) == 0.0
+    assert offsets(-3.0 - 4.0j, 0.5) == TWO_PI
+    # -TINY * 0.5 rounds to -0.0, -TINY * 0.75 to -TINY; but under a
+    # positive real part the phase of -TINY + 2.25j rounds to -0.0 too
+    assert offsets(-3.0 - TINY * 1j, 0.5) is None
+    assert offsets(-3.0 - TINY * 1j, 0.75) == TWO_PI
+    assert offsets(3.0 - TINY * 1j, 0.75) is None
+    assert offsets(3.0 - 1e-290j, 1.0) == TWO_PI
+    assert offsets(-3.0 - 4.0j, 0.0) is None
+    for im in (0.0, -0.0):
+        for re in (3.0, -3.0):
+            assert offsets(complex(re, im), 1.0) is None
+    # a product past the float range at the upper bound
+    assert _phase_offsets(np.array([[1e300 + 1j]]), np.array([[1.0]]),
+                          np.array([[1e9]])) is None
+
+
+def test_grid_phases_at_edge_rows_equal_decouple(monkeypatch):
+    # the first chunk's factors at rows 1-6 take edge values; every phase
+    # grid of the pass, through the chunk's per-row offsets or without
+    # them, is decouple's phase of the cells' voltages c (y t + z s). On
+    # column 1's prior the gains span 0.14-0.9, so -TINY g rounds to zero
+    # in some cells of a row and not in others
+    region, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[0])
+    monkeypatch.setattr(solver_module, "_BLOCK_CELLS", 5 * 23)
+    monkeypatch.setattr(solver_module, "_CHUNK_ROWS", 12)
+    edges = [complex(3.0, 0.0), complex(-3.0, -0.0), complex(3.0, -0.0),
+             complex(-3.0, -TINY), complex(3.0, -TINY), complex(-0.0, -0.0)]
+    passed = []
+
+    def factor(z, y, wave, scale=1.0):
+        out = axis_factor(z, y, wave, scale)
+        if z[0, 0] == prior.z_min:
+            out[1:1 + len(edges), 0] = edges
+        return out
+
+    def phase(c, gain, *offsets):
+        expected = decouple(c * gain).theta
+        out = _gain_phase(c, gain, *offsets)
+        assert _same_bits(out, expected)
+        passed.append(offsets[0] is not None)
+        return out
+
+    monkeypatch.setattr(solver_module, "axis_factor", factor)
+    monkeypatch.setattr(solver_module, "_gain_phase", phase)
+    rmse_grids(region, prior, geom, wave, 37, 23, (Region.CASE1,))
+    # the first chunk's two blocks without offsets, the other six with
+    assert passed == [False] * 2 + [True] * 6
+
+
+def test_complex_root_is_numpys_complex_root():
+    r = np.array([0.0, -0.0, TINY, -TINY, 2.5, -2.5, 1e300, -1e300])
+    expected = np.sqrt(r.astype(complex))
+    assert _same_bits(_complex_root(r.copy()), expected)
+    for x, e in zip(r, expected):
+        assert _same_bits(np.array([_complex_root(np.array(x))[()]]),
+                          np.array([e]))
+    # a diagnostic Case I solve whose radicands are all >= 0 is complex,
+    # its range the plain solve's with a zero imaginary part
+    geom, wave = ArrayGeometry(0.5, 0.05), Wave(1.0)
+    y_a, y_b = geom.element_center(1), geom.element_center(10)
+    v_a, v_b = (axis_channel(0.7, 0.3, y, wave, scale=wave.amplitude * 0.05)
+                for y in (y_a, y_b))
+    plain = _solve_pair(Region.CASE1, v_a, v_b, y_a, y_b, geom, wave, False)
+    res = _solve_pair(Region.CASE1, v_a, v_b, y_a, y_b, geom, wave, True)
+    assert isinstance(res.z_hat, complex) and isinstance(res.t_hat, complex)
+    assert res.z_hat == plain.z_hat and np.signbit(res.z_hat.imag) == 0
+
+
 def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
     # Case I data on a prior reaching past the wavelength: the first rows
     # solve, but near z = lambda the principal phase range falls below the
@@ -659,8 +765,8 @@ def test_rmse_grid_check_failing_in_a_later_block_raises(monkeypatch):
                         lambda z, *args: events.append(len(z))
                         or axis_factor(z, *args))
     monkeypatch.setattr(solver_module, "_gain_phase",
-                        lambda c, gain: events.append(gain.shape)
-                        or _gain_phase(c, gain))
+                        lambda c, gain, *offsets: events.append(gain.shape)
+                        or _gain_phase(c, gain, *offsets))
     with pytest.raises(NegativeRadicand):
         _rmse_grid(Region.CASE1, prior, geom, wave, u=45, v=16)
     # one row a block and four a chunk, two probe factors a chunk and one
