@@ -9,6 +9,8 @@ and the assembled information, against adaptive quadrature of the
 defining integrals. The expected bounds average the information on the
 prior's midpoint grid, whose distance and tilt axes arrive apart
 (`expect_uniform`), so each coefficient runs once per grid distance.
+The tilt coefficients ftau7-ftau9 also give the ZZB's tilt-only
+statistic (`zzb._ao_form`), so the attitude's bounds share one form.
 """
 
 from __future__ import annotations

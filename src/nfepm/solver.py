@@ -24,8 +24,9 @@ by one offset per row, not a compare per cell: a row's raw phases share
 the sign of the factor's imaginary part, read once per row and chunk
 from bounds on the gains, as is the finiteness check (`_phase_offsets`).
 
-Diagnostic mode reproduces deliberate regime-mismatch experiments: a
-negative radicand is carried into the complex plane instead of raising.
+Diagnostic mode reproduces deliberate regime-mismatch experiments, the
+mismatched solvers of `rmse_grids` (`solve` has none): a negative
+radicand is carried into the complex plane instead of raising.
 A diagnostic Case I solve takes the complex root always, so it comes back
 complex whatever its radicands; it forms numpy's root of r + 0j bit for
 bit from the real root of |r| (`_complex_root`). Where a radicand is
@@ -217,23 +218,17 @@ def _solve_pair(kind: Region, v_alpha, v_beta, y_alpha: float, y_beta: float,
     return SolveResult(z[()], t, kind, diagnostic)
 
 
-def _solve_as(kind: Region, probe, geom: ArrayGeometry, wave: Wave,
-              alpha_idx: int, beta_idx: int | None, diagnostic: bool):
-    """Apply the solver of regime `kind` to probe(n), the voltage of
-    element n, at the probe elements `classify_region` checked."""
-    a, b = probe_elements(geom, alpha_idx, beta_idx, kind)
-    return _solve_pair(kind, probe(a), probe(b), geom.element_center(a),
-                       geom.element_center(b), geom, wave, diagnostic)
-
-
 def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
-          wave: Wave, alpha_idx: int = 1, beta_idx: int | None = None,
-          diagnostic: bool = False) -> SolveResult:
-    """Classify the prior box and dispatch to the matching regime solver;
-    raises UnsupportedRegion when no single regime covers it."""
+          wave: Wave, alpha_idx: int = 1,
+          beta_idx: int | None = None) -> SolveResult:
+    """Classify the prior box and apply the matching regime's solver at the
+    probe elements `classify_region` checked; raises UnsupportedRegion
+    when no single regime covers it."""
     region = classify_region(prior, geom, wave, alpha_idx, beta_idx)
-    return _solve_as(region, lambda n: voltages.values[n - 1], geom, wave,
-                     alpha_idx, beta_idx, diagnostic)
+    a, b = probe_elements(geom, alpha_idx, beta_idx, region)
+    return _solve_pair(region, voltages.values[a - 1], voltages.values[b - 1],
+                       geom.element_center(a), geom.element_center(b), geom,
+                       wave, False)
 
 
 def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,

@@ -36,7 +36,8 @@ lower bound for vector parameter estimation", IEEE Trans. IT 43(2),
 1997); a search over 15 more boxes per line raised no bound on any
 preset. At distance offset 0 the joint statistic is the tilt-only one in
 closed form (`_ao_form`), so zzb_ao_t is also the joint tilt bound: the
-CLI writes its values to both the zzb_t and the zzb_ao_t columns. A
+CLI writes its values to both the zzb_t and the zzb_ao_t columns. The
+form reads the ECRB's tilt coefficients ftau7-ftau9. A
 geometry with strong distance-tilt coupling would need one more box,
 along the local optimum delta_t = -(J_zt / J_tt) delta_z; it is not
 built, and its statistic would need the tilt-offset terms of A1 - A0
@@ -56,6 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .ecrb import ftau7, ftau8, ftau9
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import (midpoints, q_function, require_cells, require_finite,
@@ -373,24 +375,21 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
 
 
 def _ao_form(z, aperture: float):
-    """The closed form of the tilt-only statistic per unit snr * pitch at
-    distances z, as a function form(theta_t, delta_t). The tau-moments m0,
-    m1 and m2 depend on z alone and are taken here once; an infinite
-    aperture uses their limits."""
-    if math.isinf(aperture):
-        d, moments = 3.0 * z, None
-    else:
-        tau = aperture / z
-        p32 = (1.0 + tau * tau) ** 1.5
-        d, moments = z, (tau ** 3 / (3.0 * p32), (1.0 - 1.0 / p32) / 3.0,
-                         tau * (2.0 * tau * tau + 3.0) / (3.0 * p32))
+    """The tilt-only statistic per unit snr * pitch at distances z, as a
+    function form(theta_t, delta_t): (dt^2 ftau9 + dt f ftau8 + f^2 (ftau7
+    + ftau9)) / z, in the ECRB's tilt coefficients of tau = aperture / z,
+    taken here once (their limits past tau = 1e9), and the transverse
+    difference f = s0 - s1 formed as dt (t0 + t1) / (s0 + s1)."""
+    tau = aperture / z
+    f8, f9 = ftau8(tau), ftau9(tau)
+    f79 = ftau7(tau) + f9
 
     def form(t0, dt):
-        ft = np.sqrt(1.0 - t0 * t0) - np.sqrt(1.0 - (t0 + dt) ** 2)
-        if moments is None:
-            return ((dt - ft) ** 2 + ft * ft) / d
-        m2, m1, m0 = moments
-        return (dt * dt * m2 - 2.0 * dt * ft * m1 + ft * ft * m0) / d
+        t1 = t0 + dt
+        # s0 + s1 is 0 only at t0 = t1 = 1, where dt, and so f, is 0
+        s01 = np.sqrt(1.0 - t0 * t0) + np.sqrt(1.0 - t1 * t1)
+        f = dt * (t0 + t1) / np.where(dt > 0, s01, 1.0)
+        return (dt * dt * f9 + dt * f * f8 + f * f * f79) / z
 
     return form
 
@@ -399,8 +398,9 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
     """Closed-form detection statistic for tilt-only hypotheses (no
     distance offset). Wavelength-free because the phase cancels exactly.
 
-    An infinite aperture evaluates the limiting form. Broadcasts over
-    array inputs; NaN inputs raise InvariantViolation.
+    An infinite aperture, or any aspect ratio past 1e9, takes the
+    coefficients' limits. Broadcasts over array inputs; NaN inputs raise
+    InvariantViolation.
     """
     require_snr(snr)
     z = np.asarray(z_t, dtype=float)
@@ -422,7 +422,7 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
 
     Its box is mu_L_ao's statistic, its tau-moments taken once per call
     and its tilt factor once per batch of outer nodes. It takes no wave,
-    and an infinite aperture evaluates the limiting form. NonFinite names
+    and an infinite aperture takes the moments' limits. NonFinite names
     the first SNR where the bound is not finite.
     """
     snrs, shape = snr_sweep(snr)

@@ -396,16 +396,17 @@ THRESHOLD = ("wave.wavelength=0.1", "array.aperture=5", "array.pitch=0.1",
     (["zzb", "--config"], "1e153"), (["zzb", "--config"], "1e300"),
     (["preset", "fig8"], "1e-310")])
 def test_non_finite_zzb_exits_2(tmp_path, capsys, command, z_max):
-    # a ZZB leaves the float range (inf or nan): a numerical failure naming
-    # the first SNR, and no CSV. zzb_z overflows on a far prior; fig8 takes
-    # only the tilt bounds, finite there, whose statistic's moments
-    # overflow on a prior at subnormal distances. numpy warns of none of
-    # the overflows on the way there
-    z_min = "3"
+    # a bound leaves the float range (inf or nan): a numerical failure
+    # naming the first SNR, and no CSV. zzb_z overflows on a far prior;
+    # fig8 takes only the tilt bounds, and on a prior at subnormal
+    # distances its ZZB stays finite (the statistic takes its
+    # coefficients' limits) while its expected CRB overflows. numpy warns
+    # of none of the overflows on the way there
+    z_min, bound = "3", "ZZB"
     if command[0] == "zzb":
         command = command + [write_ini(tmp_path, BASE_INI + "\n[sweep]\nsnr_db = 30,40\n")]
     else:
-        z_min = "1e-320"
+        z_min, bound = "1e-320", "expected CRB"
     overrides = THRESHOLD + (f"prior.z_min={z_min}", f"prior.z_max={z_max}",
                              "sweep.snr_db=30,40")
     args = [arg for item in overrides for arg in ("--override", item)]
@@ -414,7 +415,7 @@ def test_non_finite_zzb_exits_2(tmp_path, capsys, command, z_max):
         assert main(command + ["--out", str(tmp_path / "out")]
                     + args + list(OVERRIDES)) == 2
     assert capsys.readouterr().err == (
-        "numerical failure: ZZB not finite at snr 1000.0\n")
+        f"numerical failure: {bound} not finite at snr 1000.0\n")
     assert not (tmp_path / "out").exists()
 
 

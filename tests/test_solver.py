@@ -15,7 +15,7 @@ from nfepm.geometry import (ArrayGeometry, Region, UniformPrior, Wave,
 from nfepm.observation import noiseless_voltages
 from nfepm.solver import (TABLE2_COLUMNS, TABLE2_MISMATCH, _complex_root,
                           _gain_phase, _phase_offsets, _pow_five_quarters,
-                          _solve_as, _solve_pair, _tilt_from_amplitudes,
+                          _solve_pair, _tilt_from_amplitudes,
                           decouple, rmse_grids, solve)
 from oracles import rmse_grids_per_block
 from scenarios import SOLVER_BENCHMARK, benchmark_setup
@@ -379,10 +379,12 @@ def _one_array_rmse(case, prior, geom, wave, u, v, mismatch=None):
     diagnostic = mismatch is not None
     z = np.linspace(prior.z_min, prior.z_max, u)[:, None]
     t = np.linspace(0.0, 1.0, v, endpoint=False)[None, :]
-    res = _solve_as(mismatch if diagnostic else case,
-                    lambda n: axis_channel(z, t, geom.element_center(n), wave,
-                                           scale=wave.amplitude * geom.pitch),
-                    geom, wave, 1, None, diagnostic)
+    kind = mismatch if diagnostic else case
+    a, b = probe_elements(geom, 1, None, kind)
+    v_a, v_b = (axis_channel(z, t, geom.element_center(n), wave,
+                             scale=wave.amplitude * geom.pitch) for n in (a, b))
+    res = _solve_pair(kind, v_a, v_b, geom.element_center(a),
+                      geom.element_center(b), geom, wave, diagnostic)
     err_z = np.broadcast_to(np.asarray(res.z_hat) - z, (u, v))
     err_t = np.broadcast_to(np.asarray(res.t_hat) - t, (u, v))
     return np.sqrt(np.mean(err_z ** 2)), np.sqrt(np.mean(err_t ** 2))

@@ -9,7 +9,8 @@ import numpy as np
 import oracles
 import pytest
 
-from nfepm.channel import axis_channel
+from nfepm.channel import AxialPose, axis_channel
+from nfepm.ecrb import fim_closed
 from nfepm.errors import InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
@@ -150,12 +151,45 @@ def test_tilt_only_statistic_infinite_aperture():
     assert mu_L_ao(2.0, 0.3, 0.4, 100.0, big) == pytest.approx(lim, rel=1e-6)
 
 
+@pytest.mark.parametrize("z", [1e-110, 1e-200])
+def test_tilt_only_statistic_at_large_aspect_ratio(z):
+    # tau = aperture / z past 5.6e102, where tau^3 overflows: the
+    # statistic takes its coefficients' limits, the infinite aperture's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mu_L_ao(z, 0.3, 0.4, 100.0, ArrayGeometry(1.0, 0.1))
+        assert math.isfinite(got)
+        assert got == mu_L_ao(z, 0.3, 0.4, 100.0, ArrayGeometry(math.inf, 0.1))
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6])
+@pytest.mark.parametrize("aperture", [THRESHOLD_GEOM.aperture, math.inf])
+@pytest.mark.parametrize("z, t", [(4.0, 0.3), (3.0, 0.0), (2.0, 0.8)])
+def test_statistic_curvature_is_half_the_fisher_information(z, t, aperture,
+                                                            delta):
+    # mu = F delta^2 / 2 + O(delta^3) at an offset delta in one parameter,
+    # F the closed-form Fisher information (ecrb.fim_closed): zzb_z's
+    # engine at tilt offset 0 against f_zz, the tilt-only form against
+    # f_tt. The relative error is O(delta), at most 4.4 delta on the fig4
+    # geometry (a finite aperture only for the engine)
+    geom = ArrayGeometry(aperture, THRESHOLD_GEOM.pitch)
+    fim = fim_closed(AxialPose(z, t), 1.0, geom, THRESHOLD_WAVE)
+    ratios = [mu_L_ao(z, t, delta, 1.0, geom) / (delta ** 2 * fim.f_tt)]
+    if math.isfinite(aperture):
+        coef = _families(np.array([z]), delta, geom, THRESHOLD_WAVE)
+        mu_z = geom.pitch * _mu(coef, _tilt_basis(np.array([[t]])))[0, 0]
+        ratios.append(mu_z / (delta ** 2 * fim.f_zz))
+    assert ratios == pytest.approx([0.5] * len(ratios), rel=10.0 * delta)
+
+
 def test_tilt_only_statistic_validation():
     geom = ArrayGeometry(2.0, 0.1)
     with pytest.raises(InvariantViolation):
         mu_L_ao(-1.0, 0.2, 0.1, 10.0, geom)
     with pytest.raises(InvariantViolation):
         mu_L_ao(1.0, 0.8, 0.3, 10.0, geom)
+    # the edge of the tilt range, where s0 + s1 = 0: coincident hypotheses
+    assert mu_L_ao(1.0, 1.0, 0.0, 10.0, geom) == 0.0
 
 
 @pytest.mark.parametrize("arg", range(3))
@@ -760,8 +794,8 @@ LARGE_PHASE = (ArrayGeometry(2.0, 0.5), Wave(0.01))
 @pytest.mark.parametrize("delta_z, delta_t, config, panels", [
     *[pytest.param(dz, dt, (THRESHOLD_GEOM, THRESHOLD_WAVE), 4,
                    id=f"{dz!r}-{dt!r}") for dz, dt in [
-        (1e-6, 0.0), (0.0, 1e-6), (1e-4, 0.0), (1e-2, 0.0), (0.1, 0.0),
-        (0.3, 0.0)]],
+        (1e-6, 0.0), (0.0, 1e-9), (0.0, 1e-6), (1e-4, 0.0), (1e-2, 0.0),
+        (0.1, 0.0), (0.3, 0.0)]],
     *[pytest.param(dz, 0.0, LARGE_PHASE, 8, id=f"lambda-0.01-{dz!r}")
       for dz in (0.1, 1.0)]])
 def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t,
@@ -769,12 +803,13 @@ def test_engine_statistic_matches_high_precision_reference(delta_z, delta_t,
     # mu/(snr*pitch) = integral of |h1 - h0|^2 along the strip, here at
     # 40 digits at z 4, t 0.3, on the threshold config and at phases of
     # hundreds of rad; each bound's box forms it without subtracting
-    # channel energies, so it stays accurate relative to mu itself down to
-    # offsets of 1e-6: zzb_z's engine at tilt offset 0, and the closed
-    # tilt-only form at distance offset 0. (At a distance offset of 1e-9
-    # the engine reads 2.3e-12 off: dG = G1 - G0 is then a difference of
-    # nearly equal numbers.) The reference integrates over `panels` equal
-    # panels of the aperture
+    # channel energies, so it stays accurate relative to mu itself: zzb_z's
+    # engine at tilt offset 0 down to offsets of 1e-6, and the closed
+    # tilt-only form at distance offset 0 down to the outer floor 1e-9,
+    # its transverse difference formed without cancellation. (At a
+    # distance offset of 1e-9 the engine reads 2.3e-12 off: dG = G1 - G0
+    # is then a difference of nearly equal numbers.) The reference
+    # integrates over `panels` equal panels of the aperture
     mp = mpmath.mp
     geom, wave = config
     z0, t0 = 4.0, 0.3
