@@ -2,15 +2,18 @@
 channel.
 
 The FIM entries are integrals along the array of products of channel
-derivatives, computed here only in closed form: twelve coefficient
-functions of the aspect ratio tau = aperture/distance. They are the most
-transcription-sensitive code in the package, so the tests check each one,
-and the assembled information, against adaptive quadrature of the
-defining integrals. The expected bounds average the information on the
-prior's midpoint grid, whose distance and tilt axes arrive apart
-(`expect_uniform`), so each coefficient runs once per grid distance.
-The tilt coefficients ftau7-ftau9 also give the ZZB's tilt-only
-statistic (`zzb._ao_form`), so the attitude's bounds share one form.
+derivatives, computed here only in closed form: twelve coefficients
+ftau1-ftau12 of the aspect ratio tau = aperture/distance, one table of
+formulas and tau->inf limits (`_TAU_FORMS`) that `tau_coefficients`
+evaluates, checking tau and choosing the limits once per tau array. They
+are the most transcription-sensitive code in the package, so the tests
+check each one, and the assembled information, against adaptive
+quadrature of the defining integrals. The expected bounds average the
+information on the prior's midpoint grid, whose distance and tilt axes
+arrive apart (`expect_uniform`), so the table runs once per bound, on
+the grid's distances. The tilt coefficients ftau7-ftau9 also give the
+ZZB's tilt-only statistic (`zzb._ao_form`), so the attitude's bounds
+share one form.
 """
 
 from __future__ import annotations
@@ -30,75 +33,43 @@ _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
 
 
-def _limited(tau, formula, limit: float):
-    """Evaluate a tau coefficient, switching to its tau->inf limit where the
-    polynomial ratios would lose meaning (or overflow)."""
+# one row per coefficient ftau1-ftau12: (its formula in t = tau and
+# u = t^2 + 1, its tau->inf limit)
+_TAU_FORMS = (
+    (lambda t, u: ((2 * t ** 8 + 8 * t ** 6 + 12 * t ** 4 + 8 * t ** 2 + 2)
+                   / (7 * u ** 4)
+                   - (7 * t ** 4 - 14 * t * t + 4) / (14 * u ** 3.5)), 2 / 7),
+    (lambda t, u: (19 * t ** 7 + 56 * t ** 5 + 112 * t ** 3) / (84 * u ** 3.5),
+     19 / 84),
+    (lambda t, u: ((10 * t ** 7 + 35 * t ** 5 + 28 * t ** 3 + 28 * t)
+                   / (28 * u ** 3.5)), 5 / 14),
+    (lambda t, u: 0.4 - 0.4 / u ** 2.5, 2 / 5),
+    (lambda t, u: t ** 3 * (2 * t * t + 5) / (15 * u ** 2.5), 2 / 15),
+    (lambda t, u: (8 * t ** 5 + 20 * t ** 3 + 15 * t) / (15 * u ** 2.5),
+     8 / 15),
+    (lambda t, u: (t ** 3 + 3 * t) / (3 * u ** 1.5), 1 / 3),
+    (lambda t, u: 2 / (3 * u ** 1.5) - 2 / 3, -2 / 3),
+    (lambda t, u: t ** 3 / (3 * u ** 1.5), 1 / 3),
+    (lambda t, u: ((t * t - 2) / (6 * u ** 2.5)
+                   + (t ** 4 + 2 * t * t + 1) / (3 * u ** 2)), 1 / 3),
+    (lambda t, u: (t ** 5 + t ** 3 + 6 * t) / (6 * u ** 2.5), 1 / 6),
+    (lambda t, u: -t * t / (2 * u ** 2.5), 0.0),
+)
+
+
+def tau_coefficients(tau, which=range(1, 13)):
+    """The coefficients ftau<i>, i in `which`, at aspect ratios tau >= 0,
+    one per i, each shaped like tau. Past _TAU_LIMIT, or at tau = inf,
+    each takes its tau->inf limit, where the polynomial ratios would lose
+    meaning (or overflow)."""
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0):
         raise InvariantViolation("tau must be >= 0")
     big = (t > _TAU_LIMIT) | np.isinf(t)
     safe = np.where(big, 1.0, t)
-    return np.where(big, limit, formula(safe))[()]
-
-
-def ftau1(tau):
-    return _limited(tau, lambda t: (
-        (2 * t ** 8 + 8 * t ** 6 + 12 * t ** 4 + 8 * t ** 2 + 2)
-        / (7 * (t * t + 1) ** 4)
-        - (7 * t ** 4 - 14 * t * t + 4) / (14 * (t * t + 1) ** 3.5)), 2 / 7)
-
-
-def ftau2(tau):
-    return _limited(tau, lambda t: (
-        (19 * t ** 7 + 56 * t ** 5 + 112 * t ** 3)
-        / (84 * (t * t + 1) ** 3.5)), 19 / 84)
-
-
-def ftau3(tau):
-    return _limited(tau, lambda t: (
-        (10 * t ** 7 + 35 * t ** 5 + 28 * t ** 3 + 28 * t)
-        / (28 * (t * t + 1) ** 3.5)), 5 / 14)
-
-
-def ftau4(tau):
-    return _limited(tau, lambda t: 0.4 - 0.4 / (t * t + 1) ** 2.5, 2 / 5)
-
-
-def ftau5(tau):
-    return _limited(tau, lambda t: (
-        t ** 3 * (2 * t * t + 5) / (15 * (t * t + 1) ** 2.5)), 2 / 15)
-
-
-def ftau6(tau):
-    return _limited(tau, lambda t: (
-        (8 * t ** 5 + 20 * t ** 3 + 15 * t) / (15 * (t * t + 1) ** 2.5)), 8 / 15)
-
-
-def ftau7(tau):
-    return _limited(tau, lambda t: (t ** 3 + 3 * t) / (3 * (t * t + 1) ** 1.5), 1 / 3)
-
-
-def ftau8(tau):
-    return _limited(tau, lambda t: 2 / (3 * (t * t + 1) ** 1.5) - 2 / 3, -2 / 3)
-
-
-def ftau9(tau):
-    return _limited(tau, lambda t: t ** 3 / (3 * (t * t + 1) ** 1.5), 1 / 3)
-
-
-def ftau10(tau):
-    return _limited(tau, lambda t: (
-        (t * t - 2) / (6 * (t * t + 1) ** 2.5)
-        + (t ** 4 + 2 * t * t + 1) / (3 * (t * t + 1) ** 2)), 1 / 3)
-
-
-def ftau11(tau):
-    return _limited(tau, lambda t: (
-        (t ** 5 + t ** 3 + 6 * t) / (6 * (t * t + 1) ** 2.5)), 1 / 6)
-
-
-def ftau12(tau):
-    return _limited(tau, lambda t: -t * t / (2 * (t * t + 1) ** 2.5), 0.0)
+    u = safe * safe + 1
+    return tuple(np.where(big, limit, formula(safe, u))[()]
+                 for formula, limit in (_TAU_FORMS[i - 1] for i in which))
 
 
 @dataclass(frozen=True)
@@ -142,22 +113,20 @@ def _axes(z, t_z, geom: ArrayGeometry):
     return z, tz, ty_sq, np.sqrt(ty_sq), geom.aperture / z
 
 
-def _i_tt(z, tz, ty_sq, ty, tau):
-    """The tilt information integral per unit (2*SNR*pitch), from _axes."""
-    return ((tz * tz / ty_sq) * ftau7(tau) + (tz / ty) * ftau8(tau)
-            + ftau9(tau) / ty_sq) / z
+def _i_tt(z, tz, ty_sq, ty, f7, f8, f9):
+    """The tilt information integral per unit (2*SNR*pitch), given f7-f9."""
+    return ((tz * tz / ty_sq) * f7 + (tz / ty) * f8 + f9 / ty_sq) / z
 
 
 def _factors(z, t_z, geom: ArrayGeometry):
     """The four information integrals per unit (2*SNR*pitch), vectorized."""
-    z, tz, ty_sq, ty, tau = axes = _axes(z, t_z, geom)
-    i_zz1 = (tz * ty * ftau1(tau) + tz * tz * ftau2(tau)
-             + ty_sq * ftau3(tau)) / z ** 3
-    i_zz2 = (tz * ty * ftau4(tau) + tz * tz * ftau5(tau)
-             + ty_sq * ftau6(tau)) / z
-    i_zt = ((tz * tz / ty) * ftau10(tau) + tz * ftau11(tau)
-            + ty * ftau12(tau)) / z ** 2
-    return i_zz1, i_zz2, _i_tt(*axes), i_zt
+    *axes, tau = _axes(z, t_z, geom)
+    z, tz, ty_sq, ty = axes
+    f1, f2, f3, f4, f5, f6, *f789, f10, f11, f12 = tau_coefficients(tau)
+    i_zz1 = (tz * ty * f1 + tz * tz * f2 + ty_sq * f3) / z ** 3
+    i_zz2 = (tz * ty * f4 + tz * tz * f5 + ty_sq * f6) / z
+    i_zt = ((tz * tz / ty) * f10 + tz * f11 + ty * f12) / z ** 2
+    return i_zz1, i_zz2, _i_tt(*axes, *f789), i_zt
 
 
 def fim_closed(pose: AxialPose, snr: float, geom: ArrayGeometry,
@@ -258,7 +227,8 @@ def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
     grid = _expect_grid(grid)
 
     def inv_itt(z, t):
-        return 1.0 / _i_tt(*_axes(z, t, geom))
+        *axes, tau = _axes(z, t, geom)
+        return 1.0 / _i_tt(*axes, *tau_coefficients(tau, (7, 8, 9)))
 
     return _over_sweep(snr, lambda s: (expect_uniform(inv_itt, prior, *grid)
                                        / (2.0 * s * geom.pitch),))[0]

@@ -115,18 +115,13 @@ def _phase_offsets(c, lo, hi):
 def _gain_phase(c, gain, offsets=None):
     """decouple(c * gain).theta bit for bit, for complex c of shape
     (rows, 1) and real gain >= 0 of shape (rows, cols). offsets is
-    _phase_offsets(c, lo, hi) for bounds lo <= gain <= hi, else formed
-    from each row's least and largest gain.
+    _phase_offsets(c, lo, hi) for bounds lo <= gain <= hi, or None.
 
     With offsets, the complex product is not formed: np.angle(c * gain)
     is arctan2(c.imag * gain, c.real * gain), wrapped by one add of the
-    per-row offsets. Without them (a product not finite, or a row with
-    no offset) the phase is decouple's, which raises NonFinite on a
-    product that is not finite. gain may be overwritten: its buffer
-    takes the real product."""
-    if offsets is None:
-        offsets = _phase_offsets(c, gain.min(axis=1, keepdims=True),
-                                 gain.max(axis=1, keepdims=True))
+    per-row offsets, and gain is overwritten: its buffer takes the real
+    product. Without them the phase is decouple's, which raises NonFinite
+    on a product that is not finite."""
     if offsets is None:
         return decouple(c * gain).theta
     im = c.imag * gain
@@ -261,8 +256,9 @@ def rmse_grids(case: Region, prior: UniformPrior, geom: ArrayGeometry,
     raw phases share the sign of Im c. The gains' per-row bounds
     z s_min <= g <= y + z give that sign and the finiteness check once
     per row and chunk; a chunk where they do not forms its phases as
-    `_gain_phase` does without bounds. A diagnostic Case I solver roots
-    each cell's radicand with `_complex_root`.
+    decouple does, from the complex products (`_gain_phase` without
+    offsets). A diagnostic Case I solver roots each cell's radicand with
+    `_complex_root`.
 
     The grid is streamed in blocks of distance rows of at most
     `_BLOCK_CELLS` cells (one row at least), and the squared errors are

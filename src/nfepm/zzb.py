@@ -37,11 +37,12 @@ lower bound for vector parameter estimation", IEEE Trans. IT 43(2),
 preset. At distance offset 0 the joint statistic is the tilt-only one in
 closed form (`_ao_form`), so zzb_ao_t is also the joint tilt bound: the
 CLI writes its values to both the zzb_t and the zzb_ao_t columns. The
-form reads the ECRB's tilt coefficients ftau7-ftau9. A
-geometry with strong distance-tilt coupling would need one more box,
-along the local optimum delta_t = -(J_zt / J_tt) delta_z; it is not
-built, and its statistic would need the tilt-offset terms of A1 - A0
-back in the coefficients and the tilt basis.
+form reads the ECRB's tilt coefficients ftau7-ftau9 from its table
+(`ecrb.tau_coefficients`). A geometry with strong distance-tilt coupling
+would need one more box, along the local optimum delta_t = -(J_zt /
+J_tt) delta_z; it is not built, and its statistic would need the
+tilt-offset terms of A1 - A0 back in the coefficients and the tilt
+basis.
 
 The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
 array); the SNR-free work runs once per sweep, and a bound that is not
@@ -57,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ecrb import ftau7, ftau8, ftau9
+from .ecrb import tau_coefficients
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
 from .numerics import (midpoints, q_function, require_cells, require_finite,
@@ -378,11 +379,11 @@ def _ao_form(z, aperture: float):
     """The tilt-only statistic per unit snr * pitch at distances z, as a
     function form(theta_t, delta_t): (dt^2 ftau9 + dt f ftau8 + f^2 (ftau7
     + ftau9)) / z, in the ECRB's tilt coefficients of tau = aperture / z,
-    taken here once (their limits past tau = 1e9), and the transverse
-    difference f = s0 - s1 formed as dt (t0 + t1) / (s0 + s1)."""
-    tau = aperture / z
-    f8, f9 = ftau8(tau), ftau9(tau)
-    f79 = ftau7(tau) + f9
+    one `tau_coefficients` call on z (their limits past tau = 1e9), and
+    the transverse difference f = s0 - s1 formed as dt (t0 + t1) / (s0 +
+    s1)."""
+    f7, f8, f9 = tau_coefficients(aperture / z, (7, 8, 9))
+    f79 = f7 + f9
 
     def form(t0, dt):
         t1 = t0 + dt
@@ -400,7 +401,8 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
 
     An infinite aperture, or any aspect ratio past 1e9, takes the
     coefficients' limits. Broadcasts over array inputs; NaN inputs raise
-    InvariantViolation.
+    InvariantViolation, and a statistic that leaves the float range raises
+    NonFinite.
     """
     require_snr(snr)
     z = np.asarray(z_t, dtype=float)
@@ -410,7 +412,11 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
         raise InvariantViolation("z_t must be > 0")
     if not (np.all(t0 >= 0) and np.all(t0 + dt <= 1) and np.all(dt >= 0)):
         raise InvariantViolation("tilt hypotheses must stay inside [0, 1]")
-    return (snr * geom.pitch * _ao_form(z, geom.aperture)(t0, dt))[()]
+    # a statistic leaving the float range raises NonFinite, not a warning
+    with np.errstate(all="ignore"):
+        out = snr * geom.pitch * _ao_form(z, geom.aperture)(t0, dt)
+    require_finite("ZZB statistic", np.array([snr]), out)
+    return out[()]
 
 
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,

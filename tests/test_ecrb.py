@@ -10,13 +10,13 @@ import pytest
 import importlib
 
 from nfepm.channel import AxialPose, axis_channel
-from nfepm.ecrb import (ecrb, ecrb_ao, ecrb_asymptotic, fim_closed, ftau1,
-                        ftau2, ftau3, ftau4, ftau5, ftau6, ftau7, ftau8,
-                        ftau9, ftau10, ftau11, ftau12)
+from nfepm.ecrb import (ecrb, ecrb_ao, ecrb_asymptotic, fim_closed,
+                        tau_coefficients)
 from nfepm.errors import (AttitudeSingularity, InvariantViolation, NonFinite,
                           SingularFIM)
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import TZ_EPS, midpoints
+from nfepm.zzb import ZZBGrid, zzb_ao_t
 from oracles import (channel_deriv_t, channel_deriv_z, ecrb_ao_dense,
                      ecrb_asymptotic_dense, ecrb_dense, fim_quadrature,
                      integrate)
@@ -25,25 +25,34 @@ from scenarios import THRESHOLD_GEOM, THRESHOLD_PRIOR, THRESHOLD_WAVE
 # the package root re-exports a function named like the module, so fetch
 # the module itself for monkeypatching
 ecrb_module = importlib.import_module("nfepm.ecrb")
+zzb_module = importlib.import_module("nfepm.zzb")
+
+
+def _coefficient(i):
+    # ftau<i> from the table, alone
+    return lambda tau: tau_coefficients(tau, (i,))[0]
+
 
 # (coefficient, base integrand over u in [0, tau], tau->inf limit)
 TAU_COEFFICIENTS = (
-    (ftau1, lambda u: 0.5 * u * (u * u - 4) * (3 * u * u - 2)
+    (_coefficient(1), lambda u: 0.5 * u * (u * u - 4) * (3 * u * u - 2)
      / (1 + u * u) ** 4.5, 2 / 7),
-    (ftau2, lambda u: 0.25 * u * u * (u * u - 4) ** 2
+    (_coefficient(2), lambda u: 0.25 * u * u * (u * u - 4) ** 2
      / (1 + u * u) ** 4.5, 19 / 84),
-    (ftau3, lambda u: 0.25 * (3 * u * u - 2) ** 2
+    (_coefficient(3), lambda u: 0.25 * (3 * u * u - 2) ** 2
      / (1 + u * u) ** 4.5, 5 / 14),
-    (ftau4, lambda u: 2 * u / (1 + u * u) ** 3.5, 2 / 5),
-    (ftau5, lambda u: u * u / (1 + u * u) ** 3.5, 2 / 15),
-    (ftau6, lambda u: 1 / (1 + u * u) ** 3.5, 8 / 15),
-    (ftau7, lambda u: (1 - u * u) / (1 + u * u) ** 2.5, 1 / 3),
-    (ftau8, lambda u: -2 * u / (1 + u * u) ** 2.5, -2 / 3),
-    (ftau9, lambda u: u * u / (1 + u * u) ** 2.5, 1 / 3),
-    (ftau10, lambda u: -0.5 * u * (u * u - 4) / (1 + u * u) ** 3.5, 1 / 3),
-    (ftau11, lambda u: 0.5 * (u ** 4 - 7 * u * u + 2)
+    (_coefficient(4), lambda u: 2 * u / (1 + u * u) ** 3.5, 2 / 5),
+    (_coefficient(5), lambda u: u * u / (1 + u * u) ** 3.5, 2 / 15),
+    (_coefficient(6), lambda u: 1 / (1 + u * u) ** 3.5, 8 / 15),
+    (_coefficient(7), lambda u: (1 - u * u) / (1 + u * u) ** 2.5, 1 / 3),
+    (_coefficient(8), lambda u: -2 * u / (1 + u * u) ** 2.5, -2 / 3),
+    (_coefficient(9), lambda u: u * u / (1 + u * u) ** 2.5, 1 / 3),
+    (_coefficient(10), lambda u: -0.5 * u * (u * u - 4)
+     / (1 + u * u) ** 3.5, 1 / 3),
+    (_coefficient(11), lambda u: 0.5 * (u ** 4 - 7 * u * u + 2)
      / (1 + u * u) ** 3.5, 1 / 6),
-    (ftau12, lambda u: 0.5 * u * (3 * u * u - 2) / (1 + u * u) ** 3.5, 0.0),
+    (_coefficient(12), lambda u: 0.5 * u * (3 * u * u - 2)
+     / (1 + u * u) ** 3.5, 0.0),
 )
 
 
@@ -60,8 +69,21 @@ def test_tau_coefficient_limits():
         assert coeff(math.inf) == limit
         assert coeff(2e9) == limit
         assert coeff(1e6) == pytest.approx(limit, rel=1e-5, abs=1e-8)
-    with pytest.raises(InvariantViolation):
-        ftau1(-0.5)
+    # one call on an array equals the scalar calls element by element; the
+    # limits start past tau = 1e9, which takes the formula
+    taus = [0.0, 0.7, 1e9, np.nextafter(1e9, math.inf), 2e9, math.inf]
+    table = tau_coefficients(np.array(taus))
+    assert len(table) == 12
+    t = np.array(1e9)
+    for (coeff, _, limit), (formula, _), got in zip(
+            TAU_COEFFICIENTS, ecrb_module._TAU_FORMS, table):
+        assert got.shape == (6,)
+        assert np.array_equal(got, [coeff(tau) for tau in taus])
+        assert got[2] == formula(t, t * t + 1)
+        assert np.all(got[3:] == limit)
+    for tau in (-0.5, [0.7, -0.5, 2.0]):
+        with pytest.raises(InvariantViolation, match="tau must be >= 0"):
+            tau_coefficients(np.array(tau))
 
 
 def test_closed_information_matches_quadrature():
@@ -243,24 +265,26 @@ def test_expected_bounds_equal_the_dense_grid_reference(prior, geom, wave, snr):
 
 
 def test_tau_coefficients_run_once_per_distance(monkeypatch):
-    # under ecrb and ecrb_ao each coefficient sees the n_z distances of the
-    # grid, not its n_z * n_t cells
-    sizes = {}
-    for i in range(1, 13):
-        name = f"ftau{i}"
+    # ecrb, ecrb_ao and zzb_ao_t each evaluate the table once, on the n_z
+    # distances of their grid, not on its n_z * n_t cells nor per SNR
+    calls = []
 
-        def counted(tau, name=name, real=getattr(ecrb_module, name)):
-            sizes.setdefault(name, []).append(np.size(tau))
-            return real(tau)
+    def counted(tau, which=range(1, 13), real=tau_coefficients):
+        calls.append((np.size(tau), tuple(which)))
+        return real(tau, which)
 
-        monkeypatch.setattr(ecrb_module, name, counted)
+    monkeypatch.setattr(ecrb_module, "tau_coefficients", counted)
+    monkeypatch.setattr(zzb_module, "tau_coefficients", counted)
     ecrb(THRESHOLD_PRIOR, [10.0, 100.0], THRESHOLD_GEOM, THRESHOLD_WAVE,
          grid=(16, 8))
-    assert sizes == {f"ftau{i}": [16] for i in range(1, 13)}
-    # ecrb_ao needs the tilt information alone: ftau7-ftau9
-    sizes.clear()
-    ecrb_ao(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, grid=(16, 8))
-    assert sizes == {f"ftau{i}": [16] for i in (7, 8, 9)}
+    assert calls == [(16, tuple(range(1, 13)))]
+    # the tilt information alone needs ftau7-ftau9
+    calls.clear()
+    ecrb_ao(THRESHOLD_PRIOR, [10.0, 100.0], THRESHOLD_GEOM, grid=(16, 8))
+    assert calls == [(16, (7, 8, 9))]
+    calls.clear()
+    zzb_ao_t(THRESHOLD_PRIOR, [10.0, 100.0], THRESHOLD_GEOM, ZZBGrid(8, 16, 8))
+    assert calls == [(16, (7, 8, 9))]
 
 
 def test_attitude_singularity_guards():

@@ -629,12 +629,13 @@ def test_joint_pass_memory_does_not_grow_with_the_grid():
 
 
 def test_gain_phase_checks_each_row_at_its_largest_gain():
-    # multiplication rounds monotonically, so a row's products are finite
-    # when the one at its largest gain is, and the phase is decouple's
+    # without offsets the phase is decouple's, which checks every product:
+    # one that overflows (here only at its row's largest gain) or a NaN
+    # gain raises NonFinite
     c = np.array([[1e300 + 1e300j], [3.0 - 4.0j]])
     gain = np.array([[0.5, 1.0, 2.0], [0.0, 7.0, 1e-3]])
     expected = decouple(c * gain).theta
-    # _gain_phase overwrites its gain, so it gets a copy
+    # _gain_phase may overwrite its gain, so it gets a copy
     assert np.array_equal(_gain_phase(c, gain.copy()).view(np.uint64),
                           expected.view(np.uint64))
     overflow = gain.copy()

@@ -11,7 +11,7 @@ import pytest
 
 from nfepm.channel import AxialPose, axis_channel
 from nfepm.ecrb import fim_closed
-from nfepm.errors import InvariantViolation, QuadratureFailure
+from nfepm.errors import InvariantViolation, NonFinite, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave
 from nfepm.numerics import MAX_CELLS, midpoints, q_function
 from nfepm.observation import snr_from_db
@@ -160,6 +160,22 @@ def test_tilt_only_statistic_at_large_aspect_ratio(z):
         got = mu_L_ao(z, 0.3, 0.4, 100.0, ArrayGeometry(1.0, 0.1))
         assert math.isfinite(got)
         assert got == mu_L_ao(z, 0.3, 0.4, 100.0, ArrayGeometry(math.inf, 0.1))
+
+
+def test_tilt_only_statistic_outside_float_range():
+    # a statistic past the float range raises NonFinite, not inf with an
+    # overflow warning; an aspect ratio past it (aperture / z = inf) takes
+    # the coefficients' limits, with no warning either
+    geom = ArrayGeometry(1.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite,
+                           match=r"^ZZB statistic not finite at snr 1e\+20$"):
+            mu_L_ao(1e-300, 0.3, 0.4, 1e20, geom)
+        got = mu_L_ao(1e-310, 0.3, 1e-5, 1.0, geom)
+        assert math.isfinite(got) and got > 0.0
+        assert got == mu_L_ao(1e-310, 0.3, 1e-5, 1.0,
+                              ArrayGeometry(math.inf, 0.1))
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-6])
