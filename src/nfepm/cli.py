@@ -196,7 +196,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str):
     volts = noiseless_voltages(cfg.pose, cfg.array, cfg.wave)
     if cfg.sigma2:
         volts = observe(volts, NoiseSpec(cfg.sigma2, cfg.seed), trial=0)
-    res = solve(volts, cfg.prior, cfg.array, cfg.wave, alpha_idx=cfg.alpha,
+    res = solve(volts, cfg.prior, cfg.wave, alpha_idx=cfg.alpha,
                 beta_idx=cfg.beta)
     z, t = complex(res.z_hat), complex(res.t_hat)
     rows = [(res.region.value, cfg.pose.distance, cfg.pose.tilt,

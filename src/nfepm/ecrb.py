@@ -13,7 +13,8 @@ information on the prior's midpoint grid, whose distance and tilt axes
 arrive apart (`expect_uniform`), so the table runs once per bound, on
 the grid's distances. The tilt coefficients ftau7-ftau9 also give the
 ZZB's tilt-only statistic (`zzb._ao_form`), so the attitude's bounds
-share one form.
+share one form. The bounds read `snr` through `numerics.snr_sweep`, as
+the ZZB does, and need it > 0; `fim_closed` takes one pose and one SNR.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 from .channel import AxialPose
 from .errors import AttitudeSingularity, InvariantViolation, SingularFIM
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (EXPECT_GRID, expect_uniform, require_finite,
-                       require_snr, snr_sweep)
+from .numerics import EXPECT_GRID, expect_uniform, snr_sweep
 
 _TY_SQ_MIN = 1e-12
 _TAU_LIMIT = 1e9
@@ -131,23 +131,22 @@ def _factors(z, t_z, geom: ArrayGeometry):
 
 def fim_closed(pose: AxialPose, snr: float, geom: ArrayGeometry,
                wave: Wave) -> FisherInfo:
-    """Fisher information from the tau closed forms."""
-    require_snr(snr)
+    """Fisher information from the tau closed forms, at one pose and one
+    SNR; InvariantViolation for a sweep of either."""
+    snrs, _ = snr_sweep(snr, "Fisher information")
+    if np.ndim(snr) or np.ndim(pose.distance) or np.ndim(pose.tilt):
+        raise InvariantViolation("fim_closed takes one pose and one snr")
     return _assemble(*_factors(pose.distance, pose.tilt, geom),
-                     snr, geom, wave)
+                     float(snrs[0]), geom, wave)
 
 
-def _over_sweep(snr, bounds):
-    """bounds(s) at the SNRs s of `snr`, a scalar or a 1-D sweep of SNRs
-    > 0, each bound shaped like `snr`; NonFinite names the first SNR where
-    one leaves the float range (1 / snr overflows, 2 snr pitch underflows)."""
-    snrs, shape = snr_sweep(snr)
+def _snr_sweep(snr):
+    """snr_sweep for the expected CRBs, whose SNRs must be > 0; a bound
+    leaves the float range where 1 / (2 snr pitch) overflows."""
+    snrs, finish = snr_sweep(snr, "expected CRB")
     if not snrs.all():
         raise InvariantViolation("snr must be > 0, got 0.0")
-    with np.errstate(divide="ignore", over="ignore"):
-        values = bounds(snrs)
-    require_finite("expected CRB", snrs, values)
-    return tuple(map(shape, values))
+    return snrs, finish
 
 
 def _expect_grid(grid) -> tuple:
@@ -172,6 +171,7 @@ def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     when a bound leaves the float range.
     """
     grid = _expect_grid(grid)
+    snrs, finish = _snr_sweep(snr)
     k = wave.wavenumber
 
     def ratios(z, t):
@@ -186,12 +186,10 @@ def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
                 f"information matrix singular at z_t={z_at!r}, t_z={t_at!r}")
         return np.stack((i_tt / det, i_zz / det))
 
-    def bounds(s):
+    with np.errstate(all="ignore"):
         mean_z, mean_t = expect_uniform(ratios, prior, *grid)
-        pref = 1.0 / (2.0 * s * geom.pitch)
-        return pref * mean_z, pref * mean_t
-
-    return _over_sweep(snr, bounds)
+        pref = 1.0 / (2.0 * snrs * geom.pitch)
+        return tuple(finish(np.stack((pref * mean_z, pref * mean_t))))
 
 
 def ecrb_asymptotic(prior: UniformPrior, snr, geom: ArrayGeometry,
@@ -199,21 +197,19 @@ def ecrb_asymptotic(prior: UniformPrior, snr, geom: ArrayGeometry,
     """Infinite-aperture, zero-tilt limits of the expected CRBs, taking
     `snr` and raising NonFinite as ecrb does. With large_z the distance
     bound uses the further z_t >> lambda simplification."""
+    snrs, finish = _snr_sweep(snr)
     mean_z = 0.5 * (prior.z_min + prior.z_max)
     lam, k = wave.wavelength, wave.wavenumber
-
-    def bounds(s):
-        pref = 1.0 / (2.0 * s * geom.pitch)
+    with np.errstate(all="ignore"):
+        pref = 1.0 / (2.0 * snrs * geom.pitch)
         if large_z:
             bound_z = 15.0 * lam * lam * mean_z / (
-                64.0 * math.pi ** 2 * s * geom.pitch)
+                64.0 * math.pi ** 2 * snrs * geom.pitch)
         else:
             bound_z = pref * expect_uniform(
                 lambda z, t: 210.0 * z ** 3 / (112.0 * k * k * z * z + 75.0),
                 prior)
-        return bound_z, 3.0 * pref * mean_z
-
-    return _over_sweep(snr, bounds)
+        return tuple(finish(np.stack((bound_z, 3.0 * pref * mean_z))))
 
 
 def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
@@ -225,10 +221,12 @@ def ecrb_ao(prior: UniformPrior, snr, geom: ArrayGeometry, grid=EXPECT_GRID):
     limiting coefficient values.
     """
     grid = _expect_grid(grid)
+    snrs, finish = _snr_sweep(snr)
 
     def inv_itt(z, t):
         *axes, tau = _axes(z, t, geom)
         return 1.0 / _i_tt(*axes, *tau_coefficients(tau, (7, 8, 9)))
 
-    return _over_sweep(snr, lambda s: (expect_uniform(inv_itt, prior, *grid)
-                                       / (2.0 * s * geom.pitch),))[0]
+    with np.errstate(all="ignore"):
+        return finish(expect_uniform(inv_itt, prior, *grid)
+                      / (2.0 * snrs * geom.pitch))

@@ -34,9 +34,9 @@ import numpy as np
 from .channel import axis_factor
 from .errors import InvariantViolation
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import TZ_EPS, require_cells, require_sizes, stream
-from .observation import (NoiseSpec, add_noise, element_voltages,
-                          sigma2_for_snr_db, unit_noise)
+from .numerics import TZ_EPS, require_cells, require_sizes, stream, sweep
+from .observation import (add_noise, element_voltages, sigma2_for_snr_db,
+                          unit_noise)
 
 # Trials scored per pass: a block's scores on the default grid take
 # 8 x 256 x 128 floats, 2 MiB. The tilt expansion is one (n_z, 5) x
@@ -261,13 +261,10 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     trials, seed = require_sizes("the Monte Carlo trials and seed", trials, seed)
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
-    levels = np.asarray(snr_db, dtype=float)
-    if levels.ndim > 1 or levels.size == 0:
-        raise InvariantViolation("snr_db is a scalar or a non-empty 1-D sequence")
-    levels = levels.ravel().tolist()
+    levels = sweep(snr_db, "snr_db").tolist()
     require_cells("the Monte Carlo trials",
                   trials * len(levels) * (geom.n_elements + 2))
-    noises = [NoiseSpec(sigma2_for_snr_db(wave, db), seed) for db in levels]
+    sigma2s = [sigma2_for_snr_db(wave, db) for db in levels]
     rng = stream(seed)
     z_true = rng.uniform(prior.z_min, prior.z_max, trials)
     t_true = rng.uniform(0.0, 1.0, trials)
@@ -275,8 +272,8 @@ def monte_carlo_mse(prior: UniformPrior, geom: ArrayGeometry, wave: Wave,
     clean = element_voltages(z_true[:, None], t_true[:, None], geom, wave)
     unit = np.stack([unit_noise(seed, i, geom.n_elements) for i in range(trials)])
     noisy = np.empty((trials, len(levels), geom.n_elements), dtype=complex)
-    for level, noise in enumerate(noises):
-        noisy[:, level] = add_noise(clean, unit, noise.sigma2)
+    for level, sigma2 in enumerate(sigma2s):
+        noisy[:, level] = add_noise(clean, unit, sigma2)
 
     z_hat, t_hat = estimate(noisy)
     sq = (np.stack((z_hat.T, t_hat.T), axis=1) - np.stack((z_true, t_true))) ** 2

@@ -1,6 +1,6 @@
 """Shared numeric kernels: the Gaussian tail function, deterministic
-tensor-grid expectations, SNR sweeps, array-size, SNR and finite-bound
-guards, and splittable RNG streams."""
+tensor-grid expectations, array-size guards, the one SNR contract of the
+bounds, statistics and information (`snr_sweep`), and RNG streams."""
 
 from __future__ import annotations
 
@@ -45,25 +45,6 @@ def require_sizes(what: str, *sizes) -> tuple:
     return tuple(ints)
 
 
-def require_snr(snr) -> None:
-    """Raise InvariantViolation unless every SNR in `snr` is finite and
-    >= 0; NaN is not >= 0, and +inf would make every bound 0 or its
-    information infinite."""
-    snrs = np.asarray(snr, dtype=float)
-    if not np.all(snrs >= 0):
-        raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
-    if np.isinf(snrs).any():
-        raise InvariantViolation("snr must be finite, got inf")
-
-
-def require_finite(what: str, snrs: np.ndarray, values) -> None:
-    """Raise NonFinite naming the first SNR of snrs at which one of the
-    bounds `values`, per SNR along their last axis, is not finite."""
-    finite = np.isfinite(np.reshape(values, (-1, len(snrs)))).all(axis=0)
-    if not finite.all():
-        raise NonFinite(f"{what} not finite at snr {snrs[~finite][0]}")
-
-
 def q_function(x):
     """Standard normal tail probability Q(x) = P(Z > x). Vectorized."""
     return 0.5 * erfc(x / np.sqrt(2.0))
@@ -97,15 +78,40 @@ def expect_uniform(f, prior, n_z: int = EXPECT_GRID[0],
     return vals.mean(axis=(-2, -1)).tolist()
 
 
-def snr_sweep(snr):
-    """`snr`, a scalar or a non-empty 1-D sequence of SNRs >= 0, as a 1-D
-    array, and a function shaping a per-SNR result like `snr`."""
-    snrs = np.asarray(snr, dtype=float)
-    if snrs.ndim > 1 or snrs.size == 0:
-        raise InvariantViolation("an SNR sweep is a scalar or a non-empty 1-D sequence")
-    require_snr(snrs)
-    shape = (lambda out: out[0]) if snrs.ndim == 0 else (lambda out: out)
-    return np.atleast_1d(snrs), shape
+def sweep(values, what: str) -> np.ndarray:
+    """`values`, a scalar or a non-empty 1-D sequence of reals, as a 1-D
+    float array; InvariantViolation naming `what` for anything else."""
+    try:
+        vals = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not real numbers
+        vals = None
+    if vals is None or vals.ndim > 1 or vals.size == 0:
+        raise InvariantViolation(f"{what} is a scalar or a non-empty 1-D sequence")
+    return np.atleast_1d(vals)
+
+
+def snr_sweep(snr, what: str):
+    """The SNRs of `snr`, a scalar or a non-empty 1-D sweep, each finite
+    and >= 0 (NaN is not; +inf would make the information infinite), as a
+    1-D array, and finish(values) for `what`'s values per SNR along their
+    last axis: NonFinite names the first SNR where one is not finite, else
+    they come shaped like `snr` (a scalar takes its one SNR's entries).
+    The caller computes them in between, under np.errstate(all="ignore"),
+    so that leaving the float range raises NonFinite, not a warning."""
+    snrs = sweep(snr, "an SNR sweep")
+    if not np.all(snrs >= 0):
+        raise InvariantViolation(f"snr must be >= 0, got {snrs[~(snrs >= 0)][0]}")
+    if np.isinf(snrs).any():
+        raise InvariantViolation("snr must be finite, got inf")
+
+    def finish(values):
+        values = np.asarray(values)
+        finite = np.isfinite(values.reshape(-1, len(snrs))).all(axis=0)
+        if not finite.all():
+            raise NonFinite(f"{what} not finite at snr {snrs[~finite][0]}")
+        return values if np.ndim(snr) else values[..., 0][()]
+
+    return snrs, finish
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

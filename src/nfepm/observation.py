@@ -99,5 +99,9 @@ def snr_from_db(db: float) -> float:
 
 
 def sigma2_for_snr_db(wave: Wave, db: float) -> float:
-    """Noise variance that realizes the requested SNR at this drive level."""
-    return wave.amplitude ** 2 / snr_from_db(db)
+    """Noise variance that realizes the requested SNR at this drive level;
+    ValidityViolation where it overflows (a strong drive at a low SNR)."""
+    sigma2 = wave.amplitude ** 2 / snr_from_db(db)
+    if not math.isfinite(sigma2):
+        raise ValidityViolation(f"noise variance at {db} dB is not finite")
+    return sigma2

@@ -213,12 +213,12 @@ def _solve_pair(kind: Region, v_alpha, v_beta, y_alpha: float, y_beta: float,
     return SolveResult(z[()], t, kind, diagnostic)
 
 
-def solve(voltages: Voltages, prior: UniformPrior, geom: ArrayGeometry,
-          wave: Wave, alpha_idx: int = 1,
-          beta_idx: int | None = None) -> SolveResult:
-    """Classify the prior box and apply the matching regime's solver at the
-    probe elements `classify_region` checked; raises UnsupportedRegion
-    when no single regime covers it."""
+def solve(voltages: Voltages, prior: UniformPrior, wave: Wave,
+          alpha_idx: int = 1, beta_idx: int | None = None) -> SolveResult:
+    """Classify the prior box on the voltages' own array and apply the
+    matching regime's solver at the probe elements `classify_region`
+    checked; raises UnsupportedRegion when no single regime covers it."""
+    geom = voltages.geom
     region = classify_region(prior, geom, wave, alpha_idx, beta_idx)
     a, b = probe_elements(geom, alpha_idx, beta_idx, region)
     return _solve_pair(region, voltages.values[a - 1], voltages.values[b - 1],

@@ -44,10 +44,11 @@ J_tt) delta_z; it is not built, and its statistic would need the
 tilt-offset terms of A1 - A0 back in the coefficients and the tilt
 basis.
 
-The bounds take `snr` as a scalar (giving a float) or a 1-D sweep (an
-array); the SNR-free work runs once per sweep, and a bound that is not
-finite raises NonFinite. Valley-filling is omitted throughout, a known
-slackening that does not affect the asymptotic regimes.
+The bounds and mu_L_ao read `snr` through `numerics.snr_sweep`: a scalar
+gives a float, a 1-D sweep an array (mu_L_ao's on a trailing axis). The
+SNR-free work runs once per sweep, and a value that is not finite raises
+NonFinite. Valley-filling is omitted throughout, a known slackening that
+does not affect the asymptotic regimes.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ import numpy as np
 from .ecrb import tau_coefficients
 from .errors import InvariantViolation, QuadratureFailure
 from .geometry import ArrayGeometry, UniformPrior, Wave
-from .numerics import (midpoints, q_function, require_cells, require_finite,
-                       require_sizes, require_snr, snr_sweep)
+from .numerics import (midpoints, q_function, require_cells, require_sizes,
+                       snr_sweep)
 
 _TRUNCATE_REL = 1e-12
 _DELTA_FLOOR_REL = 1e-9
@@ -357,7 +358,7 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
     distance offset at tilt offset 0, a valid bound by itself (Bell et al.
     1997, see the module docstring); NonFinite names the first SNR where it
     is not finite."""
-    snrs, shape = snr_sweep(snr)
+    snrs, finish = snr_sweep(snr, "ZZB")
     # the box's tilt grid does not move with the outer node
     basis = _tilt_basis(midpoints(0.0, 1.0, grid.n_theta_t)[None])
 
@@ -368,11 +369,8 @@ def zzb_z(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
         cell = ((prior.span - dz) / grid.n_theta_z) * (1.0 / grid.n_theta_t)
         return _mu(coef, basis), cell, failures
 
-    # a bound that leaves the float range raises NonFinite, not a warning
     with np.errstate(all="ignore"):
-        out = _outer(prior, prior.span, grid, snrs * geom.pitch, box)
-    require_finite("ZZB", snrs, out)
-    return shape(out)
+        return finish(_outer(prior, prior.span, grid, snrs * geom.pitch, box))
 
 
 def _ao_form(z, aperture: float):
@@ -395,16 +393,17 @@ def _ao_form(z, aperture: float):
     return form
 
 
-def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
+def mu_L_ao(z_t, theta_t, delta_t, snr, geom: ArrayGeometry):
     """Closed-form detection statistic for tilt-only hypotheses (no
     distance offset). Wavelength-free because the phase cancels exactly.
 
     An infinite aperture, or any aspect ratio past 1e9, takes the
-    coefficients' limits. Broadcasts over array inputs; NaN inputs raise
-    InvariantViolation, and a statistic that leaves the float range raises
-    NonFinite.
+    coefficients' limits. Broadcasts over array inputs; `snr` is a scalar
+    or a 1-D sweep, as the bounds take it, a sweep adding a trailing SNR
+    axis. NaN inputs raise InvariantViolation, and a statistic that leaves
+    the float range raises NonFinite.
     """
-    require_snr(snr)
+    snrs, finish = snr_sweep(snr, "ZZB statistic")
     z = np.asarray(z_t, dtype=float)
     t0 = np.asarray(theta_t, dtype=float)
     dt = np.asarray(delta_t, dtype=float)
@@ -412,11 +411,9 @@ def mu_L_ao(z_t, theta_t, delta_t, snr: float, geom: ArrayGeometry):
         raise InvariantViolation("z_t must be > 0")
     if not (np.all(t0 >= 0) and np.all(t0 + dt <= 1) and np.all(dt >= 0)):
         raise InvariantViolation("tilt hypotheses must stay inside [0, 1]")
-    # a statistic leaving the float range raises NonFinite, not a warning
     with np.errstate(all="ignore"):
-        out = snr * geom.pitch * _ao_form(z, geom.aperture)(t0, dt)
-    require_finite("ZZB statistic", np.array([snr]), out)
-    return out[()]
+        return finish(snrs * geom.pitch
+                      * _ao_form(z, geom.aperture)(t0, dt)[..., None])
 
 
 def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
@@ -431,8 +428,7 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
     and an infinite aperture takes the moments' limits. NonFinite names
     the first SNR where the bound is not finite.
     """
-    snrs, shape = snr_sweep(snr)
-    # a bound that leaves the float range raises NonFinite, not a warning
+    snrs, finish = snr_sweep(snr, "ZZB")
     with np.errstate(all="ignore"):
         form = _ao_form(midpoints(prior.z_min, prior.z_max,
                                   grid.n_theta_z)[:, None], geom.aperture)
@@ -442,6 +438,4 @@ def zzb_ao_t(prior: UniformPrior, snr, geom: ArrayGeometry,
             cell = (prior.span / grid.n_theta_z) * ((1.0 - dt) / grid.n_theta_t)
             return form(theta_t, dt[:, None, None]), cell, {}
 
-        out = _outer(prior, 1.0, grid, snrs * geom.pitch, box)
-    require_finite("ZZB", snrs, out)
-    return shape(out)
+        return finish(_outer(prior, 1.0, grid, snrs * geom.pitch, box))

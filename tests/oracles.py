@@ -35,7 +35,7 @@ from nfepm.ecrb import _TY_SQ_MIN, FisherInfo, _assemble, _factors
 from nfepm.errors import AttitudeSingularity, InvariantViolation, QuadratureFailure
 from nfepm.geometry import ArrayGeometry, UniformPrior, Wave, probe_elements
 from nfepm.numerics import (EXPECT_GRID, TZ_EPS, midpoints, q_function,
-                            require_snr, snr_sweep)
+                            snr_sweep)
 from nfepm.observation import NoiseSpec, Voltages, element_voltages
 from nfepm.solver import (_distance, _gain_phase, _tilt_from_amplitudes,
                           decouple)
@@ -113,7 +113,7 @@ def mu_L(pair: HypothesisPair, snr: float, geom: ArrayGeometry, wave: Wave,
          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mean log-likelihood-ratio under the continuous-array approximation:
     snr * pitch * integral of the ambiguity function along the strip."""
-    require_snr(snr)
+    snr_sweep(snr, "ZZB statistic")
     if snr == 0 or (pair.delta_z == 0 and pair.delta_t == 0):
         return 0.0
     val = integrate(lambda y: ambiguity_function(pair, y, wave),
@@ -160,7 +160,7 @@ def fim_quadrature(pose: AxialPose, snr: float, geom: ArrayGeometry,
                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FisherInfo:
     """Fisher information by numerical integration of the derivative
     products along the strip; the oracle for fim_closed."""
-    require_snr(snr)
+    snr_sweep(snr, "Fisher information")
     z, tz = pose.distance, pose.tilt
     if 1.0 - tz * tz < _TY_SQ_MIN:
         raise AttitudeSingularity("t_z too close to 1 for the tilt divisions")
@@ -255,18 +255,18 @@ def ecrb_dense(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
         det = i_zz * i_tt - i_zt * i_zt
         return np.stack((i_tt / det, i_zz / det))
 
-    snrs, shape = snr_sweep(snr)
+    snrs, finish = snr_sweep(snr, "expected CRB")
     mean_z, mean_t = expect_dense(ratios, prior, *grid)
     pref = 1.0 / (2.0 * snrs * geom.pitch)
-    return shape(pref * mean_z), shape(pref * mean_t)
+    return finish(pref * mean_z), finish(pref * mean_t)
 
 
 def ecrb_ao_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
                   grid=EXPECT_GRID):
     """ecrb_ao's bound, the tilt information taken on every grid cell."""
-    snrs, shape = snr_sweep(snr)
+    snrs, finish = snr_sweep(snr, "expected CRB")
     mean = expect_dense(lambda z, t: 1.0 / _factors(z, t, geom)[2], prior, *grid)
-    return shape(mean / (2.0 * snrs * geom.pitch))
+    return finish(mean / (2.0 * snrs * geom.pitch))
 
 
 def ecrb_asymptotic_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
@@ -274,12 +274,12 @@ def ecrb_asymptotic_dense(prior: UniformPrior, snr, geom: ArrayGeometry,
     """ecrb_asymptotic's two bounds (large_z off), the distance term
     averaged over every grid cell."""
     k = wave.wavenumber
-    snrs, shape = snr_sweep(snr)
+    snrs, finish = snr_sweep(snr, "expected CRB")
     pref = 1.0 / (2.0 * snrs * geom.pitch)
     mean = expect_dense(
         lambda z, t: 210.0 * z ** 3 / (112.0 * k * k * z * z + 75.0), prior)
     mean_z = 0.5 * (prior.z_min + prior.z_max)
-    return shape(pref * mean), shape(3.0 * pref * mean_z)
+    return finish(pref * mean), finish(3.0 * pref * mean_z)
 
 
 def q_argument(sp, stat):
@@ -326,7 +326,7 @@ def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
                       grid: ZZBGrid = DEFAULT_GRID):
     """zzb_ao_t with the public mu_L_ao, inputs checked and tau-moments
     formed, called at every outer node, in outer_per_node's pass."""
-    snrs, shape = snr_sweep(snr)
+    snrs, finish = snr_sweep(snr, "ZZB")
     z_mid = midpoints(prior.z_min, prior.z_max, grid.n_theta_z)[:, None]
     # at a power-of-two pitch the aperture holds and snr its inverse,
     # snr * pitch is 1 exactly, and mu_L_ao the statistic per unit of it
@@ -339,7 +339,7 @@ def zzb_ao_t_per_node(prior: UniformPrior, snr, geom: ArrayGeometry,
         stat = mu_L_ao(z_mid, theta_t, dt[0], 1.0 / pitch, unit)
         return stat[None], cell, {}
 
-    return shape(outer_per_node(prior, 1.0, grid, snrs * geom.pitch, box))
+    return finish(outer_per_node(prior, 1.0, grid, snrs * geom.pitch, box))
 
 
 def y_blocks_uncached(aperture: float, n_panels: int):

@@ -321,6 +321,15 @@ def test_expected_bounds_take_a_grid_of_two_sizes(grid):
                     (8, 8)))
 
 
+def test_information_takes_one_pose():
+    # a pose of several distances or tilts raised a bare TypeError
+    for pose in (AxialPose(np.array([4.0, 5.0]), 0.3),
+                 AxialPose(4.0, np.array([0.1, 0.3]))):
+        with pytest.raises(InvariantViolation,
+                           match=r"^fim_closed takes one pose and one snr$"):
+            fim_closed(pose, 1.0, THRESHOLD_GEOM, THRESHOLD_WAVE)
+
+
 @pytest.mark.parametrize("snr", [math.nan, -5.0])
 @pytest.mark.parametrize("fim", [fim_closed, fim_quadrature])
 def test_information_rejects_nan_and_negative_snr(fim, snr):

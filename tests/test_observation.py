@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfepm.channel import AxialPose, axis_channel, nf_channel
-from nfepm.errors import InvariantViolation, NonFinite
+from nfepm.errors import InvariantViolation, NonFinite, ValidityViolation
 from nfepm.geometry import ArrayGeometry, Wave
 from nfepm.numerics import TZ_EPS, stream
 from nfepm.observation import (NoiseSpec, Voltages, add_noise, element_voltages,
@@ -133,3 +133,10 @@ def test_snr_bookkeeping():
     assert sigma2_for_snr_db(Wave(1.0, 1.0), 40.0) == pytest.approx(1e-4)
     # the SNR is drive power over noise power
     assert sigma2_for_snr_db(Wave(1.0, 10.0), 20.0) == 1.0
+
+
+def test_noise_variance_must_be_finite():
+    # a strong drive at a very low SNR: the variance overflowed to inf
+    with pytest.raises(ValidityViolation,
+                       match=r"^noise variance at -100\.0 dB is not finite$"):
+        sigma2_for_snr_db(Wave(1.0, 1e150), -100.0)

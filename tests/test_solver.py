@@ -126,7 +126,7 @@ def test_reactive_roundtrip_exact(column):
         pose = AxialPose(rng.uniform(prior.z_min, prior.z_max),
                          rng.uniform(0.0, 1.0))
         v = noiseless_voltages(pose, geom, wave)
-        res = solve(v, prior, geom, wave, beta_idx=beta_idx)
+        res = solve(v, prior, wave, beta_idx=beta_idx)
         assert res.region is Region.CASE1
         assert abs(res.z_hat - pose.distance) < 1e-10 * pose.distance
         assert abs(res.t_hat - pose.tilt) < 1e-10
@@ -305,7 +305,7 @@ def test_dispatch_matches_region():
         _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[column])
         z = 0.5 * (prior.z_min + prior.z_max)
         pose = AxialPose(z, 0.4)
-        res = solve(noiseless_voltages(pose, geom, wave), prior, geom, wave)
+        res = solve(noiseless_voltages(pose, geom, wave), prior, wave)
         assert res.region is kind
         assert abs(res.z_hat - z) / z <= 0.05
 
@@ -322,7 +322,7 @@ def test_spacing_constraint_solve_is_phase_period_rule_at_elements_1_2(column):
         pose = AxialPose(rng.uniform(prior.z_min, prior.z_max),
                          rng.uniform(0.0, 1.0))
         v = noiseless_voltages(pose, geom, wave)
-        res = solve(v, prior, geom, wave)
+        res = solve(v, prior, wave)
         ref = _solve_pair(Region.CASE2_PA, v.values[0], v.values[1],
                           geom.element_center(1), geom.element_center(2), geom,
                           wave, False)
@@ -340,12 +340,12 @@ def test_non_integer_probe_indices_are_invariant_violations():
         v = noiseless_voltages(AxialPose(prior.z_min, 0.4), geom, wave)
         with pytest.raises(InvariantViolation,
                            match="element indices must be integers"):
-            solve(v, prior, geom, wave, alpha_idx=alpha, beta_idx=beta)
+            solve(v, prior, wave, alpha_idx=alpha, beta_idx=beta)
         with pytest.raises(InvariantViolation,
                            match="element indices must be integers"):
             probe_elements(geom, alpha, beta, Region.CASE2_SC)
-        plain = solve(v, prior, geom, wave, alpha_idx=1, beta_idx=10)
-        got = solve(v, prior, geom, wave, alpha_idx=np.int64(1),
+        plain = solve(v, prior, wave, alpha_idx=1, beta_idx=10)
+        got = solve(v, prior, wave, alpha_idx=np.int64(1),
                     beta_idx=np.int32(10))
         assert (got.z_hat, got.t_hat, got.region) == (plain.z_hat, plain.t_hat,
                                                       plain.region)
@@ -355,9 +355,20 @@ def test_dispatch_rejects_unsupported_prior():
     _, wave, geom, prior = benchmark_setup(SOLVER_BENCHMARK[1])
     v = noiseless_voltages(AxialPose(0.3, 0.2), geom, wave)
     with pytest.raises(UnsupportedRegion):
-        solve(v, prior, geom, wave)  # default far probe outreaches the prior
+        solve(v, prior, wave)  # default far probe outreaches the prior
     with pytest.raises(UnsupportedRegion):
-        solve(v, UniformPrior(0.05, 0.1), ArrayGeometry(1.0, 0.05), Wave(0.1))
+        solve(v, UniformPrior(0.05, 0.1), Wave(0.1))
+
+
+def test_solve_reads_the_array_off_the_voltages():
+    # voltages taken at pitch 0.05 on the fig4 config, solved with a
+    # separate pitch-0.1 geometry, gave z = 16.0 and t = 1.11
+    wave, prior = Wave(0.1), UniformPrior(3.0, 5.0)
+    v = noiseless_voltages(AxialPose(4.0, 0.3), ArrayGeometry(5.0, 0.05), wave)
+    res = solve(v, prior, wave)
+    assert res.region is Region.CASE2_SC
+    assert abs(res.z_hat - 4.0004) < 1e-5
+    assert abs(res.t_hat - 0.3) < 1e-4
 
 
 def test_rmse_grid_validation():
@@ -811,8 +822,7 @@ def test_rmse_grid_matches_pointwise_solve():
         for z in np.linspace(prior.z_min, prior.z_max, 5):
             for t in np.linspace(0.0, 1.0, 4, endpoint=False):
                 pose = AxialPose(float(z), float(t))
-                res = solve(noiseless_voltages(pose, geom, wave), prior, geom,
-                            wave)
+                res = solve(noiseless_voltages(pose, geom, wave), prior, wave)
                 err_z.append(res.z_hat - z)
                 err_t.append(res.t_hat - t)
         assert rmse_z == pytest.approx(np.sqrt(np.mean(np.square(err_z))),

@@ -103,19 +103,23 @@ def test_monte_carlo_sweep_equals_one_level_calls(monkeypatch):
                            for db in DB]
 
 
-@pytest.mark.parametrize("bound", [
-    lambda snr: fim_closed(AxialPose(4.0, 0.3), snr, GEOM, WAVE),
-    lambda snr: mu_L_ao(4.0, 0.3, 0.1, snr, GEOM),
-    lambda snr: zzb_z(PRIOR, snr, GEOM, WAVE, GRID),
-    lambda snr: zzb_ao_t(PRIOR, snr, GEOM, GRID),
-    lambda snr: ecrb(PRIOR, snr, GEOM, WAVE, ECRB_GRID),
-    lambda snr: ecrb_ao(PRIOR, snr, GEOM, ECRB_GRID),
-    lambda snr: ecrb_asymptotic(PRIOR, snr, GEOM, WAVE)],
-    ids=["fim_closed", "mu_L_ao", "zzb_z", "zzb_ao_t", "ecrb",
-         "ecrb_ao", "ecrb_asymptotic"])
-def test_infinite_snr_is_rejected(bound):
+# every entry point that takes a linear SNR; mu_L_ao on three distances
+ENTRY_POINTS = {
+    "fim_closed": lambda snr: fim_closed(AxialPose(4.0, 0.3), snr, GEOM, WAVE),
+    "mu_L_ao": lambda snr: mu_L_ao(np.array([3.0, 4.0, 5.0]), 0.3, 0.1, snr, GEOM),
+    "zzb_z": lambda snr: zzb_z(PRIOR, snr, GEOM, WAVE, GRID),
+    "zzb_ao_t": lambda snr: zzb_ao_t(PRIOR, snr, GEOM, GRID),
+    "ecrb": lambda snr: ecrb(PRIOR, snr, GEOM, WAVE, ECRB_GRID),
+    "ecrb_ao": lambda snr: ecrb_ao(PRIOR, snr, GEOM, ECRB_GRID),
+    "ecrb_asymptotic": lambda snr: ecrb_asymptotic(PRIOR, snr, GEOM, WAVE),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_infinite_snr_is_rejected(name):
     # an infinite SNR made the information infinite and the bounds 0;
     # NaN and negative SNRs keep their message
+    bound = ENTRY_POINTS[name]
     for snr in (math.inf, [1.0, math.inf]):
         with pytest.raises(InvariantViolation,
                            match=r"^snr must be finite, got inf$"):
@@ -123,6 +127,29 @@ def test_infinite_snr_is_rejected(bound):
     for snr in (math.nan, -1.0):
         with pytest.raises(InvariantViolation, match="^snr must be >= 0"):
             bound(snr)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_sequence_snr_is_a_sweep(name):
+    # a list or an array of SNRs gives the one-SNR calls' values bit for
+    # bit, the SNR on the last axis (mu_L_ao's after its distances);
+    # fim_closed takes one SNR. Both raised a bare TypeError on a list,
+    # and fim_closed gave a FisherInfo of arrays on an array
+    bound = ENTRY_POINTS[name]
+    snrs = SNR[8:11]
+    for snr in (snrs, np.array(snrs)):
+        if name == "fim_closed":
+            with pytest.raises(InvariantViolation,
+                               match=r"^fim_closed takes one pose and one snr$"):
+                bound(snr)
+        else:
+            got = np.moveaxis(np.asarray(bound(snr)), -1, 0)
+            assert np.array_equal(got, [bound(s) for s in snrs])
+    # a ragged sweep, or one of other than real numbers, raised a bare
+    # ValueError or TypeError
+    for bad in ([], [[1.0, 2.0]], [1.0, [2.0, 3.0]], ["a"], [1j]):
+        with pytest.raises(InvariantViolation, match="sequence"):
+            bound(bad)
 
 
 def test_sweep_errors_name_the_offending_snr(monkeypatch):
@@ -157,7 +184,7 @@ def test_sweep_errors_name_the_offending_snr(monkeypatch):
         with pytest.raises(NonFinite, match=r"^ZZB not finite at snr 3\.0$"):
             zzb_ao_t(PRIOR, [2.0, 3.0, 4.0], GEOM, GRID)
     assert math.isfinite(zzb_ao_t(PRIOR, 3.0, GEOM, GRID))
-    for bad in ([], [[1.0, 2.0]]):
+    for bad in ([], [[1.0, 2.0]], [1.0, [2.0, 3.0]]):
         with pytest.raises(InvariantViolation, match="sequence"):
             zzb_ao_t(PRIOR, bad, GEOM, GRID)
         with pytest.raises(InvariantViolation, match="sequence"):

@@ -242,11 +242,11 @@ def test_tilt_only_bound_checks_no_inputs_per_node(monkeypatch):
     # the sweep is checked once on entry; the grids are valid by
     # construction, so no outer node checks them again
     calls = []
-    real = zzb_module.require_snr
-    monkeypatch.setattr(zzb_module, "require_snr",
-                        lambda snr: calls.append(snr) or real(snr))
+    real = zzb_module.snr_sweep
+    monkeypatch.setattr(zzb_module, "snr_sweep",
+                        lambda snr, what: calls.append(snr) or real(snr, what))
     zzb_ao_t(THRESHOLD_PRIOR, [1.0, 100.0], THRESHOLD_GEOM, COARSE)
-    assert calls == []
+    assert calls == [[1.0, 100.0]]
 
 
 def test_cached_family_rule_equals_the_uncached_rule(monkeypatch):
