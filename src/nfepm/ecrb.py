@@ -181,7 +181,7 @@ def ecrb(prior: UniformPrior, snr, geom: ArrayGeometry, wave: Wave,
         if np.any(det <= 0):
             # z and t are the grid's (n_z, 1) and (1, n_t) axes
             at = tuple(np.argwhere(det <= 0)[0])
-            z_at, t_at = (a[at] for a in np.broadcast_arrays(z, t))
+            z_at, t_at = (float(a[at]) for a in np.broadcast_arrays(z, t))
             raise SingularFIM(
                 f"information matrix singular at z_t={z_at!r}, t_z={t_at!r}")
         return np.stack((i_tt / det, i_zz / det))

@@ -15,15 +15,16 @@ kernels in G (`_family_eval`), on a panel count fixed beforehand
 (`_family_panels`), one evaluation per equal panel count. mu on a box's
 tilt grid is one product (`_mu`) of them with the tilt basis (t^2, t s,
 s^2) (`_tilt_basis`). `_outer` integrates over the offset on log-spaced
-panels, as the integrand's support shrinks like 1/SNR, one batch of a
-panel's nodes at a time. Each bound hands it box(d): for a batch of
-offset nodes d, the statistic per unit snr * pitch on each node's box,
-the boxes' cell areas, and the QuadratureFailure of each node it could
-not evaluate. `_outer` alone handles the SNRs and the cut: it takes the
-root of the statistic once per node for the whole sweep, scales it by
-sqrt(snr * pitch / 2) at the SNRs not cut when the batch starts,
-integrates the detection error Q(sqrt(mu/2)) over the boxes in blocks of
-at most `_BLOCK_CELLS` grid cells, so memory does not grow with the
+panels, as the integrand's support shrinks like 1/SNR, one batch of
+nodes at a time, as many nodes' boxes as fit in `_BLOCK_CELLS` grid
+cells. Each bound hands it box(d): for a batch of offset nodes d, the
+statistic per unit snr * pitch on each node's box, the boxes' cell
+areas, and the QuadratureFailure of each node it could not evaluate.
+`_outer` alone handles the SNRs and the cut: it takes the root of the
+statistic once per node for the whole sweep, scales it by sqrt(snr *
+pitch / 2) at the SNRs not cut when the batch starts, integrates the
+detection error Q(sqrt(mu/2)) over the boxes in blocks of as many of
+those SNRs as fit in the same budget, so memory does not grow with the
 sweep, and then cuts the SNRs node by node. The phase kernel forms its
 sin^2 through tan (`_sin_squared`), which numpy runs as a SIMD loop.
 
@@ -300,23 +301,21 @@ def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
     channel, so each (node, channel) box costs one multiply before Q. box(d)
     gives, at a batch of offset nodes d, stat (len(d), n_theta_z,
     n_theta_t), the cell areas (len(d),) and a {batch index:
-    QuadratureFailure} dict of the nodes it could not evaluate. A batch is
-    one panel, or fewer nodes where a box holds more than a quarter of
-    _BLOCK_CELLS grid cells. It is evaluated at the channels live when it
-    starts, Q in blocks of at most _BLOCK_CELLS grid cells (one box at
-    least), so memory does not grow with the sweep. Its nodes are then taken
-    in order: each adds its bracket to the channels still live and cuts
-    those that fall, and a node's failure is raised only if the pass reaches
-    it with a channel live. Each (node, channel) bracket is independent of
-    the others, so the sums, and the failures raised, are those of a
-    node-by-node pass."""
+    QuadratureFailure} dict of the nodes it could not evaluate. One budget
+    of _BLOCK_CELLS grid cells sizes both stages: a batch holds as many
+    nodes' boxes as fit in it (one at least), and Q takes the batch at as
+    many of the channels live when it starts as fit, so no array grows
+    with the sweep past max(_BLOCK_CELLS, one box) cells. The batch's nodes
+    are then taken in order: each adds its bracket to the channels still
+    live and cuts those that fall, and a node's failure is raised only if
+    the pass reaches it with a channel live. Each (node, channel) bracket
+    is the same sum of the same box however the blocks fall, so the sums,
+    and the failures raised, are those of a node-by-node pass."""
     lo = hi * _DELTA_FLOOR_REL
     edges = np.exp(np.linspace(math.log(lo), math.log(hi),
                                max(1, grid.n_delta // 4) + 1))
     nodes, weights = _panel_rule(edges, 4)
-    # (node, channel) pairs per Q block, and nodes per batch
-    pairs = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
-    per = min(4, pairs)
+    per = max(1, _BLOCK_CELLS // (grid.n_theta_z * grid.n_theta_t))
     wd = weights * nodes
     scale = np.sqrt(sp / 2.0)
     total, peak = np.zeros(len(sp)), np.zeros(len(sp))
@@ -325,30 +324,24 @@ def _outer(prior, hi: float, grid: ZZBGrid, sp: np.ndarray,
         if live.size == 0:
             break
         stat, cell, failures = box(nodes[a:a + per])
-        # the (node, channel) pairs of the batch, node by node
-        i, c = np.divmod(np.arange(len(stat) * len(live)), len(live))
-        sums = np.empty(len(i))
         root = np.sqrt(np.maximum(stat, 0.0))
-        for b in range(0, len(i), pairs):
-            rows = slice(b, b + pairs)
-            n = i[rows]
-            # a block at one node takes that node's grid as it is, uncopied
-            grids = root[n[0]] if n[0] == n[-1] else root[n]
-            sums[rows] = q_function(
-                scale[live[c[rows]], None, None] * grids).sum(axis=(-2, -1))
-        values = (sums * cell[i]).reshape(len(stat), len(live))
-        # the columns of values still live
-        cols = np.arange(len(live))
-        for k, row in enumerate(values):
+        k = max(1, _BLOCK_CELLS // root.size)
+        # (channel, node) brackets at the channels live when the batch starts
+        values = np.concatenate([
+            q_function(scale[live[c:c + k], None, None, None] * root)
+            .sum(axis=(-2, -1)) for c in range(0, live.size, k)]) * cell
+        # the rows of values still live
+        rows = np.arange(len(live))
+        for j, column in enumerate(values.T):
             if live.size == 0:
                 break
-            if k in failures:
-                raise failures[k]
-            value = row[cols]
-            total[live] = total[live] + wd[a + k] * value
+            if j in failures:
+                raise failures[j]
+            value = column[rows]
+            total[live] = total[live] + wd[a + j] * value
             peak[live] = running = np.maximum(peak[live], value)
             keep = ~(value < _TRUNCATE_REL * running)
-            live, cols = live[keep], cols[keep]
+            live, rows = live[keep], rows[keep]
     return total / prior.span
 
 

@@ -220,7 +220,8 @@ def test_singular_information_raise_and_skip(monkeypatch):
 
 def test_singular_sample_named_with_full_shape_determinant(monkeypatch):
     # the determinant is singular at one (z, t) cell of the full grid; the
-    # message names that cell's distance and tilt, read off the sparse axes
+    # message names that cell's distance and tilt, read off the sparse axes,
+    # as plain floats
     z_star = midpoints(THRESHOLD_PRIOR.z_min, THRESHOLD_PRIOR.z_max, 8)[3]
     t_star = midpoints(0.0, 1.0 - TZ_EPS, 6)[5]
 
@@ -234,7 +235,8 @@ def test_singular_sample_named_with_full_shape_determinant(monkeypatch):
     with pytest.raises(SingularFIM) as info:
         ecrb(THRESHOLD_PRIOR, 10.0, THRESHOLD_GEOM, THRESHOLD_WAVE, grid=(8, 6))
     assert str(info.value) == (
-        f"information matrix singular at z_t={z_star!r}, t_z={t_star!r}")
+        f"information matrix singular at z_t={float(z_star)!r}, "
+        f"t_z={float(t_star)!r}")
 
 
 # the threshold config and the geometry_scan bench geometry at aperture 7,

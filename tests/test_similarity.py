@@ -22,6 +22,24 @@ ALPHAS = [0.37, 10.0, 1000.0]
 SNRS = np.array([snr_from_db(db) for db in (20.0, 34.0, 50.0)])
 ZZB_GRID = ZZBGrid(32, 16, 16)
 ECRB_GRID = (16, 16)
+# the bound cases, (wave, array, prior): the threshold config, which is
+# fig4's geometry, and 8 more preset geometries: fig5 at apertures 2 and
+# 10, fig6 at lambda 0.001, fig7 at pitches 0.02 and 2.5, fig8, and fig9
+# at [4, 10] m with aperture 10 and at [9, 10] m with aperture 2
+BOUND_CASES = {
+    "threshold": (THRESHOLD_WAVE, THRESHOLD_GEOM, THRESHOLD_PRIOR),
+    **{f"fig5-aperture-{d:g}": (Wave(0.1), ArrayGeometry(d, 0.1),
+                                UniformPrior(4.0, 8.0)) for d in (2.0, 10.0)},
+    "fig6-lambda-0.001": (Wave(0.001), ArrayGeometry(5.0, 0.1),
+                          UniformPrior(5.0, 6.0)),
+    **{f"fig7-pitch-{p:g}": (Wave(0.01), ArrayGeometry(5.0, p),
+                             UniformPrior(5.0, 6.0)) for p in (0.02, 2.5)},
+    "fig8": (Wave(0.1), ArrayGeometry(5.0, 0.5), UniformPrior(3.0, 4.0)),
+    "fig9-[4, 10]-aperture-10": (Wave(0.01), ArrayGeometry(10.0, 0.5),
+                                 UniformPrior(4.0, 10.0)),
+    "fig9-[9, 10]-aperture-2": (Wave(0.01), ArrayGeometry(2.0, 0.5),
+                                UniformPrior(9.0, 10.0)),
+}
 # the fig4 geometry, 8 seeded trials at 30 and 50 dB on a reduced grid
 MAP_CONFIG = (Wave(0.1), ArrayGeometry(5.0, 0.1), UniformPrior(3.0, 5.0))
 MAP_GRID = MapGrid(64, 32)
@@ -39,18 +57,20 @@ def _scaled(alpha, wave, geom, prior):
 
 
 def _bounds(alpha):
-    # each bound at the 3 SNRs on the threshold config scaled by alpha, the
-    # distance bounds divided by alpha^2
-    wave, geom, prior = _scaled(alpha, THRESHOLD_WAVE, THRESHOLD_GEOM,
-                                THRESHOLD_PRIOR)
-    ecrb_z, ecrb_t = ecrb(prior, SNRS, geom, wave, ECRB_GRID)
-    return {
-        "zzb_z": zzb_z(prior, SNRS, geom, wave, ZZB_GRID) / alpha ** 2,
-        "zzb_ao_t": zzb_ao_t(prior, SNRS, geom, ZZB_GRID),
-        "ecrb_z": ecrb_z / alpha ** 2,
-        "ecrb_t": ecrb_t,
-        "ecrb_ao": ecrb_ao(prior, SNRS, geom, ECRB_GRID),
-    }
+    # each bound at the 3 SNRs on each bound case scaled by alpha, the
+    # distance bounds divided by alpha^2, named "<case> <bound>"
+    bounds = {}
+    for case, config in BOUND_CASES.items():
+        wave, geom, prior = _scaled(alpha, *config)
+        ecrb_z, ecrb_t = ecrb(prior, SNRS, geom, wave, ECRB_GRID)
+        bounds |= {f"{case} {name}": value for name, value in {
+            "zzb_z": zzb_z(prior, SNRS, geom, wave, ZZB_GRID) / alpha ** 2,
+            "zzb_ao_t": zzb_ao_t(prior, SNRS, geom, ZZB_GRID),
+            "ecrb_z": ecrb_z / alpha ** 2,
+            "ecrb_t": ecrb_t,
+            "ecrb_ao": ecrb_ao(prior, SNRS, geom, ECRB_GRID),
+        }.items()}
+    return bounds
 
 
 def _map_mse(alpha):

@@ -223,8 +223,9 @@ def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     # batch of outer nodes; the bounds are bit-identical to mu_L_ao's node
     # by node, and so is every (node, SNR) grid of sqrt(mu/2) the
     # reference hands to Q: each is among the library's. The library
-    # hands them over in blocks of (node, SNR) pairs and evaluates a batch
-    # at the SNRs live when it starts, so it has more grids
+    # hands them over in blocks of live SNRs times a batch's boxes and
+    # evaluates a batch at the SNRs live when it starts, so it has more
+    # grids
     geom = ArrayGeometry(aperture, 0.1)
     seen = {zzb_module: [], oracles: []}
     for module, log in seen.items():
@@ -233,7 +234,8 @@ def test_tilt_only_bound_equals_per_node_reference(monkeypatch, snr, aperture):
     for grid in (COARSE, ZZBGrid(24, 12)):
         assert np.array_equal(zzb_ao_t(THRESHOLD_PRIOR, snr, geom, grid),
                               zzb_ao_t_per_node(THRESHOLD_PRIOR, snr, geom, grid))
-    got, want = ({g.tobytes() for block in seen[m] for g in block}
+    got, want = ({g.tobytes() for block in seen[m]
+                  for g in block.reshape(-1, *block.shape[-2:])}
                  for m in (zzb_module, oracles))
     assert len(want) > 0 and want <= got
 
@@ -504,22 +506,23 @@ def test_engine_statistic_matches_mu_L():
 
 
 def test_bounds_do_not_depend_on_the_block_size(monkeypatch):
-    # a batch of four outer nodes at every SNR holds more cells than the
-    # default block, so the default splits it; one box per block (which
-    # also makes batches of one node) and the whole batch per block must
-    # give the same bits
+    # the default block holds 16 boxes, so a batch is all 8 outer nodes
+    # and Q splits their boxes at the 5 SNRs into blocks of 2 SNRs; one box
+    # per block (batches of one node, Q at one SNR), three boxes per block
+    # (batches of three nodes, which straddle the 4-node log panels) and
+    # a batch at every SNR per block must give the same bits
     grid = ZZBGrid(8, 16, 64)
     prior, geom, wave = THRESHOLD_PRIOR, THRESHOLD_GEOM, THRESHOLD_WAVE
     snrs = [10.0 ** (db / 10.0) for db in (0.0, 30.0, 34.0, 45.0, 60.0)]
     box = grid.n_theta_z * grid.n_theta_t
-    batch = 4 * len(snrs) * box
+    batch = 8 * len(snrs) * box
     assert batch > zzb_module._BLOCK_CELLS
     results = []
-    for block in (zzb_module._BLOCK_CELLS, box, batch):
+    for block in (zzb_module._BLOCK_CELLS, box, 3 * box, batch):
         monkeypatch.setattr(zzb_module, "_BLOCK_CELLS", block)
         results.append([zzb_z(prior, snrs, geom, wave, grid).tolist(),
                         zzb_ao_t(prior, snrs, geom, grid).tolist()])
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1] == results[2] == results[3]
 
 
 # 0-60 dB in 5 dB steps, the sweep of the snr_sweep benchmark workload
@@ -541,9 +544,10 @@ def _counting_q(monkeypatch):
 
 def test_bounds_take_one_box_per_node_and_snr(monkeypatch):
     # the snr_sweep benchmark config. Q sees only the grid cells _outer
-    # integrates, one box of 24 x 64 cells per (outer node, SNR) pair a
-    # batch evaluates: 292 pairs for zzb_z and 312 for zzb_ao_t. An SNR cut
-    # inside a batch is evaluated at the batch's later nodes and dropped
+    # integrates, one box of 24 x 64 cells per outer node at each SNR live
+    # when the node's batch starts: 292 boxes for zzb_z and 312 for
+    # zzb_ao_t. An SNR cut inside a batch is evaluated at the batch's
+    # later nodes and dropped
     cells = _counting_q(monkeypatch)
     grid = ZZBGrid(n_delta=24, n_theta_z=24)
     box = grid.n_theta_z * grid.n_theta_t
@@ -619,7 +623,8 @@ def _recording_outer(monkeypatch):
 
     def recording_q(x):
         _, channel, live = calls[-1][-1]
-        live.update(channel[g.tobytes()] for g in x)
+        live.update(channel[g.tobytes()]
+                    for g in x.reshape(-1, *x.shape[-2:]))
         return q_function(x)
 
     monkeypatch.setattr(zzb_module, "_outer", recording)
